@@ -13,18 +13,23 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import InvalidReviewRequest, NoCandidates, NoPartials
 from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
+    MAX_INFLIGHT,
     EnsembleConfig,
     ModelBackend,
     ModelRequest,
-    ensemble_parsed,
+    PendingEnsemble,
+    PooledBackend,
     generate,
+    submit_ensemble,
+    use_pool,
 )
 from .ingestion import ReviewRequest, prompt_block
 from .matching import findings_equivalent
@@ -44,8 +49,6 @@ from .types import (
 )
 
 logger = logging.getLogger(__name__)
-
-_CHUNK_WORKERS = 4
 
 AGGREGATION_MODES = ("deterministic", "model")
 
@@ -90,35 +93,36 @@ def _strip_unknown_spec_ids(finding: Finding, library: SpecLibrary) -> Finding:
     return replace(finding, spec_ids=kept, category=resolve_category(kept, library))
 
 
-def review_chunk_ensemble(
-    request: ReviewRequest,
-    chunk: SpecChunk,
-    library: SpecLibrary,
-    backend: ModelBackend,
-    ensemble: EnsembleConfig,
-) -> tuple[list[CandidateReview], int]:
-    """Run the reviewer ensemble for one chunk.
-
-    Returns the candidate reviews for present slots plus the number of
-    calls made (including retries). Findings are normalized here: unknown
-    cited rule ids are stripped and the category is resolved.
-    """
+def _reviewer_request(
+    request: ReviewRequest, chunk: SpecChunk, library: SpecLibrary, ensemble: EnsembleConfig
+) -> ModelRequest:
     prompt = render_prompt(
         Role.EXPLICIT_REVIEWER,
         {"code": prompt_block(request), "specs": chunk_prompt_text(library, chunk)},
     )
-    base = ModelRequest(
+    return ModelRequest(
         role=Role.EXPLICIT_REVIEWER.value,
         prompt=prompt,
         temperature=ensemble.temperature,
         max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
     )
-    parsed, stats = ensemble_parsed(
-        backend,
-        base,
-        ensemble,
-        lambda text: parse_findings_response(text, Pathway.EXPLICIT),
-    )
+
+
+def _parse_reviewer(text: str) -> list[Finding]:
+    return parse_findings_response(text, Pathway.EXPLICIT)
+
+
+def review_chunk_ensemble(
+    chunk: SpecChunk, slots: PendingEnsemble[list[Finding]], library: SpecLibrary
+) -> tuple[list[CandidateReview], int]:
+    """Collect one chunk's reviewer ensemble.
+
+    Returns the candidate reviews for present slots plus the number of
+    calls made (including retries). Findings are normalized here: unknown
+    cited rule ids are stripped and the category is resolved. Raises
+    EnsembleError past the chunk's failure budget.
+    """
+    parsed, stats = slots.collect()
     candidates = [
         CandidateReview(
             chunk_ordinal=chunk.ordinal,
@@ -346,41 +350,56 @@ def run_explicit(
     aggregation_mode: str = "deterministic",
     model_summary: bool = False,
     run_id: str = "",
+    pool: Optional[Executor] = None,
 ) -> PathwayReport:
     """Segment the rule library, review every chunk, and synthesize.
 
-    Chunks run concurrently; results are assembled in chunk order so the
-    report is identical whatever the completion order. Raises EnsembleError
-    when any chunk exceeds its failure budget.
+    Chunk ensembles go on the call pool (the run's pool when given, else
+    one of this call's own) up to a pool's worth of slots ahead of
+    collection, so every chunk is in flight at once whenever the chunks'
+    slots fit under MAX_INFLIGHT. Results are collected and aggregated in
+    chunk order, so the report is identical whatever the completion order.
+    Raises EnsembleError when any chunk exceeds its failure budget.
     """
     if not request.units:
         raise InvalidReviewRequest("explicit review needs at least one unit")
     chunks = segment_library(library, chunk_budget)
 
-    calls_total = 0
-    absent_total = 0
+    # Slots submitted further ahead would only queue, and their parsed
+    # results would pile up uncollected (peak memory, not speed).
+    ahead = max(1, MAX_INFLIGHT // ensemble.n)
+    with use_pool(pool, len(chunks) * ensemble.n) as calls:
 
-    def one_chunk(chunk: SpecChunk) -> tuple[AggregatedReview, int, int]:
-        candidates, calls = review_chunk_ensemble(request, chunk, library, backend, ensemble)
-        aggregated = aggregate_candidates(
-            chunk, candidates, ensemble, aggregation_mode, backend=backend, library=library
-        ) if candidates else AggregatedReview(chunk.ordinal, (), 0)
-        return aggregated, calls, ensemble.n - len(candidates)
+        def submit(chunk: SpecChunk) -> PendingEnsemble:
+            return submit_ensemble(
+                calls,
+                backend,
+                _reviewer_request(request, chunk, library, ensemble),
+                ensemble,
+                _parse_reviewer,
+            )
 
-    partials: list[Optional[AggregatedReview]] = [None] * len(chunks)
-    with ThreadPoolExecutor(max_workers=min(_CHUNK_WORKERS, len(chunks))) as pool:
-        futures = [pool.submit(one_chunk, chunk) for chunk in chunks]
-        for index, future in enumerate(futures):
-            aggregated, calls, absent = future.result()
-            partials[index] = aggregated
-            calls_total += calls
-            absent_total += absent
-
-    report = synthesize_partials(
-        [partial for partial in partials if partial is not None],
-        backend=backend,
-        model_summary=model_summary,
-    )
+        pending = deque(submit(chunk) for chunk in chunks[:ahead])
+        # Model-mode aggregation and the model summary call from this
+        # thread; routed through the pool, they count against its cap.
+        pooled = PooledBackend(backend, calls)
+        calls_total = 0
+        absent_total = 0
+        partials = []
+        for position, chunk in enumerate(chunks):
+            candidates, calls_made = review_chunk_ensemble(chunk, pending.popleft(), library)
+            if position + ahead < len(chunks):
+                pending.append(submit(chunks[position + ahead]))
+            calls_total += calls_made
+            absent_total += ensemble.n - len(candidates)
+            partials.append(
+                aggregate_candidates(
+                    chunk, candidates, ensemble, aggregation_mode, backend=pooled, library=library
+                )
+                if candidates
+                else AggregatedReview(chunk.ordinal, (), 0)
+            )
+        report = synthesize_partials(partials, backend=pooled, model_summary=model_summary)
     stats = freeze_stats(
         {
             "pathway": Pathway.EXPLICIT.value,

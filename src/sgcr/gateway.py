@@ -5,6 +5,12 @@ sha256 of the canonical request JSON (sorted keys, prompt hashed verbatim)
 and is stable across processes. Fingerprints key the record/replay fixture
 store and seed the mock backend, so the whole pipeline can run offline and
 deterministically.
+
+Calls run on one bounded pool per run (call_pool, at most MAX_INFLIGHT in
+flight). Ensembles are submit-then-collect: submit_ensemble puts the slots
+on the pool and PendingEnsemble.collect gathers them in instance order, so
+callers can have many ensembles in flight and still assemble results in a
+fixed order.
 """
 
 from __future__ import annotations
@@ -12,14 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Protocol, TypeVar
+from typing import Callable, ContextManager, Generic, Iterator, Optional, Protocol, TypeVar
 
 from enum import Enum
 
-from .errors import EnsembleError, FixtureMiss, SgcrError, UnparsableResponse, WireError
+from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
 
 logger = logging.getLogger(__name__)
 
@@ -28,7 +34,8 @@ DEFAULT_MAX_OUTPUT_TOKENS = 2048
 # Retries per ensemble slot on transport or parse failures, same seed each time.
 SLOT_RETRIES = 2
 
-_MAX_WORKERS = 8
+# Model calls in flight at once, per run, across both pathways and patches.
+MAX_INFLIGHT = 16
 
 
 @dataclass(frozen=True)
@@ -127,36 +134,6 @@ def ensemble_requests(base_request: ModelRequest, config: EnsembleConfig) -> lis
     ]
 
 
-def generate_ensemble(
-    backend: ModelBackend,
-    base_request: ModelRequest,
-    config: EnsembleConfig,
-) -> list[Optional[ModelResponse]]:
-    """Dispatch n diversified requests, possibly concurrently.
-
-    The returned list is ordered by instance_index regardless of completion
-    order. Failed slots are None; the call raises EnsembleError only when
-    more than n - quorum slots failed.
-    """
-
-    def one(request: ModelRequest) -> ModelResponse:
-        return generate(backend, request)
-
-    requests = ensemble_requests(base_request, config)
-    results: list[Optional[ModelResponse]] = [None] * config.n
-    errors: list[tuple[int, SgcrError]] = []
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, config.n)) as pool:
-        futures = [pool.submit(one, request) for request in requests]
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result()
-            except SgcrError as exc:
-                errors.append((index, exc))
-                logger.warning("ensemble slot %d failed: %s", index, exc)
-    _check_failure_budget(errors, config)
-    return results
-
-
 @dataclass
 class EnsembleStats:
     """Call accounting for one ensemble invocation."""
@@ -168,6 +145,119 @@ class EnsembleStats:
 T = TypeVar("T")
 
 
+@contextmanager
+def call_pool(workers: int = MAX_INFLIGHT) -> Iterator[Executor]:
+    """A bounded pool for model calls: at most MAX_INFLIGHT run at once.
+
+    Only leaf tasks go on it (one ensemble slot, one patch or proposer
+    call); no task waits on the pool, so it cannot deadlock. On exit,
+    queued tasks are cancelled and the workers joined, so a run that
+    raised makes no further calls and leaves no threads behind.
+    """
+    pool = ThreadPoolExecutor(
+        max_workers=max(1, min(workers, MAX_INFLIGHT)), thread_name_prefix="sgcr-call"
+    )
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def use_pool(pool: Optional[Executor], workers: int) -> ContextManager[Executor]:
+    """The caller's pool, or a fresh one sized for workers tasks."""
+    return nullcontext(pool) if pool is not None else call_pool(workers)
+
+
+class PooledBackend:
+    """A backend whose calls run on a pool, so they count against its cap.
+
+    For the few calls an orchestrating thread makes itself rather than
+    through an ensemble.
+    """
+
+    def __init__(self, backend: ModelBackend, pool: Executor) -> None:
+        self.backend_id = backend.backend_id
+        self._backend = backend
+        self._pool = pool
+
+    def complete(self, request: ModelRequest) -> str:
+        return self._pool.submit(self._backend.complete, request).result()
+
+
+def _run_slot(
+    backend: ModelBackend, request: ModelRequest, parser: Callable[[str], T]
+) -> tuple[Optional[T], Optional[SgcrError], int]:
+    """One ensemble slot: (parsed value or None, last error, attempts made).
+
+    Attempted up to 1 + SLOT_RETRIES times (same seed) when the transport
+    fails or the response does not parse. Other errors, a fixture miss
+    among them, are never retried: replay lookups are deterministic.
+    """
+    last_error: SgcrError = UnparsableResponse("no attempt made")
+    for attempt in range(1 + SLOT_RETRIES):
+        try:
+            return parser(generate(backend, request).text), None, attempt + 1
+        except (WireError, UnparsableResponse) as exc:
+            last_error = exc
+            if attempt < SLOT_RETRIES:
+                logger.warning(
+                    "slot %d attempt %d failed (%s), retrying",
+                    request.instance_index,
+                    attempt + 1,
+                    exc,
+                )
+        except SgcrError as exc:
+            return None, exc, attempt + 1
+    return None, last_error, 1 + SLOT_RETRIES
+
+
+class PendingEnsemble(Generic[T]):
+    """An ensemble whose slots are on a pool; collect() waits for them."""
+
+    def __init__(self, futures: list[Future], config: EnsembleConfig) -> None:
+        self._futures = futures
+        self._config = config
+
+    def collect(self) -> tuple[list[Optional[T]], EnsembleStats]:
+        """Slot results in instance order, absent slots as None.
+
+        Call once: the futures are released, so a run holds no more raw
+        slot results than it has yet to collect. Raises EnsembleError past
+        the n - quorum failure budget.
+        """
+        futures, self._futures = self._futures, []
+        stats = EnsembleStats()
+        results: list[Optional[T]] = []
+        errors: list[tuple[int, SgcrError]] = []
+        for index, future in enumerate(futures):
+            value, error, attempts = future.result()
+            stats.calls += attempts
+            if error is not None:
+                errors.append((index, error))
+                stats.failures += 1
+                logger.warning("ensemble slot %d absent: %s", index, error)
+            results.append(value)
+        _check_failure_budget(errors, self._config)
+        return results, stats
+
+
+def submit_ensemble(
+    pool: Executor,
+    backend: ModelBackend,
+    base_request: ModelRequest,
+    config: EnsembleConfig,
+    parser: Callable[[str], T],
+) -> PendingEnsemble[T]:
+    """Put the n diversified slots on the pool without waiting for them."""
+    return PendingEnsemble(
+        [
+            pool.submit(_run_slot, backend, request, parser)
+            for request in ensemble_requests(base_request, config)
+        ],
+        config,
+    )
+
+
 def ensemble_parsed(
     backend: ModelBackend,
     base_request: ModelRequest,
@@ -176,52 +266,12 @@ def ensemble_parsed(
 ) -> tuple[list[Optional[T]], EnsembleStats]:
     """Ensemble dispatch with per-slot parsing and bounded retries.
 
-    Each slot is attempted up to 1 + SLOT_RETRIES times (same seed) when the
-    transport fails or the response does not parse; a slot that still fails
-    is marked absent (None). A fixture miss is never retried: replay lookups
-    are deterministic. Raises EnsembleError past the n - quorum budget.
+    Submits every slot to a pool of its own, then collects them: a slot
+    that still fails after its retries is marked absent (None). Raises
+    EnsembleError past the n - quorum budget.
     """
-    stats = EnsembleStats()
-    stats_lock = threading.Lock()
-
-    def count_call() -> None:
-        with stats_lock:
-            stats.calls += 1
-
-    def one_slot(request: ModelRequest) -> T:
-        last_error: SgcrError = UnparsableResponse("no attempt made")
-        for attempt in range(1 + SLOT_RETRIES):
-            count_call()
-            try:
-                response = generate(backend, request)
-                return parser(response.text)
-            except FixtureMiss:
-                raise
-            except (WireError, UnparsableResponse) as exc:
-                last_error = exc
-                if attempt < SLOT_RETRIES:
-                    logger.warning(
-                        "slot %d attempt %d failed (%s), retrying",
-                        request.instance_index,
-                        attempt + 1,
-                        exc,
-                    )
-        raise last_error
-
-    requests = ensemble_requests(base_request, config)
-    results: list[Optional[T]] = [None] * config.n
-    errors: list[tuple[int, SgcrError]] = []
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, config.n)) as pool:
-        futures = [pool.submit(one_slot, request) for request in requests]
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result()
-            except SgcrError as exc:
-                errors.append((index, exc))
-                stats.failures += 1
-                logger.warning("ensemble slot %d absent: %s", index, exc)
-    _check_failure_budget(errors, config)
-    return results, stats
+    with call_pool(config.n) as calls:
+        return submit_ensemble(calls, backend, base_request, config, parser).collect()
 
 
 def _check_failure_budget(errors: list[tuple[int, SgcrError]], config: EnsembleConfig) -> None:

@@ -14,19 +14,22 @@ instead of failing the run when something inside it breaks.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
 from .explicit import resolve_category
 from .gateway import (
+    MAX_INFLIGHT,
     SLOT_RETRIES,
     EnsembleConfig,
     ModelBackend,
     ModelRequest,
-    ensemble_parsed,
+    PendingEnsemble,
     generate,
+    submit_ensemble,
+    use_pool,
 )
 from .ingestion import ReviewRequest, prompt_block
 from .parsing import parse_proposals_response, parse_verdict_response
@@ -57,8 +60,6 @@ from .types import (
 logger = logging.getLogger(__name__)
 
 MAX_PROPOSALS = 20
-
-_ISSUE_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,12 @@ def _retrieved_block(retrieved: RetrievedSpecSet, library: SpecLibrary) -> str:
     return "\n\n".join(parts)
 
 
-def verify_issue(
+def _verifier_request(
     request: ReviewRequest,
     issue: HypotheticalIssue,
     retrieved: RetrievedSpecSet,
     library: SpecLibrary,
-    backend: ModelBackend,
-    ensemble: EnsembleConfig,
-) -> tuple[tuple[Optional[VerifierVerdict], ...], int]:
-    """Run the verifier ensemble for one grounded issue.
-
-    Citations outside the retrieved set are stripped: a verifier may only
-    justify its verdict with rules it was actually shown.
-    """
+) -> ModelRequest:
     prompt = render_prompt(
         Role.VERIFIER,
         {
@@ -166,8 +160,19 @@ def verify_issue(
         },
     )
     # Verifiers judge rather than explore: seed-diversified but greedy.
-    base = ModelRequest(role=Role.VERIFIER.value, prompt=prompt, temperature=0.0)
-    parsed, stats = ensemble_parsed(backend, base, ensemble, parse_verdict_response)
+    return ModelRequest(role=Role.VERIFIER.value, prompt=prompt, temperature=0.0)
+
+
+def verify_issue(
+    slots: PendingEnsemble[VerifierVerdict], retrieved: RetrievedSpecSet
+) -> tuple[tuple[Optional[VerifierVerdict], ...], int]:
+    """Collect one grounded issue's verifier ensemble: (verdicts, calls made).
+
+    Citations outside the retrieved set are stripped: a verifier may only
+    justify its verdict with rules it was actually shown. Raises
+    EnsembleError past the failure budget.
+    """
+    parsed, stats = slots.collect()
     offered = set(retrieved.spec_ids())
     verdicts: list[Optional[VerifierVerdict]] = []
     for index_, verdict in enumerate(parsed):
@@ -252,7 +257,7 @@ def run_implicit(
     library: SpecLibrary,
     backend: ModelBackend,
     provider: EmbeddingProvider,
-    index: VectorIndex,
+    get_index: Callable[[], VectorIndex],
     ensemble: EnsembleConfig,
     k: int = DEFAULT_TOP_K,
     threshold: float = DEFAULT_SCORE_THRESHOLD,
@@ -260,48 +265,67 @@ def run_implicit(
     allow_ungrounded: bool = False,
     soft_fail: bool = True,
     run_id: str = "",
+    pool: Optional[Executor] = None,
 ) -> PathwayReport:
     """Propose, ground, verify, and assemble the discovery report.
 
-    Issues are processed concurrently but assembled in proposal order. An
-    issue that retrieves nothing is skipped unless ungrounded verification
-    is allowed. A verification ensemble that exhausts its failure budget
-    rejects that one issue rather than the pathway. With soft_fail (the
-    default) any error inside the pathway degrades it to an empty report
-    carrying the error in its stats.
+    Every model and embedding call goes on the call pool (the run's pool
+    when given, else one of this call's own). The proposer call is
+    submitted first and get_index, which loads or builds the index, runs
+    while it is in flight; its errors always propagate, because a broken
+    index is a configuration problem, not a degraded pathway. Then every
+    issue is grounded on the pool, and in proposal order each grounded
+    issue's verifier slots are submitted; outcomes are collected in
+    proposal order. An issue that retrieves nothing is skipped unless
+    ungrounded verification is allowed. A verification ensemble that
+    exhausts its failure budget rejects that one issue rather than the
+    pathway. With soft_fail (the default) any other error inside the
+    pathway degrades it to an empty report carrying the error in its
+    stats.
     """
-    try:
-        return _run_implicit(
+    with use_pool(pool, MAX_INFLIGHT) as calls:
+        proposal = calls.submit(
+            propose_issues,
             request,
-            library,
             backend,
-            provider,
-            index,
-            ensemble,
-            k,
-            threshold,
-            max_proposals,
-            allow_ungrounded,
-            run_id,
+            temperature=ensemble.temperature,
+            seed=ensemble.base_seed,
+            max_proposals=max_proposals,
         )
-    except SgcrError as exc:
-        if not soft_fail:
-            raise
-        logger.error("implicit pathway degraded: %s", exc)
-        stats = freeze_stats(
-            {
-                "pathway": Pathway.IMPLICIT.value,
-                "degraded": True,
-                "error": str(exc),
-                "run_id": run_id,
-            }
-        )
-        return PathwayReport(
-            pathway=Pathway.IMPLICIT,
-            findings=(),
-            summary="discovery pathway unavailable for this run",
-            stats=stats,
-        )
+        index = get_index()
+        try:
+            return _run_implicit(
+                request,
+                library,
+                backend,
+                provider,
+                index,
+                ensemble,
+                k,
+                threshold,
+                allow_ungrounded,
+                run_id,
+                calls,
+                proposal,
+            )
+        except SgcrError as exc:
+            if not soft_fail:
+                raise
+            logger.error("implicit pathway degraded: %s", exc)
+            stats = freeze_stats(
+                {
+                    "pathway": Pathway.IMPLICIT.value,
+                    "degraded": True,
+                    "error": str(exc),
+                    "run_id": run_id,
+                }
+            )
+            return PathwayReport(
+                pathway=Pathway.IMPLICIT,
+                findings=(),
+                summary="discovery pathway unavailable for this run",
+                stats=stats,
+            )
 
 
 def _run_implicit(
@@ -313,72 +337,64 @@ def _run_implicit(
     ensemble: EnsembleConfig,
     k: int,
     threshold: float,
-    max_proposals: int,
     allow_ungrounded: bool,
     run_id: str,
+    pool: Executor,
+    proposal: Future[tuple[list[HypotheticalIssue], int]],
 ) -> PathwayReport:
-    issues, proposer_calls = propose_issues(
-        request, backend, temperature=ensemble.temperature,
-        seed=ensemble.base_seed, max_proposals=max_proposals,
-    )
-    calls_total = proposer_calls
+    issues, calls_total = proposal.result()
+    groundings = [
+        pool.submit(ground_issue, issue, provider, index, k=k, threshold=threshold)
+        for issue in issues
+    ]
+    grounded: list[tuple[HypotheticalIssue, RetrievedSpecSet, Optional[PendingEnsemble]]] = []
+    for issue, grounding in zip(issues, groundings):
+        retrieved = grounding.result()
+        slots = None
+        if retrieved.scored or allow_ungrounded:
+            slots = submit_ensemble(
+                pool,
+                backend,
+                _verifier_request(request, issue, retrieved, library),
+                ensemble,
+                parse_verdict_response,
+            )
+        grounded.append((issue, retrieved, slots))
+
     ungrounded = 0
     verify_failures = 0
-    outcomes: list[Optional[VerificationOutcome]] = [None] * len(issues)
-
-    def one_issue(issue: HypotheticalIssue) -> tuple[Optional[VerificationOutcome], int, bool]:
-        retrieved = ground_issue(issue, provider, index, k=k, threshold=threshold)
-        if not retrieved.scored and not allow_ungrounded:
+    outcomes: list[VerificationOutcome] = []
+    for issue, retrieved, slots in grounded:
+        if slots is None:
             logger.info("issue %s retrieved no rules; skipping", issue.issue_id)
-            return (
-                VerificationOutcome(
-                    issue=issue, retrieved=retrieved, verdicts=(), accepted=False
-                ),
-                0,
-                True,
+            ungrounded += 1
+            outcomes.append(
+                VerificationOutcome(issue=issue, retrieved=retrieved, verdicts=(), accepted=False)
             )
+            continue
         try:
-            verdicts, calls = verify_issue(
-                request, issue, retrieved, library, backend, ensemble
-            )
+            verdicts, calls_made = verify_issue(slots, retrieved)
         except EnsembleError as exc:
             logger.warning("verification of issue %s failed: %s", issue.issue_id, exc)
-            return None, 0, False
+            verify_failures += 1
+            continue
+        calls_total += calls_made
         accepted = decide_quorum(verdicts, ensemble.quorum)
-        finding = _finding_from_issue(issue, verdicts, library) if accepted else None
-        return (
+        outcomes.append(
             VerificationOutcome(
                 issue=issue,
                 retrieved=retrieved,
                 verdicts=verdicts,
                 accepted=accepted,
-                finding=finding,
-            ),
-            calls,
-            False,
+                finding=_finding_from_issue(issue, verdicts, library) if accepted else None,
+            )
         )
 
-    if issues:
-        with ThreadPoolExecutor(max_workers=min(_ISSUE_WORKERS, len(issues))) as pool:
-            futures = [pool.submit(one_issue, issue) for issue in issues]
-            for position, future in enumerate(futures):
-                outcome, calls, was_ungrounded = future.result()
-                outcomes[position] = outcome
-                calls_total += calls
-                ungrounded += int(was_ungrounded)
-                verify_failures += int(outcome is None)
-
     findings = sort_findings(
-        [
-            outcome.finding
-            for outcome in outcomes
-            if outcome is not None and outcome.finding is not None
-        ]
+        [outcome.finding for outcome in outcomes if outcome.finding is not None]
     )
-    accepted = sum(1 for o in outcomes if o is not None and o.accepted)
-    rejected = sum(
-        1 for o in outcomes if o is not None and not o.accepted and o.verdicts
-    )
+    accepted = sum(1 for o in outcomes if o.accepted)
+    rejected = sum(1 for o in outcomes if not o.accepted and o.verdicts)
     stats = freeze_stats(
         {
             "pathway": Pathway.IMPLICIT.value,

@@ -3,22 +3,31 @@
 This is the layer the command line (and tests that want end-to-end runs
 without a subprocess) calls: build the backend and embedding provider,
 load rules and index, run the requested pathway combination, consolidate,
-and optionally attach patches.
+and optionally attach patches. A run makes all its model calls on one
+bounded call pool (gateway.call_pool); in full mode the two pathways run
+side by side and the index is built while the proposer call is in flight.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import threading
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import report as report_mod
 from .backends import BaseBackend, HttpBackend, Jitter, MockBackend, RecordingBackend, ReplayBackend
 from .config import RunConfig
 from .errors import ConfigError
 from .explicit import run_explicit
-from .gateway import DEFAULT_MAX_OUTPUT_TOKENS, EnsembleConfig, ModelRequest, ensemble_parsed
+from .gateway import (
+    DEFAULT_MAX_OUTPUT_TOKENS,
+    EnsembleConfig,
+    ModelRequest,
+    call_pool,
+    ensemble_parsed,
+)
 from .implicit import run_implicit
 from .ingestion import ReviewRequest, prompt_block
 from .parsing import parse_findings_response
@@ -92,14 +101,6 @@ def load_rules(config: RunConfig) -> SpecLibrary:
     return load_library(Path(config.specs_dir), language_filter=config.language)
 
 
-def resolve_index(
-    config: RunConfig, library: SpecLibrary, provider: EmbeddingProvider
-) -> VectorIndex:
-    if config.index_path:
-        return load_index(Path(config.index_path), library)
-    return build_index(library, provider)
-
-
 def _run_baseline(
     request: ReviewRequest,
     backend: BaseBackend,
@@ -141,12 +142,47 @@ def _run_baseline(
     )
 
 
+class _Beside(threading.Thread):
+    """Runs one function on a thread of its own, started at once.
+
+    result() joins the thread and returns the function's value, or raises
+    what it raised.
+    """
+
+    def __init__(self, function: Callable[[], PathwayReport]) -> None:
+        super().__init__(name="sgcr-implicit")
+        self._function = function
+        self._result: Optional[PathwayReport] = None
+        self._error: Optional[BaseException] = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._result = self._function()
+        except BaseException as exc:  # re-raised by result() on the caller's thread
+            self._error = exc
+
+    def result(self) -> PathwayReport:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._result  # type: ignore[return-value]
+
+
 def run_review(
     config: RunConfig,
     request: ReviewRequest,
     backend: Optional[BaseBackend] = None,
 ) -> FinalReport:
     """Execute the configured pathway combination over the request.
+
+    Every model call of the run goes through one bounded call pool. In
+    full mode the implicit pathway (proposer, index build, verifiers) runs
+    on a thread of its own beside the explicit pathway; reports stay in
+    the order [explicit, implicit], so the report does not depend on which
+    finishes first. If the explicit pathway raises, calls not yet started
+    are cancelled and the implicit thread is joined before the error
+    propagates.
 
     backend overrides the configured one (fixture recording, tests);
     everything else, run identity included, still follows the config.
@@ -167,30 +203,27 @@ def run_review(
         return final
 
     library = load_rules(config)
-    reports = []
-    if config.mode in ("full", "explicit_only"):
-        reports.append(
-            run_explicit(
-                request,
-                library,
-                backend,
-                ensemble,
-                chunk_budget=config.chunk_budget,
-                aggregation_mode=config.aggregation,
-                model_summary=config.model_summary,
-                run_id=run_id,
-            )
-        )
-    if config.mode in ("full", "implicit_only"):
-        provider = build_provider(config)
-        index = resolve_index(config, library, provider)
-        reports.append(
-            run_implicit(
+    # A prebuilt index is quick to read, and a bad one then fails the run
+    # before any model call; a fresh one is built while the proposer runs.
+    prebuilt = (
+        load_index(Path(config.index_path), library)
+        if config.index_path and config.mode != "explicit_only"
+        else None
+    )
+    with call_pool() as pool:
+
+        def implicit() -> PathwayReport:
+            provider = build_provider(config)
+
+            def get_index() -> VectorIndex:
+                return prebuilt if prebuilt is not None else build_index(library, provider)
+
+            return run_implicit(
                 request,
                 library,
                 backend,
                 provider,
-                index,
+                get_index,
                 ensemble,
                 k=config.top_k,
                 threshold=config.score_threshold,
@@ -198,19 +231,45 @@ def run_review(
                 allow_ungrounded=config.allow_ungrounded,
                 soft_fail=config.implicit_soft_fail,
                 run_id=run_id,
+                pool=pool,
             )
-        )
 
-    final = consolidate(reports, run_id, config.mode, config.echo())
-    if config.patches:
-        final = attach_patches(final, request, library, backend, seed=config.seed)
-        stats = dict(final.patch_stats)
-        logger.info(
-            "patches: %d attached of %d attempted (%d uncited skipped)",
-            stats.get("attached", 0),
-            stats.get("attempted", 0),
-            stats.get("skipped_uncited", 0),
-        )
+        if config.mode == "implicit_only":
+            reports = [implicit()]
+        else:
+            beside = _Beside(implicit) if config.mode == "full" else None
+            try:
+                reports = [
+                    run_explicit(
+                        request,
+                        library,
+                        backend,
+                        ensemble,
+                        chunk_budget=config.chunk_budget,
+                        aggregation_mode=config.aggregation,
+                        model_summary=config.model_summary,
+                        run_id=run_id,
+                        pool=pool,
+                    )
+                ]
+            except BaseException:
+                if beside is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    beside.join()
+                raise
+            if beside is not None:
+                reports.append(beside.result())
+
+        final = consolidate(reports, run_id, config.mode, config.echo())
+        if config.patches:
+            final = attach_patches(final, request, library, backend, seed=config.seed, pool=pool)
+            stats = dict(final.patch_stats)
+            logger.info(
+                "patches: %d attached of %d attempted (%d uncited skipped)",
+                stats.get("attached", 0),
+                stats.get("attempted", 0),
+                stats.get("skipped_uncited", 0),
+            )
     return final
 
 

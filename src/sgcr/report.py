@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .errors import DiffSyntaxError, PatchDoesNotApply, SgcrError, UnparsableResponse, WireError
-from .gateway import ModelBackend, ModelRequest, generate
+from .gateway import ModelBackend, ModelRequest, generate, use_pool
 from .ingestion import ReviewRequest, apply_file_diff, parse_unified_diff, unit_for_location
 from .matching import cluster_findings
 from .parsing import parse_patch_response
@@ -40,8 +40,6 @@ from .types import (
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1"
-
-_PATCH_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -283,39 +281,38 @@ def attach_patches(
     library: SpecLibrary,
     backend: ModelBackend,
     seed: int = 0,
+    pool: Optional[Executor] = None,
 ) -> FinalReport:
-    """Generate patches concurrently, attach in cluster order.
+    """Generate patches on the call pool, attach in cluster order.
 
-    Clusters whose representative cites no known rule are skipped without a
-    model call; generation failures only cost the patch. Outcome counts land
-    in the report's patch_stats.
+    Every patch call is submitted at once (to the run's pool when given,
+    else to one of this call's own). Clusters whose representative cites
+    no known rule are skipped without a model call; generation failures
+    only cost the patch. Outcome counts land in the report's patch_stats.
     """
     clusters = list(report.clusters)
     known = library.ids()
-
-    def patchable(cluster: FindingCluster) -> bool:
-        return any(spec_id in known for spec_id in cluster.representative.spec_ids)
-
-    def one(cluster: FindingCluster) -> Optional[PatchSuggestion]:
-        return generate_patch(cluster, request, library, backend, seed=seed)
-
-    eligible = [index for index, cluster in enumerate(clusters) if patchable(cluster)]
+    eligible = [
+        index
+        for index, cluster in enumerate(clusters)
+        if any(spec_id in known for spec_id in cluster.representative.spec_ids)
+    ]
     attached = 0
-    if eligible:
-        with ThreadPoolExecutor(max_workers=min(_PATCH_WORKERS, len(eligible))) as pool:
-            futures = {
-                index: pool.submit(one, clusters[index]) for index in eligible
-            }
-            for index in eligible:
-                patch = futures[index].result()
-                if patch is None:
-                    continue
-                cluster = clusters[index]
-                clusters[index] = replace(
-                    cluster,
-                    representative=replace(cluster.representative, patch=patch),
-                )
-                attached += 1
+    with use_pool(pool, len(eligible)) as calls:
+        futures = {
+            index: calls.submit(generate_patch, clusters[index], request, library, backend, seed)
+            for index in eligible
+        }
+        for index in eligible:
+            patch = futures[index].result()
+            if patch is None:
+                continue
+            cluster = clusters[index]
+            clusters[index] = replace(
+                cluster,
+                representative=replace(cluster.representative, patch=patch),
+            )
+            attached += 1
     stats = {
         "attempted": len(eligible),
         "attached": attached,

@@ -297,3 +297,29 @@ def test_specs_index_error_paths(capsys, rules_dir, tmp_path):
     )
     assert code == 3
     capsys.readouterr()
+
+
+def test_review_with_a_mismatched_or_missing_index_fails_loudly(
+    capsys, java_file, rules_dir, tmp_path
+):
+    """A bad --index is a configuration error, never a degraded discovery pathway."""
+    index_path = tmp_path / "rules.index.json"
+    assert main(["specs", "index", "--specs-dir", str(rules_dir), "--output", str(index_path)]) == 0
+    capsys.readouterr()
+    write_spec_file(rules_dir, "style.added", body="Added after the index was built.")
+
+    # implicit_soft_fail is on by default; the mismatch must still fail the run.
+    code = main(_review_argv(java_file, rules_dir, "--mode", "full", "--index", str(index_path)))
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "does not match library" in err and "style.added" in err
+    assert "degraded" not in err
+
+    code = main(
+        _review_argv(java_file, rules_dir, "--mode", "full", "--index", str(tmp_path / "gone.json"))
+    )
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "index file not found" in err

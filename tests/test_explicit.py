@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from conftest import CannedBackend, findings_json, make_finding, make_library, make_review_request, make_spec
@@ -16,7 +18,8 @@ from sgcr.explicit import (
     run_explicit,
     synthesize_partials,
 )
-from sgcr.gateway import EnsembleConfig
+from sgcr.gateway import EnsembleConfig, ModelRequest, call_pool, submit_ensemble
+from sgcr.parsing import parse_findings_response
 from sgcr.specs import SpecChunk, segment_library
 from sgcr.types import Category, Pathway, Severity
 
@@ -51,9 +54,17 @@ def test_review_chunk_ensemble_normalizes_citations(caplog):
             )
         }
     )
-    with caplog.at_level("WARNING", logger="sgcr.explicit"):
+    request = ModelRequest(role="explicit_reviewer", prompt="review the code", temperature=0.7)
+    with caplog.at_level("WARNING", logger="sgcr.explicit"), call_pool() as pool:
+        slots = submit_ensemble(
+            pool,
+            backend,
+            request,
+            ENSEMBLE,
+            lambda text: parse_findings_response(text, Pathway.EXPLICIT),
+        )
         candidates, calls = review_chunk_ensemble(
-            make_review_request(), _chunk("sec.input", "style.naming"), LIBRARY, backend, ENSEMBLE
+            _chunk("sec.input", "style.naming"), slots, LIBRARY
         )
     assert calls == 3
     assert [candidate.instance_index for candidate in candidates] == [0, 1, 2]
@@ -62,9 +73,7 @@ def test_review_chunk_ensemble_normalizes_citations(caplog):
         assert finding.spec_ids == ("sec.input",)
         assert finding.category == Category.SECURITY
     assert any("ghost.rule" in record.message for record in caplog.records)
-    seeds = [request.seed for request in backend.call_log]
-    assert seeds == [0, 1, 2]
-    assert all(request.temperature == 0.7 for request in backend.call_log)
+    assert sorted(request.seed for request in backend.call_log) == [0, 1, 2]
 
 
 def _candidate(instance, *findings):
@@ -270,6 +279,7 @@ def test_run_explicit_reports_stats_and_dedupes_across_chunks():
         "findings": 1,
         "run_id": "run-one",
     }
+    assert all(request.temperature == 0.7 for request in backend.call_log)
 
 
 def test_run_explicit_is_independent_of_scheduling_jitter():
@@ -304,3 +314,37 @@ def test_run_explicit_rejects_empty_requests():
     empty = ReviewRequest(units=(), origin="files", total_token_estimate=0)
     with pytest.raises(InvalidReviewRequest):
         run_explicit(empty, LIBRARY, CannedBackend({}), ENSEMBLE)
+
+
+def test_run_explicit_model_calls_run_on_the_call_pool():
+    """Aggregator and summary calls go through the pool, inside its cap."""
+    finding = {"start_line": 2, "end_line": 2, "description": "field is never validated"}
+    threads = {}
+
+    def answer(text):
+        def respond(request):
+            threads.setdefault(request.role, set()).add(threading.current_thread().name)
+            return text
+
+        return respond
+
+    backend = CannedBackend(
+        {
+            "explicit_reviewer": answer(findings_json(finding)),
+            "aggregator": answer(findings_json(finding)),
+            "synthesizer": answer("one grounded finding"),
+        }
+    )
+    report = run_explicit(
+        make_review_request(),
+        _two_chunk_library(),
+        backend,
+        ENSEMBLE,
+        chunk_budget=100,
+        aggregation_mode="model",
+        model_summary=True,
+    )
+    assert report.summary == "one grounded finding"
+    assert set(threads) == {"explicit_reviewer", "aggregator", "synthesizer"}
+    assert all(name.startswith("sgcr-call") for names in threads.values() for name in names)
+    assert backend.calls_for_role("aggregator") == 2

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from conftest import CannedBackend
+from conftest import REPO_ROOT, CannedBackend, make_review_request, write_spec_file
 from sgcr.backends import (
     WIRE_RETRIES,
     HttpBackend,
@@ -17,7 +19,10 @@ from sgcr.backends import (
     ReplayBackend,
 )
 from sgcr.errors import EnsembleError, FixtureMiss, UnparsableResponse, WireError
+from sgcr.cli import main
+from sgcr.config import RunConfig
 from sgcr.gateway import (
+    MAX_INFLIGHT,
     SLOT_RETRIES,
     EnsembleConfig,
     ModelRequest,
@@ -27,7 +32,9 @@ from sgcr.gateway import (
     generate,
     request_fingerprint,
 )
+from sgcr.pipeline import run_review
 from sgcr.prompts import Role
+from sgcr.specs import load_library, segment_library
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -282,3 +289,134 @@ def test_record_then_replay_round_trip(chat_server, tmp_path):
 
     stored = json.loads(next(iter(fixtures.glob("*.json"))).read_text(encoding="utf-8"))
     assert set(stored) == {"request", "response_text"}
+
+
+# -- one call pool per run -------------------------------------------------
+
+
+class _CountingBackend(MockBackend):
+    """Mock responses after a short sleep; records intervals and peak in flight."""
+
+    def __init__(self, sleep_s=0.005, respond=None):
+        super().__init__()
+        self.sleep_s = sleep_s
+        self.respond = respond or {}
+        self.inflight = 0
+        self.peak = 0
+        self.intervals = []  # (role, start, end)
+
+    def complete(self, request):
+        start = time.perf_counter()
+        with self._lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            time.sleep(self.sleep_s)
+            return super().complete(request)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+                self.intervals.append((request.role, start, time.perf_counter()))
+
+    def _complete(self, request):
+        if request.role in self.respond:
+            return self.respond[request.role](request)
+        return super()._complete(request)
+
+    def span(self, role):
+        """(first start, last end) over the role's calls."""
+        mine = [(start, end) for name, start, end in self.intervals if name == role]
+        assert mine, f"no {role} call was made"
+        return min(start for start, _ in mine), max(end for _, end in mine)
+
+
+def _chunked_config(tmp_path, ensemble_size):
+    rules = tmp_path / "rules"
+    for number in range(5):
+        write_spec_file(rules, f"style.r{number}", body=f"Rule number {number} applies here.")
+    config = RunConfig(
+        mode="full",
+        specs_dir=str(rules),
+        ensemble_size=ensemble_size,
+        chunk_budget=1,
+        score_threshold=-1.0,
+        patches=True,
+    )
+    # More chunks than the four workers the explicit pathway once had.
+    assert len(segment_library(load_library(rules), config.chunk_budget)) == 5
+    return config
+
+
+def test_run_review_overlaps_the_pathways_under_one_capped_pool(tmp_path):
+    config = _chunked_config(tmp_path, ensemble_size=8)
+    backend = _CountingBackend()
+    threads_before = threading.active_count()
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        final = run_review(config, make_review_request(), backend=backend)
+    finally:
+        sys.setswitchinterval(switch_interval)
+
+    assert threading.active_count() == threads_before
+    # A lost update in call accounting would break this reconciliation.
+    pathway_calls = sum(report.stats_dict()["model_calls"] for report in final.pathway_reports)
+    assert pathway_calls == len(backend.call_log) - backend.calls_for_role("patch_generator")
+    assert backend.peak <= MAX_INFLIGHT
+    proposer_start, _ = backend.span("proposer")
+    _, last_reviewer_end = backend.span("explicit_reviewer")
+    assert proposer_start < last_reviewer_end
+
+
+def test_explicit_quorum_failure_propagates_while_implicit_is_in_flight(tmp_path):
+    # 5 chunks x 3 slots leave the proposer a worker whatever the submission
+    # order; reviewers answer garbage only once the proposer call is running.
+    config = _chunked_config(tmp_path, ensemble_size=3)
+    proposer_running = threading.Event()
+
+    def proposer(request):
+        proposer_running.set()
+        time.sleep(0.2)
+        return MockBackend()._complete(request)
+
+    def reviewer(request):
+        assert proposer_running.wait(timeout=5)
+        return "not json"
+
+    backend = _CountingBackend(respond={"proposer": proposer, "explicit_reviewer": reviewer})
+    threads_before = threading.active_count()
+    with pytest.raises(EnsembleError, match=r"3 of 3 ensemble calls failed \(quorum 2 unreachable\)"):
+        run_review(config, make_review_request(), backend=backend)
+
+    assert threading.active_count() == threads_before
+    proposer_start, proposer_end = backend.span("proposer")
+    _, last_reviewer_end = backend.span("explicit_reviewer")
+    assert proposer_start < last_reviewer_end < proposer_end
+    # Calls not yet started when the run failed were cancelled.
+    assert backend.calls_for_role("verifier") == 0
+    assert backend.calls_for_role("patch_generator") == 0
+
+
+def test_full_run_with_patches_is_byte_identical_under_any_schedule(capsys, monkeypatch):
+    argv = [
+        "review",
+        "tests/data/golden/input/Example.java",
+        "--specs-dir",
+        "sample_specs",
+        "--mode",
+        "full",
+        "--chunk-budget",
+        "150",
+        "--patches",
+    ]
+    monkeypatch.chdir(REPO_ROOT)
+    assert len(segment_library(load_library(REPO_ROOT / "sample_specs"), 150)) > 4
+    monkeypatch.delenv("SGCR_TEST_JITTER", raising=False)
+    assert main(argv) == 0
+    expected, _ = capsys.readouterr()
+    assert json.loads(expected)["clusters"]
+    for seed in range(5):
+        monkeypatch.setenv("SGCR_TEST_JITTER", f"8:{seed}")
+        assert main(argv) == 0
+        out, _ = capsys.readouterr()
+        assert out == expected, f"jitter seed {seed} changed the report"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from conftest import (
     verdict_json,
 )
 from sgcr.errors import QueryDimensionMismatch
-from sgcr.gateway import SLOT_RETRIES, EnsembleConfig
+from sgcr.gateway import SLOT_RETRIES, EnsembleConfig, ModelRequest, call_pool, submit_ensemble
 from sgcr.implicit import (
     decide_quorum,
     ground_issue,
@@ -23,6 +24,7 @@ from sgcr.implicit import (
     run_implicit,
     verify_issue,
 )
+from sgcr.parsing import parse_verdict_response
 from sgcr.retrieval import MockEmbeddingProvider, build_index
 from sgcr.types import (
     Category,
@@ -110,32 +112,41 @@ def test_ground_issue_threshold_can_empty_the_set():
     assert len(retrieved) == 0
 
 
+def _verifier_slots(pool, backend):
+    request = ModelRequest(role="verifier", prompt="judge the issue", temperature=0.0)
+    return submit_ensemble(pool, backend, request, ENSEMBLE, parse_verdict_response)
+
+
 def test_verify_issue_strips_citations_outside_the_retrieved_set(caplog):
     issue = _issue()
     retrieved = ground_issue(issue, PROVIDER, INDEX, k=1, threshold=-1.0)
     backend = CannedBackend(
         {"verifier": verdict_json(cited=["sec.sql", "perf.loop", "made.up"])}
     )
-    with caplog.at_level("WARNING", logger="sgcr.implicit"):
-        verdicts, calls = verify_issue(
-            make_review_request(), issue, retrieved, LIBRARY, backend, ENSEMBLE
-        )
+    with caplog.at_level("WARNING", logger="sgcr.implicit"), call_pool() as pool:
+        verdicts, calls = verify_issue(_verifier_slots(pool, backend), retrieved)
     assert calls == 3
     assert all(verdict.cited_spec_ids == ("sec.sql",) for verdict in verdicts)
     assert [verdict.instance_index for verdict in verdicts] == [0, 1, 2]
     assert any("outside the retrieved set" in record.message for record in caplog.records)
-    assert all(request.temperature == 0.0 for request in backend.call_log)
 
 
 def test_verifier_prompt_shows_scores_and_rule_text():
-    issue = _issue()
+    issue = _issue("sql query string concatenate untrusted values", start=4)
     retrieved = ground_issue(issue, PROVIDER, INDEX, k=1, threshold=-1.0)
-    backend = CannedBackend({"verifier": verdict_json()})
-    verify_issue(make_review_request(), issue, retrieved, LIBRARY, backend, ENSEMBLE)
-    prompt = backend.call_log[0].prompt
+    backend = CannedBackend(
+        {
+            "proposer": issues_json({"start_line": 4, "description": issue.description}),
+            "verifier": verdict_json(),
+        }
+    )
+    _run(backend)
+    verifier_calls = [request for request in backend.call_log if request.role == "verifier"]
+    prompt = verifier_calls[0].prompt
     assert f"score={retrieved.scored[0].score:.4f}" in prompt
     assert "RULE sec.sql" in prompt
     assert issue.description in prompt
+    assert all(request.temperature == 0.0 for request in verifier_calls)
 
 
 def _verdict(verdict=Verdict.VALID, **kwargs):
@@ -162,7 +173,7 @@ def _run(backend, *, library=LIBRARY, index=INDEX, provider=PROVIDER, **kwargs):
     defaults = dict(threshold=-1.0, k=1, soft_fail=False, run_id="run-x")
     defaults.update(kwargs)
     return run_implicit(
-        make_review_request(), library, backend, provider, index, ENSEMBLE, **defaults
+        make_review_request(), library, backend, provider, lambda: index, ENSEMBLE, **defaults
     )
 
 
@@ -333,3 +344,38 @@ def test_run_implicit_handles_zero_proposals():
     stats = report.stats_dict()
     assert stats["proposals"] == 0
     assert stats["model_calls"] == 1
+
+
+class _SlowProvider(MockEmbeddingProvider):
+    """Mock embeddings that take a while and record how many overlap."""
+
+    def __init__(self, delay_s: float) -> None:
+        super().__init__(dimension=PROVIDER.dimension)
+        self._delay_s = delay_s
+        self._inflight = 0
+        self.peak_inflight = 0
+
+    def embed(self, text):
+        with self._lock:
+            self._inflight += 1
+            self.peak_inflight = max(self.peak_inflight, self._inflight)
+        try:
+            time.sleep(self._delay_s)
+            return super().embed(text)
+        finally:
+            with self._lock:
+                self._inflight -= 1
+
+
+def test_run_implicit_grounds_issues_concurrently_on_the_pool():
+    entries = [
+        {"start_line": line, "description": f"sql query string concatenate untrusted values {line}"}
+        for line in range(1, 7)
+    ]
+    backend = CannedBackend({"proposer": issues_json(*entries), "verifier": verdict_json()})
+    slow = _SlowProvider(delay_s=0.05)
+    report = _run(backend, provider=slow)
+    assert len(slow.call_log) == 6
+    assert slow.peak_inflight > 1
+    assert [finding.start_line for finding in report.findings] == list(range(1, 7))
+    assert report.stats_dict()["model_calls"] == 1 + 6 * ENSEMBLE.n
