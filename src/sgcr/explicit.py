@@ -3,10 +3,12 @@
 Every rule chunk is reviewed by an ensemble of n diversified calls that
 all see the same code. Per-chunk candidate reviews are aggregated into a
 partial result keeping only findings supported by a quorum of members,
-then the partials are merged into one pathway report. Aggregation is
-deterministic by default; a model-backed mode exists for semantic
-grouping but anything the model invents without candidate support is
-dropped.
+then the partials are merged into one pathway report. Both steps cluster
+and merge with the kernels in ``matching`` (``cluster_tagged`` and
+``merge_to_maxima``), tagging each finding with its ensemble member or
+rule chunk. Aggregation is deterministic by default; a model-backed mode
+exists for semantic grouping but anything the model invents without
+candidate support is dropped.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from .gateway import (
     use_pool,
 )
 from .ingestion import ReviewRequest, prompt_block
-from .matching import findings_equivalent
+from .matching import cluster_tagged, findings_equivalent, merge_to_maxima
 from .parsing import parse_findings_response
 from .prompts import Role, render_prompt
 from .specs import DEFAULT_CHUNK_BUDGET, SpecChunk, SpecLibrary, chunk_prompt_text, segment_library
 from .types import (
     CATEGORY_RANK,
-    SEVERITY_RANK,
     Category,
     Finding,
     Pathway,
@@ -73,16 +74,14 @@ class AggregatedReview:
 
 def resolve_category(spec_ids: Sequence[str], library: SpecLibrary) -> Category:
     """Highest-ranked category among the cited rules; default maintainability."""
-    known = library.ids()
-    categories = [library.get(spec_id).category for spec_id in spec_ids if spec_id in known]
+    categories = [library.get(spec_id).category for spec_id in spec_ids if spec_id in library]
     if not categories:
         return Category.MAINTAINABILITY
     return min(categories, key=lambda category: CATEGORY_RANK[category])
 
 
 def _strip_unknown_spec_ids(finding: Finding, library: SpecLibrary) -> Finding:
-    known = library.ids()
-    kept = tuple(spec_id for spec_id in finding.spec_ids if spec_id in known)
+    kept = tuple(spec_id for spec_id in finding.spec_ids if spec_id in library)
     dropped = set(finding.spec_ids) - set(kept)
     if dropped:
         logger.warning(
@@ -135,61 +134,6 @@ def review_chunk_ensemble(
     return candidates, stats.calls
 
 
-def _cluster_with_instances(
-    entries: list[tuple[Finding, int]]
-) -> list[list[tuple[Finding, int]]]:
-    """Union-find over (finding, instance) pairs, deterministic order."""
-    ordered = sorted(entries, key=lambda entry: (entry[0].sort_key(), entry[1]))
-    parent = list(range(len(ordered)))
-
-    def find(index: int) -> int:
-        root = index
-        while parent[root] != root:
-            root = parent[root]
-        while parent[index] != root:
-            parent[index], index = root, parent[index]
-        return root
-
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if findings_equivalent(ordered[i][0], ordered[j][0]):
-                root_i, root_j = find(i), find(j)
-                if root_i != root_j:
-                    parent[max(root_i, root_j)] = min(root_i, root_j)
-
-    groups: dict[int, list[tuple[Finding, int]]] = {}
-    for index, entry in enumerate(ordered):
-        groups.setdefault(find(index), []).append(entry)
-    return [groups[root] for root in sorted(groups)]
-
-
-def _merge_group(
-    group: list[tuple[Finding, int]],
-    support: int,
-    n_effective: int,
-    library: Optional[SpecLibrary],
-) -> Finding:
-    representative = min(group, key=lambda entry: (entry[1], entry[0].sort_key()))[0]
-    severity = min(
-        (entry[0].severity for entry in group), key=lambda severity: SEVERITY_RANK[severity]
-    )
-    spec_ids = tuple(sorted({spec_id for entry in group for spec_id in entry[0].spec_ids}))
-    if library is not None:
-        category = resolve_category(spec_ids, library)
-    else:
-        category = min(
-            (entry[0].category for entry in group),
-            key=lambda category: CATEGORY_RANK[category],
-        )
-    return replace(
-        representative,
-        severity=severity,
-        confidence=support / n_effective,
-        spec_ids=spec_ids,
-        category=category,
-    )
-
-
 def aggregate_candidates(
     chunk: SpecChunk,
     candidates: Sequence[CandidateReview],
@@ -202,10 +146,12 @@ def aggregate_candidates(
 
     Deterministic mode clusters equivalent findings and keeps groups whose
     support (distinct ensemble members) reaches the quorum; the merged
-    finding takes the earliest member's wording, the most severe member's
-    severity, and confidence = support / present members. Model mode asks
-    the aggregator role to group candidates instead, then computes support
-    the same way and drops unsupported inventions.
+    finding takes the lowest instance's wording and is raised to the member
+    maxima, except that confidence = support / present members and, with a
+    library, the category is resolved from the union of cited rules (a
+    member citing nothing does not pull it to maintainability). Model mode
+    asks the aggregator role to group candidates instead, then computes
+    support the same way and drops unsupported inventions.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation mode {mode!r}")
@@ -220,7 +166,7 @@ def aggregate_candidates(
 
     if mode == "deterministic":
         merged: list[Finding] = []
-        for group in _cluster_with_instances(entries):
+        for group in cluster_tagged(entries):
             support = len({instance for _, instance in group})
             if support < ensemble.quorum:
                 logger.debug(
@@ -231,7 +177,17 @@ def aggregate_candidates(
                     ensemble.quorum,
                 )
                 continue
-            merged.append(_merge_group(group, support, n_effective, library))
+            winner = min(group, key=lambda entry: (entry[1], entry[0].sort_key()))[0]
+            raised = merge_to_maxima([finding for finding, _ in group], winner)
+            merged.append(
+                replace(
+                    raised,
+                    confidence=support / n_effective,
+                    category=resolve_category(raised.spec_ids, library)
+                    if library is not None
+                    else raised.category,
+                )
+            )
         return AggregatedReview(
             chunk_ordinal=chunk.ordinal,
             findings=tuple(sort_findings(merged)),
@@ -287,9 +243,9 @@ def synthesize_partials(
     """Merge per-chunk partials into the pathway report.
 
     Cross-chunk duplicates (same code shown against different rule chunks)
-    collapse to the highest-confidence member with severity and confidence
-    raised to the group maxima and cited rules unioned. The summary is a
-    plain count line unless a model summary is requested.
+    collapse to the highest-confidence member raised to the group maxima
+    (merge_to_maxima). The summary is a plain count line unless a model
+    summary is requested.
     """
     if not partials:
         raise NoPartials("no partial reviews to synthesize")
@@ -299,29 +255,10 @@ def synthesize_partials(
         for finding in partial.findings
     ]
     merged: list[Finding] = []
-    for group in _cluster_with_instances(entries):
-        representative = min(
-            group, key=lambda entry: (-entry[0].confidence, entry[0].sort_key())
-        )[0]
-        severity = min(
-            (entry[0].severity for entry in group),
-            key=lambda severity: SEVERITY_RANK[severity],
-        )
-        confidence = max(entry[0].confidence for entry in group)
-        spec_ids = tuple(sorted({spec_id for entry in group for spec_id in entry[0].spec_ids}))
-        category = min(
-            (entry[0].category for entry in group),
-            key=lambda category: CATEGORY_RANK[category],
-        )
-        merged.append(
-            replace(
-                representative,
-                severity=severity,
-                confidence=confidence,
-                spec_ids=spec_ids,
-                category=category,
-            )
-        )
+    for group in cluster_tagged(entries):
+        members = [finding for finding, _ in group]
+        winner = min(members, key=lambda finding: (-finding.confidence, finding.sort_key()))
+        merged.append(merge_to_maxima(members, winner))
     findings = tuple(sort_findings(merged))
     summary = (
         f"{len(findings)} rule-grounded finding(s) across {len(partials)} rule chunk(s)"

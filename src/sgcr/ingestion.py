@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Literal, Optional, Sequence
 
 from .errors import DiffSyntaxError, HunkCountMismatch, InvalidReviewRequest, PatchDoesNotApply
-from .specs import estimate_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +68,6 @@ class ReviewUnit:
 class ReviewRequest:
     units: tuple[ReviewUnit, ...]
     origin: Literal["files", "diff"]
-    total_token_estimate: int
 
 
 def _strip_diff_path(raw: str) -> str:
@@ -346,8 +344,7 @@ def build_review_request(
 
     if not units:
         raise InvalidReviewRequest("no reviewable content in the request")
-    total = sum(estimate_tokens(unit.content) for unit in units)
-    return ReviewRequest(units=tuple(units), origin=origin, total_token_estimate=total)
+    return ReviewRequest(units=tuple(units), origin=origin)
 
 
 def prompt_block(request: ReviewRequest) -> str:

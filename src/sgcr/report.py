@@ -1,12 +1,13 @@
 """Final consolidation: de-duplicate across pathways, rank, patch, render.
 
-Findings from both pathways are clustered by the shared equivalence
-relation. Each cluster keeps one representative whose severity and
-confidence are raised to the member maxima, so agreement between pathways
-never weakens a finding. Ranking is a total order (severity, category,
-confidence, location) so rendered output is byte-stable. Patch suggestions
-are generated per cluster against the exact code snippet under review and
-discarded unless the diff parses and applies cleanly.
+Findings from both pathways are clustered and merged by the shared
+kernels in ``matching``. Each cluster keeps one representative whose
+severity and confidence are raised to the member maxima, so agreement
+between pathways never weakens a finding. Ranking is a total order
+(severity, category, confidence, location) so rendered output is
+byte-stable. Patch suggestions are generated per cluster against the exact
+code snippet under review and discarded unless the diff parses and applies
+cleanly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import DiffSyntaxError, PatchDoesNotApply, SgcrError, UnparsableResponse, WireError
 from .gateway import ModelBackend, ModelRequest, generate, use_pool
 from .ingestion import ReviewRequest, apply_file_diff, parse_unified_diff, unit_for_location
-from .matching import cluster_findings
+from .matching import cluster_findings, merge_to_maxima
 from .parsing import parse_patch_response
 from .prompts import Role, render_prompt
 from .specs import SpecLibrary
@@ -85,51 +86,29 @@ def compute_run_id(request: ReviewRequest, config: Mapping[str, object]) -> str:
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:12]
 
 
-def _representative(members: Sequence[Finding]) -> Finding:
-    """Pick the cluster winner, then raise it to the member maxima.
-
-    Tie-break order: most severe, most confident, explicit before implicit,
-    lowest finding id. The winner's wording and location survive; severity
-    and confidence become the maxima over members, cited rules the union,
-    category the highest-ranked among members.
-    """
-    winner = min(
-        members,
-        key=lambda finding: (
-            SEVERITY_RANK[finding.severity],
-            -finding.confidence,
-            0 if finding.pathway is Pathway.EXPLICIT else 1,
-            finding.finding_id,
-        ),
-    )
-    severity = min(
-        (finding.severity for finding in members),
-        key=lambda severity: SEVERITY_RANK[severity],
-    )
-    confidence = max(finding.confidence for finding in members)
-    spec_ids = tuple(sorted({spec_id for finding in members for spec_id in finding.spec_ids}))
-    category = min(
-        (finding.category for finding in members),
-        key=lambda category: CATEGORY_RANK[category],
-    )
-    return replace(
-        winner,
-        severity=severity,
-        confidence=confidence,
-        spec_ids=spec_ids,
-        category=category,
-    )
-
-
 def dedupe(findings: Sequence[Finding]) -> list[FindingCluster]:
-    """Collapse equivalent findings across pathways into clusters."""
+    """Collapse equivalent findings across pathways into clusters.
+
+    Each cluster's winner is the most severe, most confident member,
+    explicit before implicit, then lowest finding id; it is raised to the
+    member maxima by matching.merge_to_maxima.
+    """
     clusters = []
     for group in cluster_findings(findings):
         members = tuple(group)
+        winner = min(
+            members,
+            key=lambda finding: (
+                SEVERITY_RANK[finding.severity],
+                -finding.confidence,
+                0 if finding.pathway is Pathway.EXPLICIT else 1,
+                finding.finding_id,
+            ),
+        )
         pathways = tuple(sorted({finding.pathway.value for finding in members}))
         clusters.append(
             FindingCluster(
-                representative=_representative(members),
+                representative=merge_to_maxima(members, winner),
                 members=members,
                 pathways=pathways,
             )
@@ -227,8 +206,7 @@ def generate_patch(
             finding.start_line,
         )
         return None
-    known = library.ids()
-    cited = [spec_id for spec_id in finding.spec_ids if spec_id in known]
+    cited = [spec_id for spec_id in finding.spec_ids if spec_id in library]
     if not cited:
         logger.info(
             "finding %s cites no known rules; skipping patch", finding.finding_id
@@ -291,11 +269,10 @@ def attach_patches(
     only cost the patch. Outcome counts land in the report's patch_stats.
     """
     clusters = list(report.clusters)
-    known = library.ids()
     eligible = [
         index
         for index, cluster in enumerate(clusters)
-        if any(spec_id in known for spec_id in cluster.representative.spec_ids)
+        if any(spec_id in library for spec_id in cluster.representative.spec_ids)
     ]
     attached = 0
     with use_pool(pool, len(eligible)) as calls:

@@ -21,6 +21,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -70,13 +71,19 @@ class SpecLibrary:
     def __len__(self) -> int:
         return len(self.specs)
 
+    def __contains__(self, spec_id: object) -> bool:
+        return spec_id in self._by_id
+
     def ids(self) -> tuple[str, ...]:
-        return tuple(spec.id for spec in self.specs)
+        return tuple(self._by_id)
 
     def get(self, spec_id: str) -> Optional[Specification]:
-        return self._by_id().get(spec_id)
+        return self._by_id.get(spec_id)
 
+    @cached_property
     def _by_id(self) -> dict[str, Specification]:
+        # Built on first use; cached_property writes the instance dict
+        # directly, so it works on a frozen dataclass.
         return {spec.id: spec for spec in self.specs}
 
 

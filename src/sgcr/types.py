@@ -9,7 +9,7 @@ purpose.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -119,10 +119,6 @@ class Finding:
 def sort_findings(findings: Sequence[Finding]) -> list[Finding]:
     """Deterministic report order: (file, start_line, finding_id)."""
     return sorted(findings, key=Finding.sort_key)
-
-
-def with_confidence(finding: Finding, confidence: float) -> Finding:
-    return replace(finding, confidence=confidence)
 
 
 @dataclass(frozen=True)

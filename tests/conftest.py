@@ -166,9 +166,7 @@ def make_review_request(
         start_line=1,
         changed_ranges=((1, len(lines)),),
     )
-    return ReviewRequest(
-        units=(unit,), origin="files", total_token_estimate=estimate_tokens(content)
-    )
+    return ReviewRequest(units=(unit,), origin="files")
 
 
 SPEC_FILE_TEMPLATE = """---

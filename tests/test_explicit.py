@@ -232,6 +232,51 @@ def test_synthesize_keeps_distinct_findings_sorted():
     assert [finding.file for finding in report.findings] == ["a.java", "b.java"]
 
 
+def test_merge_winners_and_category_rule_of_aggregation_and_synthesis():
+    uncited = "field name hides the outer variable"
+    cited = "field name hides the outer variable here"
+    candidates = [
+        # Instance 0 sorts after instance 1 by location, yet its wording wins.
+        _candidate(0, make_finding(start=5, end=6, description=uncited)),
+        _candidate(
+            1,
+            make_finding(
+                start=4,
+                end=6,
+                description=cited,
+                spec_ids=("style.naming",),
+                category=Category.STYLE,
+            ),
+        ),
+        _candidate(2),
+    ]
+    (merged,) = aggregate_candidates(
+        _chunk("style.naming"), candidates, ENSEMBLE, library=LIBRARY
+    ).findings
+    assert merged.description == uncited
+    assert merged.spec_ids == ("style.naming",)
+    assert merged.confidence == pytest.approx(2 / 3)
+    # From the cited rules, not the member minimum (the uncited member's
+    # maintainability ranks above style).
+    assert merged.category == Category.STYLE
+    (unresolved,) = aggregate_candidates(_chunk("style.naming"), candidates, ENSEMBLE).findings
+    assert unresolved.category == Category.MAINTAINABILITY
+
+    confident = make_finding(start=6, description=cited, confidence=1.0)
+    report = synthesize_partials(
+        [
+            AggregatedReview(chunk_ordinal=0, findings=(merged,), n_effective=3),
+            AggregatedReview(chunk_ordinal=1, findings=(confident,), n_effective=3),
+        ]
+    )
+    (synthesized,) = report.findings
+    assert synthesized.description == cited  # the highest-confidence member
+    assert (synthesized.start_line, synthesized.end_line) == (6, 6)
+    assert synthesized.confidence == pytest.approx(1.0)
+    assert synthesized.spec_ids == ("style.naming",)
+    assert synthesized.category == Category.MAINTAINABILITY
+
+
 def test_synthesize_requires_partials_and_backend_for_model_summary():
     with pytest.raises(NoPartials):
         synthesize_partials([])
@@ -311,7 +356,7 @@ def test_run_explicit_is_independent_of_scheduling_jitter():
 def test_run_explicit_rejects_empty_requests():
     from sgcr.ingestion import ReviewRequest
 
-    empty = ReviewRequest(units=(), origin="files", total_token_estimate=0)
+    empty = ReviewRequest(units=(), origin="files")
     with pytest.raises(InvalidReviewRequest):
         run_explicit(empty, LIBRARY, CannedBackend({}), ENSEMBLE)
 

@@ -220,7 +220,6 @@ def test_build_request_from_files_sorts_and_skips_empty(tmp_path, caplog):
     first, second = request.units
     assert first.start_line == 1 and first.changed_ranges == ((1, 1),)
     assert second.changed_ranges == ((1, 2),)
-    assert request.total_token_estimate > 0
     assert any("empty" in record.message for record in caplog.records)
 
 
@@ -321,7 +320,7 @@ def test_prompt_block_exact_layout():
         start_line=3,
         changed_ranges=((4, 4),),
     )
-    request = ReviewRequest(units=(unit,), origin="diff", total_token_estimate=6)
+    request = ReviewRequest(units=(unit,), origin="diff")
     assert prompt_block(request) == (
         "FILE src/app.py (lines 3..4)\n"
         "Changed lines: 4-4\n"
@@ -333,7 +332,7 @@ def test_prompt_block_exact_layout():
 def test_unit_for_location_prefers_containing_window():
     early = ReviewUnit(path="a.py", content="x\ny\nz", start_line=3, changed_ranges=())
     late = ReviewUnit(path="a.py", content="p\nq\nr", start_line=10, changed_ranges=())
-    request = ReviewRequest(units=(early, late), origin="diff", total_token_estimate=3)
+    request = ReviewRequest(units=(early, late), origin="diff")
     assert unit_for_location(request, "a.py", 11) is late
     assert unit_for_location(request, "a.py", 4) is early
     assert unit_for_location(request, "a.py", 7) is early  # falls back to the first unit

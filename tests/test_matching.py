@@ -8,11 +8,13 @@ from conftest import make_finding
 from sgcr.matching import (
     JACCARD_THRESHOLD,
     cluster_findings,
+    cluster_tagged,
     findings_equivalent,
     ranges_overlap,
     token_jaccard,
     tokenize,
 )
+from sgcr.types import Pathway
 
 
 def test_tokenize_lowercases_and_dedupes():
@@ -86,3 +88,59 @@ def test_cluster_groups_ordered_by_smallest_member():
     early = make_finding(file="a.java", description="alpha issue words")
     groups = cluster_findings([late, early])
     assert [group[0].file for group in groups] == ["a.java", "z.java"]
+
+
+def _closure_oracle(entries):
+    """All-pairs transitive closure of findings_equivalent, in sorted order."""
+    ordered = sorted(entries, key=lambda entry: (entry[0].sort_key(), entry[1]))
+    component = list(range(len(ordered)))
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            if findings_equivalent(ordered[i][0], ordered[j][0]):
+                old, new = max(component[i], component[j]), min(component[i], component[j])
+                component = [new if label == old else label for label in component]
+    groups = {}
+    for label, entry in zip(component, ordered):
+        groups.setdefault(label, []).append(entry)
+    return [groups[label] for label in sorted(groups)]
+
+
+def _random_description(rng):
+    base = rng.choice(
+        [
+            "unchecked input reaches the query builder",
+            "buffer is allocated inside the hot loop",
+            "lock is released before the field update",
+            "stream is never closed on the error path",
+        ]
+    ).split()
+    roll = rng.random()
+    if roll < 0.3:  # near duplicate: one word dropped
+        del base[rng.randrange(len(base))]
+    elif roll < 0.6:  # near duplicate: one or two words added
+        base += rng.sample(["again", "here", "twice", "still", "now"], rng.randint(1, 2))
+    return " ".join(base)
+
+
+def test_cluster_tagged_matches_the_all_pairs_closure_on_random_inputs():
+    rng = random.Random(2024)
+    for trial in range(240):
+        entries = []
+        for _ in range(rng.randint(0, 40)):
+            start = rng.randint(1, 60)
+            finding = make_finding(
+                file=rng.choice(["a.java", "b.java", "c.java"]),
+                start=start,
+                end=start + rng.randint(0, 40),
+                description=_random_description(rng),
+                pathway=rng.choice([Pathway.EXPLICIT, Pathway.IMPLICIT]),
+            )
+            entries.append((finding, rng.randrange(3)))
+        rng.shuffle(entries)
+        by_instance = cluster_tagged(entries)
+        assert by_instance == _closure_oracle(entries), f"trial {trial}: instance tags"
+        findings = [finding for finding, _ in entries]
+        by_pathway = _closure_oracle([(finding, finding.pathway.value) for finding in findings])
+        assert cluster_findings(findings) == [
+            [finding for finding, _ in group] for group in by_pathway
+        ], f"trial {trial}: pathway tags"
