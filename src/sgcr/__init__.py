@@ -8,124 +8,16 @@ outputs de-duplicate into a single prioritized report.
 
 Everything runs offline by default: the mock backend synthesizes
 deterministic responses and the replay backend serves recorded fixtures.
+
+The names below are the ones README's "Library use" section documents;
+everything else is imported from its own module (sgcr.retrieval, ...).
 """
 
-from .config import RunConfig, merge_config, validate_config
-from .errors import (
-    ConfigError,
-    DiffSyntaxError,
-    EnsembleError,
-    FixtureMiss,
-    HunkCountMismatch,
-    InvalidReviewRequest,
-    MalformedSpecFile,
-    PatchDoesNotApply,
-    SgcrError,
-    UnparsableResponse,
-)
-from .explicit import run_explicit
-from .gateway import EnsembleConfig, ModelRequest, ModelResponse, request_fingerprint
-from .implicit import run_implicit
-from .ingestion import (
-    FileDiff,
-    Hunk,
-    ReviewRequest,
-    ReviewUnit,
-    apply_file_diff,
-    build_review_request,
-    parse_unified_diff,
-    render_unified_diff,
-)
+from .config import RunConfig
+from .ingestion import build_review_request
 from .pipeline import run_review
-from .report import (
-    FinalReport,
-    FindingCluster,
-    attach_patches,
-    compute_run_id,
-    consolidate,
-    dedupe,
-    prioritize,
-    render,
-)
-from .retrieval import (
-    MockEmbeddingProvider,
-    VectorIndex,
-    build_index,
-    cosine_similarity,
-    load_index,
-    retrieve,
-    save_index,
-)
-from .specs import SpecLibrary, Specification, load_library, segment_library
-from .types import (
-    Category,
-    Finding,
-    HypotheticalIssue,
-    PatchSuggestion,
-    Pathway,
-    PathwayReport,
-    Severity,
-    Verdict,
-    VerifierVerdict,
-)
+from .report import render
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Category",
-    "ConfigError",
-    "DiffSyntaxError",
-    "EnsembleConfig",
-    "EnsembleError",
-    "FileDiff",
-    "FinalReport",
-    "Finding",
-    "FindingCluster",
-    "FixtureMiss",
-    "Hunk",
-    "HunkCountMismatch",
-    "HypotheticalIssue",
-    "InvalidReviewRequest",
-    "MalformedSpecFile",
-    "MockEmbeddingProvider",
-    "ModelRequest",
-    "ModelResponse",
-    "PatchDoesNotApply",
-    "PatchSuggestion",
-    "Pathway",
-    "PathwayReport",
-    "ReviewRequest",
-    "ReviewUnit",
-    "RunConfig",
-    "SgcrError",
-    "SpecLibrary",
-    "Specification",
-    "Severity",
-    "UnparsableResponse",
-    "VectorIndex",
-    "Verdict",
-    "VerifierVerdict",
-    "apply_file_diff",
-    "attach_patches",
-    "build_index",
-    "build_review_request",
-    "compute_run_id",
-    "consolidate",
-    "cosine_similarity",
-    "dedupe",
-    "load_index",
-    "load_library",
-    "merge_config",
-    "parse_unified_diff",
-    "prioritize",
-    "render",
-    "render_unified_diff",
-    "request_fingerprint",
-    "retrieve",
-    "run_explicit",
-    "run_implicit",
-    "run_review",
-    "save_index",
-    "segment_library",
-    "validate_config",
-]
+__all__ = ["RunConfig", "build_review_request", "render", "run_review"]

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import BackendTimeout, FixtureMiss, MalformedWireResponse, WireError
-from .gateway import ModelRequest, canonical_request, request_fingerprint
+from .gateway import ModelRequest, canonical_request, http_session, request_fingerprint
 from .prompts import Role
 
 logger = logging.getLogger(__name__)
@@ -187,6 +187,11 @@ class HttpBackend(BaseBackend):
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
+        self._session = http_session()
+
+    def close(self) -> None:
+        """Close the pooled connections."""
+        self._session.close()
 
     def _complete(self, request: ModelRequest) -> str:
         import requests
@@ -206,7 +211,7 @@ class HttpBackend(BaseBackend):
         last_error: WireError = WireError("no attempt made")
         for attempt in range(1 + WIRE_RETRIES):
             try:
-                reply = requests.post(url, json=body, headers=headers, timeout=self.timeout)
+                reply = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
             except requests.Timeout as exc:
                 last_error = BackendTimeout(f"{url}: {exc}")
             except requests.RequestException as exc:

@@ -85,7 +85,7 @@ class QueryDimensionMismatch(DimensionMismatch):
 
 
 class IndexLibraryMismatch(SgcrError):
-    """A persisted index does not cover the current library's spec ids."""
+    """A persisted index does not match the current rules or embedding settings."""
 
 
 # -- ingestion ---------------------------------------------------------------

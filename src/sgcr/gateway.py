@@ -21,11 +21,23 @@ import logging
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, ContextManager, Generic, Iterator, Optional, Protocol, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    ContextManager,
+    Generic,
+    Iterator,
+    Optional,
+    Protocol,
+    TypeVar,
+)
 
 from enum import Enum
 
 from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -161,6 +173,25 @@ def call_pool(workers: int = MAX_INFLIGHT) -> Iterator[Executor]:
         yield pool
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def http_session() -> requests.Session:
+    """A requests.Session for one HTTP client's lifetime, reusing connections.
+
+    Its pool keeps MAX_INFLIGHT connections per host; at urllib3's default
+    of 10, the calls a run has in flight beyond that would each open a
+    connection, use it once and discard it with a warning. The adapter adds
+    no retries of its own. requests is imported here, not at module level,
+    so runs that make no HTTP call never load it.
+    """
+    import requests
+    from requests.adapters import HTTPAdapter
+
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=MAX_INFLIGHT)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
 
 
 def use_pool(pool: Optional[Executor], workers: int) -> ContextManager[Executor]:

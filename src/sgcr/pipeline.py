@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from . import report as report_mod
 from .backends import BaseBackend, HttpBackend, Jitter, MockBackend, RecordingBackend, ReplayBackend
 from .config import RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, IndexLibraryMismatch
 from .explicit import run_explicit
 from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
@@ -34,6 +34,7 @@ from .parsing import parse_findings_response
 from .prompts import Role, render_prompt
 from .report import FinalReport, attach_patches, compute_run_id, consolidate
 from .retrieval import (
+    REBUILD_HINT,
     EmbeddingProvider,
     HttpEmbeddingProvider,
     MockEmbeddingProvider,
@@ -93,6 +94,27 @@ def build_provider(config: RunConfig) -> EmbeddingProvider:
         model=config.model,
         api_key=config.api_key,
     )
+
+
+def _load_prebuilt_index(config: RunConfig, library: SpecLibrary) -> VectorIndex:
+    """Load config.index_path, rejecting an index of other embedding settings.
+
+    Queries are embedded by the configured provider, so vectors from another
+    provider, or a mock index of another dimension, would score nonsense.
+    """
+    path = Path(config.index_path or "")
+    index = load_index(path, library)
+    if index.provider_id != config.embedding:
+        raise IndexLibraryMismatch(
+            f"index at {path} was built with embedding {index.provider_id!r},"
+            f" but this run embeds with {config.embedding!r}; {REBUILD_HINT}"
+        )
+    if config.embedding == "mock" and index.dimension != config.embedding_dimension:
+        raise IndexLibraryMismatch(
+            f"index at {path} has dimension {index.dimension},"
+            f" but this run embeds at dimension {config.embedding_dimension}; {REBUILD_HINT}"
+        )
+    return index
 
 
 def load_rules(config: RunConfig) -> SpecLibrary:
@@ -206,7 +228,7 @@ def run_review(
     # A prebuilt index is quick to read, and a bad one then fails the run
     # before any model call; a fresh one is built while the proposer runs.
     prebuilt = (
-        load_index(Path(config.index_path), library)
+        _load_prebuilt_index(config, library)
         if config.index_path and config.mode != "explicit_only"
         else None
     )

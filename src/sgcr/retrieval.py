@@ -7,7 +7,13 @@ hundred rules, where exactness is cheap and makes oracle testing possible.
 The mock provider hashes character trigrams of the lowercased text into d
 buckets (sha256 of the trigram, modulo d), counts them, and L2-normalizes;
 texts shorter than three characters count as a single trigram. It is
-deterministic across processes and needs no tokenizer or network.
+deterministic across processes and needs no tokenizer or network. Each
+provider memoizes the bucket of every distinct trigram it has met, so a run
+(one provider) hashes each distinct trigram once, not once per occurrence.
+
+A built index stores, beside each vector, the sha256 of the rule text it
+embedded (title + body); load_index rejects an index whose digests do not
+match the library, so an edited rule is never served a stale vector.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 import logging
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
@@ -29,13 +36,17 @@ from .errors import (
     QueryDimensionMismatch,
     WireError,
 )
-from .specs import SpecLibrary
+from .gateway import http_session
+from .specs import SpecLibrary, Specification
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_MOCK_DIMENSION = 64
 DEFAULT_TOP_K = 5
 DEFAULT_SCORE_THRESHOLD = 0.35
+
+# Ends every message that rejects a persisted index.
+REBUILD_HINT = "rebuild it with `sgcr specs index`"
 
 
 @dataclass(frozen=True)
@@ -74,18 +85,27 @@ class MockEmbeddingProvider:
         self.dimension = dimension
         self.call_log: list[str] = []
         self._lock = threading.Lock()
+        # gram -> trigram_bucket(gram, dimension), filled as grams are met.
+        # Pool threads share it without the lock: each slot's value is a
+        # pure function of its key, so a race can only compute the same
+        # bucket twice, and a single dict read or write is atomic.
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> list[float]:
         with self._lock:
             self.call_log.append(text)
         lowered = text.lower()
         if len(lowered) >= 3:
-            grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)]
+            grams = Counter([lowered[i : i + 3] for i in range(len(lowered) - 2)])
         else:
-            grams = [lowered]
+            grams = Counter([lowered])
         counts = [0.0] * self.dimension
-        for gram in grams:
-            counts[trigram_bucket(gram, self.dimension)] += 1.0
+        buckets = self._buckets
+        for gram, count in grams.items():
+            bucket = buckets.get(gram)
+            if bucket is None:
+                bucket = buckets[gram] = trigram_bucket(gram, self.dimension)
+            counts[bucket] += count
         return counts
 
 
@@ -113,6 +133,11 @@ class HttpEmbeddingProvider:
         self.dimension = 0
         self.call_log: list[str] = []
         self._lock = threading.Lock()
+        self._session = http_session()
+
+    def close(self) -> None:
+        """Close the pooled connections."""
+        self._session.close()
 
     def embed(self, text: str) -> list[float]:
         import requests
@@ -123,7 +148,7 @@ class HttpEmbeddingProvider:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            reply = requests.post(
+            reply = self._session.post(
                 f"{self.base_url}/v1/embeddings",
                 json={"model": self.model, "input": text},
                 headers=headers,
@@ -154,11 +179,15 @@ def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:
 
 @dataclass(frozen=True)
 class VectorIndex:
-    """Read-only (spec_id, vector) entries in library order."""
+    """Read-only (spec_id, vector) entries in library order.
+
+    digests[i] is rule_digest of the rule entries[i] was embedded from.
+    """
 
     entries: tuple[tuple[str, EmbeddingVector], ...]
     dimension: int
     provider_id: str
+    digests: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -180,6 +209,11 @@ class RetrievedSpecSet:
         return tuple(item.spec_id for item in self.scored)
 
 
+def rule_digest(spec: Specification) -> str:
+    """sha256 of the text a rule is embedded from (title + body)."""
+    return hashlib.sha256((spec.title + spec.body).encode("utf-8")).hexdigest()
+
+
 def build_index(library: SpecLibrary, provider: EmbeddingProvider) -> VectorIndex:
     """Embed title + body of every spec, preserving library order."""
     if not library.specs:
@@ -191,6 +225,7 @@ def build_index(library: SpecLibrary, provider: EmbeddingProvider) -> VectorInde
         entries=entries,
         dimension=entries[0][1].dimension,
         provider_id=provider.provider_id,
+        digests=tuple(rule_digest(spec) for spec in library.specs),
     )
 
 
@@ -229,34 +264,59 @@ def save_index(index: VectorIndex, path: Path) -> None:
         "dimension": index.dimension,
         "provider_id": index.provider_id,
         "entries": [
-            {"spec_id": spec_id, "values": list(vector.values)}
-            for spec_id, vector in index.entries
+            {"spec_id": spec_id, "sha256": digest, "values": list(vector.values)}
+            for (spec_id, vector), digest in zip(index.entries, index.digests, strict=True)
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_index(path: Path, library: SpecLibrary) -> VectorIndex:
-    """Load a persisted index, validating it against the library's id set."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = tuple(
-        (entry["spec_id"], EmbeddingVector(tuple(float(v) for v in entry["values"])))
-        for entry in payload["entries"]
-    )
-    index = VectorIndex(
-        entries=entries,
-        dimension=int(payload["dimension"]),
-        provider_id=str(payload["provider_id"]),
-    )
+    """Load a persisted index, validating it against the library.
+
+    The index must hold exactly the library's ids, one dimension, and for
+    every rule the digest of its current title and body; a rule edited
+    since the index was built would otherwise be served a stale vector.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        entries = tuple(
+            (entry["spec_id"], EmbeddingVector(tuple(float(v) for v in entry["values"])))
+            for entry in payload["entries"]
+        )
+        index = VectorIndex(
+            entries=entries,
+            dimension=int(payload["dimension"]),
+            provider_id=str(payload["provider_id"]),
+            digests=tuple(str(entry.get("sha256", "")) for entry in payload["entries"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IndexLibraryMismatch(
+            f"index at {path} is not an index file ({exc!r}); {REBUILD_HINT}"
+        ) from exc
     index_ids = {spec_id for spec_id, _ in entries}
     library_ids = set(library.ids())
     if index_ids != library_ids:
         missing = sorted(library_ids - index_ids)
         extra = sorted(index_ids - library_ids)
         raise IndexLibraryMismatch(
-            f"index at {path} does not match library (missing: {missing}, extra: {extra})"
+            f"index at {path} does not match library (missing: {missing}, extra: {extra});"
+            f" {REBUILD_HINT}"
         )
     for _, vector in entries:
         if vector.dimension != index.dimension:
-            raise IndexLibraryMismatch(f"index at {path} has inconsistent dimensions")
+            raise IndexLibraryMismatch(
+                f"index at {path} has inconsistent dimensions; {REBUILD_HINT}"
+            )
+    current = {spec.id: rule_digest(spec) for spec in library.specs}
+    changed = sorted(
+        spec_id
+        for (spec_id, _), digest in zip(entries, index.digests)
+        if digest != current[spec_id]
+    )
+    if changed:
+        raise IndexLibraryMismatch(
+            f"index at {path} does not hold the current contents of rule(s) {changed};"
+            f" {REBUILD_HINT}"
+        )
     return index

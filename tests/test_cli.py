@@ -323,3 +323,48 @@ def test_review_with_a_mismatched_or_missing_index_fails_loudly(
     assert code == 2
     assert out == ""
     assert "index file not found" in err
+
+
+def test_review_with_an_index_of_edited_rules_fails_loudly(capsys, java_file, rules_dir, tmp_path):
+    index_path = tmp_path / "rules.index.json"
+    assert main(["specs", "index", "--specs-dir", str(rules_dir), "--output", str(index_path)]) == 0
+    capsys.readouterr()
+    write_spec_file(rules_dir, "style.naming", body="Method names use snake_case verbs.")
+
+    code = main(_review_argv(java_file, rules_dir, "--mode", "full", "--index", str(index_path)))
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "style.naming" in err and "sec.input" not in err
+    assert "sgcr specs index" in err
+
+
+def test_review_with_an_index_of_other_embedding_settings_fails_loudly(
+    capsys, java_file, rules_dir, tmp_path
+):
+    index_path = tmp_path / "rules.index.json"
+    argv = ["specs", "index", "--specs-dir", str(rules_dir), "--output", str(index_path)]
+    assert main([*argv, "--embedding-dimension", "16"]) == 0
+    capsys.readouterr()
+
+    # The default mock dimension is 64, not 16.
+    code = main(
+        _review_argv(java_file, rules_dir, "--mode", "implicit_only", "--index", str(index_path))
+    )
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "dimension 16" in err and "sgcr specs index" in err
+
+    payload = json.loads(index_path.read_text(encoding="utf-8"))
+    payload["provider_id"] = "http"
+    index_path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(
+        _review_argv(
+            java_file, rules_dir, "--index", str(index_path), "--embedding-dimension", "16"
+        )
+    )
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "'http'" in err and "'mock'" in err

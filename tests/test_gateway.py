@@ -6,7 +6,9 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,13 @@ from sgcr.backends import (
     RecordingBackend,
     ReplayBackend,
 )
-from sgcr.errors import EnsembleError, FixtureMiss, UnparsableResponse, WireError
+from sgcr.errors import (
+    EnsembleError,
+    FixtureMiss,
+    IndexLibraryMismatch,
+    UnparsableResponse,
+    WireError,
+)
 from sgcr.cli import main
 from sgcr.config import RunConfig
 from sgcr.gateway import (
@@ -33,6 +41,7 @@ from sgcr.gateway import (
     request_fingerprint,
 )
 from sgcr.pipeline import run_review
+from sgcr.retrieval import HttpEmbeddingProvider, MockEmbeddingProvider, build_index, save_index
 from sgcr.prompts import Role
 from sgcr.specs import load_library, segment_library
 
@@ -235,6 +244,7 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", _ChatHandler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -289,6 +299,92 @@ def test_record_then_replay_round_trip(chat_server, tmp_path):
 
     stored = json.loads(next(iter(fixtures.glob("*.json"))).read_text(encoding="utf-8"))
     assert set(stored) == {"request", "response_text"}
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 chat and embedding endpoint that records each caller's address."""
+
+    protocol_version = "HTTP/1.1"
+    peers: list[tuple[str, int]] = []
+    delay_s = 0.0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).peers.append(self.client_address)
+        time.sleep(type(self).delay_s)
+        if self.path == "/v1/embeddings":
+            reply = {"data": [{"embedding": [0.6, 0.8]}]}
+        else:
+            reply = {"choices": [{"message": {"content": "ok"}}]}
+        raw = json.dumps(reply).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):  # silence test output
+        pass
+
+
+@pytest.fixture()
+def keep_alive_server():
+    _KeepAliveHandler.peers = []
+    _KeepAliveHandler.delay_s = 0.0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}", _KeepAliveHandler
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _http_client(base_url, which):
+    """The chat backend or the embedding provider, and one call through it."""
+    if which == "chat":
+        backend = HttpBackend(base_url=base_url, model="m")
+        return backend, lambda: backend.complete(ModelRequest(role="proposer", prompt="p"))
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    return provider, lambda: provider.embed("text")
+
+
+@pytest.mark.parametrize("which", ["chat", "embeddings"])
+def test_http_clients_reuse_one_connection(keep_alive_server, which):
+    base_url, handler = keep_alive_server
+    client, call = _http_client(base_url, which)
+    try:
+        for _ in range(5):
+            call()
+    finally:
+        client.close()
+    assert len(handler.peers) == 5
+    assert len(set(handler.peers)) == 1
+
+
+@pytest.mark.parametrize("which", ["chat", "embeddings"])
+def test_http_clients_keep_a_connection_per_call_in_flight(keep_alive_server, which):
+    """MAX_INFLIGHT overlapping calls, twice: the second round opens nothing.
+
+    With urllib3's default pool of 10, the first round's extra connections
+    are discarded and the second round opens new ones.
+    """
+    base_url, handler = keep_alive_server
+    handler.delay_s = 0.2
+    client, call = _http_client(base_url, which)
+    try:
+        for _ in range(2):
+            threads = [threading.Thread(target=call) for _ in range(MAX_INFLIGHT)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        client.close()
+    assert len(handler.peers) == 2 * MAX_INFLIGHT
+    assert len(set(handler.peers)) <= MAX_INFLIGHT
 
 
 # -- one call pool per run -------------------------------------------------
@@ -395,6 +491,19 @@ def test_explicit_quorum_failure_propagates_while_implicit_is_in_flight(tmp_path
     # Calls not yet started when the run failed were cancelled.
     assert backend.calls_for_role("verifier") == 0
     assert backend.calls_for_role("patch_generator") == 0
+
+
+def test_a_prebuilt_index_of_other_embedding_settings_fails_before_any_call(tmp_path):
+    config = _chunked_config(tmp_path, ensemble_size=3)
+    index_path = tmp_path / "index.json"
+    library = load_library(Path(config.specs_dir))
+    save_index(build_index(library, MockEmbeddingProvider(dimension=8)), index_path)
+    backend = _CountingBackend()
+    with pytest.raises(IndexLibraryMismatch, match="dimension 8"):
+        run_review(
+            replace(config, index_path=str(index_path)), make_review_request(), backend=backend
+        )
+    assert backend.call_log == []
 
 
 def test_full_run_with_patches_is_byte_identical_under_any_schedule(capsys, monkeypatch):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -59,6 +63,59 @@ def test_mock_embedding_lowercases_and_logs():
     provider = MockEmbeddingProvider(dimension=32)
     assert provider.embed("ABCdef") == provider.embed("abcdef")
     assert provider.call_log == ["ABCdef", "abcdef"]
+
+
+def _per_trigram_reference(text: str, dimension: int) -> list[float]:
+    """The embedding rule spelled out: one sha256 per trigram occurrence."""
+    lowered = text.lower()
+    if len(lowered) >= 3:
+        grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)]
+    else:
+        grams = [lowered]
+    counts = [0.0] * dimension
+    for gram in grams:
+        digest = hashlib.sha256(gram.encode("utf-8")).digest()
+        counts[int.from_bytes(digest[:8], "big") % dimension] += 1.0
+    return counts
+
+
+def _oracle_texts() -> list[str]:
+    rng = random.Random(11)
+    # "İ" lowercases to two code points, so lowering changes the length and
+    # grams must be cut from the lowered text.
+    alphabet = "abcAB \tİẞßΣσ中é"
+    texts = ["", "a", "Z", "İ", "ab", "İİ", "aaa", "aaaa", "abcabcabc", "AbCaBc" * 9]
+    for _ in range(200):
+        length = rng.choice((0, 1, 2, 3, 4, rng.randint(5, 120)))
+        texts.append("".join(rng.choice(alphabet) for _ in range(length)))
+    return texts
+
+
+def test_mock_embedding_matches_the_per_trigram_reference_on_random_texts():
+    texts = _oracle_texts()
+    for dimension in (1, 7, 64):
+        expected = {text: _per_trigram_reference(text, dimension) for text in texts}
+        provider = MockEmbeddingProvider(dimension=dimension)
+        for round_seed in range(3):
+            order = list(texts)
+            random.Random(round_seed).shuffle(order)
+            assert [provider.embed(text) for text in order] == [expected[t] for t in order]
+
+    # One provider shared by more threads than cores gives the serial result.
+    serial = [_per_trigram_reference(text, 64) for text in texts]
+    shared = MockEmbeddingProvider(dimension=64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as workers:
+            futures = [
+                workers.submit(lambda: [shared.embed(text) for text in texts])
+                for _ in range(8)
+            ]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 8
 
 
 def test_mock_provider_rejects_bad_dimension():
@@ -177,6 +234,37 @@ def test_load_index_rejects_library_mismatch(tmp_path):
     with pytest.raises(IndexLibraryMismatch) as excinfo:
         load_index(path, smaller)
     assert "extra: ['r.two']" in str(excinfo.value)
+
+
+def test_load_index_rejects_edited_rules_and_missing_digests(tmp_path):
+    library = make_library(make_spec("r.one"), make_spec("r.two"), make_spec("r.three"))
+    path = tmp_path / "index.json"
+    save_index(build_index(library, MockEmbeddingProvider(dimension=16)), path)
+
+    edited = make_library(
+        make_spec("r.one"),
+        make_spec("r.two", body="an edited body"),
+        make_spec("r.three", title="An edited title"),
+    )
+    with pytest.raises(IndexLibraryMismatch) as excinfo:
+        load_index(path, edited)
+    assert "['r.three', 'r.two']" in str(excinfo.value)
+    assert "sgcr specs index" in str(excinfo.value)
+
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["entries"][0]["sha256"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(IndexLibraryMismatch) as excinfo:
+        load_index(path, library)
+    assert "['r.one']" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text", ["not json", "[]", '{"entries": [7]}', '{"entries": []}'])
+def test_load_index_rejects_a_file_that_is_not_an_index(tmp_path, text):
+    path = tmp_path / "index.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IndexLibraryMismatch, match="is not an index file"):
+        load_index(path, make_library(make_spec("r.one")))
 
 
 def test_retrieve_matches_brute_force_on_small_random_cases():
