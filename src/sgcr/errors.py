@@ -37,6 +37,14 @@ class WireError(SgcrError):
     """HTTP transport failure after retries."""
 
 
+class RequestRejected(WireError):
+    """The endpoint refused the request itself (a 4xx other than 408 or 429).
+
+    Sending the same request again would be refused again, so it is never
+    retried.
+    """
+
+
 class BackendTimeout(WireError):
     """The model endpoint did not answer within the timeout."""
 

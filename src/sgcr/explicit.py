@@ -37,10 +37,15 @@ from .ingestion import ReviewRequest, prompt_block
 from .matching import cluster_tagged, findings_equivalent, merge_to_maxima
 from .parsing import parse_findings_response
 from .prompts import Role, render_prompt
-from .specs import DEFAULT_CHUNK_BUDGET, SpecChunk, SpecLibrary, chunk_prompt_text, segment_library
+from .specs import (
+    DEFAULT_CHUNK_BUDGET,
+    SpecChunk,
+    SpecLibrary,
+    chunk_prompt_text,
+    resolve_category,
+    segment_library,
+)
 from .types import (
-    CATEGORY_RANK,
-    Category,
     Finding,
     Pathway,
     PathwayReport,
@@ -72,26 +77,6 @@ class AggregatedReview:
     n_effective: int
 
 
-def resolve_category(spec_ids: Sequence[str], library: SpecLibrary) -> Category:
-    """Highest-ranked category among the cited rules; default maintainability."""
-    categories = [library.get(spec_id).category for spec_id in spec_ids if spec_id in library]
-    if not categories:
-        return Category.MAINTAINABILITY
-    return min(categories, key=lambda category: CATEGORY_RANK[category])
-
-
-def _strip_unknown_spec_ids(finding: Finding, library: SpecLibrary) -> Finding:
-    kept = tuple(spec_id for spec_id in finding.spec_ids if spec_id in library)
-    dropped = set(finding.spec_ids) - set(kept)
-    if dropped:
-        logger.warning(
-            "finding %s cites unknown rule ids %s; dropping them",
-            finding.finding_id,
-            sorted(dropped),
-        )
-    return replace(finding, spec_ids=kept, category=resolve_category(kept, library))
-
-
 def _reviewer_request(
     request: ReviewRequest, chunk: SpecChunk, library: SpecLibrary, ensemble: EnsembleConfig
 ) -> ModelRequest:
@@ -107,26 +92,21 @@ def _reviewer_request(
     )
 
 
-def _parse_reviewer(text: str) -> list[Finding]:
-    return parse_findings_response(text, Pathway.EXPLICIT)
-
-
 def review_chunk_ensemble(
-    chunk: SpecChunk, slots: PendingEnsemble[list[Finding]], library: SpecLibrary
+    chunk: SpecChunk, slots: PendingEnsemble[list[Finding]]
 ) -> tuple[list[CandidateReview], int]:
     """Collect one chunk's reviewer ensemble.
 
     Returns the candidate reviews for present slots plus the number of
-    calls made (including retries). Findings are normalized here: unknown
-    cited rule ids are stripped and the category is resolved. Raises
-    EnsembleError past the chunk's failure budget.
+    calls made (including retries). The slots' parser is given the
+    library, so findings arrive normalized: unknown cited rule ids
+    stripped and the category resolved. Raises EnsembleError past the
+    chunk's failure budget.
     """
     parsed, stats = slots.collect()
     candidates = [
         CandidateReview(
-            chunk_ordinal=chunk.ordinal,
-            instance_index=index,
-            findings=tuple(_strip_unknown_spec_ids(f, library) for f in findings),
+            chunk_ordinal=chunk.ordinal, instance_index=index, findings=tuple(findings)
         )
         for index, findings in enumerate(parsed)
         if findings is not None
@@ -212,7 +192,7 @@ def aggregate_candidates(
         backend,
         ModelRequest(role=Role.AGGREGATOR.value, prompt=prompt, temperature=0.0),
     )
-    aggregated = parse_findings_response(response.text, Pathway.EXPLICIT)
+    aggregated = parse_findings_response(response.text, Pathway.EXPLICIT, library)
     kept: list[Finding] = []
     for finding in aggregated:
         supporters = {
@@ -226,8 +206,7 @@ def aggregate_candidates(
                 finding.finding_id,
             )
             continue
-        normalized = _strip_unknown_spec_ids(finding, library) if library else finding
-        kept.append(replace(normalized, confidence=len(supporters) / n_effective))
+        kept.append(replace(finding, confidence=len(supporters) / n_effective))
     return AggregatedReview(
         chunk_ordinal=chunk.ordinal,
         findings=tuple(sort_findings(kept)),
@@ -305,6 +284,10 @@ def run_explicit(
     # Slots submitted further ahead would only queue, and their parsed
     # results would pile up uncollected (peak memory, not speed).
     ahead = max(1, MAX_INFLIGHT // ensemble.n)
+
+    def parse(text: str) -> list[Finding]:
+        return parse_findings_response(text, Pathway.EXPLICIT, library)
+
     with use_pool(pool, len(chunks) * ensemble.n) as calls:
 
         def submit(chunk: SpecChunk) -> PendingEnsemble:
@@ -313,7 +296,7 @@ def run_explicit(
                 backend,
                 _reviewer_request(request, chunk, library, ensemble),
                 ensemble,
-                _parse_reviewer,
+                parse,
             )
 
         pending = deque(submit(chunk) for chunk in chunks[:ahead])
@@ -324,7 +307,7 @@ def run_explicit(
         absent_total = 0
         partials = []
         for position, chunk in enumerate(chunks):
-            candidates, calls_made = review_chunk_ensemble(chunk, pending.popleft(), library)
+            candidates, calls_made = review_chunk_ensemble(chunk, pending.popleft())
             if position + ahead < len(chunks):
                 pending.append(submit(chunks[position + ahead]))
             calls_total += calls_made

@@ -21,6 +21,7 @@ import logging
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -34,7 +35,7 @@ from typing import (
 
 from enum import Enum
 
-from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
+from .errors import EnsembleError, RequestRejected, SgcrError, UnparsableResponse, WireError
 
 if TYPE_CHECKING:
     import requests
@@ -74,6 +75,16 @@ class ModelRequest:
             raise ValueError("max_output_tokens must be positive")
         if self.instance_index < 0:
             raise ValueError("instance_index must be non-negative")
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 of canonical_request_json, computed on first use.
+
+        Both the gateway and the backend ask for it on every call; the
+        cache lives on the instance, and dataclasses.replace builds a fresh
+        one, so each ensemble slot hashes its own request.
+        """
+        return hashlib.sha256(canonical_request_json(self).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ def canonical_request_json(request: ModelRequest) -> str:
 
 
 def request_fingerprint(request: ModelRequest) -> str:
-    return hashlib.sha256(canonical_request_json(request).encode("utf-8")).hexdigest()
+    return request.fingerprint
 
 
 class ModelBackend(Protocol):
@@ -221,13 +232,16 @@ def _run_slot(
     """One ensemble slot: (parsed value or None, last error, attempts made).
 
     Attempted up to 1 + SLOT_RETRIES times (same seed) when the transport
-    fails or the response does not parse. Other errors, a fixture miss
-    among them, are never retried: replay lookups are deterministic.
+    fails or the response does not parse. Other errors are never retried:
+    replay lookups are deterministic (a fixture miss), and an endpoint that
+    rejected the request (RequestRejected) would reject it again.
     """
     last_error: SgcrError = UnparsableResponse("no attempt made")
     for attempt in range(1 + SLOT_RETRIES):
         try:
             return parser(generate(backend, request).text), None, attempt + 1
+        except RequestRejected as exc:
+            return None, exc, attempt + 1
         except (WireError, UnparsableResponse) as exc:
             last_error = exc
             if attempt < SLOT_RETRIES:
@@ -287,22 +301,6 @@ def submit_ensemble(
         ],
         config,
     )
-
-
-def ensemble_parsed(
-    backend: ModelBackend,
-    base_request: ModelRequest,
-    config: EnsembleConfig,
-    parser: Callable[[str], T],
-) -> tuple[list[Optional[T]], EnsembleStats]:
-    """Ensemble dispatch with per-slot parsing and bounded retries.
-
-    Submits every slot to a pool of its own, then collects them: a slot
-    that still fails after its retries is marked absent (None). Raises
-    EnsembleError past the n - quorum budget.
-    """
-    with call_pool(config.n) as calls:
-        return submit_ensemble(calls, backend, base_request, config, parser).collect()
 
 
 def _check_failure_budget(errors: list[tuple[int, SgcrError]], config: EnsembleConfig) -> None:

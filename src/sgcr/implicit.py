@@ -18,8 +18,7 @@ from concurrent.futures import Executor, Future
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
-from .explicit import resolve_category
+from .errors import EnsembleError, RequestRejected, SgcrError, UnparsableResponse, WireError
 from .gateway import (
     MAX_INFLIGHT,
     SLOT_RETRIES,
@@ -43,7 +42,7 @@ from .retrieval import (
     embed_text,
     retrieve,
 )
-from .specs import SpecLibrary
+from .specs import SpecLibrary, resolve_category
 from .types import (
     SEVERITY_RANK,
     Finding,
@@ -82,10 +81,11 @@ def propose_issues(
 ) -> tuple[list[HypotheticalIssue], int]:
     """One proposer call with bounded retries.
 
-    An unusable response after retries yields zero proposals rather than a
-    failed run; discovery finding nothing is a valid outcome. Duplicate
-    proposals (same content hash) collapse to the first occurrence and the
-    list is capped in response order. Returns (issues, calls made).
+    An unusable response after retries, or a request the endpoint rejected
+    (never retried), yields zero proposals rather than a failed run;
+    discovery finding nothing is a valid outcome. Duplicate proposals (same
+    content hash) collapse to the first occurrence and the list is capped
+    in response order. Returns (issues, calls made).
     """
     prompt = render_prompt(Role.PROPOSER, {"code": prompt_block(request)})
     base = ModelRequest(
@@ -99,7 +99,7 @@ def propose_issues(
             proposals = parse_proposals_response(response.text)
             break
         except (WireError, UnparsableResponse) as exc:
-            if attempt < SLOT_RETRIES:
+            if attempt < SLOT_RETRIES and not isinstance(exc, RequestRejected):
                 logger.warning("proposer attempt %d failed (%s), retrying", attempt + 1, exc)
                 continue
             logger.warning("proposer failed after %d attempts: %s", calls, exc)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
@@ -68,6 +69,24 @@ class ReviewUnit:
 class ReviewRequest:
     units: tuple[ReviewUnit, ...]
     origin: Literal["files", "diff"]
+
+    @cached_property
+    def prompt_block(self) -> str:
+        """The units as numbered text, rendered on first use; see prompt_block()."""
+        # cached_property writes the instance dict directly, so it works on
+        # a frozen dataclass, and dataclasses.replace starts a fresh cache.
+        parts: list[str] = []
+        for unit in self.units:
+            header = f"FILE {unit.path} (lines {unit.start_line}..{unit.end_line()})"
+            if unit.changed_ranges:
+                spans = ", ".join(f"{start}-{end}" for start, end in unit.changed_ranges)
+                header += f"\nChanged lines: {spans}"
+            numbered = "\n".join(
+                f"{unit.start_line + offset:5d} | {text}"
+                for offset, text in enumerate(unit.content.splitlines())
+            )
+            parts.append(f"{header}\n{numbered}")
+        return "\n\n".join(parts)
 
 
 def _strip_diff_path(raw: str) -> str:
@@ -350,21 +369,14 @@ def build_review_request(
 def prompt_block(request: ReviewRequest) -> str:
     """Render units as numbered text for model prompts.
 
+    Every prompt of a run shows the same code, so the text is rendered
+    once per request (ReviewRequest.prompt_block) and each call returns
+    that same string.
+
     The ``FILE path (lines a..b)`` header shape is load-bearing: the mock
     backend parses it to aim synthetic findings at real locations.
     """
-    parts: list[str] = []
-    for unit in request.units:
-        header = f"FILE {unit.path} (lines {unit.start_line}..{unit.end_line()})"
-        if unit.changed_ranges:
-            spans = ", ".join(f"{start}-{end}" for start, end in unit.changed_ranges)
-            header += f"\nChanged lines: {spans}"
-        numbered = "\n".join(
-            f"{unit.start_line + offset:5d} | {text}"
-            for offset, text in enumerate(unit.content.splitlines())
-        )
-        parts.append(f"{header}\n{numbered}")
-    return "\n\n".join(parts)
+    return request.prompt_block
 
 
 def unit_for_location(request: ReviewRequest, file: str, line: int) -> Optional[ReviewUnit]:

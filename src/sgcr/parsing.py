@@ -14,13 +14,16 @@ import logging
 from typing import Optional
 
 from .errors import UnparsableResponse
+from .specs import SpecLibrary, resolve_category
 from .types import (
+    Category,
     Finding,
     HypotheticalIssue,
     Pathway,
     Severity,
     Verdict,
     VerifierVerdict,
+    content_id,
     sort_findings,
 )
 
@@ -62,8 +65,16 @@ def _string_list(value) -> Optional[list[str]]:
     return value
 
 
-def parse_findings_response(text: str, pathway: Pathway) -> list[Finding]:
-    """Parse a findings-schema response; invalid entries are dropped."""
+def parse_findings_response(
+    text: str, pathway: Pathway, library: Optional[SpecLibrary] = None
+) -> list[Finding]:
+    """Parse a findings-schema response; invalid entries are dropped.
+
+    With a library, each finding is built once and already normalized:
+    cited ids the library does not hold are dropped with a warning, and
+    the category is resolved from the ids that remain. Without one, the
+    ids are kept as cited and the category is the default.
+    """
     document = extract_json_document(text)
     entries = document.get("findings")
     if not isinstance(entries, list):
@@ -71,13 +82,15 @@ def parse_findings_response(text: str, pathway: Pathway) -> list[Finding]:
 
     findings: list[Finding] = []
     for position, entry in enumerate(entries):
-        finding = _parse_finding_entry(entry, pathway, position)
+        finding = _parse_finding_entry(entry, pathway, position, library)
         if finding is not None:
             findings.append(finding)
     return sort_findings(findings)
 
 
-def _parse_finding_entry(entry, pathway: Pathway, position: int) -> Optional[Finding]:
+def _parse_finding_entry(
+    entry, pathway: Pathway, position: int, library: Optional[SpecLibrary]
+) -> Optional[Finding]:
     if not isinstance(entry, dict):
         logger.warning("dropping finding %d: not an object", position)
         return None
@@ -105,6 +118,17 @@ def _parse_finding_entry(entry, pathway: Pathway, position: int) -> Optional[Fin
     rationale = entry.get("rationale")
     if not isinstance(rationale, str):
         rationale = ""
+    category = Category.MAINTAINABILITY
+    if library is not None:
+        kept = [spec_id for spec_id in spec_ids if spec_id in library]
+        if len(kept) < len(spec_ids):
+            logger.warning(
+                "finding %s cites unknown rule ids %s; dropping them",
+                content_id(file, lines[0], lines[1], description),
+                sorted(set(spec_ids) - set(kept)),
+            )
+        spec_ids = kept
+        category = resolve_category(kept, library)
     return Finding(
         file=file,
         start_line=lines[0],
@@ -114,6 +138,7 @@ def _parse_finding_entry(entry, pathway: Pathway, position: int) -> Optional[Fin
         pathway=pathway,
         rationale=rationale,
         spec_ids=tuple(spec_ids),
+        category=category,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
+from concurrent.futures import Executor
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -26,7 +27,7 @@ from .gateway import (
     EnsembleConfig,
     ModelRequest,
     call_pool,
-    ensemble_parsed,
+    submit_ensemble,
 )
 from .implicit import run_implicit
 from .ingestion import ReviewRequest, prompt_block
@@ -128,6 +129,7 @@ def _run_baseline(
     backend: BaseBackend,
     config: RunConfig,
     run_id: str,
+    pool: Executor,
 ) -> PathwayReport:
     """Single ungrounded review call: the comparison floor.
 
@@ -145,9 +147,9 @@ def _run_baseline(
         max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
     )
     single = EnsembleConfig(n=1, quorum=1, temperature=0.0, base_seed=config.seed)
-    parsed, stats = ensemble_parsed(
-        backend, base, single, lambda text: parse_findings_response(text, Pathway.EXPLICIT)
-    )
+    parsed, stats = submit_ensemble(
+        pool, backend, base, single, lambda text: parse_findings_response(text, Pathway.EXPLICIT)
+    ).collect()
     findings = parsed[0] or []
     return PathwayReport(
         pathway=Pathway.EXPLICIT,
@@ -220,9 +222,9 @@ def run_review(
     run_id = compute_run_id(request, config.echo())
 
     if config.mode == "baseline":
-        reports = [_run_baseline(request, backend, config, run_id)]
-        final = consolidate(reports, run_id, config.mode, config.echo())
-        return final
+        with call_pool() as pool:
+            reports = [_run_baseline(request, backend, config, run_id, pool)]
+        return consolidate(reports, run_id, config.mode, config.echo())
 
     library = load_rules(config)
     # A prebuilt index is quick to read, and a bad one then fails the run

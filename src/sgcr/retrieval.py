@@ -14,14 +14,24 @@ provider memoizes the bucket of every distinct trigram it has met, so a run
 A built index stores, beside each vector, the sha256 of the rule text it
 embedded (title + body); load_index rejects an index whose digests do not
 match the library, so an edited rule is never served a stale vector.
+
+On disk an index is JSON holding, per rule, its id, that digest and its
+vector as base64 of the little-endian IEEE 754 doubles
+(``struct.pack("<{d}d", ...)``). The bytes are the floats themselves, so a
+loaded index scores exactly as the built one did, and loading parses no
+decimal numbers. Indexes written with decimal vectors are rejected with a
+hint to rebuild them.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import logging
 import math
+import operator
+import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -233,7 +243,7 @@ def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
     """Dot product of unit vectors, clamped to [-1, 1]."""
     if u.dimension != v.dimension:
         raise DimensionMismatch(f"dimensions differ: {u.dimension} vs {v.dimension}")
-    score = sum(a * b for a, b in zip(u.values, v.values))
+    score = sum(map(operator.mul, u.values, v.values))
     return max(-1.0, min(1.0, score))
 
 
@@ -250,21 +260,27 @@ def retrieve(
         )
     if k <= 0:
         return RetrievedSpecSet(scored=())
-    scored = [
-        ScoredSpec(spec_id=spec_id, score=cosine_similarity(query, vector))
-        for spec_id, vector in index.entries
-    ]
-    kept = [item for item in scored if item.score >= threshold]
+    kept = []
+    for spec_id, vector in index.entries:
+        score = cosine_similarity(query, vector)
+        if score >= threshold:
+            kept.append(ScoredSpec(spec_id=spec_id, score=score))
     kept.sort(key=lambda item: (-item.score, item.spec_id))
     return RetrievedSpecSet(scored=tuple(kept[:k]))
 
 
 def save_index(index: VectorIndex, path: Path) -> None:
+    """Write the index as JSON with packed vectors (module docstring)."""
+    packed = struct.Struct(f"<{index.dimension}d")
     payload = {
         "dimension": index.dimension,
         "provider_id": index.provider_id,
         "entries": [
-            {"spec_id": spec_id, "sha256": digest, "values": list(vector.values)}
+            {
+                "spec_id": spec_id,
+                "sha256": digest,
+                "vector": binascii.b2a_base64(packed.pack(*vector.values), newline=False).decode(),
+            }
             for (spec_id, vector), digest in zip(index.entries, index.digests, strict=True)
         ],
     }
@@ -274,23 +290,43 @@ def save_index(index: VectorIndex, path: Path) -> None:
 def load_index(path: Path, library: SpecLibrary) -> VectorIndex:
     """Load a persisted index, validating it against the library.
 
-    The index must hold exactly the library's ids, one dimension, and for
-    every rule the digest of its current title and body; a rule edited
-    since the index was built would otherwise be served a stale vector.
+    The index must hold exactly the library's ids, every vector exactly
+    dimension doubles, and for every rule the digest of its current title
+    and body; a rule edited since the index was built would otherwise be
+    served a stale vector. An index whose vectors are decimal lists, the
+    format before vectors were packed, is rejected: rebuild it.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = tuple(
-            (entry["spec_id"], EmbeddingVector(tuple(float(v) for v in entry["values"])))
-            for entry in payload["entries"]
-        )
+        raw_entries = payload["entries"]
+        if any("values" in entry for entry in raw_entries):
+            raise IndexLibraryMismatch(
+                f"index at {path} stores its vectors as decimal lists, a format"
+                f" this version no longer reads; {REBUILD_HINT}"
+            )
+        dimension = int(payload["dimension"])
+        if dimension < 1:
+            raise ValueError(f"dimension {dimension}")
+        packed = struct.Struct(f"<{dimension}d")
+        entries = []
+        for entry in raw_entries:
+            # Characters outside the base64 alphabet are skipped; what is
+            # left must decode to exactly one vector, checked next.
+            raw = binascii.a2b_base64(entry["vector"])
+            if len(raw) != packed.size:
+                raise IndexLibraryMismatch(
+                    f"index at {path} holds a vector of {len(raw)} bytes for rule"
+                    f" {entry['spec_id']!r}, not {packed.size} (8 x dimension {dimension});"
+                    f" {REBUILD_HINT}"
+                )
+            entries.append((entry["spec_id"], EmbeddingVector(packed.unpack(raw))))
         index = VectorIndex(
-            entries=entries,
-            dimension=int(payload["dimension"]),
+            entries=tuple(entries),
+            dimension=dimension,
             provider_id=str(payload["provider_id"]),
-            digests=tuple(str(entry.get("sha256", "")) for entry in payload["entries"]),
+            digests=tuple(str(entry.get("sha256", "")) for entry in raw_entries),
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, struct.error) as exc:
         raise IndexLibraryMismatch(
             f"index at {path} is not an index file ({exc!r}); {REBUILD_HINT}"
         ) from exc
@@ -303,11 +339,6 @@ def load_index(path: Path, library: SpecLibrary) -> VectorIndex:
             f"index at {path} does not match library (missing: {missing}, extra: {extra});"
             f" {REBUILD_HINT}"
         )
-    for _, vector in entries:
-        if vector.dimension != index.dimension:
-            raise IndexLibraryMismatch(
-                f"index at {path} has inconsistent dimensions; {REBUILD_HINT}"
-            )
     current = {spec.id: rule_digest(spec) for spec in library.specs}
     changed = sorted(
         spec_id

@@ -23,10 +23,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
-from .types import Category, Severity
+from .types import CATEGORY_RANK, Category, Severity
 
 logger = logging.getLogger(__name__)
 
@@ -85,6 +85,14 @@ class SpecLibrary:
         # Built on first use; cached_property writes the instance dict
         # directly, so it works on a frozen dataclass.
         return {spec.id: spec for spec in self.specs}
+
+
+def resolve_category(spec_ids: Sequence[str], library: SpecLibrary) -> Category:
+    """Highest-ranked category among the cited rules; default maintainability."""
+    categories = [library.get(spec_id).category for spec_id in spec_ids if spec_id in library]
+    if not categories:
+        return Category.MAINTAINABILITY
+    return min(categories, key=lambda category: CATEGORY_RANK[category])
 
 
 @dataclass(frozen=True)

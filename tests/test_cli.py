@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import io
 import json
+import struct
 import sys
 
 import pytest
@@ -368,3 +370,31 @@ def test_review_with_an_index_of_other_embedding_settings_fails_loudly(
     assert code == 3
     assert out == ""
     assert "'http'" in err and "'mock'" in err
+
+
+def test_review_with_a_decimal_or_truncated_index_fails_loudly(
+    capsys, java_file, rules_dir, tmp_path
+):
+    index_path = tmp_path / "rules.index.json"
+    assert main(["specs", "index", "--specs-dir", str(rules_dir), "--output", str(index_path)]) == 0
+    capsys.readouterr()
+    packed = json.loads(index_path.read_text(encoding="utf-8"))
+    dimension = packed["dimension"]
+
+    # The format written before vectors were packed: one decimal per value.
+    decimal = json.loads(json.dumps(packed))
+    for entry in decimal["entries"]:
+        raw = base64.b64decode(entry.pop("vector"))
+        entry["values"] = list(struct.unpack(f"<{dimension}d", raw))
+    truncated = json.loads(json.dumps(packed))
+    truncated["entries"][0]["vector"] = base64.b64encode(
+        base64.b64decode(truncated["entries"][0]["vector"])[:-8]
+    ).decode()
+
+    for payload, complaint in ((decimal, "decimal"), (truncated, f"not {8 * dimension}")):
+        index_path.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(_review_argv(java_file, rules_dir, "--index", str(index_path)))
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert complaint in err and "sgcr specs index" in err

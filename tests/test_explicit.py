@@ -55,17 +55,15 @@ def test_review_chunk_ensemble_normalizes_citations(caplog):
         }
     )
     request = ModelRequest(role="explicit_reviewer", prompt="review the code", temperature=0.7)
-    with caplog.at_level("WARNING", logger="sgcr.explicit"), call_pool() as pool:
+    with caplog.at_level("WARNING", logger="sgcr.parsing"), call_pool() as pool:
         slots = submit_ensemble(
             pool,
             backend,
             request,
             ENSEMBLE,
-            lambda text: parse_findings_response(text, Pathway.EXPLICIT),
+            lambda text: parse_findings_response(text, Pathway.EXPLICIT, LIBRARY),
         )
-        candidates, calls = review_chunk_ensemble(
-            _chunk("sec.input", "style.naming"), slots, LIBRARY
-        )
+        candidates, calls = review_chunk_ensemble(_chunk("sec.input", "style.naming"), slots)
     assert calls == 3
     assert [candidate.instance_index for candidate in candidates] == [0, 1, 2]
     for candidate in candidates:

@@ -34,12 +34,18 @@ from sgcr.gateway import (
     SLOT_RETRIES,
     EnsembleConfig,
     ModelRequest,
+    call_pool,
     canonical_request_json,
-    ensemble_parsed,
     ensemble_requests,
     generate,
     request_fingerprint,
+    submit_ensemble,
 )
+import sgcr.explicit
+import sgcr.gateway
+import sgcr.implicit
+import sgcr.ingestion
+from sgcr.implicit import propose_issues
 from sgcr.pipeline import run_review
 from sgcr.retrieval import HttpEmbeddingProvider, MockEmbeddingProvider, build_index, save_index
 from sgcr.prompts import Role
@@ -137,7 +143,10 @@ def test_ensemble_tolerates_failures_within_budget(tmp_path):
 
     from sgcr.parsing import parse_verdict_response
 
-    results, stats = ensemble_parsed(backend, base, config, parse_verdict_response)
+    with call_pool() as pool:
+        results, stats = submit_ensemble(
+            pool, backend, base, config, parse_verdict_response
+        ).collect()
     assert results[0] is not None and results[2] is not None
     assert results[1] is None
     assert stats.failures == 1
@@ -154,8 +163,8 @@ def test_ensemble_fails_past_budget_with_fingerprints(tmp_path):
 
     from sgcr.parsing import parse_verdict_response
 
-    with pytest.raises(EnsembleError) as excinfo:
-        ensemble_parsed(backend, base, config, parse_verdict_response)
+    with pytest.raises(EnsembleError) as excinfo, call_pool() as pool:
+        submit_ensemble(pool, backend, base, config, parse_verdict_response).collect()
     message = str(excinfo.value)
     assert request_fingerprint(slots[1]) in message
     assert request_fingerprint(slots[2]) in message
@@ -184,7 +193,10 @@ def test_slot_retries_recover_from_transient_wire_errors():
 
     from sgcr.parsing import parse_verdict_response
 
-    results, stats = ensemble_parsed(backend, base, config, parse_verdict_response)
+    with call_pool() as pool:
+        results, stats = submit_ensemble(
+            pool, backend, base, config, parse_verdict_response
+        ).collect()
     assert results[0] is not None
     assert stats.calls == 1 + SLOT_RETRIES
     assert stats.failures == 0
@@ -197,8 +209,8 @@ def test_unparsable_after_retries_exhausts_the_slot():
 
     from sgcr.parsing import parse_verdict_response
 
-    with pytest.raises(EnsembleError):
-        ensemble_parsed(backend, base, config, parse_verdict_response)
+    with pytest.raises(EnsembleError), call_pool() as pool:
+        submit_ensemble(pool, backend, base, config, parse_verdict_response).collect()
     assert len(backend.call_log) == 1 + SLOT_RETRIES
 
 
@@ -278,6 +290,46 @@ def test_http_backend_retries_server_errors_not_client_errors(chat_server):
     with pytest.raises(WireError):
         backend.complete(request)
     assert len(handler.seen) == 1  # no retry on a client error
+
+
+@pytest.mark.parametrize(
+    "status, posts",
+    [(400, 1), (401, 1), (404, 1), (408, 1 + SLOT_RETRIES), (429, 1 + SLOT_RETRIES)],
+)
+def test_a_slot_retries_no_client_error_but_408_and_429(chat_server, status, posts):
+    base_url, handler = chat_server
+    backend = HttpBackend(base_url=base_url, model="m")
+    base = ModelRequest(role="verifier", prompt="q")
+    single = EnsembleConfig(n=1, quorum=1)
+    try:
+        handler.status_plan = [status] * (1 + SLOT_RETRIES)
+        with pytest.raises(EnsembleError, match=f"status {status}"), call_pool() as pool:
+            submit_ensemble(pool, backend, base, single, lambda text: text).collect()
+        assert len(handler.seen) == posts
+
+        handler.seen.clear()
+        handler.status_plan = [status] * (1 + SLOT_RETRIES)
+        issues, calls = propose_issues(make_review_request(), backend)
+        assert (issues, calls, len(handler.seen)) == ([], posts, posts)
+    finally:
+        backend.close()
+
+
+def test_a_slot_retries_a_server_error_after_the_wire_retries(chat_server):
+    base_url, handler = chat_server
+    backend = HttpBackend(base_url=base_url, model="m")
+    base = ModelRequest(role="verifier", prompt="q", seed=4)
+    try:
+        handler.status_plan = [500] * (1 + WIRE_RETRIES) + [200]
+        with call_pool() as pool:
+            results, stats = submit_ensemble(
+                pool, backend, base, EnsembleConfig(n=1, quorum=1, base_seed=4), lambda text: text
+            ).collect()
+    finally:
+        backend.close()
+    assert results == ["echo seed=4 t=0.0"]
+    assert (stats.calls, stats.failures) == (2, 0)
+    assert len(handler.seen) == 2 + WIRE_RETRIES
 
 
 def test_record_then_replay_round_trip(chat_server, tmp_path):
@@ -504,6 +556,52 @@ def test_a_prebuilt_index_of_other_embedding_settings_fails_before_any_call(tmp_
             replace(config, index_path=str(index_path)), make_review_request(), backend=backend
         )
     assert backend.call_log == []
+
+
+def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
+    tmp_path, monkeypatch
+):
+    blocks = []
+    hashed = []
+    render = sgcr.ingestion.prompt_block
+    canonical = sgcr.gateway.canonical_request_json
+
+    def recording_block(request):
+        blocks.append(render(request))
+        return blocks[-1]
+
+    def recording_canonical(request):
+        hashed.append(request)
+        return canonical(request)
+
+    monkeypatch.setattr(sgcr.explicit, "prompt_block", recording_block)
+    monkeypatch.setattr(sgcr.implicit, "prompt_block", recording_block)
+    monkeypatch.setattr(sgcr.gateway, "canonical_request_json", recording_canonical)
+    backend = _CountingBackend(sleep_s=0.0)
+    config = _chunked_config(tmp_path, ensemble_size=3)
+    final = run_review(config, make_review_request(), backend=backend)
+
+    # Five chunks, the proposer and at least one verifier prompt show the code.
+    assert len(blocks) > 6
+    assert all(block is blocks[0] for block in blocks)
+    assert backend.calls_for_role("patch_generator") > 0
+    assert final.clusters
+    assert len(hashed) == len(backend.call_log)
+
+
+def test_model_request_fingerprint_is_cached_per_instance():
+    base = ModelRequest(role="verifier", prompt="same prompt", seed=1)
+    assert base.fingerprint == request_fingerprint(base)
+    # replace builds a fresh instance, so a slot never inherits the cache.
+    for variant in ensemble_requests(base, EnsembleConfig(n=3, quorum=2, base_seed=5)):
+        fresh = ModelRequest(
+            role="verifier",
+            prompt="same prompt",
+            seed=variant.seed,
+            instance_index=variant.instance_index,
+        )
+        assert variant.fingerprint == request_fingerprint(fresh)
+        assert variant.fingerprint != base.fingerprint
 
 
 def test_full_run_with_patches_is_byte_identical_under_any_schedule(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import findings_json, make_library, make_spec
 from sgcr.errors import UnparsableResponse
 from sgcr.parsing import (
     extract_json_document,
@@ -14,7 +15,7 @@ from sgcr.parsing import (
     parse_proposals_response,
     parse_verdict_response,
 )
-from sgcr.types import Pathway, Severity, Verdict
+from sgcr.types import Category, Pathway, Severity, Verdict
 
 
 def test_extract_json_document_tolerates_prose_and_fences():
@@ -31,6 +32,35 @@ def test_extract_json_document_no_object():
         extract_json_document("no json here at all")
     with pytest.raises(UnparsableResponse):
         extract_json_document("{broken")
+
+
+def test_parse_findings_with_a_library_drops_unknown_ids_and_resolves_category(caplog):
+    library = make_library(
+        make_spec("sec.input", category=Category.SECURITY),
+        make_spec("style.naming", category=Category.STYLE),
+    )
+    text = findings_json(
+        {"start_line": 3, "description": "raw input", "spec_ids": ["ghost.rule", "sec.input"]},
+        {"start_line": 5, "description": "odd name", "spec_ids": ["style.naming"]},
+        {"start_line": 7, "description": "cites nothing known", "spec_ids": ["ghost.rule"]},
+    )
+    with caplog.at_level("WARNING", logger="sgcr.parsing"):
+        findings = parse_findings_response(text, Pathway.EXPLICIT, library)
+    assert [(f.spec_ids, f.category) for f in findings] == [
+        (("sec.input",), Category.SECURITY),
+        (("style.naming",), Category.STYLE),
+        ((), Category.MAINTAINABILITY),
+    ]
+    warnings = [record.getMessage() for record in caplog.records]
+    assert len(warnings) == 2
+    assert all("['ghost.rule']" in warning for warning in warnings)
+    assert findings[0].finding_id in warnings[0] and findings[2].finding_id in warnings[1]
+
+    # Without a library the ids stay as cited and the category is the default.
+    unresolved = parse_findings_response(text, Pathway.EXPLICIT)
+    assert unresolved[0].spec_ids == ("ghost.rule", "sec.input")
+    assert {f.category for f in unresolved} == {Category.MAINTAINABILITY}
+    assert [f.finding_id for f in unresolved] == [f.finding_id for f in findings]
 
 
 def test_parse_findings_two_valid_sorted():

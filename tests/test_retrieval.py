@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
 import random
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +22,7 @@ from sgcr.errors import (
 )
 from sgcr.retrieval import (
     DEFAULT_MOCK_DIMENSION,
+    REBUILD_HINT,
     EmbeddingVector,
     MockEmbeddingProvider,
     ScoredSpec,
@@ -29,6 +32,7 @@ from sgcr.retrieval import (
     embed_text,
     load_index,
     retrieve,
+    rule_digest,
     save_index,
     trigram_bucket,
 )
@@ -225,6 +229,55 @@ def test_save_load_round_trip(tmp_path):
     assert loaded == index
 
 
+def test_save_load_round_trips_every_bit_through_packed_vectors(tmp_path):
+    library = make_library(make_spec("r.one"), make_spec("r.two"))
+    values = [(5e-324, -0.0, 1 / 3, 1e308), (-5e-324, 0.0, -1 / 3, -1e308)]
+    index = VectorIndex(
+        entries=tuple(
+            (spec.id, EmbeddingVector(vector)) for spec, vector in zip(library.specs, values)
+        ),
+        dimension=4,
+        provider_id="mock",
+        digests=tuple(rule_digest(spec) for spec in library.specs),
+    )
+    path = tmp_path / "index.json"
+    save_index(index, path)
+
+    stored = json.loads(path.read_text(encoding="utf-8"))["entries"]
+    assert [struct.unpack("<4d", base64.b64decode(entry["vector"])) for entry in stored] == values
+    loaded = load_index(path, library)
+    assert loaded == index
+    bits = lambda i: [[value.hex() for value in vector.values] for _, vector in i.entries]
+    assert bits(loaded) == bits(index)  # tells -0.0 from 0.0, which == does not
+
+
+def test_load_index_rejects_decimal_vectors_and_packed_vectors_of_the_wrong_length(tmp_path):
+    library = make_library(make_spec("r.one"), make_spec("r.two"))
+    index = build_index(library, MockEmbeddingProvider(dimension=3))
+    path = tmp_path / "index.json"
+    save_index(index, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+
+    decimal = json.loads(json.dumps(payload))
+    for entry, (_, vector) in zip(decimal["entries"], index.entries):
+        del entry["vector"]
+        entry["values"] = list(vector.values)
+    path.write_text(json.dumps(decimal), encoding="utf-8")
+    with pytest.raises(IndexLibraryMismatch, match="decimal") as excinfo:
+        load_index(path, library)
+    assert str(excinfo.value).endswith(REBUILD_HINT)
+
+    for size in (2, 4):
+        short = json.loads(json.dumps(payload))
+        vector = struct.pack(f"<{size}d", *[0.5] * size)
+        short["entries"][1]["vector"] = base64.b64encode(vector).decode()
+        path.write_text(json.dumps(short), encoding="utf-8")
+        complaint = f"{8 * size} bytes for rule 'r.two'"
+        with pytest.raises(IndexLibraryMismatch, match=complaint) as excinfo:
+            load_index(path, library)
+        assert str(excinfo.value).endswith(REBUILD_HINT)
+
+
 def test_load_index_rejects_library_mismatch(tmp_path):
     library = make_library(make_spec("r.one"), make_spec("r.two"))
     index = build_index(library, MockEmbeddingProvider(dimension=16))
@@ -259,7 +312,18 @@ def test_load_index_rejects_edited_rules_and_missing_digests(tmp_path):
     assert "['r.one']" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("text", ["not json", "[]", '{"entries": [7]}', '{"entries": []}'])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[]",
+        '{"entries": [7]}',
+        '{"entries": []}',
+        '{"entries": [{"spec_id": "r.one", "vector": "AAA"}], "dimension": 1, "provider_id": "m"}',
+        '{"entries": [], "dimension": 0, "provider_id": "mock"}',
+        '{"entries": [], "dimension": -1, "provider_id": "mock"}',
+    ],
+)
 def test_load_index_rejects_a_file_that_is_not_an_index(tmp_path, text):
     path = tmp_path / "index.json"
     path.write_text(text, encoding="utf-8")
@@ -282,9 +346,13 @@ def test_retrieve_matches_brute_force_on_small_random_cases():
         k = rng.randint(0, size + 2)
         threshold = rng.uniform(-0.2, 0.9)
 
+        def score(vector):
+            # The generator-expression dot product, apart from cosine_similarity.
+            return max(-1.0, min(1.0, sum(a * b for a, b in zip(query.values, vector.values))))
+
         oracle = sorted(
             (
-                ScoredSpec(spec_id=spec_id, score=cosine_similarity(query, vector))
+                ScoredSpec(spec_id=spec_id, score=score(vector))
                 for spec_id, vector in index.entries
             ),
             key=lambda item: (-item.score, item.spec_id),
