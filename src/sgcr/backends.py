@@ -33,15 +33,18 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import BackendTimeout, FixtureMiss, MalformedWireResponse, RequestRejected, WireError
-from .gateway import ModelRequest, canonical_request, http_session, request_fingerprint
+from .gateway import (
+    ModelRequest,
+    canonical_request,
+    http_session,
+    rejects_request,
+    request_fingerprint,
+)
 from .prompts import Role
 
 logger = logging.getLogger(__name__)
 
 WIRE_RETRIES = 2
-
-# Request Timeout and Too Many Requests: the same request may succeed later.
-_TRANSIENT_CLIENT_ERRORS = (408, 429)
 
 _FILE_HEADER = re.compile(r"^FILE (\S+) \(lines (\d+)\.\.(\d+)\)", re.MULTILINE)
 _RULE_HEADER = re.compile(r"^RULE (\S+) ", re.MULTILINE)
@@ -223,7 +226,7 @@ class HttpBackend(BaseBackend):
                 status = reply.status_code
                 if status >= 500:
                     last_error = WireError(f"{url}: server error {status}")
-                elif 400 <= status < 500 and status not in _TRANSIENT_CLIENT_ERRORS:
+                elif rejects_request(status):
                     raise RequestRejected(f"{url}: status {status}: {reply.text[:200]}")
                 elif status != 200:
                     raise WireError(f"{url}: status {status}: {reply.text[:200]}")

@@ -205,6 +205,15 @@ def http_session() -> requests.Session:
     return session
 
 
+def rejects_request(status: int) -> bool:
+    """Whether an HTTP status refuses the request itself.
+
+    A 4xx other than 408 (request timeout) or 429 (rate limited): the same
+    request sent again would be refused again, so it is never retried.
+    """
+    return 400 <= status < 500 and status not in (408, 429)
+
+
 def use_pool(pool: Optional[Executor], workers: int) -> ContextManager[Executor]:
     """The caller's pool, or a fresh one sized for workers tasks."""
     return nullcontext(pool) if pool is not None else call_pool(workers)
@@ -293,13 +302,21 @@ def submit_ensemble(
     config: EnsembleConfig,
     parser: Callable[[str], T],
 ) -> PendingEnsemble[T]:
-    """Put the n diversified slots on the pool without waiting for them."""
+    """Put the n diversified slots on the pool without waiting for them.
+
+    Each slot's fingerprint is hashed here, on the submitting thread, before
+    the slot is submitted; every call needs it (generate stamps it on the
+    ModelResponse), so this adds no work. The canonical JSON of a long
+    prompt and its UTF-8 copy are then made and freed on one thread, not
+    in up to MAX_INFLIGHT pool workers at once, each allocating from its
+    own malloc arena; hashed in the workers, they raised a run's peak
+    resident memory.
+    """
+    slots = ensemble_requests(base_request, config)
+    for request in slots:
+        request.fingerprint  # a cached_property: hashed once, here
     return PendingEnsemble(
-        [
-            pool.submit(_run_slot, backend, request, parser)
-            for request in ensemble_requests(base_request, config)
-        ],
-        config,
+        [pool.submit(_run_slot, backend, request, parser) for request in slots], config
     )
 
 

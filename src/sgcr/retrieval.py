@@ -8,8 +8,14 @@ The mock provider hashes character trigrams of the lowercased text into d
 buckets (sha256 of the trigram, modulo d), counts them, and L2-normalizes;
 texts shorter than three characters count as a single trigram. It is
 deterministic across processes and needs no tokenizer or network. Each
-provider memoizes the bucket of every distinct trigram it has met, so a run
-(one provider) hashes each distinct trigram once, not once per occurrence.
+provider memoizes the bucket of every distinct trigram it has met, keyed by
+the trigram's three code points as a tuple, so a run (one provider) hashes
+each distinct trigram once, not once per occurrence. Forming the trigrams
+(zip over the text), looking them up (map over the memo) and counting the
+bucket hits (Counter) all run in C; Python runs once per trigram not yet
+met and once per distinct bucket hit, at most d times per text. The counts
+are small integers, so every float sum is exact and the vectors do not
+depend on the order of counting.
 
 A built index stores, beside each vector, the sha256 of the rule text it
 embedded (title + body); load_index rejects an index whose digests do not
@@ -35,6 +41,7 @@ import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Protocol
 
@@ -44,9 +51,10 @@ from .errors import (
     IndexLibraryMismatch,
     MalformedWireResponse,
     QueryDimensionMismatch,
+    RequestRejected,
     WireError,
 )
-from .gateway import http_session
+from .gateway import http_session, rejects_request
 from .specs import SpecLibrary, Specification
 
 logger = logging.getLogger(__name__)
@@ -71,10 +79,10 @@ class EmbeddingVector:
 
 
 def normalize(values: list[float]) -> EmbeddingVector:
-    norm = math.sqrt(sum(value * value for value in values))
+    norm = math.sqrt(sum(map(operator.mul, values, values)))
     if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
-    return EmbeddingVector(tuple(value / norm for value in values))
+    return EmbeddingVector(tuple(map(operator.truediv, values, repeat(norm))))
 
 
 class EmbeddingProvider(Protocol):
@@ -95,28 +103,39 @@ class MockEmbeddingProvider:
         self.dimension = dimension
         self.call_log: list[str] = []
         self._lock = threading.Lock()
-        # gram -> trigram_bucket(gram, dimension), filled as grams are met.
-        # Pool threads share it without the lock: each slot's value is a
-        # pure function of its key, so a race can only compute the same
-        # bucket twice, and a single dict read or write is atomic.
-        self._buckets: dict[str, int] = {}
+        self._buckets = _BucketMemo(dimension)
 
     def embed(self, text: str) -> list[float]:
         with self._lock:
             self.call_log.append(text)
         lowered = text.lower()
         if len(lowered) >= 3:
-            grams = Counter([lowered[i : i + 3] for i in range(len(lowered) - 2)])
+            grams = zip(lowered, lowered[1:], lowered[2:])
         else:
-            grams = Counter([lowered])
+            grams = ((lowered,),)
         counts = [0.0] * self.dimension
-        buckets = self._buckets
-        for gram, count in grams.items():
-            bucket = buckets.get(gram)
-            if bucket is None:
-                bucket = buckets[gram] = trigram_bucket(gram, self.dimension)
-            counts[bucket] += count
+        for bucket, hits in Counter(map(self._buckets.__getitem__, grams)).items():
+            counts[bucket] += hits
         return counts
+
+
+class _BucketMemo(dict):
+    """Trigram code points -> trigram_bucket of their string, filled on a miss.
+
+    Pool threads share it without the lock: a bucket is a pure function of
+    its key, so two threads missing the same key at once only compute the
+    same bucket twice, and a single dict read or write is atomic. A text
+    shorter than three code points is looked up as a 1-tuple, which no
+    trigram key equals.
+    """
+
+    def __init__(self, dimension: int) -> None:
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, key: tuple[str, ...]) -> int:
+        bucket = self[key] = trigram_bucket("".join(key), self.dimension)
+        return bucket
 
 
 def trigram_bucket(gram: str, dimension: int) -> int:
@@ -125,7 +144,12 @@ def trigram_bucket(gram: str, dimension: int) -> int:
 
 
 class HttpEmbeddingProvider:
-    """OpenAI-style /v1/embeddings endpoint; dimension fixed on first call."""
+    """OpenAI-style /v1/embeddings endpoint.
+
+    The first reply fixes the dimension. A reply that is not a non-empty
+    list of finite numbers of that length, with a norm that normalize can
+    divide by, raises MalformedWireResponse.
+    """
 
     provider_id = "http"
 
@@ -166,6 +190,8 @@ class HttpEmbeddingProvider:
             )
         except requests.RequestException as exc:
             raise WireError(f"embedding request failed: {exc}") from exc
+        if rejects_request(reply.status_code):
+            raise RequestRejected(f"embedding endpoint status {reply.status_code}")
         if reply.status_code != 200:
             raise WireError(f"embedding endpoint status {reply.status_code}")
         try:
@@ -174,10 +200,28 @@ class HttpEmbeddingProvider:
             raise MalformedWireResponse(f"bad embedding response: {exc}") from exc
         if not isinstance(values, list) or not values:
             raise MalformedWireResponse("embedding is not a non-empty list")
+        # JSON numbers parse to int or float; this also refuses true/false.
+        if not all(type(value) in (int, float) for value in values):
+            raise MalformedWireResponse("embedding holds an element that is not a number")
+        try:
+            floats = [float(value) for value in values]
+        except OverflowError as exc:
+            raise MalformedWireResponse(f"embedding element out of range: {exc}") from exc
+        if not all(map(math.isfinite, floats)):
+            raise MalformedWireResponse("embedding holds NaN or an infinity")
+        # The sum normalize takes the root of: zero or an overflow would leave
+        # a vector with no direction.
+        if not 0.0 < sum(map(operator.mul, floats, floats)) < math.inf:
+            raise MalformedWireResponse("embedding is all zeros, or too small or large to normalize")
         with self._lock:
             if self.dimension == 0:
-                self.dimension = len(values)
-        return [float(value) for value in values]
+                self.dimension = len(floats)
+            dimension = self.dimension
+        if len(floats) != dimension:
+            raise MalformedWireResponse(
+                f"embedding has {len(floats)} values, the first reply had {dimension}"
+            )
+        return floats
 
 
 def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:

@@ -24,6 +24,8 @@ from sgcr.errors import (
     EnsembleError,
     FixtureMiss,
     IndexLibraryMismatch,
+    MalformedWireResponse,
+    RequestRejected,
     UnparsableResponse,
     WireError,
 )
@@ -218,6 +220,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
     seen: list[dict] = []
     headers_seen: list[dict] = []
     status_plan: list[int] = []
+    # Raw JSON text of each embedding reply's vector, served in order.
+    embedding_plan: list[str] = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -230,12 +234,16 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"{}")
             return
-        reply = {
-            "choices": [
-                {"message": {"content": f"echo seed={body.get('seed')} t={body.get('temperature')}"}}
-            ]
-        }
-        raw = json.dumps(reply).encode("utf-8")
+        if self.path == "/v1/embeddings":
+            vector = type(self).embedding_plan.pop(0)
+            raw = ('{"data": [{"embedding": %s}]}' % vector).encode("utf-8")
+        else:
+            reply = {
+                "choices": [
+                    {"message": {"content": f"echo seed={body.get('seed')} t={body.get('temperature')}"}}
+                ]
+            }
+            raw = json.dumps(reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -251,6 +259,7 @@ def chat_server():
     _ChatHandler.seen = []
     _ChatHandler.headers_seen = []
     _ChatHandler.status_plan = []
+    _ChatHandler.embedding_plan = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -330,6 +339,65 @@ def test_a_slot_retries_a_server_error_after_the_wire_retries(chat_server):
     assert results == ["echo seed=4 t=0.0"]
     assert (stats.calls, stats.failures) == (2, 0)
     assert len(handler.seen) == 2 + WIRE_RETRIES
+
+
+def test_http_embeddings_keep_the_length_of_the_first_reply(chat_server):
+    base_url, handler = chat_server
+    handler.embedding_plan = ["[0.6, 0.8]", "[0.6, 0.8, 0.0]", "[1, 0]"]
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    try:
+        assert provider.embed("first") == [0.6, 0.8]
+        with pytest.raises(MalformedWireResponse, match="3 values, the first reply had 2"):
+            provider.embed("second")
+        assert provider.embed("third") == [1.0, 0.0]
+    finally:
+        provider.close()
+    assert provider.dimension == 2
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        "[0, 0.0]",
+        '[0.5, "0.5"]',
+        "[0.5, null]",
+        "[true, 1]",
+        "[NaN, 1.0]",
+        "[Infinity, 1.0]",
+        "[1e-200, 1e-200]",  # the squares underflow to a zero norm
+        "[1e200, 1]",  # the square overflows
+        "[" + "9" * 400 + ", 1]",  # an integer no float holds
+    ],
+    ids=["zeros", "string", "null", "bool", "nan", "infinity", "underflow", "overflow", "huge-int"],
+)
+def test_http_embeddings_reject_a_vector_that_cannot_be_normalized(chat_server, vector):
+    base_url, handler = chat_server
+    handler.embedding_plan = [vector]
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    try:
+        with pytest.raises(MalformedWireResponse):
+            provider.embed("text")
+    finally:
+        provider.close()
+    assert provider.dimension == 0
+
+
+def test_http_embeddings_reject_client_errors_other_than_408_and_429(chat_server):
+    base_url, handler = chat_server
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    try:
+        for status in (400, 401, 404):
+            handler.status_plan = [status]
+            with pytest.raises(RequestRejected, match=f"status {status}"):
+                provider.embed("text")
+        for status in (408, 429, 500):
+            handler.status_plan = [status]
+            with pytest.raises(WireError, match=f"status {status}") as raised:
+                provider.embed("text")
+            assert not isinstance(raised.value, RequestRejected)
+    finally:
+        provider.close()
+    assert len(handler.seen) == 6
 
 
 def test_record_then_replay_round_trip(chat_server, tmp_path):
@@ -587,6 +655,28 @@ def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
     assert backend.calls_for_role("patch_generator") > 0
     assert final.clusters
     assert len(hashed) == len(backend.call_log)
+
+
+def test_every_ensemble_slot_is_hashed_before_it_reaches_the_backend(tmp_path):
+    arrivals = []
+
+    class _ArrivalBackend(_CountingBackend):
+        def complete(self, request):
+            # cached_property keeps the fingerprint in the instance dict.
+            arrivals.append((request.role, "fingerprint" in vars(request)))
+            return super().complete(request)
+
+    backend = _ArrivalBackend(sleep_s=0.0)
+    run_review(_chunked_config(tmp_path, ensemble_size=3), make_review_request(), backend=backend)
+
+    slots = [
+        hashed
+        for role, hashed in arrivals
+        if role in (Role.EXPLICIT_REVIEWER.value, Role.VERIFIER.value)
+    ]
+    # Five chunks of three reviewers, and at least one verifier ensemble.
+    assert len(slots) >= 5 * 3 + 3
+    assert all(slots)
 
 
 def test_model_request_fingerprint_is_cached_per_instance():

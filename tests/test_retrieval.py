@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import make_library, make_spec
+from conftest import REPO_ROOT, make_library, make_spec
 from sgcr.errors import (
     DimensionMismatch,
     EmptyText,
@@ -31,11 +31,13 @@ from sgcr.retrieval import (
     cosine_similarity,
     embed_text,
     load_index,
+    normalize,
     retrieve,
     rule_digest,
     save_index,
     trigram_bucket,
 )
+from sgcr.specs import load_library
 
 
 def test_trigram_bucket_is_deterministic_and_in_range():
@@ -120,6 +122,42 @@ def test_mock_embedding_matches_the_per_trigram_reference_on_random_texts():
     finally:
         sys.setswitchinterval(interval)
     assert results == [serial] * 8
+
+
+def _normalize_reference(values: list[float]) -> tuple[float, ...]:
+    """normalize spelled out with generator expressions."""
+    norm = math.sqrt(sum(value * value for value in values))
+    return tuple(value / norm for value in values)
+
+
+def _hex(values) -> list[str]:
+    return [float.hex(value) for value in values]
+
+
+def test_mock_embedding_and_normalize_match_the_references_bit_for_bit():
+    # Astral code points, CRLF, tabs, combining marks and "İ" (two code
+    # points once lowered), at lengths from 0 to 5,000.
+    alphabet = ["a", "B", " ", "\t", "\r\n", "😀", "𝔘", "e\u0301", "\u0300", "İ", "Σ", "ẞ"]
+    rng = random.Random(29)
+    texts = ["😀𝔘", "😀", "\r\n", "a\r\nb", "\t\t\t", "e\u0301", "İ", "xİ", "x" * 5000]
+    for length in (0, 1, 2, 3, 4, 5, 31, 400, 1800, 5000):
+        texts.append("".join(rng.choice(alphabet) for _ in range(length))[:length])
+    for dimension in (1, 7, 64, 300):
+        provider = MockEmbeddingProvider(dimension=dimension)
+        for text in texts:
+            raw = provider.embed(text)
+            assert raw == _per_trigram_reference(text, dimension)
+            assert _hex(normalize(raw).values) == _hex(_normalize_reference(raw))
+
+    library = load_library(REPO_ROOT / "sample_specs")
+    for dimension in (1, 7, 64, 300):
+        index = build_index(library, MockEmbeddingProvider(dimension=dimension))
+        for spec, (spec_id, vector) in zip(library.specs, index.entries, strict=True):
+            assert spec_id == spec.id
+            expected = _normalize_reference(
+                _per_trigram_reference(spec.title + spec.body, dimension)
+            )
+            assert _hex(vector.values) == _hex(expected)
 
 
 def test_mock_provider_rejects_bad_dimension():
