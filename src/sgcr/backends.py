@@ -23,7 +23,6 @@ request object>, "response_text": <string>}``.
 from __future__ import annotations
 
 import json
-import logging
 import random
 import re
 import threading
@@ -41,10 +40,6 @@ from .gateway import (
     request_fingerprint,
 )
 from .prompts import Role
-
-logger = logging.getLogger(__name__)
-
-WIRE_RETRIES = 2
 
 _FILE_HEADER = re.compile(r"^FILE (\S+) \(lines (\d+)\.\.(\d+)\)", re.MULTILINE)
 _RULE_HEADER = re.compile(r"^RULE (\S+) ", re.MULTILINE)
@@ -176,7 +171,12 @@ class ReplayBackend(BaseBackend):
 
 
 class HttpBackend(BaseBackend):
-    """OpenAI-style chat completions endpoint with bounded retries."""
+    """OpenAI-style chat completions endpoint, one POST per call.
+
+    A timeout raises BackendTimeout; another transport error, a 5xx, 408 or
+    429 raises WireError; any other 4xx raises RequestRejected. Retrying is
+    the caller's: every call goes through gateway.attempt_call.
+    """
 
     backend_id = "http"
 
@@ -214,27 +214,18 @@ class HttpBackend(BaseBackend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         url = f"{self.base_url}/v1/chat/completions"
 
-        last_error: WireError = WireError("no attempt made")
-        for attempt in range(1 + WIRE_RETRIES):
-            try:
-                reply = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.Timeout as exc:
-                last_error = BackendTimeout(f"{url}: {exc}")
-            except requests.RequestException as exc:
-                last_error = WireError(f"{url}: {exc}")
-            else:
-                status = reply.status_code
-                if status >= 500:
-                    last_error = WireError(f"{url}: server error {status}")
-                elif rejects_request(status):
-                    raise RequestRejected(f"{url}: status {status}: {reply.text[:200]}")
-                elif status != 200:
-                    raise WireError(f"{url}: status {status}: {reply.text[:200]}")
-                else:
-                    return _extract_message(reply)
-            if attempt < WIRE_RETRIES:
-                logger.warning("wire attempt %d failed (%s), retrying", attempt + 1, last_error)
-        raise last_error
+        try:
+            reply = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
+        except requests.Timeout as exc:
+            raise BackendTimeout(f"{url}: {exc}") from exc
+        except requests.RequestException as exc:
+            raise WireError(f"{url}: {exc}") from exc
+        status = reply.status_code
+        if rejects_request(status):
+            raise RequestRejected(f"{url}: status {status}: {reply.text[:200]}")
+        if status != 200:
+            raise WireError(f"{url}: status {status}: {reply.text[:200]}")
+        return _extract_message(reply)
 
 
 def _extract_message(reply) -> str:

@@ -34,7 +34,10 @@ class MissingSlot(SgcrError):
 
 
 class WireError(SgcrError):
-    """HTTP transport failure after retries."""
+    """One HTTP attempt failed in transport, or with a 5xx, 408 or 429.
+
+    gateway.attempt_call retries it, up to 1 + SLOT_RETRIES attempts.
+    """
 
 
 class RequestRejected(WireError):

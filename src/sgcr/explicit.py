@@ -31,7 +31,7 @@ from .gateway import (
     PooledBackend,
     generate,
     submit_ensemble,
-    use_pool,
+    with_retries,
 )
 from .ingestion import ReviewRequest, prompt_block
 from .matching import cluster_tagged, findings_equivalent, merge_to_maxima
@@ -188,10 +188,8 @@ def aggregate_candidates(
         indent=2,
     )
     prompt = render_prompt(Role.AGGREGATOR, {"candidates": payload})
-    response = generate(
-        backend,
-        ModelRequest(role=Role.AGGREGATOR.value, prompt=prompt, temperature=0.0),
-    )
+    aggregator = ModelRequest(role=Role.AGGREGATOR.value, prompt=prompt, temperature=0.0)
+    response = with_retries(lambda: generate(backend, aggregator))
     aggregated = parse_findings_response(response.text, Pathway.EXPLICIT, library)
     kept: list[Finding] = []
     for finding in aggregated:
@@ -249,10 +247,8 @@ def synthesize_partials(
             [finding_payload(f) for f in findings], sort_keys=True, indent=2
         )
         prompt = render_prompt(Role.SYNTHESIZER, {"candidates": payload})
-        response = generate(
-            backend,
-            ModelRequest(role=Role.SYNTHESIZER.value, prompt=prompt, temperature=0.0),
-        )
+        synthesizer = ModelRequest(role=Role.SYNTHESIZER.value, prompt=prompt, temperature=0.0)
+        response = with_retries(lambda: generate(backend, synthesizer))
         summary = response.text.strip()
     return PathwayReport(pathway=Pathway.EXPLICIT, findings=findings, summary=summary)
 
@@ -266,16 +262,18 @@ def run_explicit(
     aggregation_mode: str = "deterministic",
     model_summary: bool = False,
     run_id: str = "",
-    pool: Optional[Executor] = None,
+    *,
+    pool: Executor,
 ) -> PathwayReport:
     """Segment the rule library, review every chunk, and synthesize.
 
-    Chunk ensembles go on the call pool (the run's pool when given, else
-    one of this call's own) up to a pool's worth of slots ahead of
-    collection, so every chunk is in flight at once whenever the chunks'
-    slots fit under MAX_INFLIGHT. Results are collected and aggregated in
-    chunk order, so the report is identical whatever the completion order.
-    Raises EnsembleError when any chunk exceeds its failure budget.
+    Chunk ensembles go on the run's call pool up to a pool's worth of
+    slots ahead of collection, so every chunk is in flight at once whenever
+    the chunks' slots fit under MAX_INFLIGHT. Results are collected and
+    aggregated in chunk order, so the report is identical whatever the
+    completion order. Model-mode aggregation and the model summary retry
+    their call (gateway.with_retries) but not its parsing. Raises
+    EnsembleError when any chunk exceeds its failure budget.
     """
     if not request.units:
         raise InvalidReviewRequest("explicit review needs at least one unit")
@@ -288,38 +286,36 @@ def run_explicit(
     def parse(text: str) -> list[Finding]:
         return parse_findings_response(text, Pathway.EXPLICIT, library)
 
-    with use_pool(pool, len(chunks) * ensemble.n) as calls:
+    def submit(chunk: SpecChunk) -> PendingEnsemble:
+        return submit_ensemble(
+            pool,
+            backend,
+            _reviewer_request(request, chunk, library, ensemble),
+            ensemble,
+            parse,
+        )
 
-        def submit(chunk: SpecChunk) -> PendingEnsemble:
-            return submit_ensemble(
-                calls,
-                backend,
-                _reviewer_request(request, chunk, library, ensemble),
-                ensemble,
-                parse,
+    pending = deque(submit(chunk) for chunk in chunks[:ahead])
+    # Model-mode aggregation and the model summary call from this thread;
+    # routed through the pool, they count against its cap.
+    pooled = PooledBackend(backend, pool)
+    calls_total = 0
+    absent_total = 0
+    partials = []
+    for position, chunk in enumerate(chunks):
+        candidates, calls_made = review_chunk_ensemble(chunk, pending.popleft())
+        if position + ahead < len(chunks):
+            pending.append(submit(chunks[position + ahead]))
+        calls_total += calls_made
+        absent_total += ensemble.n - len(candidates)
+        partials.append(
+            aggregate_candidates(
+                chunk, candidates, ensemble, aggregation_mode, backend=pooled, library=library
             )
-
-        pending = deque(submit(chunk) for chunk in chunks[:ahead])
-        # Model-mode aggregation and the model summary call from this
-        # thread; routed through the pool, they count against its cap.
-        pooled = PooledBackend(backend, calls)
-        calls_total = 0
-        absent_total = 0
-        partials = []
-        for position, chunk in enumerate(chunks):
-            candidates, calls_made = review_chunk_ensemble(chunk, pending.popleft())
-            if position + ahead < len(chunks):
-                pending.append(submit(chunks[position + ahead]))
-            calls_total += calls_made
-            absent_total += ensemble.n - len(candidates)
-            partials.append(
-                aggregate_candidates(
-                    chunk, candidates, ensemble, aggregation_mode, backend=pooled, library=library
-                )
-                if candidates
-                else AggregatedReview(chunk.ordinal, (), 0)
-            )
-        report = synthesize_partials(partials, backend=pooled, model_summary=model_summary)
+            if candidates
+            else AggregatedReview(chunk.ordinal, (), 0)
+        )
+    report = synthesize_partials(partials, backend=pooled, model_summary=model_summary)
     stats = freeze_stats(
         {
             "pathway": Pathway.EXPLICIT.value,

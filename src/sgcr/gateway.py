@@ -11,6 +11,10 @@ flight). Ensembles are submit-then-collect: submit_ensemble puts the slots
 on the pool and PendingEnsemble.collect gathers them in instance order, so
 callers can have many ensembles in flight and still assemble results in a
 fixed order.
+
+Backends and embedding providers make one attempt per call. attempt_call
+holds the only retry loop: every model and embedding call passes through
+it, so each is sent at most 1 + SLOT_RETRIES times.
 """
 
 from __future__ import annotations
@@ -19,13 +23,12 @@ import hashlib
 import json
 import logging
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Callable,
-    ContextManager,
     Generic,
     Iterator,
     Optional,
@@ -44,7 +47,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_OUTPUT_TOKENS = 2048
 
-# Retries per ensemble slot on transport or parse failures, same seed each time.
+# Retries per call (ensemble slot, single call or embedding) on transport or
+# parse failures, with the same request each time.
 SLOT_RETRIES = 2
 
 # Model calls in flight at once, per run, across both pathways and patches.
@@ -169,17 +173,16 @@ T = TypeVar("T")
 
 
 @contextmanager
-def call_pool(workers: int = MAX_INFLIGHT) -> Iterator[Executor]:
-    """A bounded pool for model calls: at most MAX_INFLIGHT run at once.
+def call_pool() -> Iterator[Executor]:
+    """A run's pool for model and embedding calls: at most MAX_INFLIGHT at once.
 
-    Only leaf tasks go on it (one ensemble slot, one patch or proposer
-    call); no task waits on the pool, so it cannot deadlock. On exit,
-    queued tasks are cancelled and the workers joined, so a run that
-    raised makes no further calls and leaves no threads behind.
+    Only leaf tasks go on it (one ensemble slot with its retries, one
+    attempt of a single call, one grounding); no task waits on the pool,
+    so it cannot deadlock. On exit, queued tasks are cancelled and the
+    workers joined, so a run that raised makes no further calls and leaves
+    no threads behind.
     """
-    pool = ThreadPoolExecutor(
-        max_workers=max(1, min(workers, MAX_INFLIGHT)), thread_name_prefix="sgcr-call"
-    )
+    pool = ThreadPoolExecutor(max_workers=MAX_INFLIGHT, thread_name_prefix="sgcr-call")
     try:
         yield pool
     finally:
@@ -214,11 +217,6 @@ def rejects_request(status: int) -> bool:
     return 400 <= status < 500 and status not in (408, 429)
 
 
-def use_pool(pool: Optional[Executor], workers: int) -> ContextManager[Executor]:
-    """The caller's pool, or a fresh one sized for workers tasks."""
-    return nullcontext(pool) if pool is not None else call_pool(workers)
-
-
 class PooledBackend:
     """A backend whose calls run on a pool, so they count against its cap.
 
@@ -235,34 +233,43 @@ class PooledBackend:
         return self._pool.submit(self._backend.complete, request).result()
 
 
-def _run_slot(
-    backend: ModelBackend, request: ModelRequest, parser: Callable[[str], T]
-) -> tuple[Optional[T], Optional[SgcrError], int]:
-    """One ensemble slot: (parsed value or None, last error, attempts made).
+def attempt_call(call: Callable[[], T]) -> tuple[Optional[T], Optional[SgcrError], int]:
+    """Make one call with retries: (value or None, error or None, attempts made).
 
-    Attempted up to 1 + SLOT_RETRIES times (same seed) when the transport
-    fails or the response does not parse. Other errors are never retried:
-    replay lookups are deterministic (a fixture miss), and an endpoint that
+    The call is attempted up to 1 + SLOT_RETRIES times when the transport
+    fails (WireError) or the response does not parse (UnparsableResponse).
+    Other errors end it at once: replay lookups are deterministic (a fixture
+    miss), a malformed wire reply is a protocol fault, and an endpoint that
     rejected the request (RequestRejected) would reject it again.
     """
     last_error: SgcrError = UnparsableResponse("no attempt made")
     for attempt in range(1 + SLOT_RETRIES):
         try:
-            return parser(generate(backend, request).text), None, attempt + 1
+            return call(), None, attempt + 1
         except RequestRejected as exc:
             return None, exc, attempt + 1
         except (WireError, UnparsableResponse) as exc:
             last_error = exc
             if attempt < SLOT_RETRIES:
-                logger.warning(
-                    "slot %d attempt %d failed (%s), retrying",
-                    request.instance_index,
-                    attempt + 1,
-                    exc,
-                )
+                logger.warning("call attempt %d failed (%s), retrying", attempt + 1, exc)
         except SgcrError as exc:
             return None, exc, attempt + 1
     return None, last_error, 1 + SLOT_RETRIES
+
+
+def with_retries(call: Callable[[], T]) -> T:
+    """attempt_call's value, or its last error raised."""
+    value, error, _ = attempt_call(call)
+    if error is not None:
+        raise error
+    return value  # type: ignore[return-value]
+
+
+def run_slot(
+    backend: ModelBackend, request: ModelRequest, parser: Callable[[str], T]
+) -> tuple[Optional[T], Optional[SgcrError], int]:
+    """One ensemble slot, generated and parsed under attempt_call."""
+    return attempt_call(lambda: parser(generate(backend, request).text))
 
 
 class PendingEnsemble(Generic[T]):
@@ -316,7 +323,7 @@ def submit_ensemble(
     for request in slots:
         request.fingerprint  # a cached_property: hashed once, here
     return PendingEnsemble(
-        [pool.submit(_run_slot, backend, request, parser) for request in slots], config
+        [pool.submit(run_slot, backend, request, parser) for request in slots], config
     )
 
 

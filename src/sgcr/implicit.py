@@ -18,17 +18,14 @@ from concurrent.futures import Executor, Future
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .errors import EnsembleError, RequestRejected, SgcrError, UnparsableResponse, WireError
+from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
 from .gateway import (
-    MAX_INFLIGHT,
-    SLOT_RETRIES,
     EnsembleConfig,
     ModelBackend,
     ModelRequest,
     PendingEnsemble,
-    generate,
+    run_slot,
     submit_ensemble,
-    use_pool,
 )
 from .ingestion import ReviewRequest, prompt_block
 from .parsing import parse_proposals_response, parse_verdict_response
@@ -79,31 +76,26 @@ def propose_issues(
     seed: int = 0,
     max_proposals: int = MAX_PROPOSALS,
 ) -> tuple[list[HypotheticalIssue], int]:
-    """One proposer call with bounded retries.
+    """One proposer call, run as a one-slot ensemble (instance 0, seed seed).
 
-    An unusable response after retries, or a request the endpoint rejected
-    (never retried), yields zero proposals rather than a failed run;
-    discovery finding nothing is a valid outcome. Duplicate proposals (same
-    content hash) collapse to the first occurrence and the list is capped
-    in response order. Returns (issues, calls made).
+    A transport failure or an unparsable response after the slot's
+    retries, or a request the endpoint rejected (never retried), yields
+    zero proposals rather than a failed run; discovery finding nothing is a
+    valid outcome. Any other error, such as a replay fixture miss, is
+    raised. Duplicate proposals (same content hash) collapse to the first
+    occurrence and the list is capped in response order. Returns (issues,
+    calls made).
     """
     prompt = render_prompt(Role.PROPOSER, {"code": prompt_block(request)})
     base = ModelRequest(
         role=Role.PROPOSER.value, prompt=prompt, temperature=temperature, seed=seed
     )
-    calls = 0
-    for attempt in range(1 + SLOT_RETRIES):
-        calls += 1
-        try:
-            response = generate(backend, base)
-            proposals = parse_proposals_response(response.text)
-            break
-        except (WireError, UnparsableResponse) as exc:
-            if attempt < SLOT_RETRIES and not isinstance(exc, RequestRejected):
-                logger.warning("proposer attempt %d failed (%s), retrying", attempt + 1, exc)
-                continue
-            logger.warning("proposer failed after %d attempts: %s", calls, exc)
-            return [], calls
+    proposals, error, calls = run_slot(backend, base, parse_proposals_response)
+    if isinstance(error, (WireError, UnparsableResponse)):
+        logger.warning("proposer failed after %d attempts: %s", calls, error)
+        return [], calls
+    if error is not None:
+        raise error
     seen: set[str] = set()
     unique: list[HypotheticalIssue] = []
     for issue in proposals:
@@ -265,67 +257,66 @@ def run_implicit(
     allow_ungrounded: bool = False,
     soft_fail: bool = True,
     run_id: str = "",
-    pool: Optional[Executor] = None,
+    *,
+    pool: Executor,
 ) -> PathwayReport:
     """Propose, ground, verify, and assemble the discovery report.
 
-    Every model and embedding call goes on the call pool (the run's pool
-    when given, else one of this call's own). The proposer call is
-    submitted first and get_index, which loads or builds the index, runs
-    while it is in flight; its errors always propagate, because a broken
-    index is a configuration problem, not a degraded pathway. Then every
-    issue is grounded on the pool, and in proposal order each grounded
-    issue's verifier slots are submitted; outcomes are collected in
-    proposal order. An issue that retrieves nothing is skipped unless
-    ungrounded verification is allowed. A verification ensemble that
-    exhausts its failure budget rejects that one issue rather than the
-    pathway. With soft_fail (the default) any other error inside the
+    Every model and embedding call goes on the run's call pool. The
+    proposer call is submitted first and get_index, which loads or builds
+    the index, runs while it is in flight; its errors always propagate,
+    because a broken index is a configuration problem, not a degraded
+    pathway. Then every issue is grounded on the pool, and in proposal
+    order each grounded issue's verifier slots are submitted; outcomes are
+    collected in proposal order. An issue that retrieves nothing is skipped
+    unless ungrounded verification is allowed. A verification ensemble
+    that exhausts its failure budget rejects that one issue rather than
+    the pathway. With soft_fail (the default) any other error inside the
     pathway degrades it to an empty report carrying the error in its
     stats.
     """
-    with use_pool(pool, MAX_INFLIGHT) as calls:
-        proposal = calls.submit(
-            propose_issues,
+    proposal = pool.submit(
+        propose_issues,
+        request,
+        backend,
+        temperature=ensemble.temperature,
+        seed=ensemble.base_seed,
+        max_proposals=max_proposals,
+    )
+    index = get_index()
+    try:
+        return _run_implicit(
             request,
+            library,
             backend,
-            temperature=ensemble.temperature,
-            seed=ensemble.base_seed,
-            max_proposals=max_proposals,
+            provider,
+            index,
+            ensemble,
+            k,
+            threshold,
+            allow_ungrounded,
+            run_id,
+            pool,
+            proposal,
         )
-        index = get_index()
-        try:
-            return _run_implicit(
-                request,
-                library,
-                backend,
-                provider,
-                index,
-                ensemble,
-                k,
-                threshold,
-                allow_ungrounded,
-                run_id,
-                calls,
-                proposal,
-            )
-        except SgcrError as exc:
-            if not soft_fail:
-                raise
-            logger.error("implicit pathway degraded: %s", exc)
-            stats = freeze_stats(
-                {
-                    "pathway": Pathway.IMPLICIT.value,
-                    "degraded": True,
-                    "error": str(exc),
-                    "run_id": run_id,
-                }
-            )
-            return PathwayReport(
-                pathway=Pathway.IMPLICIT,
-                findings=(),
-                summary="discovery pathway unavailable for this run",
-                stats=stats,
-            )
+    except SgcrError as exc:
+        if not soft_fail:
+            raise
+        logger.error("implicit pathway degraded: %s", exc)
+        stats = freeze_stats(
+            {
+                "pathway": Pathway.IMPLICIT.value,
+                "degraded": True,
+                "error": str(exc),
+                "run_id": run_id,
+            }
+        )
+        return PathwayReport(
+            pathway=Pathway.IMPLICIT,
+            findings=(),
+            summary="discovery pathway unavailable for this run",
+            stats=stats,
+        )
 
 
 def _run_implicit(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .errors import DiffSyntaxError, PatchDoesNotApply, SgcrError, UnparsableResponse, WireError
-from .gateway import ModelBackend, ModelRequest, generate, use_pool
+from .gateway import ModelBackend, ModelRequest, generate, with_retries
 from .ingestion import ReviewRequest, apply_file_diff, parse_unified_diff, unit_for_location
 from .matching import cluster_findings, merge_to_maxima
 from .parsing import parse_patch_response
@@ -190,12 +190,13 @@ def generate_patch(
     backend: ModelBackend,
     seed: int = 0,
 ) -> Optional[PatchSuggestion]:
-    """One patch attempt for a cluster; None whenever the result is unusable.
+    """One patch for a cluster; None whenever the result is unusable.
 
-    The model sees the raw snippet (no line numbering) and must return a
-    unified diff against that snippet alone: exactly one file section, at
-    least one hunk, applying cleanly. Anything else is discarded; a bad
-    patch is worse than no patch.
+    The call is retried on transport failures (gateway.with_retries); its
+    reply is parsed once. The model sees the raw snippet (no line
+    numbering) and must return a unified diff against that snippet alone:
+    exactly one file section, at least one hunk, applying cleanly. Anything
+    else is discarded; a bad patch is worse than no patch.
     """
     finding = cluster.representative
     unit = unit_for_location(request, finding.file, finding.start_line)
@@ -227,13 +228,11 @@ def generate_patch(
         Role.PATCH_GENERATOR,
         {"code": unit.content, "finding": finding_text, "specs": specs_text},
     )
+    patch_request = ModelRequest(
+        role=Role.PATCH_GENERATOR.value, prompt=prompt, temperature=0.0, seed=seed
+    )
     try:
-        response = generate(
-            backend,
-            ModelRequest(
-                role=Role.PATCH_GENERATOR.value, prompt=prompt, temperature=0.0, seed=seed
-            ),
-        )
+        response = with_retries(lambda: generate(backend, patch_request))
         diff_text, explanation = parse_patch_response(response.text)
         diffs = parse_unified_diff(diff_text)
         if len(diffs) != 1 or not diffs[0].hunks:
@@ -259,14 +258,15 @@ def attach_patches(
     library: SpecLibrary,
     backend: ModelBackend,
     seed: int = 0,
-    pool: Optional[Executor] = None,
+    *,
+    pool: Executor,
 ) -> FinalReport:
-    """Generate patches on the call pool, attach in cluster order.
+    """Generate patches on the run's call pool, attach in cluster order.
 
-    Every patch call is submitted at once (to the run's pool when given,
-    else to one of this call's own). Clusters whose representative cites
-    no known rule are skipped without a model call; generation failures
-    only cost the patch. Outcome counts land in the report's patch_stats.
+    Every patch call is submitted at once. Clusters whose representative
+    cites no known rule are skipped without a model call; generation
+    failures only cost the patch. Outcome counts land in the report's
+    patch_stats.
     """
     clusters = list(report.clusters)
     eligible = [
@@ -275,21 +275,20 @@ def attach_patches(
         if any(spec_id in library for spec_id in cluster.representative.spec_ids)
     ]
     attached = 0
-    with use_pool(pool, len(eligible)) as calls:
-        futures = {
-            index: calls.submit(generate_patch, clusters[index], request, library, backend, seed)
-            for index in eligible
-        }
-        for index in eligible:
-            patch = futures[index].result()
-            if patch is None:
-                continue
-            cluster = clusters[index]
-            clusters[index] = replace(
-                cluster,
-                representative=replace(cluster.representative, patch=patch),
-            )
-            attached += 1
+    futures = {
+        index: pool.submit(generate_patch, clusters[index], request, library, backend, seed)
+        for index in eligible
+    }
+    for index in eligible:
+        patch = futures[index].result()
+        if patch is None:
+            continue
+        cluster = clusters[index]
+        clusters[index] = replace(
+            cluster,
+            representative=replace(cluster.representative, patch=patch),
+        )
+        attached += 1
     stats = {
         "attempted": len(eligible),
         "attached": attached,

@@ -54,7 +54,7 @@ from .errors import (
     RequestRejected,
     WireError,
 )
-from .gateway import http_session, rejects_request
+from .gateway import http_session, rejects_request, with_retries
 from .specs import SpecLibrary, Specification
 
 logger = logging.getLogger(__name__)
@@ -144,7 +144,7 @@ def trigram_bucket(gram: str, dimension: int) -> int:
 
 
 class HttpEmbeddingProvider:
-    """OpenAI-style /v1/embeddings endpoint.
+    """OpenAI-style /v1/embeddings endpoint, one POST per embed.
 
     The first reply fixes the dimension. A reply that is not a non-empty
     list of finite numbers of that length, with a norm that normalize can
@@ -225,10 +225,10 @@ class HttpEmbeddingProvider:
 
 
 def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:
-    """Embed text and normalize to unit length."""
+    """Embed text, retrying the provider's one attempt, and normalize it."""
     if not text:
         raise EmptyText("cannot embed empty text")
-    return normalize(provider.embed(text))
+    return normalize(with_retries(lambda: provider.embed(text)))
 
 
 @dataclass(frozen=True)

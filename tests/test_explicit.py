@@ -304,14 +304,16 @@ def test_run_explicit_reports_stats_and_dedupes_across_chunks():
             )
         }
     )
-    report = run_explicit(
-        make_review_request(),
-        library,
-        backend,
-        ENSEMBLE,
-        chunk_budget=100,
-        run_id="run-one",
-    )
+    with call_pool() as pool:
+        report = run_explicit(
+            make_review_request(),
+            library,
+            backend,
+            ENSEMBLE,
+            chunk_budget=100,
+            run_id="run-one",
+            pool=pool,
+        )
     assert len(report.findings) == 1
     stats = report.stats_dict()
     assert stats == {
@@ -338,16 +340,23 @@ def test_run_explicit_is_independent_of_scheduling_jitter():
             },
         )
     }
-    plain = run_explicit(
-        make_review_request(), library, CannedBackend(responses), ENSEMBLE, chunk_budget=100
-    )
-    jittered = run_explicit(
-        make_review_request(),
-        library,
-        CannedBackend(responses, jitter=Jitter(max_ms=6, seed=13)),
-        ENSEMBLE,
-        chunk_budget=100,
-    )
+    with call_pool() as pool:
+        plain = run_explicit(
+            make_review_request(),
+            library,
+            CannedBackend(responses),
+            ENSEMBLE,
+            chunk_budget=100,
+            pool=pool,
+        )
+        jittered = run_explicit(
+            make_review_request(),
+            library,
+            CannedBackend(responses, jitter=Jitter(max_ms=6, seed=13)),
+            ENSEMBLE,
+            chunk_budget=100,
+            pool=pool,
+        )
     assert plain == jittered
 
 
@@ -355,8 +364,8 @@ def test_run_explicit_rejects_empty_requests():
     from sgcr.ingestion import ReviewRequest
 
     empty = ReviewRequest(units=(), origin="files")
-    with pytest.raises(InvalidReviewRequest):
-        run_explicit(empty, LIBRARY, CannedBackend({}), ENSEMBLE)
+    with pytest.raises(InvalidReviewRequest), call_pool() as pool:
+        run_explicit(empty, LIBRARY, CannedBackend({}), ENSEMBLE, pool=pool)
 
 
 def test_run_explicit_model_calls_run_on_the_call_pool():
@@ -378,15 +387,17 @@ def test_run_explicit_model_calls_run_on_the_call_pool():
             "synthesizer": answer("one grounded finding"),
         }
     )
-    report = run_explicit(
-        make_review_request(),
-        _two_chunk_library(),
-        backend,
-        ENSEMBLE,
-        chunk_budget=100,
-        aggregation_mode="model",
-        model_summary=True,
-    )
+    with call_pool() as pool:
+        report = run_explicit(
+            make_review_request(),
+            _two_chunk_library(),
+            backend,
+            ENSEMBLE,
+            chunk_budget=100,
+            aggregation_mode="model",
+            model_summary=True,
+            pool=pool,
+        )
     assert report.summary == "one grounded finding"
     assert set(threads) == {"explicit_reviewer", "aggregator", "synthesizer"}
     assert all(name.startswith("sgcr-call") for names in threads.values() for name in names)

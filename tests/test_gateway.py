@@ -9,18 +9,29 @@ import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
-from conftest import REPO_ROOT, CannedBackend, make_review_request, write_spec_file
+from conftest import (
+    REPO_ROOT,
+    CannedBackend,
+    findings_json,
+    issues_json,
+    make_finding,
+    make_library,
+    make_review_request,
+    make_spec,
+    write_spec_file,
+)
 from sgcr.backends import (
-    WIRE_RETRIES,
     HttpBackend,
     MockBackend,
     RecordingBackend,
     ReplayBackend,
 )
 from sgcr.errors import (
+    BackendTimeout,
     EnsembleError,
     FixtureMiss,
     IndexLibraryMismatch,
@@ -47,11 +58,24 @@ import sgcr.explicit
 import sgcr.gateway
 import sgcr.implicit
 import sgcr.ingestion
+from sgcr.explicit import (
+    AggregatedReview,
+    CandidateReview,
+    aggregate_candidates,
+    synthesize_partials,
+)
 from sgcr.implicit import propose_issues
 from sgcr.pipeline import run_review
-from sgcr.retrieval import HttpEmbeddingProvider, MockEmbeddingProvider, build_index, save_index
+from sgcr.report import FindingCluster, generate_patch
+from sgcr.retrieval import (
+    HttpEmbeddingProvider,
+    MockEmbeddingProvider,
+    build_index,
+    embed_text,
+    save_index,
+)
 from sgcr.prompts import Role
-from sgcr.specs import load_library, segment_library
+from sgcr.specs import SpecChunk, load_library, segment_library
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -222,6 +246,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
     status_plan: list[int] = []
     # Raw JSON text of each embedding reply's vector, served in order.
     embedding_plan: list[str] = []
+    # The message content of every chat reply; None echoes seed and temperature.
+    chat_content: Optional[str] = None
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -238,12 +264,10 @@ class _ChatHandler(BaseHTTPRequestHandler):
             vector = type(self).embedding_plan.pop(0)
             raw = ('{"data": [{"embedding": %s}]}' % vector).encode("utf-8")
         else:
-            reply = {
-                "choices": [
-                    {"message": {"content": f"echo seed={body.get('seed')} t={body.get('temperature')}"}}
-                ]
-            }
-            raw = json.dumps(reply).encode("utf-8")
+            content = type(self).chat_content
+            if content is None:
+                content = f"echo seed={body.get('seed')} t={body.get('temperature')}"
+            raw = json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -260,6 +284,7 @@ def chat_server():
     _ChatHandler.headers_seen = []
     _ChatHandler.status_plan = []
     _ChatHandler.embedding_plan = []
+    _ChatHandler.chat_content = None
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -285,20 +310,26 @@ def test_http_backend_speaks_the_wire_protocol(chat_server):
     assert handler.headers_seen[-1].get("Authorization") == "Bearer secret-key"
 
 
-def test_http_backend_retries_server_errors_not_client_errors(chat_server):
+def test_http_backend_makes_one_post_per_call(chat_server):
     base_url, handler = chat_server
     backend = HttpBackend(base_url=base_url, model="m", api_key=None)
     request = ModelRequest(role="proposer", prompt="p")
+    try:
+        for status in (500, 503, 408, 429):
+            handler.seen.clear()
+            handler.status_plan = [status, 200]
+            with pytest.raises(WireError, match=f"status {status}") as raised:
+                backend.complete(request)
+            assert not isinstance(raised.value, RequestRejected)
+            assert len(handler.seen) == 1  # retrying is the gateway's
 
-    handler.status_plan = [500, 500]
-    assert backend.complete(request).startswith("echo")
-    assert len(handler.seen) == 1 + WIRE_RETRIES
-
-    handler.seen.clear()
-    handler.status_plan = [400]
-    with pytest.raises(WireError):
-        backend.complete(request)
-    assert len(handler.seen) == 1  # no retry on a client error
+        handler.seen.clear()
+        handler.status_plan = [400]
+        with pytest.raises(RequestRejected):
+            backend.complete(request)
+        assert len(handler.seen) == 1  # no retry on a client error
+    finally:
+        backend.close()
 
 
 @pytest.mark.parametrize(
@@ -324,21 +355,129 @@ def test_a_slot_retries_no_client_error_but_408_and_429(chat_server, status, pos
         backend.close()
 
 
-def test_a_slot_retries_a_server_error_after_the_wire_retries(chat_server):
+def test_a_slot_resends_the_same_request_at_most_1_plus_slot_retries_times(chat_server):
     base_url, handler = chat_server
     backend = HttpBackend(base_url=base_url, model="m")
     base = ModelRequest(role="verifier", prompt="q", seed=4)
+    config = EnsembleConfig(n=1, quorum=1, base_seed=4)
     try:
-        handler.status_plan = [500] * (1 + WIRE_RETRIES) + [200]
+        handler.status_plan = [500] * SLOT_RETRIES + [200]
         with call_pool() as pool:
-            results, stats = submit_ensemble(
-                pool, backend, base, EnsembleConfig(n=1, quorum=1, base_seed=4), lambda text: text
-            ).collect()
+            pending = submit_ensemble(pool, backend, base, config, lambda text: text)
+            results, stats = pending.collect()
+        assert results == ["echo seed=4 t=0.0"]
+        assert (stats.calls, stats.failures) == (1 + SLOT_RETRIES, 0)
+        assert len(handler.seen) == 1 + SLOT_RETRIES
+        assert len({json.dumps(call["body"], sort_keys=True) for call in handler.seen}) == 1
+
+        handler.seen.clear()
+        handler.status_plan = [500] * 20
+        with pytest.raises(EnsembleError, match="status 500"), call_pool() as pool:
+            submit_ensemble(pool, backend, base, config, lambda text: text).collect()
+        assert len(handler.seen) == 1 + SLOT_RETRIES
     finally:
         backend.close()
-    assert results == ["echo seed=4 t=0.0"]
-    assert (stats.calls, stats.failures) == (2, 0)
-    assert len(handler.seen) == 2 + WIRE_RETRIES
+
+
+_PATCH_LIBRARY = make_library(make_spec("sec.input"))
+_PATCH_FINDING = make_finding(
+    start=2, description="field is not thread safe", spec_ids=("sec.input",)
+)
+_PATCH_REPLY = json.dumps(
+    {
+        "patch_unified_diff": (
+            "--- a/src/Main.java\n+++ b/src/Main.java\n@@ -2,1 +2,1 @@\n"
+            "-    private int value;\n+    private volatile int value;\n"
+        ),
+        "explanation": "guarded the field",
+    }
+)
+_AGGREGATED = {"start_line": 2, "description": "field is never validated"}
+
+
+def _slot_call(backend):
+    base = ModelRequest(role="verifier", prompt="q")
+    try:
+        with call_pool() as pool:
+            results, _ = submit_ensemble(
+                pool, backend, base, EnsembleConfig(n=1, quorum=1), lambda text: text
+            ).collect()
+    except EnsembleError:
+        return False
+    return results == ["ok"]
+
+
+def _proposer_call(backend):
+    issues, _ = propose_issues(make_review_request(), backend)
+    return len(issues) == 1
+
+
+def _patch_call(backend):
+    cluster = FindingCluster(
+        representative=_PATCH_FINDING, members=(_PATCH_FINDING,), pathways=("explicit",)
+    )
+    return generate_patch(cluster, make_review_request(), _PATCH_LIBRARY, backend) is not None
+
+
+def _aggregator_call(backend):
+    finding = make_finding(start=2, description=_AGGREGATED["description"])
+    candidate = CandidateReview(chunk_ordinal=0, instance_index=0, findings=(finding,))
+    try:
+        aggregated = aggregate_candidates(
+            SpecChunk(ordinal=0, spec_ids=(), token_total=1),
+            [candidate],
+            EnsembleConfig(n=1, quorum=1),
+            mode="model",
+            backend=backend,
+        )
+    except WireError:
+        return False
+    return len(aggregated.findings) == 1
+
+
+def _summary_call(backend):
+    try:
+        report = synthesize_partials(
+            [AggregatedReview(0, (), 0)], backend=backend, model_summary=True
+        )
+    except WireError:
+        return False
+    return report.summary == "ok"
+
+
+# call, the message content that call accepts.
+_ONE_CALL = {
+    "ensemble slot": (_slot_call, "ok"),
+    "proposer": (_proposer_call, issues_json({"start_line": 2})),
+    "patch": (_patch_call, _PATCH_REPLY),
+    "model aggregator": (_aggregator_call, findings_json(_AGGREGATED)),
+    "model summary": (_summary_call, "ok"),
+}
+
+
+@pytest.mark.parametrize(
+    "plan, recovered, posts",
+    [
+        ([500] * SLOT_RETRIES, True, 1 + SLOT_RETRIES),
+        ([500] * 20, False, 1 + SLOT_RETRIES),
+        ([400], False, 1),
+    ],
+    ids=["recovers", "fails", "rejected"],
+)
+@pytest.mark.parametrize("kind", list(_ONE_CALL))
+def test_every_call_type_is_sent_at_most_1_plus_slot_retries_times(
+    chat_server, kind, plan, recovered, posts
+):
+    base_url, handler = chat_server
+    call, content = _ONE_CALL[kind]
+    handler.chat_content = content
+    handler.status_plan = list(plan)
+    backend = HttpBackend(base_url=base_url, model="m")
+    try:
+        assert call(backend) is recovered
+    finally:
+        backend.close()
+    assert len(handler.seen) == posts
 
 
 def test_http_embeddings_keep_the_length_of_the_first_reply(chat_server):
@@ -400,6 +539,43 @@ def test_http_embeddings_reject_client_errors_other_than_408_and_429(chat_server
     assert len(handler.seen) == 6
 
 
+def test_embed_text_retries_a_server_error(chat_server):
+    base_url, handler = chat_server
+    handler.status_plan = [500]
+    handler.embedding_plan = ["[3, 4]"]
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    try:
+        assert embed_text(provider, "text").values == (0.6, 0.8)
+    finally:
+        provider.close()
+    assert len(handler.seen) == 2
+
+
+def test_embed_text_stops_after_1_plus_slot_retries_posts(chat_server):
+    base_url, handler = chat_server
+    handler.status_plan = [500] * 20
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    try:
+        with pytest.raises(WireError, match="status 500") as raised:
+            embed_text(provider, "text")
+    finally:
+        provider.close()
+    assert not isinstance(raised.value, RequestRejected)
+    assert len(handler.seen) == 1 + SLOT_RETRIES
+
+
+def test_embed_text_never_retries_a_rejected_request(chat_server):
+    base_url, handler = chat_server
+    handler.status_plan = [400]
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    try:
+        with pytest.raises(RequestRejected, match="status 400"):
+            embed_text(provider, "text")
+    finally:
+        provider.close()
+    assert len(handler.seen) == 1
+
+
 def test_record_then_replay_round_trip(chat_server, tmp_path):
     base_url, _ = chat_server
     fixtures = tmp_path / "fixtures"
@@ -437,11 +613,14 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         else:
             reply = {"choices": [{"message": {"content": "ok"}}]}
         raw = json.dumps(reply).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # a caller that timed out has hung up
 
     def log_message(self, *args):  # silence test output
         pass
@@ -468,6 +647,18 @@ def _http_client(base_url, which):
         return backend, lambda: backend.complete(ModelRequest(role="proposer", prompt="p"))
     provider = HttpEmbeddingProvider(base_url=base_url, model="e")
     return provider, lambda: provider.embed("text")
+
+
+def test_http_backend_raises_backend_timeout_after_one_post(keep_alive_server):
+    base_url, handler = keep_alive_server
+    handler.delay_s = 0.5
+    backend = HttpBackend(base_url=base_url, model="m", timeout=0.05)
+    try:
+        with pytest.raises(BackendTimeout):
+            backend.complete(ModelRequest(role="proposer", prompt="p"))
+    finally:
+        backend.close()
+    assert len(handler.peers) == 1
 
 
 @pytest.mark.parametrize("which", ["chat", "embeddings"])

@@ -15,7 +15,8 @@ from conftest import (
     make_spec,
     verdict_json,
 )
-from sgcr.errors import QueryDimensionMismatch
+from sgcr.backends import ReplayBackend
+from sgcr.errors import FixtureMiss, QueryDimensionMismatch
 from sgcr.gateway import SLOT_RETRIES, EnsembleConfig, ModelRequest, call_pool, submit_ensemble
 from sgcr.implicit import (
     decide_quorum,
@@ -98,6 +99,22 @@ def test_propose_degrades_to_empty_after_retries(caplog):
     assert any("proposer failed" in record.message for record in caplog.records)
 
 
+def test_a_proposer_fixture_miss_is_raised_and_degrades_the_pathway(tmp_path):
+    backend = ReplayBackend(tmp_path / "no-fixtures")
+    with pytest.raises(FixtureMiss):
+        propose_issues(make_review_request(), backend)
+    assert len(backend.call_log) == 1  # a replay miss is never retried
+
+    report = _run(ReplayBackend(tmp_path / "no-fixtures"), soft_fail=True)
+    assert report.findings == ()
+    stats = report.stats_dict()
+    assert stats["degraded"] is True
+    assert "no replay fixture" in stats["error"]
+
+    with pytest.raises(FixtureMiss):
+        _run(ReplayBackend(tmp_path / "no-fixtures"), soft_fail=False)
+
+
 def test_ground_issue_retrieves_the_matching_rule():
     sql_issue = _issue("sql query string concatenate untrusted values")
     retrieved = ground_issue(sql_issue, PROVIDER, INDEX, k=1, threshold=-1.0)
@@ -172,9 +189,17 @@ def test_decide_quorum_counts_only_valid_verdicts(verdicts, quorum, expected):
 def _run(backend, *, library=LIBRARY, index=INDEX, provider=PROVIDER, **kwargs):
     defaults = dict(threshold=-1.0, k=1, soft_fail=False, run_id="run-x")
     defaults.update(kwargs)
-    return run_implicit(
-        make_review_request(), library, backend, provider, lambda: index, ENSEMBLE, **defaults
-    )
+    with call_pool() as pool:
+        return run_implicit(
+            make_review_request(),
+            library,
+            backend,
+            provider,
+            lambda: index,
+            ENSEMBLE,
+            pool=pool,
+            **defaults,
+        )
 
 
 def test_run_implicit_accepts_on_quorum_and_grades_severity_by_cited_rule():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CannedBackend, make_finding, make_library, make_review_request, make_spec
 from sgcr.errors import SgcrError
+from sgcr.gateway import call_pool
 from sgcr.report import (
     FindingCluster,
     attach_patches,
@@ -284,7 +285,8 @@ def test_attach_patches_counts_outcomes_and_keeps_order():
         return _patch_response("does not even parse")
 
     backend = CannedBackend({"patch_generator": patcher})
-    patched = attach_patches(report, make_review_request(), LIBRARY, backend)
+    with call_pool() as pool:
+        patched = attach_patches(report, make_review_request(), LIBRARY, backend, pool=pool)
     assert dict(patched.patch_stats) == {"attempted": 2, "attached": 1, "skipped_uncited": 1}
     assert len(backend.call_log) == 2
     by_description = {
@@ -310,7 +312,8 @@ def test_report_payload_matches_schema_v1():
         config_echo={"mode": "explicit_only", "seed": 0},
     )
     backend = CannedBackend({"patch_generator": _patch_response(VALID_DIFF)})
-    report = attach_patches(report, make_review_request(), LIBRARY, backend)
+    with call_pool() as pool:
+        report = attach_patches(report, make_review_request(), LIBRARY, backend, pool=pool)
     payload = report_payload(report)
 
     assert set(payload) == {"schema_version", "summary", "stats", "clusters"}
@@ -397,12 +400,16 @@ def test_render_markdown_sections_and_patch_block():
             )
         }
     )
-    report = attach_patches(
-        report,
-        make_review_request(),
-        make_library(make_spec("sec.input", severity=Severity.HIGH, category=Category.SECURITY)),
-        backend,
-    )
+    with call_pool() as pool:
+        report = attach_patches(
+            report,
+            make_review_request(),
+            make_library(
+                make_spec("sec.input", severity=Severity.HIGH, category=Category.SECURITY)
+            ),
+            backend,
+            pool=pool,
+        )
     text = render_markdown(report)
     assert text.startswith("# Review report\n")
     assert text.index("## Critical") < text.index("## Low")
