@@ -42,7 +42,6 @@ from .specs import (
     SpecChunk,
     SpecLibrary,
     chunk_prompt_text,
-    resolve_category,
     segment_library,
 )
 from .types import (
@@ -158,14 +157,12 @@ def aggregate_candidates(
                 )
                 continue
             winner = min(group, key=lambda entry: (entry[1], entry[0].sort_key()))[0]
-            raised = merge_to_maxima([finding for finding, _ in group], winner)
             merged.append(
-                replace(
-                    raised,
+                merge_to_maxima(
+                    [finding for finding, _ in group],
+                    winner,
                     confidence=support / n_effective,
-                    category=resolve_category(raised.spec_ids, library)
-                    if library is not None
-                    else raised.category,
+                    library=library,
                 )
             )
         return AggregatedReview(
@@ -272,8 +269,10 @@ def run_explicit(
     the chunks' slots fit under MAX_INFLIGHT. Results are collected and
     aggregated in chunk order, so the report is identical whatever the
     completion order. Model-mode aggregation and the model summary retry
-    their call (gateway.with_retries) but not its parsing. Raises
-    EnsembleError when any chunk exceeds its failure budget.
+    their call (gateway.with_retries) but not its parsing. The model_calls
+    stat counts every call sent, the reviewer slots', the aggregator's and
+    the summary's, retries included. Raises EnsembleError when any chunk
+    exceeds its failure budget.
     """
     if not request.units:
         raise InvalidReviewRequest("explicit review needs at least one unit")
@@ -320,7 +319,7 @@ def run_explicit(
         {
             "pathway": Pathway.EXPLICIT.value,
             "chunks": len(chunks),
-            "model_calls": calls_total,
+            "model_calls": calls_total + pooled.calls,
             "absent_slots": absent_total,
             "findings": len(report.findings),
             "run_id": run_id,

@@ -4,7 +4,8 @@ Every model call is described by a ModelRequest; its fingerprint is the
 sha256 of the canonical request JSON (sorted keys, prompt hashed verbatim)
 and is stable across processes. Fingerprints key the record/replay fixture
 store and seed the mock backend, so the whole pipeline can run offline and
-deterministically.
+deterministically. An ensemble's slots share one prompt, so it is
+JSON-escaped once per ensemble and every slot is hashed from that escape.
 
 Calls run on one bounded pool per run (call_pool, at most MAX_INFLIGHT in
 flight). Ensembles are submit-then-collect: submit_ensemble puts the slots
@@ -86,9 +87,10 @@ class ModelRequest:
 
         Both the gateway and the backend ask for it on every call; the
         cache lives on the instance, and dataclasses.replace builds a fresh
-        one, so each ensemble slot hashes its own request.
+        one, so a replaced request never inherits another's fingerprint.
+        ensemble_requests fills it in for each slot it builds.
         """
-        return hashlib.sha256(canonical_request_json(self).encode("utf-8")).hexdigest()
+        return _digest(self, _escape_prompt(self.prompt))
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,48 @@ def canonical_request(request: ModelRequest) -> dict:
     }
 
 
+def canonical_parts(request: ModelRequest) -> tuple[str, str]:
+    """The canonical request JSON before and after its escaped prompt.
+
+    The one owner of the canonical layout: canonical_request with sorted
+    keys (instance_index, max_output_tokens, prompt, role, seed,
+    temperature) and no whitespace, each value written by json.dumps, so
+    head + json.dumps(prompt) + tail equals json.dumps(canonical_request(r),
+    sort_keys=True, separators=(",", ":")).
+    """
+    head = (
+        f'{{"instance_index":{json.dumps(request.instance_index)},'
+        f'"max_output_tokens":{json.dumps(request.max_output_tokens)},"prompt":'
+    )
+    tail = (
+        f',"role":{json.dumps(request.role)},"seed":{json.dumps(request.seed)},'
+        f'"temperature":{json.dumps(request.temperature)}}}'
+    )
+    return head, tail
+
+
 def canonical_request_json(request: ModelRequest) -> str:
-    return json.dumps(canonical_request(request), sort_keys=True, separators=(",", ":"))
+    """Sorted, compact JSON of canonical_request; its sha256 is the fingerprint.
+
+    Built from canonical_parts, as the fingerprint is, so the text and the
+    hash cannot disagree.
+    """
+    head, tail = canonical_parts(request)
+    return head + json.dumps(request.prompt) + tail
+
+
+def _escape_prompt(prompt: str) -> bytes:
+    # json.dumps escapes every non-ASCII code point, so the text is ASCII.
+    return json.dumps(prompt).encode("ascii")
+
+
+def _digest(request: ModelRequest, escaped_prompt: bytes) -> str:
+    """sha256 of canonical_request_json(request), given its escaped prompt."""
+    head, tail = canonical_parts(request)
+    digest = hashlib.sha256(head.encode("ascii"))
+    digest.update(escaped_prompt)
+    digest.update(tail.encode("ascii"))
+    return digest.hexdigest()
 
 
 def request_fingerprint(request: ModelRequest) -> str:
@@ -154,11 +196,22 @@ def generate(backend: ModelBackend, request: ModelRequest) -> ModelResponse:
 
 
 def ensemble_requests(base_request: ModelRequest, config: EnsembleConfig) -> list[ModelRequest]:
-    """The n slot requests, differing only in instance_index and seed."""
-    return [
-        replace(base_request, instance_index=i, seed=config.base_seed + i)
-        for i in range(config.n)
-    ]
+    """The n slot requests, differing only in instance_index and seed.
+
+    Each slot comes back with its fingerprint hashed. The shared prompt,
+    most of every slot's canonical JSON, is escaped once for all of them,
+    not once per slot; the escape is held here, never on a request, so no
+    replace() can carry it onto another prompt.
+    """
+    escaped_prompt = _escape_prompt(base_request.prompt)
+    slots = []
+    for i in range(config.n):
+        slot = replace(base_request, instance_index=i, seed=config.base_seed + i)
+        # cached_property keeps its value in the instance dict; this is
+        # what the first read of slot.fingerprint would store there.
+        vars(slot)["fingerprint"] = _digest(slot, escaped_prompt)
+        slots.append(slot)
+    return slots
 
 
 @dataclass
@@ -221,15 +274,18 @@ class PooledBackend:
     """A backend whose calls run on a pool, so they count against its cap.
 
     For the few calls an orchestrating thread makes itself rather than
-    through an ensemble.
+    through an ensemble. calls counts every call sent through it, retries
+    and failed calls included; one thread makes them all.
     """
 
     def __init__(self, backend: ModelBackend, pool: Executor) -> None:
         self.backend_id = backend.backend_id
         self._backend = backend
         self._pool = pool
+        self.calls = 0
 
     def complete(self, request: ModelRequest) -> str:
+        self.calls += 1
         return self._pool.submit(self._backend.complete, request).result()
 
 
@@ -284,7 +340,7 @@ class PendingEnsemble(Generic[T]):
 
         Call once: the futures are released, so a run holds no more raw
         slot results than it has yet to collect. Raises EnsembleError past
-        the n - quorum failure budget.
+        the n - quorum failure budget, carrying the calls made.
         """
         futures, self._futures = self._futures, []
         stats = EnsembleStats()
@@ -298,7 +354,7 @@ class PendingEnsemble(Generic[T]):
                 stats.failures += 1
                 logger.warning("ensemble slot %d absent: %s", index, error)
             results.append(value)
-        _check_failure_budget(errors, self._config)
+        _check_failure_budget(errors, self._config, stats.calls)
         return results, stats
 
 
@@ -311,26 +367,27 @@ def submit_ensemble(
 ) -> PendingEnsemble[T]:
     """Put the n diversified slots on the pool without waiting for them.
 
-    Each slot's fingerprint is hashed here, on the submitting thread, before
-    the slot is submitted; every call needs it (generate stamps it on the
-    ModelResponse), so this adds no work. The canonical JSON of a long
-    prompt and its UTF-8 copy are then made and freed on one thread, not
-    in up to MAX_INFLIGHT pool workers at once, each allocating from its
-    own malloc arena; hashed in the workers, they raised a run's peak
-    resident memory.
+    ensemble_requests hashes every slot's fingerprint here, on the
+    submitting thread, from one escape of the shared prompt; every call
+    needs it (generate stamps it on the ModelResponse), so this adds no
+    work. The escaped prompt is then made and freed on one thread, not in
+    up to MAX_INFLIGHT pool workers at once, each allocating from its own
+    malloc arena; hashed in the workers, it raised a run's peak resident
+    memory.
     """
     slots = ensemble_requests(base_request, config)
-    for request in slots:
-        request.fingerprint  # a cached_property: hashed once, here
     return PendingEnsemble(
         [pool.submit(run_slot, backend, request, parser) for request in slots], config
     )
 
 
-def _check_failure_budget(errors: list[tuple[int, SgcrError]], config: EnsembleConfig) -> None:
+def _check_failure_budget(
+    errors: list[tuple[int, SgcrError]], config: EnsembleConfig, calls: int
+) -> None:
     if len(errors) > config.n - config.quorum:
         detail = "; ".join(f"slot {index}: {exc}" for index, exc in errors)
         raise EnsembleError(
             f"{len(errors)} of {config.n} ensemble calls failed"
-            f" (quorum {config.quorum} unreachable): {detail}"
+            f" (quorum {config.quorum} unreachable): {detail}",
+            calls=calls,
         )

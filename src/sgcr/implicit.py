@@ -162,7 +162,7 @@ def verify_issue(
 
     Citations outside the retrieved set are stripped: a verifier may only
     justify its verdict with rules it was actually shown. Raises
-    EnsembleError past the failure budget.
+    EnsembleError, carrying the calls made, past the failure budget.
     """
     parsed, stats = slots.collect()
     offered = set(retrieved.spec_ids())
@@ -271,9 +271,9 @@ def run_implicit(
     collected in proposal order. An issue that retrieves nothing is skipped
     unless ungrounded verification is allowed. A verification ensemble
     that exhausts its failure budget rejects that one issue rather than
-    the pathway. With soft_fail (the default) any other error inside the
-    pathway degrades it to an empty report carrying the error in its
-    stats.
+    the pathway, and its calls still count in the model_calls stat. With
+    soft_fail (the default) any other error inside the pathway degrades it
+    to an empty report carrying the error in its stats.
     """
     proposal = pool.submit(
         propose_issues,
@@ -368,6 +368,7 @@ def _run_implicit(
         except EnsembleError as exc:
             logger.warning("verification of issue %s failed: %s", issue.issue_id, exc)
             verify_failures += 1
+            calls_total += exc.calls
             continue
         calls_total += calls_made
         accepted = decide_quorum(verdicts, ensemble.quorum)

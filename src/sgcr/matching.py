@@ -15,9 +15,9 @@ maxima.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence, TypeVar
 
+from .specs import SpecLibrary, resolve_category
 from .types import CATEGORY_RANK, SEVERITY_RANK, Finding
 
 JACCARD_THRESHOLD = 0.6
@@ -109,16 +109,48 @@ def cluster_findings(
     ]
 
 
-def merge_to_maxima(members: Sequence[Finding], winner: Finding) -> Finding:
+def merge_to_maxima(
+    members: Sequence[Finding],
+    winner: Finding,
+    confidence: Optional[float] = None,
+    library: Optional[SpecLibrary] = None,
+) -> Finding:
     """The winner's wording and location with the members' strongest triage.
 
-    Severity and confidence become the maxima over members, cited rules
-    the union, category the highest-ranked among members.
+    Severity becomes the most severe among members and cited rules their
+    sorted union. Confidence is the member maximum unless given (an
+    aggregate's support share). Category is resolved from the union of
+    cited rules with a library, else the highest-ranked among members. The
+    result is built in one construction, keeping the winner's finding_id
+    and patch; when no field would change, the winner itself is returned.
     """
-    return replace(
-        winner,
-        severity=min((member.severity for member in members), key=SEVERITY_RANK.__getitem__),
-        confidence=max(member.confidence for member in members),
-        spec_ids=tuple(sorted({spec_id for member in members for spec_id in member.spec_ids})),
-        category=min((member.category for member in members), key=CATEGORY_RANK.__getitem__),
+    severity = min((member.severity for member in members), key=SEVERITY_RANK.__getitem__)
+    spec_ids = tuple(sorted({spec_id for member in members for spec_id in member.spec_ids}))
+    if confidence is None:
+        confidence = max(member.confidence for member in members)
+    category = (
+        resolve_category(spec_ids, library)
+        if library is not None
+        else min((member.category for member in members), key=CATEGORY_RANK.__getitem__)
+    )
+    if (
+        severity is winner.severity
+        and confidence == winner.confidence
+        and spec_ids == winner.spec_ids
+        and category is winner.category
+    ):
+        return winner
+    return Finding(
+        file=winner.file,
+        start_line=winner.start_line,
+        end_line=winner.end_line,
+        description=winner.description,
+        severity=severity,
+        pathway=winner.pathway,
+        rationale=winner.rationale,
+        spec_ids=spec_ids,
+        confidence=confidence,
+        category=category,
+        patch=winner.patch,
+        finding_id=winner.finding_id,
     )

@@ -29,6 +29,13 @@ from .types import (
 
 logger = logging.getLogger(__name__)
 
+# Severity by its JSON value, looked up without an Enum call per entry.
+_SEVERITY_BY_VALUE = {severity.value: severity for severity in Severity}
+
+
+def _severity(value: object) -> Optional[Severity]:
+    return _SEVERITY_BY_VALUE.get(value) if isinstance(value, str) else None
+
 
 def extract_json_document(text: str) -> dict:
     """Return the first JSON object found in text, or raise UnparsableResponse."""
@@ -106,9 +113,8 @@ def _parse_finding_entry(
     if lines is None:
         logger.warning("dropping finding %d: invalid line range", position)
         return None
-    try:
-        severity = Severity(entry.get("severity"))
-    except ValueError:
+    severity = _severity(entry.get("severity"))
+    if severity is None:
         logger.warning("dropping finding %d: bad severity %r", position, entry.get("severity"))
         return None
     spec_ids = _string_list(entry.get("spec_ids"))
@@ -120,15 +126,15 @@ def _parse_finding_entry(
         rationale = ""
     category = Category.MAINTAINABILITY
     if library is not None:
-        kept = [spec_id for spec_id in spec_ids if spec_id in library]
-        if len(kept) < len(spec_ids):
+        if not all(map(library.__contains__, spec_ids)):
+            kept = [spec_id for spec_id in spec_ids if spec_id in library]
             logger.warning(
                 "finding %s cites unknown rule ids %s; dropping them",
                 content_id(file, lines[0], lines[1], description),
                 sorted(set(spec_ids) - set(kept)),
             )
-        spec_ids = kept
-        category = resolve_category(kept, library)
+            spec_ids = kept
+        category = resolve_category(spec_ids, library)
     return Finding(
         file=file,
         start_line=lines[0],
@@ -191,9 +197,8 @@ def parse_verdict_response(text: str) -> VerifierVerdict:
     severity: Optional[Severity] = None
     raw_severity = document.get("severity")
     if raw_severity is not None:
-        try:
-            severity = Severity(raw_severity)
-        except ValueError:
+        severity = _severity(raw_severity)
+        if severity is None:
             logger.warning("ignoring bad verifier severity %r", raw_severity)
     return VerifierVerdict(
         verdict=verdict,

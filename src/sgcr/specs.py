@@ -17,13 +17,15 @@ Everything after the closing delimiter is the rule body.
 
 from __future__ import annotations
 
+import errno
 import logging
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
 from .types import CATEGORY_RANK, Category, Severity
@@ -88,11 +90,18 @@ class SpecLibrary:
 
 
 def resolve_category(spec_ids: Sequence[str], library: SpecLibrary) -> Category:
-    """Highest-ranked category among the cited rules; default maintainability."""
-    categories = [library.get(spec_id).category for spec_id in spec_ids if spec_id in library]
-    if not categories:
-        return Category.MAINTAINABILITY
-    return min(categories, key=lambda category: CATEGORY_RANK[category])
+    """Highest-ranked category among the cited rules; default maintainability.
+
+    Ids the library does not hold are skipped.
+    """
+    best: Optional[Category] = None
+    for spec_id in spec_ids:
+        spec = library.get(spec_id)
+        if spec is None:
+            continue
+        if best is None or CATEGORY_RANK[spec.category] < CATEGORY_RANK[best]:
+            best = spec.category
+    return Category.MAINTAINABILITY if best is None else best
 
 
 @dataclass(frozen=True)
@@ -104,10 +113,11 @@ class SpecChunk:
     token_total: int
 
 
-def parse_spec_file(path: Path, source_path: str) -> Specification:
+def parse_spec_file(path: Union[str, Path], source_path: str) -> Specification:
     """Parse one rule file; raises MalformedSpecFile with the path on error."""
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedSpecFile(f"{source_path}: unreadable ({exc})") from exc
 
@@ -176,26 +186,65 @@ def parse_spec_file(path: Path, source_path: str) -> Specification:
     )
 
 
+# Errors on which pathlib's is_dir and is_file answer False rather than raise.
+_ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
+def _rule_files(prefix: str) -> list[str]:
+    """Relative POSIX paths of the ``*.md`` files in the tree at prefix.
+
+    Selects what ``root.rglob("*.md")`` filtered by ``is_file()`` does on
+    Python 3.11: hidden directories are searched, symbolic links to
+    directories are not descended, a symbolic link to a regular ``.md``
+    file is kept, a directory named ``x.md`` is searched but not kept, and
+    a directory that cannot be listed is skipped. Each file's path is
+    prefix + its relative path.
+    """
+    found: list[str] = []
+    pending = [""]
+    while pending:
+        relative_dir = pending.pop()
+        try:
+            with os.scandir(prefix + relative_dir or ".") as entries:
+                listed = list(entries)
+        except PermissionError:
+            continue
+        for entry in listed:
+            name = entry.name
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append(f"{relative_dir}{name}/")
+                elif name.endswith(".md") and entry.is_file():
+                    found.append(relative_dir + name)
+            except OSError as exc:
+                if exc.errno not in _ABSENT_ERRNOS:
+                    raise
+    return found
+
+
 def load_library(root_dir: Path, language_filter: Optional[str] = None) -> SpecLibrary:
     """Load every ``*.md`` file under root_dir in deterministic order.
 
     Ordering is lexicographic by path relative to root_dir, then id, so
-    repeated loads of the same tree are identical.
+    repeated loads of the same tree are identical. The tree is walked with
+    os.scandir and each file read with open, making no pathlib object per
+    file; which files are loaded, their order and the error messages match
+    ``root_dir.rglob("*.md")`` filtered by ``is_file()`` (see _rule_files).
     """
     root_dir = Path(root_dir)
     if not root_dir.is_dir():
         raise FileNotFoundError(f"specification directory not found: {root_dir}")
 
-    entries: list[tuple[str, Path]] = []
-    for path in root_dir.rglob("*.md"):
-        if path.is_file():
-            entries.append((path.relative_to(root_dir).as_posix(), path))
-    entries.sort(key=lambda item: item[0])
+    # The string pathlib puts before a child's name: none below ".", and
+    # no second separator after "/" or "//".
+    root = str(root_dir)
+    prefix = "" if root == "." else root if root.endswith("/") else root + "/"
+    entries = sorted(_rule_files(prefix))
 
     specs: list[Specification] = []
     seen: dict[str, str] = {}
-    for source_path, path in entries:
-        spec = parse_spec_file(path, source_path)
+    for source_path in entries:
+        spec = parse_spec_file(prefix + source_path, source_path)
         if spec.id in seen:
             raise DuplicateSpecId(
                 f"spec id {spec.id!r} declared in both {seen[spec.id]} and {source_path}"

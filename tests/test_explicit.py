@@ -6,21 +6,32 @@ import threading
 
 import pytest
 
-from conftest import CannedBackend, findings_json, make_finding, make_library, make_review_request, make_spec
-from sgcr.backends import Jitter
-from sgcr.errors import InvalidReviewRequest, NoCandidates, NoPartials
+from conftest import (
+    GOLDEN_DIR,
+    REPO_ROOT,
+    CannedBackend,
+    findings_json,
+    make_finding,
+    make_library,
+    make_review_request,
+    make_spec,
+)
+from sgcr.backends import Jitter, MockBackend
+from sgcr.config import RunConfig
+from sgcr.errors import InvalidReviewRequest, NoCandidates, NoPartials, WireError
 from sgcr.explicit import (
     AggregatedReview,
     CandidateReview,
     aggregate_candidates,
-    resolve_category,
     review_chunk_ensemble,
     run_explicit,
     synthesize_partials,
 )
 from sgcr.gateway import EnsembleConfig, ModelRequest, call_pool, submit_ensemble
+from sgcr.ingestion import build_review_request
 from sgcr.parsing import parse_findings_response
-from sgcr.specs import SpecChunk, segment_library
+from sgcr.pipeline import run_review
+from sgcr.specs import SpecChunk, resolve_category, segment_library
 from sgcr.types import Category, Pathway, Severity
 
 LIBRARY = make_library(
@@ -402,3 +413,38 @@ def test_run_explicit_model_calls_run_on_the_call_pool():
     assert set(threads) == {"explicit_reviewer", "aggregator", "synthesizer"}
     assert all(name.startswith("sgcr-call") for names in threads.values() for name in names)
     assert backend.calls_for_role("aggregator") == 2
+
+
+class _FirstCallFailsBackend(MockBackend):
+    """Mock answers, except that the first call of each listed role fails."""
+
+    def __init__(self, roles):
+        super().__init__()
+        self._failing = set(roles)
+
+    def _complete(self, request):
+        with self._lock:
+            fail = request.role in self._failing
+            self._failing.discard(request.role)
+        if fail:
+            raise WireError("transient")
+        return super()._complete(request)
+
+
+@pytest.mark.parametrize("failing_roles", [(), ("aggregator", "synthesizer")])
+def test_model_calls_count_aggregator_and_summary_calls_with_their_retries(failing_roles):
+    config = RunConfig(
+        mode="explicit_only",
+        specs_dir=str(REPO_ROOT / "sample_specs"),
+        chunk_budget=150,
+        aggregation="model",
+        model_summary=True,
+    )
+    request = build_review_request(paths=[GOLDEN_DIR / "input" / "Example.java"])
+    backend = _FirstCallFailsBackend(failing_roles)
+    final = run_review(config, request, backend=backend)
+
+    assert backend.calls_for_role("aggregator") > 1
+    assert backend.calls_for_role("synthesizer") == (2 if failing_roles else 1)
+    (report,) = final.pathway_reports
+    assert report.stats_dict()["model_calls"] == len(backend.call_log)

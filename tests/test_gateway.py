@@ -823,19 +823,21 @@ def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
     blocks = []
     hashed = []
     render = sgcr.ingestion.prompt_block
-    canonical = sgcr.gateway.canonical_request_json
+    layout = sgcr.gateway.canonical_parts
 
     def recording_block(request):
         blocks.append(render(request))
         return blocks[-1]
 
-    def recording_canonical(request):
+    # Every fingerprint, a slot's or a single call's, lays out its request
+    # through canonical_parts once.
+    def recording_layout(request):
         hashed.append(request)
-        return canonical(request)
+        return layout(request)
 
     monkeypatch.setattr(sgcr.explicit, "prompt_block", recording_block)
     monkeypatch.setattr(sgcr.implicit, "prompt_block", recording_block)
-    monkeypatch.setattr(sgcr.gateway, "canonical_request_json", recording_canonical)
+    monkeypatch.setattr(sgcr.gateway, "canonical_parts", recording_layout)
     backend = _CountingBackend(sleep_s=0.0)
     config = _chunked_config(tmp_path, ensemble_size=3)
     final = run_review(config, make_review_request(), backend=backend)
@@ -883,6 +885,69 @@ def test_model_request_fingerprint_is_cached_per_instance():
         )
         assert variant.fingerprint == request_fingerprint(fresh)
         assert variant.fingerprint != base.fingerprint
+
+
+def _reference_fingerprint(request: ModelRequest) -> str:
+    """The fingerprint as first defined: sha256 of the sorted, compact dump."""
+    import hashlib
+
+    from sgcr.gateway import canonical_request
+
+    text = json.dumps(canonical_request(request), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _oracle_request_text(rng, length: int) -> str:
+    pools = (
+        "abcXYZ019 _-.:{}[],",
+        '"\\/',
+        "".join(map(chr, range(0x20))) + "\x7f",
+        "\u00e9\u00fc\u00df\u0130\u4e2d\u6587\u2028\u2029\u00a0\ufeff",
+        "\U0001f600\U0001d11e\U00010348\U0010ffff",
+        "\ud800\udbff\udc00\udfff",  # lone surrogates: a valid str, escaped by json
+    )
+    return "".join(rng.choice(rng.choice(pools)) for _ in range(length))
+
+
+def test_slot_and_single_fingerprints_match_the_reference_dump():
+    import random
+
+    rng = random.Random(20261018)
+    temperatures = (0, 0.0, 1e-7, 0.7, 2.0)
+    seeds = (None, 0, -1, -(2**63), 2**31 - 1, 2**70)
+    for case in range(120):
+        base = ModelRequest(
+            role=_oracle_request_text(rng, rng.randint(1, 12)),
+            prompt=_oracle_request_text(rng, rng.choice((1, 2, 50, 3000))),
+            temperature=rng.choice(temperatures),
+            seed=rng.choice(seeds),
+            max_output_tokens=rng.choice((1, 2048, 10**9)),
+            instance_index=rng.choice((0, 7)),
+        )
+        expected_text = json.dumps(
+            {
+                "role": base.role,
+                "prompt": base.prompt,
+                "temperature": base.temperature,
+                "seed": base.seed,
+                "max_output_tokens": base.max_output_tokens,
+                "instance_index": base.instance_index,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert canonical_request_json(base) == expected_text, case
+        assert base.fingerprint == _reference_fingerprint(base), case
+        config = EnsembleConfig(
+            n=rng.randint(1, 4), quorum=1, base_seed=rng.choice((0, -5, 2**40))
+        )
+        for slot in ensemble_requests(base, config):
+            # Hashed by ensemble_requests from the shared escape, not on read.
+            assert "fingerprint" in vars(slot)
+            assert slot.fingerprint == _reference_fingerprint(slot), case
+            fresh = replace(slot, prompt=slot.prompt)
+            assert "fingerprint" not in vars(fresh)
+            assert fresh.fingerprint == slot.fingerprint, case
 
 
 def test_full_run_with_patches_is_byte_identical_under_any_schedule(capsys, monkeypatch):

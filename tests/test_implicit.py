@@ -8,6 +8,8 @@ import time
 import pytest
 
 from conftest import (
+    GOLDEN_DIR,
+    REPO_ROOT,
     CannedBackend,
     issues_json,
     make_library,
@@ -15,8 +17,9 @@ from conftest import (
     make_spec,
     verdict_json,
 )
-from sgcr.backends import ReplayBackend
-from sgcr.errors import FixtureMiss, QueryDimensionMismatch
+from sgcr.backends import MockBackend, ReplayBackend
+from sgcr.config import RunConfig
+from sgcr.errors import FixtureMiss, QueryDimensionMismatch, WireError
 from sgcr.gateway import SLOT_RETRIES, EnsembleConfig, ModelRequest, call_pool, submit_ensemble
 from sgcr.implicit import (
     decide_quorum,
@@ -25,7 +28,9 @@ from sgcr.implicit import (
     run_implicit,
     verify_issue,
 )
+from sgcr.ingestion import build_review_request
 from sgcr.parsing import parse_verdict_response
+from sgcr.pipeline import run_review
 from sgcr.retrieval import MockEmbeddingProvider, build_index
 from sgcr.types import (
     Category,
@@ -404,3 +409,32 @@ def test_run_implicit_grounds_issues_concurrently_on_the_pool():
     assert slow.peak_inflight > 1
     assert [finding.start_line for finding in report.findings] == list(range(1, 7))
     assert report.stats_dict()["model_calls"] == 1 + 6 * ENSEMBLE.n
+
+
+class _VerifiersFailBackend(MockBackend):
+    """Mock answers for every role but the verifier, whose calls all fail."""
+
+    def _complete(self, request):
+        if request.role == "verifier":
+            raise WireError("verifier endpoint down")
+        return super()._complete(request)
+
+
+def test_model_calls_count_a_verification_ensemble_that_exhausted_its_budget():
+    config = RunConfig(
+        mode="implicit_only",
+        specs_dir=str(REPO_ROOT / "sample_specs"),
+        allow_ungrounded=True,
+    )
+    request = build_review_request(paths=[GOLDEN_DIR / "input" / "Example.java"])
+    backend = _VerifiersFailBackend()
+    final = run_review(config, request, backend=backend)
+
+    (report,) = final.pathway_reports
+    stats = report.stats_dict()
+    assert stats["verification_failures"] == stats["proposals"] > 0
+    # Every verifier slot made 1 + SLOT_RETRIES attempts before its ensemble gave up.
+    assert backend.calls_for_role("verifier") == (
+        stats["proposals"] * config.ensemble_size * (1 + SLOT_RETRIES)
+    )
+    assert stats["model_calls"] == len(backend.call_log)

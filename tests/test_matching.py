@@ -1,20 +1,30 @@
-"""Finding equivalence and deterministic clustering."""
+"""Finding equivalence, deterministic clustering, and merging."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from conftest import make_finding
+from conftest import make_finding, make_library, make_spec
 from sgcr.matching import (
     JACCARD_THRESHOLD,
     cluster_findings,
     cluster_tagged,
     findings_equivalent,
+    merge_to_maxima,
     ranges_overlap,
     token_jaccard,
     tokenize,
 )
-from sgcr.types import Pathway
+from sgcr.specs import resolve_category
+from sgcr.types import (
+    CATEGORY_RANK,
+    SEVERITY_RANK,
+    Category,
+    PatchSuggestion,
+    Pathway,
+    Severity,
+)
 
 
 def test_tokenize_lowercases_and_dedupes():
@@ -144,3 +154,72 @@ def test_cluster_tagged_matches_the_all_pairs_closure_on_random_inputs():
         assert cluster_findings(findings) == [
             [finding for finding, _ in group] for group in by_pathway
         ], f"trial {trial}: pathway tags"
+
+
+def _replace_reference(members, winner, confidence=None, library=None):
+    """The merge as first written: dataclasses.replace of the winner."""
+    raised = replace(
+        winner,
+        severity=min((m.severity for m in members), key=SEVERITY_RANK.__getitem__),
+        confidence=max(m.confidence for m in members),
+        spec_ids=tuple(sorted({spec_id for m in members for spec_id in m.spec_ids})),
+        category=min((m.category for m in members), key=CATEGORY_RANK.__getitem__),
+    )
+    if confidence is None and library is None:
+        return raised
+    return replace(
+        raised,
+        confidence=raised.confidence if confidence is None else confidence,
+        category=(
+            raised.category if library is None else resolve_category(raised.spec_ids, library)
+        ),
+    )
+
+
+_MERGE_LIBRARY = make_library(
+    make_spec("sec.a", category=Category.SECURITY),
+    make_spec("style.b", category=Category.STYLE),
+    make_spec("perf.c", category=Category.PERFORMANCE),
+)
+
+
+def test_merge_to_maxima_matches_the_replace_reference_on_random_groups():
+    rng = random.Random(77)
+    patch = PatchSuggestion(unified_diff="--- a\n+++ b\n", explanation="e", constrained_by=())
+    returned_winner = 0
+    for trial in range(400):
+        members = [
+            make_finding(
+                start=rng.randint(1, 5),
+                description=rng.choice(["one", "two"]),
+                severity=rng.choice(list(Severity)),
+                confidence=rng.choice([0.5, 2 / 3, 1.0]),
+                category=rng.choice(list(Category)),
+                spec_ids=tuple(
+                    rng.choices(["sec.a", "style.b", "perf.c", "gone.d"], k=rng.randint(0, 3))
+                ),
+                patch=rng.choice([None, patch]),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        winner = rng.choice(members)
+        confidence = rng.choice([None, None, 1.0, winner.confidence, 1 / 3])
+        library = rng.choice([None, _MERGE_LIBRARY])
+        merged = merge_to_maxima(members, winner, confidence=confidence, library=library)
+        expected = _replace_reference(members, winner, confidence, library)
+        assert merged == expected, f"trial {trial}"
+        if merged is winner:
+            returned_winner += 1
+        else:
+            assert merged != winner, f"trial {trial}: an unchanged merge was rebuilt"
+    assert returned_winner > 20
+
+
+def test_a_singleton_merge_still_sorts_and_dedupes_its_rule_ids():
+    tidy = make_finding(spec_ids=("perf.c", "sec.a"), category=Category.SECURITY)
+    assert merge_to_maxima([tidy], tidy) is tidy
+    untidy = make_finding(spec_ids=("sec.a", "perf.c", "sec.a"))
+    merged = merge_to_maxima([untidy], untidy)
+    assert merged.spec_ids == ("perf.c", "sec.a")
+    assert merged.finding_id == untidy.finding_id
+    assert replace(merged, spec_ids=untidy.spec_ids) == untidy

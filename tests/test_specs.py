@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import errno
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import make_library, make_spec, write_spec_file
+import sgcr.specs
 from sgcr.errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
 from sgcr.specs import (
     SpecChunk,
@@ -139,6 +142,78 @@ def test_load_library_missing_or_empty_dir(tmp_path):
     empty.mkdir()
     with pytest.raises(EmptyLibrary):
         load_library(empty)
+
+
+def _rule_tree(tmp_path):
+    """A library tree with every kind of entry the loader must sort out."""
+    root = tmp_path / "rules"
+    outside = tmp_path / "outside"
+    write_spec_file(root, "top.rule", filename="top.md")
+    write_spec_file(root / "sub", "sub.rule", filename="b.md")
+    write_spec_file(root / "sub" / "deeper", "deep.rule", filename="c.md")
+    write_spec_file(root / ".hidden", "hidden.rule", filename="h.md")
+    write_spec_file(root / "x.md", "inside-dir.rule", filename="inner.md")
+    write_spec_file(root, "dot.rule", filename=".md")
+    write_spec_file(root, "upper.rule", filename="README.MD")
+    (root / "notes.txt").write_text("not a rule\n", encoding="utf-8")
+    write_spec_file(outside, "outside.rule", filename="o.md")
+    write_spec_file(outside / "target", "linked-file.rule", filename="t.md")
+    (root / "linked").symlink_to(outside, target_is_directory=True)
+    (root / "dirlink.md").symlink_to(outside, target_is_directory=True)
+    (root / "alias.md").symlink_to(outside / "target" / "t.md")
+    (root / "broken.md").symlink_to(tmp_path / "missing.md")
+    (root / "loop.md").symlink_to(root / "loop.md")
+    return root
+
+
+def test_load_library_selects_what_rglob_and_is_file_select(tmp_path):
+    root = _rule_tree(tmp_path)
+    reference = sorted(
+        path.relative_to(root).as_posix() for path in root.rglob("*.md") if path.is_file()
+    )
+    loaded = [spec.source_path for spec in load_library(root).specs]
+    assert loaded == reference
+    assert loaded == [
+        ".hidden/h.md",
+        ".md",
+        "alias.md",
+        "sub/b.md",
+        "sub/deeper/c.md",
+        "top.md",
+        "x.md/inner.md",
+    ]
+
+
+@pytest.mark.parametrize("relative_root", [False, True])
+def test_load_library_reports_unreadable_files_as_rglob_paths_did(
+    tmp_path, monkeypatch, relative_root
+):
+    root = _rule_tree(tmp_path)
+    (root / "sub" / "bad.md").write_bytes(b"---\nid: \xff\n---\nbody\n")
+    if relative_root:
+        monkeypatch.chdir(root)
+        root = Path(".")
+    with pytest.raises(MalformedSpecFile) as excinfo:
+        load_library(root)
+    with pytest.raises(UnicodeDecodeError) as decode_error:
+        (root / "sub" / "bad.md").read_text(encoding="utf-8")
+    assert str(excinfo.value) == f"sub/bad.md: unreadable ({decode_error.value})"
+
+    # Running as root, no permission bit makes a file unreadable, so the
+    # refusal is injected; its message carries the path the loader opened.
+    (root / "sub" / "bad.md").unlink()
+    refused = str(root / "sub" / "b.md")
+
+    def refusing_open(path, *args, **kwargs):
+        if str(path) == refused or str(path).endswith("sub/b.md"):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(sgcr.specs, "open", refusing_open, raising=False)
+    with pytest.raises(MalformedSpecFile) as excinfo:
+        load_library(root)
+    expected = PermissionError(errno.EACCES, "Permission denied", refused)
+    assert str(excinfo.value) == f"sub/b.md: unreadable ({expected})"
 
 
 def test_segment_three_specs_budget_250():
