@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -107,19 +108,32 @@ def _coerce(key: str, value: object) -> object:
     if key in _FLOAT_FIELDS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config key {key!r} is too large for a number") from None
     if not isinstance(value, str):
         raise ConfigError(f"config key {key!r} must be a string")
     return value
 
 
 def load_config_file(path: Path) -> dict[str, object]:
-    """Read a JSON config file, rejecting unknown keys."""
+    """Read a JSON config file, rejecting unknown keys.
+
+    Every way the file can fail to read or decode raises ConfigError naming
+    the path.
+    """
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}")
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the digit limit, or nesting
+        # deeper than the decoder recurses.
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -189,6 +203,8 @@ def validate_config(config: RunConfig) -> None:
         )
     if config.chunk_budget < 1:
         raise ConfigError("chunk_budget must be at least 1")
+    if not math.isfinite(config.temperature):
+        raise ConfigError(f"temperature must be a finite number; got {config.temperature}")
     if config.temperature < 0:
         raise ConfigError("temperature must be non-negative")
     if config.context_lines < 0:

@@ -34,7 +34,7 @@ from .gateway import (
     with_retries,
 )
 from .ingestion import ReviewRequest, prompt_block
-from .matching import cluster_tagged, findings_equivalent, merge_to_maxima
+from .matching import TokenTable, cluster_tagged, findings_equivalent, merge_to_maxima
 from .parsing import parse_findings_response
 from .prompts import Role, render_prompt
 from .specs import (
@@ -120,6 +120,8 @@ def aggregate_candidates(
     mode: str = "deterministic",
     backend: Optional[ModelBackend] = None,
     library: Optional[SpecLibrary] = None,
+    *,
+    tokens: Optional[TokenTable] = None,
 ) -> AggregatedReview:
     """Merge one chunk's candidate reviews into a quorum-filtered partial.
 
@@ -130,7 +132,8 @@ def aggregate_candidates(
     library, the category is resolved from the union of cited rules (a
     member citing nothing does not pull it to maintainability). Model mode
     asks the aggregator role to group candidates instead, then computes
-    support the same way and drops unsupported inventions.
+    support the same way and drops unsupported inventions. tokens is the
+    run's TokenTable for the clustering (matching.cluster_tagged).
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation mode {mode!r}")
@@ -145,7 +148,7 @@ def aggregate_candidates(
 
     if mode == "deterministic":
         merged: list[Finding] = []
-        for group in cluster_tagged(entries):
+        for group in cluster_tagged(entries, tokens=tokens):
             support = len({instance for _, instance in group})
             if support < ensemble.quorum:
                 logger.debug(
@@ -213,13 +216,16 @@ def synthesize_partials(
     partials: Sequence[AggregatedReview],
     backend: Optional[ModelBackend] = None,
     model_summary: bool = False,
+    *,
+    tokens: Optional[TokenTable] = None,
 ) -> PathwayReport:
     """Merge per-chunk partials into the pathway report.
 
     Cross-chunk duplicates (same code shown against different rule chunks)
     collapse to the highest-confidence member raised to the group maxima
     (merge_to_maxima). The summary is a plain count line unless a model
-    summary is requested.
+    summary is requested. tokens is the run's TokenTable for the
+    clustering (matching.cluster_tagged).
     """
     if not partials:
         raise NoPartials("no partial reviews to synthesize")
@@ -229,7 +235,7 @@ def synthesize_partials(
         for finding in partial.findings
     ]
     merged: list[Finding] = []
-    for group in cluster_tagged(entries):
+    for group in cluster_tagged(entries, tokens=tokens):
         members = [finding for finding, _ in group]
         winner = min(members, key=lambda finding: (-finding.confidence, finding.sort_key()))
         merged.append(merge_to_maxima(members, winner))
@@ -261,6 +267,7 @@ def run_explicit(
     run_id: str = "",
     *,
     pool: Executor,
+    tokens: Optional[TokenTable] = None,
 ) -> PathwayReport:
     """Segment the rule library, review every chunk, and synthesize.
 
@@ -271,12 +278,16 @@ def run_explicit(
     completion order. Model-mode aggregation and the model summary retry
     their call (gateway.with_retries) but not its parsing. The model_calls
     stat counts every call sent, the reviewer slots', the aggregator's and
-    the summary's, retries included. Raises EnsembleError when any chunk
-    exceeds its failure budget.
+    the summary's, retries included. Aggregation and synthesis tokenize
+    descriptions through tokens, the run's TokenTable (a fresh one when
+    none is given). Raises EnsembleError when any chunk exceeds its
+    failure budget.
     """
     if not request.units:
         raise InvalidReviewRequest("explicit review needs at least one unit")
     chunks = segment_library(library, chunk_budget)
+    if tokens is None:
+        tokens = TokenTable()
 
     # Slots submitted further ahead would only queue, and their parsed
     # results would pile up uncollected (peak memory, not speed).
@@ -309,12 +320,20 @@ def run_explicit(
         absent_total += ensemble.n - len(candidates)
         partials.append(
             aggregate_candidates(
-                chunk, candidates, ensemble, aggregation_mode, backend=pooled, library=library
+                chunk,
+                candidates,
+                ensemble,
+                aggregation_mode,
+                backend=pooled,
+                library=library,
+                tokens=tokens,
             )
             if candidates
             else AggregatedReview(chunk.ordinal, (), 0)
         )
-    report = synthesize_partials(partials, backend=pooled, model_summary=model_summary)
+    report = synthesize_partials(
+        partials, backend=pooled, model_summary=model_summary, tokens=tokens
+    )
     stats = freeze_stats(
         {
             "pathway": Pathway.EXPLICIT.value,

@@ -7,9 +7,13 @@ closure of that relation, computed with union-find over a sorted input
 so group membership and order never depend on arrival order. The input
 is sorted by file, then start line, so a sweep that stops at the first
 later finding in another file or starting past the current one's end
-skips only pairs that cannot overlap; each distinct description is
-tokenized once. A cluster merges into one finding raised to the member
-maxima.
+skips only pairs that cannot overlap. Token sets come from a
+TokenTable, which tokenizes each distinct description once: a run passes
+one table to every clustering it does (the explicit pathway's quorum
+aggregation and synthesis, then consolidation), so a description repeated
+by ensemble members, rule chunks and pathways is tokenized once per run; a
+caller that passes none gets a fresh table per call. A cluster merges into
+one finding raised to the member maxima.
 """
 
 from __future__ import annotations
@@ -29,6 +33,20 @@ Tag = TypeVar("Tag")
 
 def tokenize(text: str) -> frozenset[str]:
     return frozenset(map(str.lower, _TOKEN.findall(text)))
+
+
+class TokenTable(dict):
+    """Description -> tokenize(description), filled on a miss.
+
+    It lives for one run and holds one token set per distinct description.
+    Tokens are a pure function of the text, so a table shared between
+    threads at worst tokenizes a text twice, and a single dict read or
+    write is atomic.
+    """
+
+    def __missing__(self, text: str) -> frozenset[str]:
+        tokens = self[text] = tokenize(text)
+        return tokens
 
 
 def _jaccard(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
@@ -56,20 +74,24 @@ def findings_equivalent(a: Finding, b: Finding, threshold: float = JACCARD_THRES
 
 
 def cluster_tagged(
-    entries: Iterable[tuple[Finding, Tag]], threshold: float = JACCARD_THRESHOLD
+    entries: Iterable[tuple[Finding, Tag]],
+    threshold: float = JACCARD_THRESHOLD,
+    *,
+    tokens: Optional[TokenTable] = None,
 ) -> list[list[tuple[Finding, Tag]]]:
     """Partition (finding, tag) entries by equivalence of their findings.
 
     Entries are ordered by (finding.sort_key(), tag); groups are ordered
     by their first entry and keep entry order, so the result is a pure
     function of the set. The tag only breaks ties and travels along: the
-    ensemble member or rule chunk an entry came from, say.
+    ensemble member or rule chunk an entry came from, say. Descriptions
+    are tokenized through tokens, the run's TokenTable, so a text the run
+    has already seen is not tokenized again; without one, each distinct
+    description of this call is tokenized once.
     """
     ordered = sorted(entries, key=lambda entry: (entry[0].sort_key(), entry[1]))
-    # Ensemble members often repeat a description word for word; one token
-    # set per distinct text keeps memory at the distinct descriptions.
-    token_sets = {text: tokenize(text) for text in {finding.description for finding, _ in ordered}}
-    tokens = [token_sets[finding.description] for finding, _ in ordered]
+    table = TokenTable() if tokens is None else tokens
+    token_sets = [table[finding.description] for finding, _ in ordered]
     parent = list(range(len(ordered)))
 
     def find(index: int) -> int:
@@ -88,7 +110,7 @@ def cluster_tagged(
             if other.file != finding.file or other.start_line > finding.end_line:
                 break
             root_i, root_j = find(i), find(j)
-            if root_i != root_j and _jaccard(tokens[i], tokens[j]) >= threshold:
+            if root_i != root_j and _jaccard(token_sets[i], token_sets[j]) >= threshold:
                 parent[max(root_i, root_j)] = min(root_i, root_j)
 
     groups: dict[int, list[tuple[Finding, Tag]]] = {}
@@ -98,13 +120,16 @@ def cluster_tagged(
 
 
 def cluster_findings(
-    findings: Iterable[Finding], threshold: float = JACCARD_THRESHOLD
+    findings: Iterable[Finding],
+    threshold: float = JACCARD_THRESHOLD,
+    *,
+    tokens: Optional[TokenTable] = None,
 ) -> list[list[Finding]]:
     """cluster_tagged with each finding's pathway as its tag, findings only."""
     return [
         [finding for finding, _ in group]
         for group in cluster_tagged(
-            ((finding, finding.pathway.value) for finding in findings), threshold
+            ((finding, finding.pathway.value) for finding in findings), threshold, tokens=tokens
         )
     ]
 

@@ -38,12 +38,18 @@ def _severity(value: object) -> Optional[Severity]:
 
 
 def extract_json_document(text: str) -> dict:
-    """Return the first JSON object found in text, or raise UnparsableResponse."""
+    """Return the first JSON object found in text, or raise UnparsableResponse.
+
+    A document nested deeper than the decoder can recurse is unparsable as
+    a whole: the braces inside it are not tried one by one.
+    """
     decoder = json.JSONDecoder()
     index = text.find("{")
     while index != -1:
         try:
             value, _ = decoder.raw_decode(text, index)
+        except RecursionError:
+            raise UnparsableResponse("JSON in model response is nested too deeply") from None
         except ValueError:
             index = text.find("{", index + 1)
             continue

@@ -31,6 +31,7 @@ from .gateway import (
 )
 from .implicit import run_implicit
 from .ingestion import ReviewRequest, prompt_block
+from .matching import TokenTable
 from .parsing import parse_findings_response
 from .prompts import Role, render_prompt
 from .report import FinalReport, attach_patches, compute_run_id, consolidate
@@ -208,6 +209,11 @@ def run_review(
     are cancelled and the implicit thread is joined before the error
     propagates.
 
+    The run makes one TokenTable and passes it to the explicit pathway's
+    clustering and to consolidation, so each distinct finding description
+    is tokenized once per run. Nothing outlives the run: a second run
+    starts with an empty table.
+
     backend overrides the configured one (fixture recording, tests);
     everything else, run identity included, still follows the config.
     """
@@ -220,11 +226,12 @@ def run_review(
         base_seed=config.seed,
     )
     run_id = compute_run_id(request, config.echo())
+    tokens = TokenTable()
 
     if config.mode == "baseline":
         with call_pool() as pool:
             reports = [_run_baseline(request, backend, config, run_id, pool)]
-        return consolidate(reports, run_id, config.mode, config.echo())
+        return consolidate(reports, run_id, config.mode, config.echo(), tokens=tokens)
 
     library = load_rules(config)
     # A prebuilt index is quick to read, and a bad one then fails the run
@@ -274,6 +281,7 @@ def run_review(
                         model_summary=config.model_summary,
                         run_id=run_id,
                         pool=pool,
+                        tokens=tokens,
                     )
                 ]
             except BaseException:
@@ -284,7 +292,7 @@ def run_review(
             if beside is not None:
                 reports.append(beside.result())
 
-        final = consolidate(reports, run_id, config.mode, config.echo())
+        final = consolidate(reports, run_id, config.mode, config.echo(), tokens=tokens)
         if config.patches:
             final = attach_patches(final, request, library, backend, seed=config.seed, pool=pool)
             stats = dict(final.patch_stats)

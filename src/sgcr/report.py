@@ -17,12 +17,13 @@ import json
 import logging
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping, Optional, Sequence
 
 from .errors import DiffSyntaxError, PatchDoesNotApply, SgcrError, UnparsableResponse, WireError
 from .gateway import ModelBackend, ModelRequest, generate, with_retries
 from .ingestion import ReviewRequest, apply_file_diff, parse_unified_diff, unit_for_location
-from .matching import cluster_findings, merge_to_maxima
+from .matching import TokenTable, cluster_findings, merge_to_maxima
 from .parsing import parse_patch_response
 from .prompts import Role, render_prompt
 from .specs import SpecLibrary
@@ -41,6 +42,9 @@ from .types import (
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1"
+
+# repr of a non-finite float -> its spelling in json.dumps output.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -86,15 +90,18 @@ def compute_run_id(request: ReviewRequest, config: Mapping[str, object]) -> str:
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:12]
 
 
-def dedupe(findings: Sequence[Finding]) -> list[FindingCluster]:
+def dedupe(
+    findings: Sequence[Finding], *, tokens: Optional[TokenTable] = None
+) -> list[FindingCluster]:
     """Collapse equivalent findings across pathways into clusters.
 
     Each cluster's winner is the most severe, most confident member,
     explicit before implicit, then lowest finding id; it is raised to the
-    member maxima by matching.merge_to_maxima.
+    member maxima by matching.merge_to_maxima. tokens is the run's
+    TokenTable for the clustering (matching.cluster_findings).
     """
     clusters = []
-    for group in cluster_findings(findings):
+    for group in cluster_findings(findings, tokens=tokens):
         members = tuple(group)
         winner = min(
             members,
@@ -158,11 +165,14 @@ def consolidate(
     run_id: str,
     mode: str,
     config_echo: Optional[Mapping[str, object]] = None,
+    *,
+    tokens: Optional[TokenTable] = None,
 ) -> FinalReport:
     """Merge pathway reports into the final prioritized report.
 
     Pathway reports that carry a run id must agree with the given one;
     mixing outputs of different runs is a caller bug worth failing loudly.
+    tokens is the run's TokenTable, passed on to dedupe.
     """
     for report in reports:
         stated = report.stats_dict().get("run_id", "")
@@ -171,7 +181,7 @@ def consolidate(
                 f"pathway report run id {stated!r} does not match {run_id!r}"
             )
     findings = [finding for report in reports for finding in report.findings]
-    clusters = prioritize(dedupe(findings))
+    clusters = prioritize(dedupe(findings, tokens=tokens))
     echo = tuple(sorted((config_echo or {}).items()))
     return FinalReport(
         run_id=run_id,
@@ -341,8 +351,53 @@ def report_payload(report: FinalReport) -> dict[str, object]:
     }
 
 
+def _write_json(value: object, indent: str, parts: list[str]) -> None:
+    """Append value as json.dumps(..., sort_keys=True, indent=2) writes it.
+
+    Strings go through json's C escaper, ints and finite floats through
+    their repr, non-finite floats as json spells them. Dict keys must be
+    strings, as every key of report_payload is.
+    """
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        parts.append(_NON_FINITE.get(text, text))
+    elif not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner = indent + "  "
+        is_dict = isinstance(value, dict)
+        parts.append("{" if is_dict else "[")
+        separator = "\n" + inner
+        for item in sorted(value) if is_dict else value:
+            parts.append(separator)
+            separator = ",\n" + inner
+            if is_dict:
+                parts.append(_escape(item) + ": ")
+                item = value[item]
+            _write_json(item, inner, parts)
+        parts.append("\n" + indent + ("}" if is_dict else "]"))
+
+
 def render_json(report: FinalReport) -> str:
-    return json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n"
+    """The report as JSON text, byte for byte
+    json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n".
+
+    json.dumps with an indent runs the pure-Python encoder; _write_json
+    writes the same bytes with one recursive call per value, escaping
+    strings in C. report_payload stays the only owner of the schema.
+    """
+    parts: list[str] = []
+    _write_json(report_payload(report), "", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 _SEVERITY_TITLES = {

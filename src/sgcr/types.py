@@ -83,6 +83,12 @@ class Finding:
     (1.0 for a freshly parsed, not yet aggregated candidate finding).
     category is resolved from the cited specifications once a library is in
     scope; findings citing nothing default to maintainability.
+
+    Every stage builds findings, so __init__ is written by hand rather than
+    generated: it checks the line range and confidence, hashes content_id
+    only when no finding_id is given, and stores the fields and the sort
+    key in one write. Equality, hashing, repr, replace() and immutability
+    are the dataclass's, over the twelve fields alone.
     """
 
     file: str
@@ -98,22 +104,47 @@ class Finding:
     patch: Optional[PatchSuggestion] = None
     finding_id: str = field(default="")
 
-    def __post_init__(self) -> None:
-        if self.start_line < 1 or self.end_line < self.start_line:
-            raise ValueError(
-                f"invalid line range {self.start_line}..{self.end_line} for {self.file!r}"
-            )
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        if not self.finding_id:
-            object.__setattr__(
-                self,
-                "finding_id",
-                content_id(self.file, self.start_line, self.end_line, self.description),
-            )
+    def __init__(
+        self,
+        file: str,
+        start_line: int,
+        end_line: int,
+        description: str,
+        severity: Severity,
+        pathway: Pathway,
+        rationale: str = "",
+        spec_ids: tuple[str, ...] = (),
+        confidence: float = 1.0,
+        category: Category = Category.MAINTAINABILITY,
+        patch: Optional[PatchSuggestion] = None,
+        finding_id: str = "",
+    ) -> None:
+        if start_line < 1 or end_line < start_line:
+            raise ValueError(f"invalid line range {start_line}..{end_line} for {file!r}")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence {confidence} outside [0, 1]")
+        if not finding_id:
+            finding_id = content_id(file, start_line, end_line, description)
+        # Frozen, so attribute assignment raises: fill the instance dict in
+        # one call.
+        self.__dict__.update(
+            file=file,
+            start_line=start_line,
+            end_line=end_line,
+            description=description,
+            severity=severity,
+            pathway=pathway,
+            rationale=rationale,
+            spec_ids=spec_ids,
+            confidence=confidence,
+            category=category,
+            patch=patch,
+            finding_id=finding_id,
+            _sort_key=(file, start_line, finding_id),
+        )
 
     def sort_key(self) -> tuple[str, int, str]:
-        return (self.file, self.start_line, self.finding_id)
+        return self._sort_key
 
 
 def sort_findings(findings: Sequence[Finding]) -> list[Finding]:

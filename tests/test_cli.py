@@ -173,6 +173,42 @@ def test_review_configuration_problems_exit_2(capsys, java_file, rules_dir, tmp_
     assert err.startswith("sgcr: ")
 
 
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize(
+    ("config_path", "fragment"),
+    [
+        (lambda ctx: ctx, "cannot read config file"),  # a directory
+        (lambda ctx: _write_bytes(ctx / "latin.json", b'{"model": "caf\xe9"}'), "not UTF-8"),
+        (
+            lambda ctx: _write_bytes(
+                ctx / "big.json", b'{"temperature": ' + b"9" * 400 + b"}"
+            ),
+            "'temperature' is too large",
+        ),
+    ],
+    ids=["directory", "not-utf8", "400-digit-temperature"],
+)
+def test_review_unreadable_config_files_exit_2(
+    capsys, java_file, rules_dir, tmp_path, config_path, fragment
+):
+    argv = _review_argv(java_file, rules_dir, "--config", str(config_path(tmp_path)))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("sgcr: ") and fragment in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_review_non_finite_temperature_exits_2(capsys, java_file, rules_dir, value):
+    assert main(_review_argv(java_file, rules_dir, f"--temperature={value}")) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("sgcr: temperature must be a finite number")
+
 def test_review_malformed_diff_exits_2(capsys, rules_dir, tmp_path):
     bad = tmp_path / "bad.diff"
     bad.write_text("--- a/f\n+++ b/f\n@@ broken @@\n x\n", encoding="utf-8")

@@ -66,10 +66,39 @@ def test_load_config_file_rejects_bad_content(tmp_path, raw, fragment):
     assert fragment in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    ("raw", "fragment"),
+    [
+        ('{"temperature": 1' + "0" * 400 + "}", "'temperature' is too large for a number"),
+        ('{"seed": 1' + "0" * 5000 + "}", "not valid JSON"),
+        ('{"seed": ' + "[" * 100_000 + "}", "not valid JSON"),
+    ],
+    ids=["400-digit-float", "5000-digit-int", "deep-nesting"],
+)
+def test_load_config_file_rejects_values_json_cannot_hold(tmp_path, raw, fragment):
+    path = tmp_path / "run.json"
+    path.write_text(raw, encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config_file(path)
+    assert fragment in str(excinfo.value)
+
+
 def test_load_config_file_requires_the_file(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         load_config_file(tmp_path / "absent.json")
     assert "not found" in str(excinfo.value)
+
+
+def test_load_config_file_names_the_path_it_cannot_read(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config file") as excinfo:
+        load_config_file(tmp_path)  # a directory
+    assert str(tmp_path) in str(excinfo.value)
+
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"model": "caf\xe9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="is not UTF-8 text") as excinfo:
+        load_config_file(latin)
+    assert str(latin) in str(excinfo.value)
 
 
 def test_env_overrides_pick_up_only_set_variables():
@@ -131,6 +160,8 @@ def test_merge_config_rejects_unknown_keys():
             {"embedding": "http", "base_url": "http://example.invalid"},
             "http embedding requires an API key",
         ),
+        ({"temperature": float("nan")}, "temperature must be a finite number"),
+        ({"temperature": float("inf")}, "temperature must be a finite number"),
     ],
 )
 def test_validate_config_rejections(overrides, fragment):

@@ -872,6 +872,36 @@ def test_every_ensemble_slot_is_hashed_before_it_reaches_the_backend(tmp_path):
     assert all(slots)
 
 
+class _DeepFirstBackend(_CountingBackend):
+    """Mock responses, except that the first reviewer call is answered with
+    JSON nested deeper than the decoder recurses."""
+
+    def __init__(self):
+        super().__init__(sleep_s=0.0)
+        self.deep_for = None
+
+    def _complete(self, request):
+        if request.role == Role.EXPLICIT_REVIEWER.value:
+            with self._lock:
+                if self.deep_for is None:
+                    self.deep_for = request.fingerprint
+                    return '{"findings": ' + "[" * 100_000
+        return super()._complete(request)
+
+
+def test_a_reviewer_slot_retries_a_too_deep_reply_and_the_run_completes(tmp_path):
+    config = _chunked_config(tmp_path, ensemble_size=3)
+    plain = run_review(config, make_review_request(), backend=_CountingBackend(sleep_s=0.0))
+    backend = _DeepFirstBackend()
+    final = run_review(config, make_review_request(), backend=backend)
+
+    sent = [request.fingerprint for request in backend.call_log]
+    assert sent.count(backend.deep_for) == 2  # the slot retried once
+    assert final.clusters == plain.clusters
+    explicit, plain_explicit = final.pathway_reports[0], plain.pathway_reports[0]
+    assert explicit.stats_dict()["absent_slots"] == 0
+    assert explicit.stats_dict()["model_calls"] == plain_explicit.stats_dict()["model_calls"] + 1
+
 def test_model_request_fingerprint_is_cached_per_instance():
     base = ModelRequest(role="verifier", prompt="same prompt", seed=1)
     assert base.fingerprint == request_fingerprint(base)

@@ -104,6 +104,12 @@ def test_propose_degrades_to_empty_after_retries(caplog):
     assert any("proposer failed" in record.message for record in caplog.records)
 
 
+def test_a_proposer_whose_reply_nests_too_deeply_yields_no_proposals():
+    backend = CannedBackend({"proposer": '{"issues": ' + "[" * 100_000})
+    issues, calls = propose_issues(make_review_request(), backend)
+    assert issues == []
+    assert calls == len(backend.call_log) == 1 + SLOT_RETRIES
+
 def test_a_proposer_fixture_miss_is_raised_and_degrades_the_pathway(tmp_path):
     backend = ReplayBackend(tmp_path / "no-fixtures")
     with pytest.raises(FixtureMiss):

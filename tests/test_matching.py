@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
-from conftest import make_finding, make_library, make_spec
+from conftest import GOLDEN_DIR, REPO_ROOT, make_finding, make_library, make_spec
+import sgcr.explicit
+import sgcr.matching
+from sgcr.config import RunConfig
+from sgcr.ingestion import build_review_request
 from sgcr.matching import (
     JACCARD_THRESHOLD,
+    TokenTable,
     cluster_findings,
     cluster_tagged,
     findings_equivalent,
@@ -16,6 +22,7 @@ from sgcr.matching import (
     token_jaccard,
     tokenize,
 )
+from sgcr.pipeline import render_report, run_review
 from sgcr.specs import resolve_category
 from sgcr.types import (
     CATEGORY_RANK,
@@ -223,3 +230,60 @@ def test_a_singleton_merge_still_sorts_and_dedupes_its_rule_ids():
     assert merged.spec_ids == ("perf.c", "sec.a")
     assert merged.finding_id == untidy.finding_id
     assert replace(merged, spec_ids=untidy.spec_ids) == untidy
+
+
+def test_a_token_table_tokenizes_each_text_once_and_is_shared_by_calls(monkeypatch):
+    tokenized = []
+    real = sgcr.matching.tokenize
+    monkeypatch.setattr(
+        sgcr.matching, "tokenize", lambda text: tokenized.append(text) or real(text)
+    )
+    findings = [make_finding(start=line, description="same words here") for line in (1, 1, 2)]
+    table = TokenTable()
+    first = cluster_findings(findings, tokens=table)
+    assert cluster_findings(findings, tokens=table) == first == cluster_findings(findings)
+    assert table == {"same words here": tokenize("same words here")}
+    # Two calls on the table, then one call on a fresh table of its own.
+    assert tokenized == ["same words here", "same words here"]
+
+
+def test_a_review_run_tokenizes_each_distinct_description_once(monkeypatch):
+    """The golden replay: quorum aggregation, synthesis and consolidation
+    see many repeated descriptions, and each is tokenized once per run."""
+    tokenized = []
+    clustered = []
+    real_tokenize = sgcr.matching.tokenize
+    real_cluster = sgcr.matching.cluster_tagged
+
+    def recording_cluster(entries, *args, **kwargs):
+        entries = list(entries)
+        clustered.extend(finding.description for finding, _ in entries)
+        return real_cluster(entries, *args, **kwargs)
+
+    monkeypatch.setattr(
+        sgcr.matching, "tokenize", lambda text: tokenized.append(text) or real_tokenize(text)
+    )
+    monkeypatch.setattr(sgcr.matching, "cluster_tagged", recording_cluster)
+    monkeypatch.setattr(sgcr.explicit, "cluster_tagged", recording_cluster)
+    monkeypatch.chdir(REPO_ROOT)
+    config = RunConfig(
+        mode="full",
+        backend="replay",
+        fixtures_dir="tests/data/golden/fixtures",
+        specs_dir="sample_specs",
+        chunk_budget=300,
+        patches=True,
+    )
+    request = build_review_request(paths=[Path("tests/data/golden/input/Example.java")])
+    expected = (GOLDEN_DIR / "expected_report.json").read_text(encoding="utf-8")
+
+    counts = []
+    for _ in range(2):
+        tokenized.clear()
+        clustered.clear()
+        assert render_report(run_review(config, request), "json") == expected
+        assert len(clustered) > len(set(clustered))  # stages repeat descriptions
+        assert sorted(tokenized) == sorted(set(clustered))
+        counts.append(len(tokenized))
+    # Nothing is kept across runs: the second run tokenizes as much again.
+    assert counts[0] == counts[1] > 0

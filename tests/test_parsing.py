@@ -34,6 +34,38 @@ def test_extract_json_document_no_object():
         extract_json_document("{broken")
 
 
+# Deeper than the decoder recurses: RecursionError, which is no ValueError.
+DEEP_REPLY = '{"findings": ' + "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda text: parse_findings_response(text, Pathway.EXPLICIT),
+        parse_proposals_response,
+        parse_verdict_response,
+        parse_patch_response,
+    ],
+    ids=["findings", "proposals", "verdict", "patch"],
+)
+def test_every_parser_calls_too_deep_nesting_unparsable(parse):
+    with pytest.raises(UnparsableResponse, match="nested too deeply"):
+        parse(DEEP_REPLY)
+
+
+def test_extract_json_document_stops_at_the_first_too_deep_object(monkeypatch):
+    decodes = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counting(self, text, index=0):
+        decodes.append(index)
+        return raw_decode(self, text, index)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    with pytest.raises(UnparsableResponse):
+        extract_json_document('{"a": ' * 100_000)
+    assert decodes == [0]  # the 99,999 nested braces are not tried
+
 def test_parse_findings_with_a_library_drops_unknown_ids_and_resolves_category(caplog):
     library = make_library(
         make_spec("sec.input", category=Category.SECURITY),

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import CannedBackend, make_finding, make_library, make_review_request, make_spec
 from sgcr.errors import SgcrError
 from sgcr.gateway import call_pool
+import sgcr.report
 from sgcr.report import (
     FindingCluster,
     attach_patches,
@@ -22,7 +25,14 @@ from sgcr.report import (
     render_markdown,
     report_payload,
 )
-from sgcr.types import Category, Pathway, PathwayReport, Severity, freeze_stats
+from sgcr.types import (
+    Category,
+    PatchSuggestion,
+    Pathway,
+    PathwayReport,
+    Severity,
+    freeze_stats,
+)
 
 LIBRARY = make_library(
     make_spec("sec.input", severity=Severity.HIGH, category=Category.SECURITY),
@@ -363,6 +373,132 @@ def test_render_json_empty_report():
     assert json.loads(rendered) == payload
     assert rendered == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
+
+def _reference_json(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# Pieces that stress the escaper: quotes, backslashes, control, non-ASCII,
+# astral and lone-surrogate characters.
+_TEXT_PIECES = [
+    "",
+    "plain words",
+    'say "hi"',
+    "back\\slash \\n",
+    "\t\n\r\x00\x08\x0c\x1f\x7f",
+    "caf\u00e9 \u2028\u2029 \u2603",
+    "astral \U0001f600\U00010348",
+    "lone \ud800 and \udfff",
+    "</script>",
+]
+_FLOATS = [1e-7, 2 / 3, 1e16, -0.0, 0.0, 1.0, 0.1, -2.5e-300, 1.7976931348623157e308,
+           float("nan"), float("inf"), float("-inf")]
+
+
+def _random_text(rng):
+    text = "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 3)))
+    if rng.random() < 0.3:
+        text += chr(rng.choice([rng.randrange(0x20), rng.randrange(0xD800, 0xE000),
+                                rng.randrange(0x10000, 0x110000), rng.randrange(0x80, 0x800)]))
+    return text
+
+
+def _random_value(rng, depth=0):
+    roll = rng.random()
+    if depth < 4 and roll < 0.2:
+        return {_random_text(rng): _random_value(rng, depth + 1) for _ in range(rng.randint(0, 5))}
+    if depth < 4 and roll < 0.4:
+        items = [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 5))]
+        return tuple(items) if rng.random() < 0.2 else items
+    return rng.choice(
+        [
+            lambda: _random_text(rng),
+            lambda: None,
+            lambda: True,
+            lambda: False,
+            lambda: rng.randint(-(10**20), 10**20),
+            lambda: rng.choice([0, 1, -1, 2**63]),
+            lambda: rng.choice(_FLOATS),
+            lambda: rng.uniform(-1e6, 1e6),
+        ]
+    )()
+
+
+def test_render_json_writes_the_bytes_of_json_dumps_on_random_payloads(monkeypatch):
+    rng = random.Random(20261018)
+    payloads = [{}, [], {"": {}, "a": [], "b": [[], {}]}, {"floats": list(_FLOATS)}]
+    payloads += [_random_value(rng) for _ in range(400)]
+    for number, payload in enumerate(payloads):
+        monkeypatch.setattr(sgcr.report, "report_payload", lambda report: payload)
+        assert render_json(None) == _reference_json(payload), f"payload {number}"
+
+
+def test_render_json_rejects_what_json_cannot_write(monkeypatch):
+    # Every key of report_payload is a string; json.dumps would stringify an
+    # int key, but the writer takes one as a schema bug and fails loudly.
+    for payload in ({"finding": object()}, {1: "not a string key"}):
+        monkeypatch.setattr(sgcr.report, "report_payload", lambda report: payload)
+        with pytest.raises(TypeError):
+            render_json(None)
+
+
+def _random_report(rng, with_patches):
+    findings = [
+        make_finding(
+            file=rng.choice(["src/Main.java", "src/Caf\u00e9.java"]),
+            start=rng.randint(1, 6),
+            # content_id hashes the description as UTF-8: no lone surrogates.
+            description=_random_text(rng).encode("utf-8", "ignore").decode() or "unchecked",
+            severity=rng.choice(list(Severity)),
+            pathway=rng.choice(list(Pathway)),
+            confidence=rng.choice([1.0, 2 / 3, 0.5, 1e-7]),
+            category=rng.choice(list(Category)),
+            rationale=_random_text(rng),
+            spec_ids=tuple(rng.sample(["sec.input", "style.naming", "x\u00e9"], rng.randint(0, 2))),
+        )
+        for _ in range(rng.randint(0, 12))
+    ]
+    reports = [
+        _pathway_report(
+            pathway,
+            [finding for finding in findings if finding.pathway is pathway],
+            run_id="",
+            model_calls=rng.randint(0, 99),
+            note=_random_text(rng),
+        )
+        for pathway in Pathway
+    ]
+    echo = {"temperature": rng.choice([0.7, 1e-7, 2 / 3]), "seed": rng.randint(0, 10**20),
+            "specs_dir": _random_text(rng), "language": None, "patches": with_patches}
+    report = consolidate(reports, run_id="run-x", mode="full", config_echo=echo)
+    if not with_patches:
+        return report
+    clusters = tuple(
+        replace(
+            cluster,
+            representative=replace(
+                cluster.representative,
+                patch=PatchSuggestion(
+                    unified_diff="--- a/f\n+++ b/f\n@@ -1 +1 @@\n-" + _random_text(rng) + "\n",
+                    explanation=_random_text(rng),
+                    constrained_by=cluster.representative.spec_ids,
+                ),
+            ),
+        )
+        if rng.random() < 0.6
+        else cluster
+        for cluster in report.clusters
+    )
+    stats = {"attempted": len(clusters), "attached": rng.randint(0, len(clusters)),
+             "skipped_uncited": 0}
+    return replace(report, clusters=clusters, patch_stats=tuple(sorted(stats.items())))
+
+
+def test_render_json_writes_the_bytes_of_json_dumps_on_random_reports():
+    rng = random.Random(7)
+    for trial in range(120):
+        report = _random_report(rng, with_patches=trial % 2 == 1)
+        assert render_json(report) == _reference_json(report_payload(report)), f"trial {trial}"
 
 def test_render_markdown_sections_and_patch_block():
     critical = make_finding(
