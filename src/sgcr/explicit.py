@@ -18,7 +18,7 @@ import logging
 from collections import deque
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidReviewRequest, NoCandidates, NoPartials
 from .gateway import (
@@ -268,12 +268,16 @@ def run_explicit(
     *,
     pool: Executor,
     tokens: Optional[TokenTable] = None,
+    on_first_window: Optional[Callable[[], None]] = None,
 ) -> PathwayReport:
     """Segment the rule library, review every chunk, and synthesize.
 
     Chunk ensembles go on the run's call pool up to a pool's worth of
     slots ahead of collection, so every chunk is in flight at once whenever
-    the chunks' slots fit under MAX_INFLIGHT. Results are collected and
+    the chunks' slots fit under MAX_INFLIGHT. on_first_window, if given,
+    is called once that first window, min(chunks, MAX_INFLIGHT // n)
+    ensembles, is on the pool, before any result is collected; the
+    pipeline builds a fresh index only then. Results are collected and
     aggregated in chunk order, so the report is identical whatever the
     completion order. Model-mode aggregation and the model summary retry
     their call (gateway.with_retries) but not its parsing. The model_calls
@@ -306,6 +310,8 @@ def run_explicit(
         )
 
     pending = deque(submit(chunk) for chunk in chunks[:ahead])
+    if on_first_window is not None:
+        on_first_window()
     # Model-mode aggregation and the model summary call from this thread;
     # routed through the pool, they count against its cap.
     pooled = PooledBackend(backend, pool)

@@ -264,16 +264,19 @@ def run_implicit(
 
     Every model and embedding call goes on the run's call pool. The
     proposer call is submitted first and get_index, which loads or builds
-    the index, runs while it is in flight; its errors always propagate,
-    because a broken index is a configuration problem, not a degraded
-    pathway. Then every issue is grounded on the pool, and in proposal
-    order each grounded issue's verifier slots are submitted; outcomes are
-    collected in proposal order. An issue that retrieves nothing is skipped
-    unless ungrounded verification is allowed. A verification ensemble
-    that exhausts its failure budget rejects that one issue rather than
-    the pathway, and its calls still count in the model_calls stat. With
-    soft_fail (the default) any other error inside the pathway degrades it
-    to an empty report carrying the error in its stats.
+    the index, runs while it is in flight. get_index may block first: in a
+    full run the pipeline builds a fresh index only once the explicit
+    pathway's first window of reviewer calls is on the pool. Its errors
+    always propagate, because a broken index is a configuration problem,
+    not a degraded pathway. Then every issue is grounded on the pool, and
+    in proposal order each grounded issue's verifier slots are submitted;
+    outcomes are collected in proposal order. An issue that retrieves
+    nothing is skipped unless ungrounded verification is allowed. A
+    verification ensemble that exhausts its failure budget rejects that
+    one issue rather than the pathway, and its calls still count in the
+    model_calls stat. With soft_fail (the default) any other error inside
+    the pathway degrades it to an empty report carrying the error in its
+    stats.
     """
     proposal = pool.submit(
         propose_issues,

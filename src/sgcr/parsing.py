@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from typing import Optional
 
 from .errors import UnparsableResponse
@@ -37,11 +38,58 @@ def _severity(value: object) -> Optional[Severity]:
     return _SEVERITY_BY_VALUE.get(value) if isinstance(value, str) else None
 
 
+# A \uD800-\uDFFF escape.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _may_hold_surrogate(text: str) -> bool:
+    """Whether text holds a surrogate escape or raw surrogate characters.
+
+    Only such a reply can decode to a string that UTF-8 cannot encode. The
+    screen runs in C: a reply with no backslash skips the regex.
+    """
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        return True
+    return not _encodes(text)
+
+
+def _has_lone_surrogate(document: dict) -> bool:
+    """Whether any key or string value in document fails to encode as UTF-8.
+
+    Walked with a stack, not recursion, so no document the decoder
+    accepts is too deep for the walk.
+    """
+    stack: list = [document]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, str) and not _encodes(value):
+            return True
+    return False
+
+
 def extract_json_document(text: str) -> dict:
     """Return the first JSON object found in text, or raise UnparsableResponse.
 
     A document nested deeper than the decoder can recurse is unparsable as
-    a whole: the braces inside it are not tried one by one.
+    a whole: the braces inside it are not tried one by one. So is a
+    document holding a string with an unpaired surrogate (a lone
+    "\\ud800" escape is valid JSON): such a string cannot be hashed into
+    an id or written as UTF-8, so the reply is retried like any other
+    that does not parse. Only a reply whose text holds a \\uD800-\\uDFFF
+    escape or does not encode as UTF-8 has its strings checked.
     """
     decoder = json.JSONDecoder()
     index = text.find("{")
@@ -54,6 +102,8 @@ def extract_json_document(text: str) -> dict:
             index = text.find("{", index + 1)
             continue
         if isinstance(value, dict):
+            if _may_hold_surrogate(text) and _has_lone_surrogate(value):
+                raise UnparsableResponse("JSON in model response holds an unpaired surrogate")
             return value
         index = text.find("{", index + 1)
     raise UnparsableResponse("no JSON object found in model response")

@@ -5,7 +5,12 @@ without a subprocess) calls: build the backend and embedding provider,
 load rules and index, run the requested pathway combination, consolidate,
 and optionally attach patches. A run makes all its model calls on one
 bounded call pool (gateway.call_pool); in full mode the two pathways run
-side by side and the index is built while the proposer call is in flight.
+side by side. Rules load, and fail, before any model call. The proposer
+goes on the pool first, then the explicit pathway's first window of
+reviewer calls, and only then is a fresh index built, while those calls
+are in flight. The build holds the interpreter lock, so run earlier it
+would only hold up those reviewer calls, and with them the verifiers
+that queue behind them for a pool worker.
 """
 
 from __future__ import annotations
@@ -205,9 +210,15 @@ def run_review(
     full mode the implicit pathway (proposer, index build, verifiers) runs
     on a thread of its own beside the explicit pathway; reports stay in
     the order [explicit, implicit], so the report does not depend on which
-    finishes first. If the explicit pathway raises, calls not yet started
-    are cancelled and the implicit thread is joined before the error
-    propagates.
+    finishes first. A fresh index is built once the explicit pathway has
+    put its first window of reviewer calls on the pool (an Event set by
+    run_explicit's on_first_window), so those calls start before the
+    build takes the interpreter lock; the lock serialises the build and
+    the submission anyway, so the build ends no later. A prebuilt index,
+    or implicit_only mode, never waits. If the explicit pathway raises,
+    calls not yet started are cancelled, the Event is set so a build
+    still waiting goes ahead, and the implicit thread is joined before
+    the error propagates.
 
     The run makes one TokenTable and passes it to the explicit pathway's
     clustering and to consolidation, so each distinct finding description
@@ -235,19 +246,27 @@ def run_review(
 
     library = load_rules(config)
     # A prebuilt index is quick to read, and a bad one then fails the run
-    # before any model call; a fresh one is built while the proposer runs.
+    # before any model call; a fresh one is built while the first calls run.
     prebuilt = (
         _load_prebuilt_index(config, library)
         if config.index_path and config.mode != "explicit_only"
         else None
     )
+    # Set once the explicit pathway's first window is on the pool; only
+    # full mode has one to wait for.
+    first_window = threading.Event()
+    if config.mode != "full":
+        first_window.set()
     with call_pool() as pool:
 
         def implicit() -> PathwayReport:
             provider = build_provider(config)
 
             def get_index() -> VectorIndex:
-                return prebuilt if prebuilt is not None else build_index(library, provider)
+                if prebuilt is not None:
+                    return prebuilt
+                first_window.wait()
+                return build_index(library, provider)
 
             return run_implicit(
                 request,
@@ -282,11 +301,13 @@ def run_review(
                         run_id=run_id,
                         pool=pool,
                         tokens=tokens,
+                        on_first_window=first_window.set,
                     )
                 ]
             except BaseException:
                 if beside is not None:
                     pool.shutdown(wait=False, cancel_futures=True)
+                    first_window.set()
                     beside.join()
                 raise
             if beside is not None:

@@ -32,9 +32,11 @@ from sgcr.backends import (
 )
 from sgcr.errors import (
     BackendTimeout,
+    EmptyLibrary,
     EnsembleError,
     FixtureMiss,
     IndexLibraryMismatch,
+    MalformedSpecFile,
     MalformedWireResponse,
     RequestRejected,
     UnparsableResponse,
@@ -58,6 +60,7 @@ import sgcr.explicit
 import sgcr.gateway
 import sgcr.implicit
 import sgcr.ingestion
+import sgcr.pipeline
 from sgcr.explicit import (
     AggregatedReview,
     CandidateReview,
@@ -817,6 +820,171 @@ def test_a_prebuilt_index_of_other_embedding_settings_fails_before_any_call(tmp_
     assert backend.call_log == []
 
 
+# A guard, not a timing: every run below ends in well under a second
+# unless a pathway waits for an event that is never set.
+RUN_TIMEOUT_S = 60
+
+
+def _run_review_guarded(config, backend):
+    """run_review on a thread of its own: (report, error), or fail on a hang."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["report"] = run_review(config, make_review_request(), backend=backend)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, name="guarded-run", daemon=True)
+    runner.start()
+    runner.join(RUN_TIMEOUT_S)
+    assert not runner.is_alive(), "run_review hung"
+    return outcome.get("report"), outcome.get("error")
+
+
+class _FirstEmbedProvider(MockEmbeddingProvider):
+    """Records how many explicit ensembles were submitted at the first embed."""
+
+    def __init__(self, dimension, submitted):
+        super().__init__(dimension=dimension)
+        self.submitted = submitted
+        self.submitted_at_first_embed = None
+
+    def embed(self, text):
+        if self.submitted_at_first_embed is None:
+            self.submitted_at_first_embed = len(self.submitted)
+        return super().embed(text)
+
+
+def _record_first_embed(monkeypatch, config):
+    submitted = []
+    submit = sgcr.explicit.submit_ensemble
+
+    def counting_submit(*args, **kwargs):
+        submitted.append(args[2])
+        return submit(*args, **kwargs)
+
+    provider = _FirstEmbedProvider(config.embedding_dimension, submitted)
+    monkeypatch.setattr(sgcr.explicit, "submit_ensemble", counting_submit)
+    monkeypatch.setattr(sgcr.pipeline, "build_provider", lambda config: provider)
+    return provider
+
+
+@pytest.mark.parametrize("ensemble_size", [3, 8])
+def test_a_fresh_index_is_built_after_the_first_reviewer_window_is_submitted(
+    tmp_path, monkeypatch, ensemble_size
+):
+    config = _chunked_config(tmp_path, ensemble_size=ensemble_size)
+    chunks = len(segment_library(load_library(Path(config.specs_dir)), config.chunk_budget))
+    window = min(chunks, MAX_INFLIGHT // ensemble_size)
+    provider = _record_first_embed(monkeypatch, config)
+
+    final, error = _run_review_guarded(config, _CountingBackend(sleep_s=0.0))
+
+    assert error is None
+    assert provider.submitted_at_first_embed >= window
+    assert len(provider.submitted) == chunks
+    assert final.pathway_reports[1].stats_dict()["proposals"] > 0
+
+
+def test_implicit_only_builds_a_fresh_index_without_waiting(tmp_path, monkeypatch):
+    config = replace(_chunked_config(tmp_path, ensemble_size=3), mode="implicit_only")
+    provider = _record_first_embed(monkeypatch, config)
+
+    final, error = _run_review_guarded(config, _CountingBackend(sleep_s=0.0))
+
+    assert error is None
+    assert provider.submitted_at_first_embed == 0
+    assert provider.submitted == []
+    (implicit,) = final.pathway_reports
+    assert implicit.stats_dict()["proposals"] > 0
+
+
+def test_a_full_run_with_a_prebuilt_index_never_waits_for_the_explicit_pathway(
+    tmp_path, monkeypatch
+):
+    config = _chunked_config(tmp_path, ensemble_size=3)
+    index_path = tmp_path / "index.json"
+    library = load_library(Path(config.specs_dir))
+    save_index(
+        build_index(library, MockEmbeddingProvider(dimension=config.embedding_dimension)),
+        index_path,
+    )
+    index_returned = threading.Event()
+    explicit_saw_index = []
+    run_implicit = sgcr.pipeline.run_implicit
+    run_explicit = sgcr.pipeline.run_explicit
+
+    def implicit(request, library, backend, provider, get_index, *args, **kwargs):
+        def observed_get_index():
+            index = get_index()
+            index_returned.set()
+            return index
+
+        return run_implicit(
+            request, library, backend, provider, observed_get_index, *args, **kwargs
+        )
+
+    # The explicit pathway submits nothing until the implicit pathway holds
+    # its index: had get_index waited for that submission, the wait below
+    # would time out.
+    def explicit(*args, **kwargs):
+        explicit_saw_index.append(index_returned.wait(RUN_TIMEOUT_S / 2))
+        return run_explicit(*args, **kwargs)
+
+    monkeypatch.setattr(sgcr.pipeline, "run_implicit", implicit)
+    monkeypatch.setattr(sgcr.pipeline, "run_explicit", explicit)
+    final, error = _run_review_guarded(
+        replace(config, index_path=str(index_path)), _CountingBackend(sleep_s=0.0)
+    )
+
+    assert error is None
+    assert explicit_saw_index == [True]
+    assert final.clusters
+
+
+def test_an_explicit_pathway_that_raises_before_submitting_releases_the_index_build(
+    tmp_path, monkeypatch
+):
+    config = _chunked_config(tmp_path, ensemble_size=3)
+
+    def broken_segmentation(library, budget):
+        raise RuntimeError("segmentation broke")
+
+    monkeypatch.setattr(sgcr.explicit, "segment_library", broken_segmentation)
+    backend = _CountingBackend(sleep_s=0.0)
+    threads_before = threading.active_count()
+
+    final, error = _run_review_guarded(config, backend)
+
+    assert final is None
+    assert isinstance(error, RuntimeError) and str(error) == "segmentation broke"
+    assert threading.active_count() == threads_before
+    assert backend.calls_for_role(Role.EXPLICIT_REVIEWER.value) == 0
+
+
+@pytest.mark.parametrize("mode", ["full", "implicit_only"])
+@pytest.mark.parametrize(
+    "broken, error_type", [("malformed", MalformedSpecFile), ("empty", EmptyLibrary)]
+)
+def test_a_broken_rule_library_fails_before_any_model_call(tmp_path, mode, broken, error_type):
+    rules = tmp_path / "rules"
+    rules.mkdir()
+    if broken == "malformed":
+        write_spec_file(rules, "style.ok", body="A rule that parses.")
+        (rules / "broken.md").write_text("no front matter here\n", encoding="utf-8")
+    config = RunConfig(mode=mode, specs_dir=str(rules), patches=True)
+    backend = _CountingBackend(sleep_s=0.0)
+    threads_before = threading.active_count()
+
+    final, error = _run_review_guarded(config, backend)
+
+    assert final is None
+    assert isinstance(error, error_type)
+    assert backend.call_log == []
+    assert threading.active_count() == threads_before
+
+
 def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
     tmp_path, monkeypatch
 ):
@@ -872,35 +1040,48 @@ def test_every_ensemble_slot_is_hashed_before_it_reaches_the_backend(tmp_path):
     assert all(slots)
 
 
-class _DeepFirstBackend(_CountingBackend):
+class _BadFirstReviewerBackend(_CountingBackend):
     """Mock responses, except that the first reviewer call is answered with
-    JSON nested deeper than the decoder recurses."""
+    first_reply."""
 
-    def __init__(self):
+    def __init__(self, first_reply):
         super().__init__(sleep_s=0.0)
-        self.deep_for = None
+        self.first_reply = first_reply
+        self.bad_for = None
 
     def _complete(self, request):
         if request.role == Role.EXPLICIT_REVIEWER.value:
             with self._lock:
-                if self.deep_for is None:
-                    self.deep_for = request.fingerprint
-                    return '{"findings": ' + "[" * 100_000
+                if self.bad_for is None:
+                    self.bad_for = request.fingerprint
+                    return self.first_reply
         return super()._complete(request)
 
 
-def test_a_reviewer_slot_retries_a_too_deep_reply_and_the_run_completes(tmp_path):
+def _assert_the_slot_retried_once(tmp_path, backend):
     config = _chunked_config(tmp_path, ensemble_size=3)
     plain = run_review(config, make_review_request(), backend=_CountingBackend(sleep_s=0.0))
-    backend = _DeepFirstBackend()
     final = run_review(config, make_review_request(), backend=backend)
 
     sent = [request.fingerprint for request in backend.call_log]
-    assert sent.count(backend.deep_for) == 2  # the slot retried once
+    assert sent.count(backend.bad_for) == 2  # the slot retried once
     assert final.clusters == plain.clusters
     explicit, plain_explicit = final.pathway_reports[0], plain.pathway_reports[0]
     assert explicit.stats_dict()["absent_slots"] == 0
     assert explicit.stats_dict()["model_calls"] == plain_explicit.stats_dict()["model_calls"] + 1
+
+
+def test_a_reviewer_slot_retries_a_too_deep_reply_and_the_run_completes(tmp_path):
+    _assert_the_slot_retried_once(
+        tmp_path, _BadFirstReviewerBackend('{"findings": ' + "[" * 100_000)
+    )
+
+
+def test_a_reviewer_slot_retries_a_lone_surrogate_reply_and_the_run_completes(tmp_path):
+    reply = findings_json({"description": "unchecked input \ud800"})
+    assert "\\ud800" in reply
+    _assert_the_slot_retried_once(tmp_path, _BadFirstReviewerBackend(reply))
+
 
 def test_model_request_fingerprint_is_cached_per_instance():
     base = ModelRequest(role="verifier", prompt="same prompt", seed=1)

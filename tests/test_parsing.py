@@ -66,6 +66,108 @@ def test_extract_json_document_stops_at_the_first_too_deep_object(monkeypatch):
         extract_json_document('{"a": ' * 100_000)
     assert decodes == [0]  # the 99,999 nested braces are not tried
 
+
+def _finding_reply(**fields) -> str:
+    entry = {
+        "file": "src/Main.java",
+        "start_line": 1,
+        "end_line": 1,
+        "severity": "low",
+        "description": "unchecked input",
+        "rationale": "",
+        "spec_ids": [],
+    }
+    entry.update(fields)
+    return json.dumps({"findings": [entry]})
+
+
+def _issue_reply(**fields) -> str:
+    entry = {"file": "src/Main.java", "start_line": 1, "end_line": 1, "description": "d"}
+    entry.update(fields)
+    return json.dumps({"issues": [entry]})
+
+
+def _findings(text):
+    return parse_findings_response(text, Pathway.EXPLICIT)
+
+
+# json.dumps writes a lone surrogate as its escape, "\ud800".
+LONE_SURROGATE_REPLIES = [
+    (_findings, _finding_reply(file="src/\ud800.java")),
+    (_findings, _finding_reply(description="x \ud800")),
+    (_findings, _finding_reply(rationale="\udfff trailing")),
+    (parse_proposals_response, _issue_reply(file="\udc00")),
+    (parse_proposals_response, _issue_reply(description="x \udfff")),
+    (parse_verdict_response, json.dumps({"verdict": "valid", "justification": "\ud83d"})),
+    (
+        parse_patch_response,
+        json.dumps({"patch_unified_diff": "", "explanation": "half \ude00 a pair"}),
+    ),
+    # Upper-case escape, and raw surrogate characters rather than escapes.
+    (_findings, _finding_reply(description="X").replace("X", "\\uD800")),
+    (_findings, json.dumps(json.loads(_finding_reply(description="x \ud800")), ensure_ascii=False)),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    LONE_SURROGATE_REPLIES,
+    ids=[
+        "findings-file",
+        "findings-description",
+        "findings-rationale",
+        "proposals-file",
+        "proposals-description",
+        "verdict-justification",
+        "patch-explanation",
+        "upper-case-escape",
+        "raw-character",
+    ],
+)
+def test_every_parser_calls_a_lone_surrogate_unparsable(parse, text):
+    with pytest.raises(UnparsableResponse, match="unpaired surrogate"):
+        parse(text)
+
+
+def test_an_escaped_surrogate_pair_parses():
+    pair = "\\ud83d\\ude00"
+    text = _finding_reply(description="X", rationale="Y").replace("X", pair).replace("Y", pair)
+    (finding,) = _findings(text)
+    assert finding.description == finding.rationale == "\U0001f600"
+    (issue,) = parse_proposals_response(_issue_reply(description="X").replace("X", pair))
+    assert issue.description == "\U0001f600"
+    verdict = parse_verdict_response('{"verdict": "valid", "justification": "%s"}' % pair)
+    assert verdict.justification == "\U0001f600"
+    _, explanation = parse_patch_response(
+        '{"patch_unified_diff": "", "explanation": "%s"}' % pair
+    )
+    assert explanation == "\U0001f600"
+
+
+def test_a_surrogate_outside_the_document_or_behind_a_backslash_parses():
+    assert extract_json_document('prose \\ud800 then {"a": 1}') == {"a": 1}
+    # An escaped backslash then "ud800": six plain characters.
+    assert extract_json_document('{"a": "\\\\ud800"}') == {"a": "\\ud800"}
+
+
+def test_only_a_reply_with_a_surrogate_escape_has_its_strings_walked(monkeypatch):
+    import sgcr.parsing
+
+    walked = []
+    walk = sgcr.parsing._has_lone_surrogate
+
+    def counting(document):
+        walked.append(document)
+        return walk(document)
+
+    monkeypatch.setattr(sgcr.parsing, "_has_lone_surrogate", counting)
+    astral = _finding_reply(description="caf\u00e9 \u4e2d \U0001f600")
+    _findings(json.dumps(json.loads(astral), ensure_ascii=False))
+    _findings(_finding_reply(description="caf\u00e9 \u4e2d"))
+    assert walked == []
+    _findings(astral)  # json.dumps escapes the astral character as a pair
+    assert len(walked) == 1
+
 def test_parse_findings_with_a_library_drops_unknown_ids_and_resolves_category(caplog):
     library = make_library(
         make_spec("sec.input", category=Category.SECURITY),
