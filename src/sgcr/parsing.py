@@ -5,6 +5,10 @@ UnparsableResponse, never an unhandled exception. A response must contain
 exactly one readable JSON document (leading prose or code fences before it
 are tolerated); within a well-formed document, entries that violate the
 schema are dropped with a warning while valid siblings survive.
+
+The findings parser, which reads most of a run's replies, checks each
+entry in one inline pass with exact-type tests and builds its Finding once,
+with positional arguments.
 """
 
 from __future__ import annotations
@@ -12,11 +16,13 @@ from __future__ import annotations
 import json
 import logging
 import re
+from itertools import repeat
 from typing import Optional
 
 from .errors import UnparsableResponse
 from .specs import SpecLibrary, resolve_category
 from .types import (
+    SEVERITY_BY_VALUE,
     Category,
     Finding,
     HypotheticalIssue,
@@ -29,13 +35,6 @@ from .types import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Severity by its JSON value, looked up without an Enum call per entry.
-_SEVERITY_BY_VALUE = {severity.value: severity for severity in Severity}
-
-
-def _severity(value: object) -> Optional[Severity]:
-    return _SEVERITY_BY_VALUE.get(value) if isinstance(value, str) else None
 
 
 # A \uD800-\uDFFF escape.
@@ -109,21 +108,10 @@ def extract_json_document(text: str) -> dict:
     raise UnparsableResponse("no JSON object found in model response")
 
 
-def _line_range(entry: dict) -> Optional[tuple[int, int]]:
-    start, end = entry.get("start_line"), entry.get("end_line")
-    if not isinstance(start, int) or isinstance(start, bool):
-        return None
-    if not isinstance(end, int) or isinstance(end, bool):
-        return None
-    if start < 1 or end < start:
-        return None
-    return start, end
-
-
 def _string_list(value) -> Optional[list[str]]:
     if value is None:
         return []
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+    if type(value) is not list or not all(map(isinstance, value, repeat(str))):
         return None
     return value
 
@@ -133,6 +121,15 @@ def parse_findings_response(
 ) -> list[Finding]:
     """Parse a findings-schema response; invalid entries are dropped.
 
+    Each entry is checked in one pass, in this order, and the first check
+    it fails drops it with a warning: an object; a non-empty string file;
+    a non-empty string description; integer start and end lines with
+    1 <= start <= end; a known severity; spec_ids absent, null or a list
+    of strings. A rationale that is not a string becomes "". The checks
+    compare exact types: the decoder makes only dict, list, str, int,
+    float, bool and None, and only the exact type rejects true as a line
+    number.
+
     With a library, each finding is built once and already normalized:
     cited ids the library does not hold are dropped with a warning, and
     the category is resolved from the ids that remain. Without one, the
@@ -140,68 +137,59 @@ def parse_findings_response(
     """
     document = extract_json_document(text)
     entries = document.get("findings")
-    if not isinstance(entries, list):
+    if type(entries) is not list:
         raise UnparsableResponse('response has no "findings" list')
 
     findings: list[Finding] = []
     for position, entry in enumerate(entries):
-        finding = _parse_finding_entry(entry, pathway, position, library)
-        if finding is not None:
-            findings.append(finding)
-    return sort_findings(findings)
-
-
-def _parse_finding_entry(
-    entry, pathway: Pathway, position: int, library: Optional[SpecLibrary]
-) -> Optional[Finding]:
-    if not isinstance(entry, dict):
-        logger.warning("dropping finding %d: not an object", position)
-        return None
-    file = entry.get("file")
-    description = entry.get("description")
-    if not isinstance(file, str) or not file:
-        logger.warning("dropping finding %d: missing file", position)
-        return None
-    if not isinstance(description, str) or not description:
-        logger.warning("dropping finding %d: missing description", position)
-        return None
-    lines = _line_range(entry)
-    if lines is None:
-        logger.warning("dropping finding %d: invalid line range", position)
-        return None
-    severity = _severity(entry.get("severity"))
-    if severity is None:
-        logger.warning("dropping finding %d: bad severity %r", position, entry.get("severity"))
-        return None
-    spec_ids = _string_list(entry.get("spec_ids"))
-    if spec_ids is None:
-        logger.warning("dropping finding %d: spec_ids is not a string list", position)
-        return None
-    rationale = entry.get("rationale")
-    if not isinstance(rationale, str):
-        rationale = ""
-    category = Category.MAINTAINABILITY
-    if library is not None:
-        if not all(map(library.__contains__, spec_ids)):
-            kept = [spec_id for spec_id in spec_ids if spec_id in library]
-            logger.warning(
-                "finding %s cites unknown rule ids %s; dropping them",
-                content_id(file, lines[0], lines[1], description),
-                sorted(set(spec_ids) - set(kept)),
+        if type(entry) is not dict:
+            logger.warning("dropping finding %d: not an object", position)
+            continue
+        file = entry.get("file")
+        if type(file) is not str or not file:
+            logger.warning("dropping finding %d: missing file", position)
+            continue
+        description = entry.get("description")
+        if type(description) is not str or not description:
+            logger.warning("dropping finding %d: missing description", position)
+            continue
+        start = entry.get("start_line")
+        end = entry.get("end_line")
+        if type(start) is not int or type(end) is not int or not 1 <= start <= end:
+            logger.warning("dropping finding %d: invalid line range", position)
+            continue
+        raw_severity = entry.get("severity")
+        severity = SEVERITY_BY_VALUE.get(raw_severity) if type(raw_severity) is str else None
+        if severity is None:
+            logger.warning("dropping finding %d: bad severity %r", position, raw_severity)
+            continue
+        spec_ids = entry.get("spec_ids")
+        if spec_ids is None:
+            spec_ids = []
+        elif type(spec_ids) is not list or not all(map(isinstance, spec_ids, repeat(str))):
+            logger.warning("dropping finding %d: spec_ids is not a string list", position)
+            continue
+        rationale = entry.get("rationale")
+        if type(rationale) is not str:
+            rationale = ""
+        category = Category.MAINTAINABILITY
+        if library is not None:
+            if not all(map(library.__contains__, spec_ids)):
+                kept = [spec_id for spec_id in spec_ids if spec_id in library]
+                logger.warning(
+                    "finding %s cites unknown rule ids %s; dropping them",
+                    content_id(file, start, end, description),
+                    sorted(set(spec_ids) - set(kept)),
+                )
+                spec_ids = kept
+            category = resolve_category(spec_ids, library)
+        findings.append(
+            Finding(
+                file, start, end, description, severity, pathway, rationale,
+                tuple(spec_ids), 1.0, category,
             )
-            spec_ids = kept
-        category = resolve_category(spec_ids, library)
-    return Finding(
-        file=file,
-        start_line=lines[0],
-        end_line=lines[1],
-        description=description,
-        severity=severity,
-        pathway=pathway,
-        rationale=rationale,
-        spec_ids=tuple(spec_ids),
-        category=category,
-    )
+        )
+    return sort_findings(findings)
 
 
 def parse_proposals_response(text: str) -> list[HypotheticalIssue]:
@@ -218,20 +206,19 @@ def parse_proposals_response(text: str) -> list[HypotheticalIssue]:
             continue
         file = entry.get("file")
         description = entry.get("description")
-        lines = _line_range(entry)
+        start = entry.get("start_line")
+        end = entry.get("end_line")
         if not isinstance(file, str) or not file:
             logger.warning("dropping issue %d: missing file", position)
             continue
         if not isinstance(description, str) or not description:
             logger.warning("dropping issue %d: missing description", position)
             continue
-        if lines is None:
+        if type(start) is not int or type(end) is not int or not 1 <= start <= end:
             logger.warning("dropping issue %d: invalid line range", position)
             continue
         issues.append(
-            HypotheticalIssue(
-                file=file, start_line=lines[0], end_line=lines[1], description=description
-            )
+            HypotheticalIssue(file=file, start_line=start, end_line=end, description=description)
         )
     return issues
 
@@ -253,7 +240,7 @@ def parse_verdict_response(text: str) -> VerifierVerdict:
     severity: Optional[Severity] = None
     raw_severity = document.get("severity")
     if raw_severity is not None:
-        severity = _severity(raw_severity)
+        severity = SEVERITY_BY_VALUE.get(raw_severity) if type(raw_severity) is str else None
         if severity is None:
             logger.warning("ignoring bad verifier severity %r", raw_severity)
     return VerifierVerdict(

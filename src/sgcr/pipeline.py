@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from . import report as report_mod
 from .backends import BaseBackend, HttpBackend, Jitter, MockBackend, RecordingBackend, ReplayBackend
 from .config import RunConfig
-from .errors import ConfigError, IndexLibraryMismatch
+from .errors import ConfigError, IndexLibraryMismatch, SgcrError
 from .explicit import run_explicit
 from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
@@ -217,8 +217,9 @@ def run_review(
     the submission anyway, so the build ends no later. A prebuilt index,
     or implicit_only mode, never waits. If the explicit pathway raises,
     calls not yet started are cancelled, the Event is set so a build
-    still waiting goes ahead, and the implicit thread is joined before
-    the error propagates.
+    still waiting stops waiting, and the implicit thread is joined before
+    the error propagates. That build is not made: the thread raises
+    instead of embedding every rule for a run that has already failed.
 
     The run makes one TokenTable and passes it to the explicit pathway's
     clustering and to consolidation, so each distinct finding description
@@ -253,8 +254,11 @@ def run_review(
         else None
     )
     # Set once the explicit pathway's first window is on the pool; only
-    # full mode has one to wait for.
+    # full mode has one to wait for. run_failed is set, before first_window,
+    # when the explicit pathway raises: a build still waiting then never
+    # starts.
     first_window = threading.Event()
+    run_failed = threading.Event()
     if config.mode != "full":
         first_window.set()
     with call_pool() as pool:
@@ -266,6 +270,8 @@ def run_review(
                 if prebuilt is not None:
                     return prebuilt
                 first_window.wait()
+                if run_failed.is_set():
+                    raise SgcrError("the run failed before its index was built")
                 return build_index(library, provider)
 
             return run_implicit(
@@ -307,6 +313,7 @@ def run_review(
             except BaseException:
                 if beside is not None:
                     pool.shutdown(wait=False, cancel_futures=True)
+                    run_failed.set()
                     first_window.set()
                     beside.join()
                 raise

@@ -3,6 +3,9 @@
 Retrieval is a linear scan with a full deterministic tie-break (score
 descending, then spec id ascending); the library scale this serves is a few
 hundred rules, where exactness is cheap and makes oracle testing possible.
+Each row is scored with one C-level sum of products, the sum
+cosine_similarity takes, so scores are bit-identical to it; only the k rows
+returned become ScoredSpec objects.
 
 The mock provider hashes character trigrams of the lowercased text into d
 buckets (sha256 of the trigram, modulo d), counts them, and L2-normalizes;
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import binascii
 import hashlib
+import heapq
 import json
 import logging
 import math
@@ -297,20 +301,39 @@ def retrieve(
     k: int = DEFAULT_TOP_K,
     threshold: float = DEFAULT_SCORE_THRESHOLD,
 ) -> RetrievedSpecSet:
-    """Exact top-k by cosine score, filtered by score >= threshold."""
-    if query.dimension != index.dimension:
+    """Exact top-k by cosine score, filtered by score >= threshold.
+
+    Each row scores as cosine_similarity would score it: the same products
+    summed in the same order, then clamped to [-1, 1] before the threshold
+    test. The query's dimension is checked once; a row of another length
+    still raises DimensionMismatch. Rows that pass are ranked as
+    (-score, spec_id) tuples, and a ScoredSpec is built only for the k
+    returned.
+    """
+    dimension = query.dimension
+    if dimension != index.dimension:
         raise QueryDimensionMismatch(
-            f"query dimension {query.dimension} != index dimension {index.dimension}"
+            f"query dimension {dimension} != index dimension {index.dimension}"
         )
     if k <= 0:
         return RetrievedSpecSet(scored=())
+    q = query.values
     kept = []
     for spec_id, vector in index.entries:
-        score = cosine_similarity(query, vector)
+        row = vector.values
+        if len(row) != dimension:
+            raise DimensionMismatch(f"dimensions differ: {dimension} vs {len(row)}")
+        score = sum(map(operator.mul, q, row))
+        # max(-1.0, min(1.0, score)) spelled out; like it, this makes a
+        # NaN score 1.0.
+        if not score < 1.0:
+            score = 1.0
+        elif not score > -1.0:
+            score = -1.0
         if score >= threshold:
-            kept.append(ScoredSpec(spec_id=spec_id, score=score))
-    kept.sort(key=lambda item: (-item.score, item.spec_id))
-    return RetrievedSpecSet(scored=tuple(kept[:k]))
+            kept.append((-score, spec_id))
+    top = heapq.nsmallest(k, kept)
+    return RetrievedSpecSet(scored=tuple(ScoredSpec(spec_id, -negated) for negated, spec_id in top))
 
 
 def save_index(index: VectorIndex, path: Path) -> None:

@@ -13,6 +13,12 @@ Rule files are UTF-8 Markdown with a front-matter block::
 
 The five keys shown are required; unknown keys are ignored with a warning.
 Everything after the closing delimiter is the rule body.
+
+A file is read once as bytes and decoded as UTF-8, then split with
+str.splitlines, which gives the lines and errors a text-mode read did
+(see parse_spec_file). Its front matter is parsed in one loop that strips
+each line once, and category and severity are looked up in tables keyed
+by their values.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
-from .types import CATEGORY_RANK, Category, Severity
+from .types import CATEGORY_BY_VALUE, CATEGORY_RANK, SEVERITY_BY_VALUE, Category, Severity
 
 logger = logging.getLogger(__name__)
 
@@ -114,10 +120,18 @@ class SpecChunk:
 
 
 def parse_spec_file(path: Union[str, Path], source_path: str) -> Specification:
-    """Parse one rule file; raises MalformedSpecFile with the path on error."""
+    """Parse one rule file; raises MalformedSpecFile with the path on error.
+
+    The file is read once as bytes and decoded as UTF-8. Its lines are
+    what ``read_text(encoding="utf-8").splitlines()`` gives: text mode
+    turns "\\r\\n" and a lone "\\r" into "\\n", and splitlines breaks on
+    both as on "\\n", so splitting the undecoded newlines yields the same
+    lines. A decoding error is the one read_text raises, since text mode
+    decodes a whole-file read in one call too.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedSpecFile(f"{source_path}: unreadable ({exc})") from exc
 
@@ -127,23 +141,24 @@ def parse_spec_file(path: Union[str, Path], source_path: str) -> Specification:
 
     fields: dict[str, str] = {}
     body_start = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line.strip() == "---":
+    for i in range(1, len(lines)):
+        line = lines[i]
+        stripped = line.strip()
+        if stripped == "---":
             body_start = i + 1
             break
-        if not line.strip():
+        if not stripped:
             continue
-        if ":" not in line:
+        key, colon, value = line.partition(":")
+        if not colon:
             raise MalformedSpecFile(f"{source_path}: bad front-matter line {i + 1}: {line!r}")
-        key, value = line.split(":", 1)
         key = key.strip()
-        value = value.strip()
         if key not in REQUIRED_KEYS:
             logger.warning("%s: ignoring unknown front-matter key %r", source_path, key)
             continue
         if key in fields:
             raise MalformedSpecFile(f"{source_path}: duplicate front-matter key {key!r}")
-        fields[key] = value
+        fields[key] = value.strip()
     if body_start is None:
         raise MalformedSpecFile(f"{source_path}: missing closing front-matter delimiter")
 
@@ -154,18 +169,12 @@ def parse_spec_file(path: Union[str, Path], source_path: str) -> Specification:
     spec_id = fields["id"]
     if not SPEC_ID_PATTERN.match(spec_id):
         raise MalformedSpecFile(f"{source_path}: invalid spec id {spec_id!r}")
-    try:
-        category = Category(fields["category"])
-    except ValueError:
-        raise MalformedSpecFile(
-            f"{source_path}: invalid category {fields['category']!r}"
-        ) from None
-    try:
-        severity = Severity(fields["severity"])
-    except ValueError:
-        raise MalformedSpecFile(
-            f"{source_path}: invalid severity {fields['severity']!r}"
-        ) from None
+    category = CATEGORY_BY_VALUE.get(fields["category"])
+    if category is None:
+        raise MalformedSpecFile(f"{source_path}: invalid category {fields['category']!r}")
+    severity = SEVERITY_BY_VALUE.get(fields["severity"])
+    if severity is None:
+        raise MalformedSpecFile(f"{source_path}: invalid severity {fields['severity']!r}")
 
     title = fields["title"]
     if not title:
@@ -175,14 +184,14 @@ def parse_spec_file(path: Union[str, Path], source_path: str) -> Specification:
         raise MalformedSpecFile(f"{source_path}: empty rule body")
 
     return Specification(
-        id=spec_id,
-        title=title,
-        body=body,
-        category=category,
-        severity=severity,
-        language=fields["language"].lower(),
-        source_path=source_path,
-        token_estimate=estimate_tokens(title + body),
+        spec_id,
+        title,
+        body,
+        category,
+        severity,
+        fields["language"].lower(),
+        source_path,
+        estimate_tokens(title + body),
     )
 
 

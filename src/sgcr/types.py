@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Optional, Sequence
 
 
@@ -47,6 +48,11 @@ CATEGORY_RANK = {
     Category.MAINTAINABILITY: 4,
     Category.STYLE: 5,
 }
+
+# Each member by its value, for parsers that look one up without an Enum
+# call per entry.
+SEVERITY_BY_VALUE = {severity.value: severity for severity in Severity}
+CATEGORY_BY_VALUE = {category.value: category for category in Category}
 
 
 class Pathway(str, Enum):
@@ -147,9 +153,12 @@ class Finding:
         return self._sort_key
 
 
+_SORT_KEY = attrgetter("_sort_key")
+
+
 def sort_findings(findings: Sequence[Finding]) -> list[Finding]:
     """Deterministic report order: (file, start_line, finding_id)."""
-    return sorted(findings, key=Finding.sort_key)
+    return sorted(findings, key=_SORT_KEY)
 
 
 @dataclass(frozen=True)

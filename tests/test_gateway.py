@@ -963,6 +963,26 @@ def test_an_explicit_pathway_that_raises_before_submitting_releases_the_index_bu
     assert backend.calls_for_role(Role.EXPLICIT_REVIEWER.value) == 0
 
 
+def test_a_run_whose_explicit_pathway_raises_builds_no_index(tmp_path, monkeypatch):
+    config = _chunked_config(tmp_path, ensemble_size=3)
+    provider = MockEmbeddingProvider(dimension=config.embedding_dimension)
+
+    def broken_segmentation(library, budget):
+        raise RuntimeError("segmentation broke")
+
+    monkeypatch.setattr(sgcr.explicit, "segment_library", broken_segmentation)
+    monkeypatch.setattr(sgcr.pipeline, "build_provider", lambda config: provider)
+    threads_before = threading.active_count()
+
+    final, error = _run_review_guarded(config, _CountingBackend(sleep_s=0.0))
+
+    assert final is None
+    assert isinstance(error, RuntimeError) and str(error) == "segmentation broke"
+    # Five rules: a build would embed five texts, paid calls on http.
+    assert provider.call_log == []
+    assert threading.active_count() == threads_before
+
+
 @pytest.mark.parametrize("mode", ["full", "implicit_only"])
 @pytest.mark.parametrize(
     "broken, error_type", [("malformed", MalformedSpecFile), ("empty", EmptyLibrary)]

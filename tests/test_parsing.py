@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import logging
+import random
 
 import pytest
 
 from conftest import findings_json, make_library, make_spec
-from sgcr.errors import UnparsableResponse
+from sgcr.errors import SgcrError, UnparsableResponse
 from sgcr.parsing import (
     extract_json_document,
     parse_findings_response,
@@ -15,7 +17,15 @@ from sgcr.parsing import (
     parse_proposals_response,
     parse_verdict_response,
 )
-from sgcr.types import Category, Pathway, Severity, Verdict
+from sgcr.specs import resolve_category
+from sgcr.types import (
+    Category,
+    Finding,
+    Pathway,
+    Severity,
+    Verdict,
+    content_id,
+)
 
 
 def test_extract_json_document_tolerates_prose_and_fences():
@@ -370,3 +380,264 @@ def test_parse_patch_response_requires_diff_string():
     diff, explanation = parse_patch_response('{"patch_unified_diff": "", "explanation": 3}')
     assert diff == ""
     assert explanation == ""
+
+
+# -- seeded fuzz and the findings-entry oracle ---------------------------
+
+_reference_logger = logging.getLogger("sgcr.parsing")
+
+
+def _reference_line_range(entry):
+    start, end = entry.get("start_line"), entry.get("end_line")
+    if not isinstance(start, int) or isinstance(start, bool):
+        return None
+    if not isinstance(end, int) or isinstance(end, bool):
+        return None
+    if start < 1 or end < start:
+        return None
+    return start, end
+
+
+def _reference_string_list(value):
+    if value is None:
+        return []
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        return None
+    return value
+
+
+_REFERENCE_SEVERITIES = {severity.value: severity for severity in Severity}
+
+
+def _reference_severity(value):
+    return _REFERENCE_SEVERITIES.get(value) if isinstance(value, str) else None
+
+
+def _reference_parse_finding_entry(entry, pathway, position, library):
+    """The per-entry parser findings replies were read with, kept as the oracle."""
+    if not isinstance(entry, dict):
+        _reference_logger.warning("dropping finding %d: not an object", position)
+        return None
+    file = entry.get("file")
+    description = entry.get("description")
+    if not isinstance(file, str) or not file:
+        _reference_logger.warning("dropping finding %d: missing file", position)
+        return None
+    if not isinstance(description, str) or not description:
+        _reference_logger.warning("dropping finding %d: missing description", position)
+        return None
+    lines = _reference_line_range(entry)
+    if lines is None:
+        _reference_logger.warning("dropping finding %d: invalid line range", position)
+        return None
+    severity = _reference_severity(entry.get("severity"))
+    if severity is None:
+        _reference_logger.warning(
+            "dropping finding %d: bad severity %r", position, entry.get("severity")
+        )
+        return None
+    spec_ids = _reference_string_list(entry.get("spec_ids"))
+    if spec_ids is None:
+        _reference_logger.warning("dropping finding %d: spec_ids is not a string list", position)
+        return None
+    rationale = entry.get("rationale")
+    if not isinstance(rationale, str):
+        rationale = ""
+    category = Category.MAINTAINABILITY
+    if library is not None:
+        if not all(spec_id in library for spec_id in spec_ids):
+            kept = [spec_id for spec_id in spec_ids if spec_id in library]
+            _reference_logger.warning(
+                "finding %s cites unknown rule ids %s; dropping them",
+                content_id(file, lines[0], lines[1], description),
+                sorted(set(spec_ids) - set(kept)),
+            )
+            spec_ids = kept
+        category = resolve_category(spec_ids, library)
+    return Finding(
+        file=file,
+        start_line=lines[0],
+        end_line=lines[1],
+        description=description,
+        severity=severity,
+        pathway=pathway,
+        rationale=rationale,
+        spec_ids=tuple(spec_ids),
+        category=category,
+    )
+
+
+def _reference_parse_findings(text, pathway, library):
+    entries = extract_json_document(text).get("findings")
+    if not isinstance(entries, list):
+        raise UnparsableResponse('response has no "findings" list')
+    findings = []
+    for position, entry in enumerate(entries):
+        finding = _reference_parse_finding_entry(entry, pathway, position, library)
+        if finding is not None:
+            findings.append(finding)
+    return sorted(findings, key=lambda finding: finding.sort_key())
+
+
+ORACLE_LIBRARY = make_library(
+    make_spec("sec.input", category=Category.SECURITY),
+    make_spec("style.naming", category=Category.STYLE),
+    make_spec("perf.loop", category=Category.PERFORMANCE),
+)
+
+# Values each field may take; every type the decoder makes appears.
+_ODD = [None, True, False, 0, 1.0, 2.5, "", "x", [], ["x"], {}, {"a": 1}, 10**30, -1]
+ENTRY_FIELDS = {
+    "file": ["a.java", "src/B.java", "a.java"] + _ODD,
+    "description": ["null check missing", "retry without backoff"] + _ODD,
+    "start_line": [1, 2, 3, 5, 10**20] + _ODD,
+    "end_line": [1, 3, 5, 7, 10**20] + _ODD,
+    "severity": ["critical", "high", "medium", "low", "low", "urgent", "HIGH"] + _ODD,
+    "spec_ids": [
+        [],
+        ["sec.input"],
+        ["style.naming", "perf.loop"],
+        ["ghost.rule"],
+        ["sec.input", "ghost.rule", "ghost.rule"],
+        "sec.input",
+        [1],
+        [None],
+        ["sec.input", True],
+    ]
+    + _ODD,
+    "rationale": ["because", ""] + _ODD,
+}
+
+
+def _random_entry(rng):
+    if rng.random() < 0.05:
+        return rng.choice(["not an object", 7, None, True, ["file"], 1.5])
+    entry = {}
+    for key, values in ENTRY_FIELDS.items():
+        # Mostly a well-formed value, so that the later checks are reached.
+        if rng.random() < 0.1:
+            continue
+        entry[key] = rng.choice(values[:3]) if rng.random() < 0.7 else rng.choice(values)
+    if rng.random() < 0.2:
+        entry["extra"] = rng.choice(_ODD)
+    return entry
+
+
+def _records(caplog):
+    return [(record.name, record.levelno, record.getMessage()) for record in caplog.records]
+
+
+def test_findings_parser_matches_the_per_entry_oracle_on_random_entries(caplog):
+    rng = random.Random(20261018)
+    for _ in range(400):
+        entries = [_random_entry(rng) for _ in range(rng.randint(0, 12))]
+        text = json.dumps({"findings": entries})
+        pathway = rng.choice(list(Pathway))
+        library = rng.choice([None, ORACLE_LIBRARY])
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="sgcr.parsing"):
+            expected = _reference_parse_findings(text, pathway, library)
+        expected_records = _records(caplog)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="sgcr.parsing"):
+            parsed = parse_findings_response(text, pathway, library)
+        assert parsed == expected, text
+        assert [f.finding_id for f in parsed] == [f.finding_id for f in expected]
+        assert _records(caplog) == expected_records, text
+
+
+def _valid_documents():
+    finding = {
+        "file": "a.java",
+        "start_line": 2,
+        "end_line": 3,
+        "severity": "high",
+        "description": "d",
+        "rationale": "r",
+        "spec_ids": ["sec.input"],
+    }
+    issue = {"file": "a.java", "start_line": 2, "end_line": 3, "description": "d"}
+    verdict = {
+        "verdict": "valid",
+        "justification": "j",
+        "cited_spec_ids": ["sec.input"],
+        "severity": "low",
+    }
+    patch = {"patch_unified_diff": "--- a\n+++ b\n", "explanation": "e"}
+    return {
+        "findings": {"findings": [finding, dict(finding, start_line=1)]},
+        "findings-library": {"findings": [finding, dict(finding, spec_ids=["ghost"])]},
+        "proposals": {"issues": [issue, dict(issue, description="e")]},
+        "verdict": verdict,
+        "patch": patch,
+    }
+
+
+FUZZ_PARSERS = {
+    "findings": lambda text: parse_findings_response(text, Pathway.EXPLICIT),
+    "findings-library": lambda text: parse_findings_response(
+        text, Pathway.IMPLICIT, ORACLE_LIBRARY
+    ),
+    "proposals": parse_proposals_response,
+    "verdict": parse_verdict_response,
+    "patch": parse_patch_response,
+}
+
+# Control, astral, surrogate and separator characters, raw and escaped.
+_FUZZ_CHARACTERS = [
+    "\x00", "\x07", "\x1f", "\x7f", "\x85", "\u2028", "\ufeff", "\U0001f600",
+    "\ud800", "\udfff", "\\ud800", "\\u0000", "\\", '"', "{", "}", "[", "]", ",", ":",
+]
+_FUZZ_VALUES = [
+    None, True, False, 0, -1, 1.0, 2.5, 1e308, 10**400 // 10**100, "", "x", "\ud800",
+    "\U0001f600", "\x00", [], ["x"], [1], [None], {}, {"verdict": "valid"},
+]
+
+
+def _mutate_value(rng, value, depth=0):
+    if isinstance(value, dict) and depth < 3:
+        mutated = {}
+        for key, item in value.items():
+            roll = rng.random()
+            if roll < 0.1:
+                continue  # missing key
+            mutated[key] = _mutate_value(rng, item, depth + 1) if roll < 0.6 else item
+        return mutated
+    if isinstance(value, list) and depth < 3:
+        return [_mutate_value(rng, item, depth + 1) for item in value if rng.random() > 0.1]
+    if rng.random() < 0.5:
+        return rng.choice(_FUZZ_VALUES)  # a type swap, a bool for an int, a huge number
+    return value
+
+
+def _mutate_text(rng, text):
+    roll = rng.random()
+    if roll < 0.2:
+        return text[: rng.randint(0, len(text))]  # truncation
+    if roll < 0.5:
+        position = rng.randint(0, len(text))
+        return text[:position] + rng.choice(_FUZZ_CHARACTERS) + text[position:]
+    if roll < 0.6:
+        # Digits too many for int(), or a number too large for a float.
+        return text.replace("2", rng.choice(["9" * 5000, "1e400", "-1e400", "2.0"]), 1)
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_PARSERS))
+def test_every_parser_raises_only_pipeline_errors_on_fuzzed_replies(name):
+    rng = random.Random(f"fuzz:{name}")
+    parse = FUZZ_PARSERS[name]
+    document = _valid_documents()[name]
+    outcomes = {"parsed": 0, "unparsable": 0}
+    for _ in range(600):
+        mutated = _mutate_value(rng, document)
+        text = json.dumps(mutated, ensure_ascii=rng.random() < 0.5)
+        text = _mutate_text(rng, text)
+        try:
+            parse(text)
+        except SgcrError:
+            outcomes["unparsable"] += 1
+        else:
+            outcomes["parsed"] += 1
+    # Both outcomes occur, so the fuzzing reaches past the decoder.
+    assert outcomes["parsed"] and outcomes["unparsable"], outcomes

@@ -397,3 +397,51 @@ def test_retrieve_matches_brute_force_on_small_random_cases():
         )
         oracle = [item for item in oracle if item.score >= threshold][: max(k, 0)]
         assert retrieve(index, query, k=k, threshold=threshold).scored == tuple(oracle)
+
+
+def test_retrieve_scores_every_row_as_cosine_similarity_does_bit_for_bit():
+    rng = random.Random(20261018)
+
+    def vector(dimension):
+        # Not unit-norm on purpose: many dot products leave [-1, 1] and are
+        # clamped; a NaN component makes a NaN product, which clamps to 1.0.
+        values = [rng.uniform(-1.5, 1.5) for _ in range(dimension)]
+        if rng.random() < 0.03:
+            values[rng.randrange(dimension)] = math.nan
+        return tuple(values)
+
+    clamped = exact_threshold = 0
+    for _ in range(400):
+        dimension = rng.randint(1, 8)
+        rows = [vector(dimension) for _ in range(rng.randint(1, 15))]
+        rows += rng.sample(rows, rng.randint(0, len(rows)))  # equal scores, tie-broken by id
+        index = _index_from_vectors([(f"r.{i:02d}", row) for i, row in enumerate(rows)])
+        query = EmbeddingVector(vector(dimension))
+        scores = [(spec_id, cosine_similarity(query, row)) for spec_id, row in index.entries]
+        threshold = rng.choice(
+            [rng.choice(scores)[1], -1.0, 1.0, rng.uniform(-1.5, 1.5), rng.uniform(1.0, 2.0)]
+        )
+        k = rng.randint(0, len(rows) + 2)
+        oracle = sorted(
+            (item for item in scores if item[1] >= threshold), key=lambda item: (-item[1], item[0])
+        )[: max(k, 0)]
+        scored = retrieve(index, query, k=k, threshold=threshold).scored
+        assert [(item.spec_id, item.score.hex()) for item in scored] == [
+            (spec_id, score.hex()) for spec_id, score in oracle
+        ]
+        clamped += any(abs(score) == 1.0 for _, score in scores)
+        exact_threshold += any(score == threshold for _, score in oracle)
+    assert clamped > 50 and exact_threshold > 50, (clamped, exact_threshold)
+
+
+@pytest.mark.parametrize("row", [(1.0,), (1.0, 0.0, 0.0, 0.0)], ids=["shorter", "longer"])
+def test_retrieve_rejects_an_index_row_of_another_length(row):
+    index = VectorIndex(
+        entries=(("r.a", EmbeddingVector((1.0, 0.0, 0.0))), ("r.b", EmbeddingVector(row))),
+        dimension=3,
+        provider_id="mock",
+    )
+    with pytest.raises(DimensionMismatch) as excinfo:
+        retrieve(index, EmbeddingVector((0.0, 1.0, 0.0)), threshold=-1.0)
+    assert type(excinfo.value) is DimensionMismatch
+    assert str(excinfo.value) == f"dimensions differ: 3 vs {len(row)}"

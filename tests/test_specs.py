@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import logging
 import random
 from pathlib import Path
 
@@ -12,7 +13,10 @@ from conftest import make_library, make_spec, write_spec_file
 import sgcr.specs
 from sgcr.errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
 from sgcr.specs import (
+    REQUIRED_KEYS,
+    SPEC_ID_PATTERN,
     SpecChunk,
+    Specification,
     chunk_prompt_text,
     estimate_tokens,
     load_library,
@@ -286,3 +290,199 @@ def test_chunk_prompt_text_unknown_id():
     chunk = SpecChunk(ordinal=0, spec_ids=("ghost",), token_total=1)
     with pytest.raises(KeyError):
         chunk_prompt_text(library, chunk)
+
+
+# -- rule-file oracle -------------------------------------------------------
+
+_reference_logger = logging.getLogger("sgcr.specs")
+
+
+def _reference_parse_spec_file(path, source_path):
+    """The text-mode rule-file parser rule files were read with, kept as the oracle."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedSpecFile(f"{source_path}: unreadable ({exc})") from exc
+
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "---":
+        raise MalformedSpecFile(f"{source_path}: missing opening front-matter delimiter")
+
+    fields = {}
+    body_start = None
+    for i, line in enumerate(lines[1:], start=1):
+        if line.strip() == "---":
+            body_start = i + 1
+            break
+        if not line.strip():
+            continue
+        if ":" not in line:
+            raise MalformedSpecFile(f"{source_path}: bad front-matter line {i + 1}: {line!r}")
+        key, value = line.split(":", 1)
+        key = key.strip()
+        value = value.strip()
+        if key not in REQUIRED_KEYS:
+            _reference_logger.warning("%s: ignoring unknown front-matter key %r", source_path, key)
+            continue
+        if key in fields:
+            raise MalformedSpecFile(f"{source_path}: duplicate front-matter key {key!r}")
+        fields[key] = value
+    if body_start is None:
+        raise MalformedSpecFile(f"{source_path}: missing closing front-matter delimiter")
+
+    missing = [key for key in REQUIRED_KEYS if key not in fields]
+    if missing:
+        raise MalformedSpecFile(f"{source_path}: missing front-matter keys: {', '.join(missing)}")
+
+    spec_id = fields["id"]
+    if not SPEC_ID_PATTERN.match(spec_id):
+        raise MalformedSpecFile(f"{source_path}: invalid spec id {spec_id!r}")
+    try:
+        category = Category(fields["category"])
+    except ValueError:
+        raise MalformedSpecFile(
+            f"{source_path}: invalid category {fields['category']!r}"
+        ) from None
+    try:
+        severity = Severity(fields["severity"])
+    except ValueError:
+        raise MalformedSpecFile(
+            f"{source_path}: invalid severity {fields['severity']!r}"
+        ) from None
+
+    title = fields["title"]
+    if not title:
+        raise MalformedSpecFile(f"{source_path}: empty title")
+    body = "\n".join(lines[body_start:]).strip()
+    if not body:
+        raise MalformedSpecFile(f"{source_path}: empty rule body")
+
+    return Specification(
+        id=spec_id,
+        title=title,
+        body=body,
+        category=category,
+        severity=severity,
+        language=fields["language"].lower(),
+        source_path=source_path,
+        token_estimate=estimate_tokens(title + body),
+    )
+
+
+# Every line boundary str.splitlines knows; "\n" most often.
+LINE_BREAKS = ["\n"] * 12 + [
+    "\r\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+PADDING = ["", "", "", " ", "  ", "\t", " \t "]
+FIELD_VALUES = {
+    "id": ["sec.sql-injection", "r.one_2", "x.rule", "X RULE", "", "a/b", "dup.\u00e9"],
+    "title": ["Use parameterized SQL", "Check: twice", "", "caf\u00e9 \U0001f600", "T"],
+    "category": [category.value for category in Category] + ["vibes", "Security", ""],
+    "severity": [severity.value for severity in Severity] + ["urgent", "LOW", ""],
+    "language": ["java", "Python", "GO", ""],
+}
+BODY_WORDS = ["never", "concatenate", "input", "---", "", "caf\u00e9", "\U0001f600", "a: b"]
+# A stray lead byte, a truncated sequence, an encoded surrogate, an overlong form.
+UNDECODABLE = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+def _pick(rng, values, common=0.75):
+    return values[0] if rng.random() < common else rng.choice(values)
+
+
+def _random_rule_file(rng) -> bytes:
+    delimiter = lambda: _pick(rng, PADDING, 0.6) + "---" + _pick(rng, PADDING, 0.6)
+    lines = [delimiter() if rng.random() < 0.95 else rng.choice(["--", "", "id: x.rule"])]
+    keys = list(REQUIRED_KEYS)
+    rng.shuffle(keys)
+    for key in keys:
+        roll = rng.random()
+        if roll < 0.04:
+            continue  # missing key
+        value = _pick(rng, FIELD_VALUES[key], 0.85)
+        line = f"{_pick(rng, PADDING)}{key}{_pick(rng, PADDING)}:{_pick(rng, PADDING)}{value}"
+        lines.append(line + _pick(rng, PADDING))
+        if roll > 0.97:
+            lines.append(line)  # duplicate key
+        if rng.random() < 0.08:
+            extra = ["", "   ", "author: somebody", " tags : a, b", "language java"]
+            lines.append(rng.choice(extra))
+    if rng.random() < 0.95:
+        lines.append(delimiter())
+    for _ in range(rng.choice([0, 1, 2, 5, 20, 200])):
+        words = [rng.choice(BODY_WORDS) for _ in range(rng.randint(0, 12))]
+        lines.append(_pick(rng, PADDING) + " ".join(words))
+    text = lines[0]
+    for line in lines[1:]:
+        text += _pick(rng, LINE_BREAKS, 0.8) + line
+    if rng.random() < 0.5:
+        text += _pick(rng, LINE_BREAKS, 0.8)
+    data = text.encode("utf-8")
+    if rng.random() < 0.05:
+        data = b"\xef\xbb\xbf" + data  # a byte-order mark
+    if rng.random() < 0.06:
+        position = rng.randint(0, len(data))
+        data = data[:position] + rng.choice(UNDECODABLE) + data[position:]
+    return data
+
+
+def _outcome(parse, path, caplog):
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="sgcr.specs"):
+        try:
+            result = ("spec", parse(path, "rules/r.md"))
+        except Exception as exc:  # compared by type and message
+            result = (type(exc), str(exc))
+    records = [(record.name, record.levelno, record.getMessage()) for record in caplog.records]
+    return result, records
+
+
+# The start of each rejection message after the path.
+REJECTIONS = (
+    "unreadable (",
+    "missing opening front-matter delimiter",
+    "bad front-matter line",
+    "duplicate front-matter key",
+    "missing closing front-matter delimiter",
+    "missing front-matter keys",
+    "invalid spec id",
+    "invalid category",
+    "invalid severity",
+    "empty title",
+    "empty rule body",
+)
+
+
+def test_parse_spec_file_matches_the_text_mode_oracle_on_random_files(tmp_path, caplog):
+    rng = random.Random(20261018)
+    path = tmp_path / "r.md"
+    seen = set()
+    for _ in range(1500):
+        data = _random_rule_file(rng)
+        path.write_bytes(data)
+        expected = _outcome(_reference_parse_spec_file, path, caplog)
+        assert _outcome(parse_spec_file, path, caplog) == expected, data
+        (kind, detail), _ = expected
+        if kind == "spec":
+            seen.add("spec")
+        else:
+            message = detail.removeprefix("rules/r.md: ")
+            seen.update(prefix for prefix in REJECTIONS if message.startswith(prefix))
+    # Parsed rules and every kind of rejection were generated.
+    assert seen == {"spec", *REJECTIONS}
+
+
+def test_parse_spec_file_reports_a_late_undecodable_byte_as_read_text_does(tmp_path):
+    # Past the 8 KiB a buffered text reader decodes at a time.
+    path = tmp_path / "r.md"
+    path.write_bytes(
+        b"---\nid: x.rule\ntitle: T\ncategory: style\nseverity: low\nlanguage: java\n---\n"
+        + "caf\u00e9 body line\r\n".encode("utf-8") * 2000
+        + b"\xe2\x82"
+    )
+    with pytest.raises(UnicodeDecodeError) as decode_error:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(MalformedSpecFile) as excinfo:
+        parse_spec_file(path, "r.md")
+    assert str(excinfo.value) == f"r.md: unreadable ({decode_error.value})"
