@@ -1,9 +1,10 @@
 """Model backends: http, mock, replay, and record.
 
-All backends keep a thread-safe call log (used by mode-isolation tests) and
-accept an optional jitter that sleeps a random, bounded time before each
-call; jitter perturbs scheduling only, never content, which is how the
-schedule-independence tests shake out ordering bugs.
+Backends keep no record of the requests they were sent: each prompt holds
+the whole code block, and a run should free it once its call is done.
+Every backend accepts an optional jitter that sleeps a random, bounded time
+before each call; jitter perturbs scheduling only, never content, which is
+how the schedule-independence tests shake out ordering bugs.
 
 Mock synthesis rules
 --------------------
@@ -32,13 +33,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import BackendTimeout, FixtureMiss, MalformedWireResponse, RequestRejected, WireError
-from .gateway import (
-    ModelRequest,
-    canonical_request,
-    http_session,
-    rejects_request,
-    request_fingerprint,
-)
+from .gateway import ModelRequest, canonical_request, http_session, rejects_request
 from .prompts import Role
 
 _FILE_HEADER = re.compile(r"^FILE (\S+) \(lines (\d+)\.\.(\d+)\)", re.MULTILINE)
@@ -61,7 +56,6 @@ class BaseBackend:
     backend_id = "base"
 
     def __init__(self, jitter: Optional[Jitter] = None) -> None:
-        self.call_log: list[ModelRequest] = []
         self._lock = threading.Lock()
         self._jitter = jitter
         self._jitter_rng = random.Random(jitter.seed) if jitter else None
@@ -72,7 +66,6 @@ class BaseBackend:
 
     def _before_call(self, request: ModelRequest) -> None:
         with self._lock:
-            self.call_log.append(request)
             delay = None
             if self._jitter and self._jitter_rng:
                 delay = self._jitter_rng.uniform(0, self._jitter.max_ms) / 1000.0
@@ -82,11 +75,6 @@ class BaseBackend:
     def _complete(self, request: ModelRequest) -> str:
         raise NotImplementedError
 
-    def calls_for_role(self, role: "Role | str") -> int:
-        wanted = role.value if isinstance(role, Role) else role
-        with self._lock:
-            return sum(1 for request in self.call_log if request.role == wanted)
-
 
 class MockBackend(BaseBackend):
     """Deterministic synthetic responses derived from request fingerprints."""
@@ -94,7 +82,7 @@ class MockBackend(BaseBackend):
     backend_id = "mock"
 
     def _complete(self, request: ModelRequest) -> str:
-        fingerprint = request_fingerprint(request)
+        fingerprint = request.fingerprint
         rng = random.Random(int(fingerprint[:16], 16))
         file, low, high = "unknown", 1, 40
         header = _FILE_HEADER.search(request.prompt)
@@ -162,7 +150,7 @@ class ReplayBackend(BaseBackend):
         self.fixtures_dir = Path(fixtures_dir)
 
     def _complete(self, request: ModelRequest) -> str:
-        fingerprint = request_fingerprint(request)
+        fingerprint = request.fingerprint
         path = self.fixtures_dir / f"{fingerprint}.json"
         if not path.is_file():
             raise FixtureMiss(fingerprint)
@@ -260,7 +248,7 @@ class RecordingBackend(BaseBackend):
 
     def _complete(self, request: ModelRequest) -> str:
         text = self.delegate._complete(request)
-        fingerprint = request_fingerprint(request)
+        fingerprint = request.fingerprint
         payload = {"request": canonical_request(request), "response_text": text}
         with self._write_lock:
             self.fixtures_dir.mkdir(parents=True, exist_ok=True)

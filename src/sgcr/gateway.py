@@ -4,14 +4,16 @@ Every model call is described by a ModelRequest; its fingerprint is the
 sha256 of the canonical request JSON (sorted keys, prompt hashed verbatim)
 and is stable across processes. Fingerprints key the record/replay fixture
 store and seed the mock backend, so the whole pipeline can run offline and
-deterministically. An ensemble's slots share one prompt, so it is
-JSON-escaped once per ensemble and every slot is hashed from that escape.
+deterministically. Only those backends read one, so a request is hashed
+when a backend first reads its fingerprint, in the worker making the call,
+and never on an HTTP run. An ensemble's slots share one prompt, so the
+first slot hashed JSON-escapes it for all of them.
 
 Calls run on one bounded pool per run (call_pool, at most MAX_INFLIGHT in
 flight). Ensembles are submit-then-collect: submit_ensemble puts the slots
 on the pool and PendingEnsemble.collect gathers them in instance order, so
 callers can have many ensembles in flight and still assemble results in a
-fixed order.
+fixed order; collect_in_order keeps a pool's worth of them in flight.
 
 Backends and embedding providers make one attempt per call. attempt_call
 holds the only retry loop: every model and embedding call passes through
@@ -23,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
+from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -83,23 +87,25 @@ class ModelRequest:
 
     @cached_property
     def fingerprint(self) -> str:
-        """sha256 of canonical_request_json, computed on first use.
+        """sha256 of canonical_request_json, computed on first read.
 
-        Both the gateway and the backend ask for it on every call; the
-        cache lives on the instance, and dataclasses.replace builds a fresh
-        one, so a replaced request never inherits another's fingerprint.
-        ensemble_requests fills it in for each slot it builds.
+        Only the mock, replay and record backends read it, once per call;
+        a retry reads the cached value. The cache lives on the instance,
+        and dataclasses.replace builds a fresh one, so a replaced request
+        never inherits another's fingerprint. An ensemble slot hashes from
+        the escape it shares with its siblings (ensemble_requests).
         """
-        return _digest(self, _escape_prompt(self.prompt))
+        shared = vars(self).pop(_SHARED_ESCAPE, None)
+        escaped = shared.escaped() if shared is not None else _escape_prompt(self.prompt)
+        return _digest(self, escaped)
 
 
 @dataclass(frozen=True)
 class ModelResponse:
-    """Raw model output plus the identity of the request that produced it."""
+    """Raw model output and the backend that produced it."""
 
     text: str
     backend_id: str
-    request_fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,32 @@ def _escape_prompt(prompt: str) -> bytes:
     return json.dumps(prompt).encode("ascii")
 
 
+# The instance-dict key under which an ensemble slot holds its _SharedEscape
+# until its fingerprint is read. replace() copies fields only, so a replaced
+# request never carries it onto another prompt.
+_SHARED_ESCAPE = "_shared_escape"
+
+
+class _SharedEscape:
+    """One ensemble prompt's escape, made when the first slot is hashed.
+
+    Each slot drops its reference once it has hashed, so the escape is freed
+    with the last one, and never made for slots no backend hashes. Two slots
+    hashed at once may both escape the prompt, to the same bytes.
+    """
+
+    __slots__ = ("_prompt", "_escaped")
+
+    def __init__(self, prompt: str) -> None:
+        self._prompt = prompt
+        self._escaped: Optional[bytes] = None
+
+    def escaped(self) -> bytes:
+        if self._escaped is None:
+            self._escaped = _escape_prompt(self._prompt)
+        return self._escaped
+
+
 def _digest(request: ModelRequest, escaped_prompt: bytes) -> str:
     """sha256 of canonical_request_json(request), given its escaped prompt."""
     head, tail = canonical_parts(request)
@@ -171,10 +203,6 @@ def _digest(request: ModelRequest, escaped_prompt: bytes) -> str:
     digest.update(escaped_prompt)
     digest.update(tail.encode("ascii"))
     return digest.hexdigest()
-
-
-def request_fingerprint(request: ModelRequest) -> str:
-    return request.fingerprint
 
 
 class ModelBackend(Protocol):
@@ -187,29 +215,21 @@ class ModelBackend(Protocol):
 
 def generate(backend: ModelBackend, request: ModelRequest) -> ModelResponse:
     """Single-call primitive: dispatch one request via the backend."""
-    text = backend.complete(request)
-    return ModelResponse(
-        text=text,
-        backend_id=backend.backend_id,
-        request_fingerprint=request_fingerprint(request),
-    )
+    return ModelResponse(text=backend.complete(request), backend_id=backend.backend_id)
 
 
 def ensemble_requests(base_request: ModelRequest, config: EnsembleConfig) -> list[ModelRequest]:
     """The n slot requests, differing only in instance_index and seed.
 
-    Each slot comes back with its fingerprint hashed. The shared prompt,
-    most of every slot's canonical JSON, is escaped once for all of them,
-    not once per slot; the escape is held here, never on a request, so no
-    replace() can carry it onto another prompt.
+    No slot is hashed here. The shared prompt, most of every slot's
+    canonical JSON, gets one lazily made escape (_SharedEscape) that each
+    slot holds in its instance dict until its fingerprint is first read.
     """
-    escaped_prompt = _escape_prompt(base_request.prompt)
+    shared = _SharedEscape(base_request.prompt)
     slots = []
     for i in range(config.n):
         slot = replace(base_request, instance_index=i, seed=config.base_seed + i)
-        # cached_property keeps its value in the instance dict; this is
-        # what the first read of slot.fingerprint would store there.
-        vars(slot)["fingerprint"] = _digest(slot, escaped_prompt)
+        vars(slot)[_SHARED_ESCAPE] = shared
         slots.append(slot)
     return slots
 
@@ -223,6 +243,7 @@ class EnsembleStats:
 
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 @contextmanager
@@ -335,6 +356,10 @@ class PendingEnsemble(Generic[T]):
         self._futures = futures
         self._config = config
 
+    def unfinished(self) -> list[Future]:
+        """The slots still queued or running; none once collected."""
+        return [future for future in self._futures if not future.done()]
+
     def collect(self) -> tuple[list[Optional[T]], EnsembleStats]:
         """Slot results in instance order, absent slots as None.
 
@@ -367,18 +392,66 @@ def submit_ensemble(
 ) -> PendingEnsemble[T]:
     """Put the n diversified slots on the pool without waiting for them.
 
-    ensemble_requests hashes every slot's fingerprint here, on the
-    submitting thread, from one escape of the shared prompt; every call
-    needs it (generate stamps it on the ModelResponse), so this adds no
-    work. The escaped prompt is then made and freed on one thread, not in
-    up to MAX_INFLIGHT pool workers at once, each allocating from its own
-    malloc arena; hashed in the workers, it raised a run's peak resident
-    memory.
+    Nothing is hashed here: a slot is hashed in the worker that calls the
+    backend, and only if the backend reads its fingerprint.
     """
     slots = ensemble_requests(base_request, config)
     return PendingEnsemble(
         [pool.submit(run_slot, backend, request, parser) for request in slots], config
     )
+
+
+def collect_in_order(
+    submit: Callable[[int], Optional[PendingEnsemble]],
+    collect: Callable[[int, Optional[PendingEnsemble]], R],
+    count: int,
+    n: int,
+) -> Iterator[R]:
+    """collect(i, submit(i)) for i in range(count), in order, a pool's worth ahead.
+
+    submit(i) puts an ensemble of n slots on the pool and returns it, or
+    returns None if it puts nothing there. An ensemble is submitted only
+    while its slots fit beside the unfinished ones under MAX_INFLIGHT (the
+    first is always let through): further ahead its slots would only queue,
+    each keeping its prompt alive. At least the first window, MAX_INFLIGHT
+    // n ensembles, is submitted before this returns. Afterwards the next is
+    submitted as soon as enough slots finish, also while the ensemble to
+    collect next is still running, so one slow slot idles no other worker;
+    ensembles that finish early keep only their slots' parsed results until
+    collected.
+    """
+    submitted: deque[Optional[PendingEnsemble]] = deque()  # not yet collected
+    unfinished: list[Future] = []  # their slots still queued or running
+    following = 0  # the next position to submit
+    # Set when a slot finishes. A done callback, unlike futures.wait, also
+    # fires for a slot that call_pool's shutdown cancels.
+    finished = threading.Event()
+
+    def top_up() -> None:
+        nonlocal following
+        unfinished[:] = [future for future in unfinished if not future.done()]
+        while following < count and (not unfinished or len(unfinished) + n <= MAX_INFLIGHT):
+            ensemble = submit(following)
+            following += 1
+            submitted.append(ensemble)
+            if ensemble is not None:
+                for future in ensemble.unfinished():
+                    unfinished.append(future)
+                    future.add_done_callback(lambda _: finished.set())
+
+    def results() -> Iterator[R]:
+        for position in range(count):
+            head = submitted.popleft()
+            while head is not None and head.unfinished():
+                finished.wait()
+                finished.clear()
+                top_up()
+            result = collect(position, head)
+            top_up()
+            yield result
+
+    top_up()
+    return results()
 
 
 def _check_failure_budget(

@@ -24,6 +24,7 @@ from .gateway import (
     ModelBackend,
     ModelRequest,
     PendingEnsemble,
+    collect_in_order,
     run_slot,
     submit_ensemble,
 )
@@ -269,10 +270,11 @@ def run_implicit(
     pathway's first window of reviewer calls is on the pool. Its errors
     always propagate, because a broken index is a configuration problem,
     not a degraded pathway. Then every issue is grounded on the pool, and
-    in proposal order each grounded issue's verifier slots are submitted;
-    outcomes are collected in proposal order. An issue that retrieves
-    nothing is skipped unless ungrounded verification is allowed. A
-    verification ensemble that exhausts its failure budget rejects that
+    in proposal order each grounded issue's verifier slots are submitted
+    while they fit under MAX_INFLIGHT beside the unfinished ones
+    (gateway.collect_in_order); outcomes are collected in proposal order.
+    An issue that retrieves nothing is skipped unless ungrounded
+    verification is allowed. A verification ensemble that exhausts its failure budget rejects that
     one issue rather than the pathway, and its calls still count in the
     model_calls stat. With soft_fail (the default) any other error inside
     the pathway degrades it to an empty report carrying the error in its
@@ -341,38 +343,44 @@ def _run_implicit(
         pool.submit(ground_issue, issue, provider, index, k=k, threshold=threshold)
         for issue in issues
     ]
-    grounded: list[tuple[HypotheticalIssue, RetrievedSpecSet, Optional[PendingEnsemble]]] = []
-    for issue, grounding in zip(issues, groundings):
-        retrieved = grounding.result()
-        slots = None
-        if retrieved.scored or allow_ungrounded:
-            slots = submit_ensemble(
-                pool,
-                backend,
-                _verifier_request(request, issue, retrieved, library),
-                ensemble,
-                parse_verdict_response,
-            )
-        grounded.append((issue, retrieved, slots))
 
+    # Each verifier prompt holds a copy of the code block, so only a pool's
+    # worth of ensembles is in flight at once.
+    def submit(position: int) -> Optional[PendingEnsemble]:
+        retrieved = groundings[position].result()
+        if not (retrieved.scored or allow_ungrounded):
+            return None
+        verifier = _verifier_request(request, issues[position], retrieved, library)
+        return submit_ensemble(pool, backend, verifier, ensemble, parse_verdict_response)
+
+    def collect(position: int, slots: Optional[PendingEnsemble]):
+        """None if skipped, else verify_issue's result or its EnsembleError."""
+        if slots is None:
+            return None
+        try:
+            return verify_issue(slots, groundings[position].result())
+        except EnsembleError as exc:
+            return exc
+
+    verified_in_order = collect_in_order(submit, collect, len(issues), ensemble.n)
     ungrounded = 0
     verify_failures = 0
     outcomes: list[VerificationOutcome] = []
-    for issue, retrieved, slots in grounded:
-        if slots is None:
+    for issue, grounding, verified in zip(issues, groundings, verified_in_order):
+        retrieved = grounding.result()
+        if verified is None:
             logger.info("issue %s retrieved no rules; skipping", issue.issue_id)
             ungrounded += 1
             outcomes.append(
                 VerificationOutcome(issue=issue, retrieved=retrieved, verdicts=(), accepted=False)
             )
             continue
-        try:
-            verdicts, calls_made = verify_issue(slots, retrieved)
-        except EnsembleError as exc:
-            logger.warning("verification of issue %s failed: %s", issue.issue_id, exc)
+        if isinstance(verified, EnsembleError):
+            logger.warning("verification of issue %s failed: %s", issue.issue_id, verified)
             verify_failures += 1
-            calls_total += exc.calls
+            calls_total += verified.calls
             continue
+        verdicts, calls_made = verified
         calls_total += calls_made
         accepted = decide_quorum(verdicts, ensemble.quorum)
         outcomes.append(

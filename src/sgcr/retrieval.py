@@ -360,8 +360,10 @@ def load_index(path: Path, library: SpecLibrary) -> VectorIndex:
     The index must hold exactly the library's ids, every vector exactly
     dimension doubles, and for every rule the digest of its current title
     and body; a rule edited since the index was built would otherwise be
-    served a stale vector. An index whose vectors are decimal lists, the
-    format before vectors were packed, is rejected: rebuild it.
+    served a stale vector. A vector holding NaN or an infinity is rejected,
+    since retrieval would rank it first for every query. An index whose
+    vectors are decimal lists, the format before vectors were packed, is
+    rejected: rebuild it.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -386,7 +388,15 @@ def load_index(path: Path, library: SpecLibrary) -> VectorIndex:
                     f" {entry['spec_id']!r}, not {packed.size} (8 x dimension {dimension});"
                     f" {REBUILD_HINT}"
                 )
-            entries.append((entry["spec_id"], EmbeddingVector(packed.unpack(raw))))
+            values = packed.unpack(raw)
+            # One C-level sum per row: a NaN or infinite component makes it
+            # non-finite, and a unit vector's sum is at most sqrt(dimension).
+            if not math.isfinite(sum(values)):
+                raise IndexLibraryMismatch(
+                    f"index at {path} holds a non-finite vector for rule"
+                    f" {entry['spec_id']!r}; {REBUILD_HINT}"
+                )
+            entries.append((entry["spec_id"], EmbeddingVector(values)))
         index = VectorIndex(
             entries=tuple(entries),
             dimension=dimension,

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
-from sgcr.backends import BaseBackend, Jitter
+from sgcr.backends import BaseBackend, Jitter, MockBackend, ReplayBackend
 from sgcr.gateway import ModelRequest
 from sgcr.ingestion import ReviewRequest, ReviewUnit
 from sgcr.specs import Specification, SpecLibrary, estimate_tokens
@@ -19,12 +19,43 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
 Responder = Union[str, Callable[[ModelRequest], str]]
 
 
-class CannedBackend(BaseBackend):
+class CallLog:
+    """Backend mixin that keeps every request it is sent, in arrival order.
+
+    Backends themselves keep none, so that a run frees each prompt once its
+    call is done; tests that assert on the calls made use this.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.call_log: list[ModelRequest] = []
+
+    def complete(self, request: ModelRequest) -> str:
+        with self._lock:
+            self.call_log.append(request)
+        return super().complete(request)
+
+    def calls_for_role(self, role: object) -> int:
+        wanted = getattr(role, "value", role)
+        with self._lock:
+            return sum(1 for request in self.call_log if request.role == wanted)
+
+
+class LoggedMockBackend(CallLog, MockBackend):
+    """MockBackend that keeps a call log."""
+
+
+class LoggedReplayBackend(CallLog, ReplayBackend):
+    """ReplayBackend that keeps a call log."""
+
+
+class CannedBackend(CallLog, BaseBackend):
     """Scripted backend for targeted tests.
 
     Responses are keyed by (role, instance_index) first, then by role alone;
     values are either literal text or a callable taking the request. A
-    request with no matching key is a test bug and fails loudly.
+    request with no matching key is a test bug and fails loudly. Every
+    request is kept in call_log.
     """
 
     backend_id = "canned"

@@ -19,6 +19,7 @@ from conftest import (
     GOLDEN_DIR,
     REPO_ROOT,
     CannedBackend,
+    LoggedMockBackend,
     make_finding,
     make_library,
     make_review_request,
@@ -26,7 +27,6 @@ from conftest import (
     write_spec_file,
 )
 from diffgen import random_diff_set
-from sgcr.backends import MockBackend
 from sgcr.cli import main
 from sgcr.config import RunConfig
 from sgcr.errors import HunkCountMismatch
@@ -326,7 +326,7 @@ def test_criterion_6_modes_call_only_their_own_roles(monkeypatch):
         monkeypatch.setattr(pipeline_module, "build_provider", counting_build_provider)
 
         def run_mode(mode):
-            backend = MockBackend()
+            backend = LoggedMockBackend()
             config = RunConfig(
                 mode=mode,
                 specs_dir=str(rules),

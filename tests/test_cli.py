@@ -5,12 +5,17 @@ from __future__ import annotations
 import base64
 import io
 import json
+import math
+import random
 import struct
 import sys
+import threading
 
 import pytest
 
-from conftest import write_spec_file
+import sgcr.pipeline
+from conftest import REPO_ROOT, CallLog, write_spec_file
+from sgcr.backends import BaseBackend, MockBackend
 from sgcr.cli import main
 
 
@@ -427,10 +432,146 @@ def test_review_with_a_decimal_or_truncated_index_fails_loudly(
         base64.b64decode(truncated["entries"][0]["vector"])[:-8]
     ).decode()
 
-    for payload, complaint in ((decimal, "decimal"), (truncated, f"not {8 * dimension}")):
+    # A NaN would score 1.0 against every query, an infinity NaN or 1.0.
+    non_finite = []
+    for value in (math.nan, math.inf):
+        broken = json.loads(json.dumps(packed))
+        broken["entries"][-1]["vector"] = base64.b64encode(
+            struct.pack(f"<{dimension}d", *[value] * dimension)
+        ).decode()
+        spec_id = broken["entries"][-1]["spec_id"]
+        non_finite.append((broken, f"non-finite vector for rule {spec_id!r}"))
+
+    cases = [(decimal, "decimal"), (truncated, f"not {8 * dimension}"), *non_finite]
+    for payload, complaint in cases:
         index_path.write_text(json.dumps(payload), encoding="utf-8")
         code = main(_review_argv(java_file, rules_dir, "--index", str(index_path)))
         out, err = capsys.readouterr()
         assert code == 3
         assert out == ""
         assert complaint in err and "sgcr specs index" in err
+
+
+# -- garbled model replies, end to end ---------------------------------------
+
+
+def _positions(node) -> list:
+    """Every (container, key) in a decoded JSON document, depth first."""
+    found = []
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        found.append((node, key))
+        if isinstance(value, (dict, list)):
+            found.extend(_positions(value))
+    return found
+
+
+_VALUES = (None, True, 7, -1, 1e308, "text", [], {}, [1, "x"], {"k": 2})
+
+
+def _swap_a_type(rng: random.Random, text: str) -> str:
+    document = json.loads(text)
+    positions = _positions(document)
+    if not positions:
+        return "[]"
+    node, key = rng.choice(positions)
+    node[key] = rng.choice([v for v in _VALUES if type(v) is not type(node[key])])
+    return json.dumps(document)
+
+
+def _add_a_lone_surrogate(rng: random.Random, text: str) -> str:
+    document = json.loads(text)
+    strings = [(node, key) for node, key in _positions(document) if isinstance(node[key], str)]
+    if not strings:
+        return text[:-1] + ', "note": "\\udc00"}'
+    node, key = rng.choice(strings)
+    node[key] += rng.choice(("\ud800", "\udfff", " \udbff tail"))
+    return json.dumps(document)  # escapes the surrogate as \\udXXX
+
+
+def _nest_deeply(rng: random.Random, text: str) -> str:
+    depth = rng.choice((2_000, 100_000))
+    return text[:-1] + ', "deep": ' + "[" * depth + "]" * depth + "}"
+
+
+def _truncate(rng: random.Random, text: str) -> str:
+    return text[: rng.randrange(len(text))]
+
+
+_GARBLERS = (_truncate, _swap_a_type, _nest_deeply, _add_a_lone_surrogate)
+
+
+class GarblingBackend(CallLog, BaseBackend):
+    """MockBackend replies, a seeded share of them corrupted.
+
+    Whether and how a reply is garbled depends only on the seed, the
+    request's fingerprint and how many times that request was sent before,
+    never on the thread schedule, so a retried slot may get a good reply.
+    """
+
+    backend_id = "garbling"
+
+    def __init__(self, seed: int, share: float, jitter=None) -> None:
+        super().__init__(jitter)
+        self.seed = seed
+        self.share = share
+        self._mock = MockBackend()
+        self._sent: dict[str, int] = {}
+        self._sent_lock = threading.Lock()
+
+    def _complete(self, request):
+        text = self._mock._complete(request)
+        # A retry reads the slot's cached fingerprint again.
+        fingerprint = request.fingerprint
+        with self._sent_lock:
+            attempt = self._sent.get(fingerprint, 0)
+            self._sent[fingerprint] = attempt + 1
+        rng = random.Random(f"{self.seed}:{fingerprint}:{attempt}")
+        if rng.random() >= self.share:
+            return text
+        return rng.choice(_GARBLERS)(rng, text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_garbled_replies_end_a_review_only_with_a_typed_error(capsys, monkeypatch, fmt):
+    argv = [
+        "review",
+        "tests/data/golden/input/Example.java",
+        "--specs-dir",
+        "sample_specs",
+        "--mode",
+        "full",
+        "--chunk-budget",
+        "150",
+        "--patches",
+        "--format",
+        fmt,
+    ]
+    monkeypatch.chdir(REPO_ROOT)
+    backends = []
+
+    def build_garbling_backend(config):
+        backends.append(GarblingBackend(seed, 0.75, jitter=sgcr.pipeline._jitter_from_env()))
+        return backends[-1]
+
+    monkeypatch.setattr(sgcr.pipeline, "build_backend", build_garbling_backend)
+    codes = set()
+    for seed in range(8):
+        outcomes = []
+        for jitter_seed in (1, 2):
+            monkeypatch.setenv("SGCR_TEST_JITTER", f"3:{jitter_seed}")
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if code == 3:
+                assert out == ""
+                assert err.rstrip("\n").rsplit("\n", 1)[-1].startswith("sgcr: ")
+            else:
+                assert code == 0, (seed, err[-2000:])
+                out.encode("utf-8")
+                if fmt == "json":
+                    json.loads(out)
+            outcomes.append((code, out))
+        assert outcomes[0] == outcomes[1], f"garbling seed {seed} depends on the schedule"
+        codes.add(outcomes[0][0])
+    # Garbled replies were sent, and retried.
+    assert all(len(backend._sent) < len(backend.call_log) for backend in backends)
+    assert codes == {0, 3}

@@ -10,13 +10,14 @@ from conftest import (
     GOLDEN_DIR,
     REPO_ROOT,
     CannedBackend,
+    LoggedMockBackend,
     findings_json,
     make_finding,
     make_library,
     make_review_request,
     make_spec,
 )
-from sgcr.backends import Jitter, MockBackend
+from sgcr.backends import Jitter
 from sgcr.config import RunConfig
 from sgcr.errors import InvalidReviewRequest, NoCandidates, NoPartials, WireError
 from sgcr.explicit import (
@@ -415,7 +416,7 @@ def test_run_explicit_model_calls_run_on_the_call_pool():
     assert backend.calls_for_role("aggregator") == 2
 
 
-class _FirstCallFailsBackend(MockBackend):
+class _FirstCallFailsBackend(LoggedMockBackend):
     """Mock answers, except that the first call of each listed role fails."""
 
     def __init__(self, roles):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from conftest import (
     REPO_ROOT,
     CannedBackend,
+    LoggedMockBackend,
     findings_json,
     issues_json,
     make_finding,
@@ -49,11 +53,12 @@ from sgcr.gateway import (
     SLOT_RETRIES,
     EnsembleConfig,
     ModelRequest,
+    PendingEnsemble,
     call_pool,
     canonical_request_json,
+    collect_in_order,
     ensemble_requests,
     generate,
-    request_fingerprint,
     submit_ensemble,
 )
 import sgcr.explicit
@@ -100,14 +105,14 @@ def test_canonical_json_is_sorted_and_compact():
 
 def test_fingerprint_sensitivity():
     base = ModelRequest(role="verifier", prompt="same prompt", seed=1)
-    assert request_fingerprint(base) == request_fingerprint(base)
+    assert ModelRequest(role="verifier", prompt="same prompt", seed=1).fingerprint == base.fingerprint
     for variant in (
         ModelRequest(role="verifier", prompt="same prompt", seed=2),
         ModelRequest(role="verifier", prompt="other prompt", seed=1),
         ModelRequest(role="verifier", prompt="same prompt", seed=1, instance_index=1),
         ModelRequest(role="proposer", prompt="same prompt", seed=1),
     ):
-        assert request_fingerprint(variant) != request_fingerprint(base)
+        assert variant.fingerprint != base.fingerprint
 
 
 def test_model_request_normalizes_enum_role_and_validates():
@@ -142,14 +147,14 @@ def test_mock_backend_is_a_pure_function_of_the_request():
     first = generate(backend, request)
     second = generate(backend, request)
     assert first.text == second.text
-    assert first.request_fingerprint == second.request_fingerprint
+    assert first.backend_id == second.backend_id == "mock"
 
 
 def _write_fixture(directory, request, text):
     from sgcr.gateway import canonical_request
 
     directory.mkdir(parents=True, exist_ok=True)
-    fingerprint = request_fingerprint(request)
+    fingerprint = request.fingerprint
     payload = {"request": canonical_request(request), "response_text": text}
     (directory / f"{fingerprint}.json").write_text(json.dumps(payload), encoding="utf-8")
 
@@ -159,7 +164,7 @@ def test_replay_missing_fixture_is_a_fixture_miss(tmp_path):
     request = ModelRequest(role="proposer", prompt="p")
     with pytest.raises(FixtureMiss) as excinfo:
         generate(backend, request)
-    assert request_fingerprint(request) in str(excinfo.value)
+    assert request.fingerprint in str(excinfo.value)
 
 
 def test_ensemble_tolerates_failures_within_budget(tmp_path):
@@ -195,8 +200,8 @@ def test_ensemble_fails_past_budget_with_fingerprints(tmp_path):
     with pytest.raises(EnsembleError) as excinfo, call_pool() as pool:
         submit_ensemble(pool, backend, base, config, parse_verdict_response).collect()
     message = str(excinfo.value)
-    assert request_fingerprint(slots[1]) in message
-    assert request_fingerprint(slots[2]) in message
+    assert slots[1].fingerprint in message
+    assert slots[2].fingerprint in message
 
 
 class _FlakyBackend(CannedBackend):
@@ -704,7 +709,7 @@ def test_http_clients_keep_a_connection_per_call_in_flight(keep_alive_server, wh
 # -- one call pool per run -------------------------------------------------
 
 
-class _CountingBackend(MockBackend):
+class _CountingBackend(LoggedMockBackend):
     """Mock responses after a short sleep; records intervals and peak in flight."""
 
     def __init__(self, sleep_s=0.005, respond=None):
@@ -1005,27 +1010,42 @@ def test_a_broken_rule_library_fails_before_any_model_call(tmp_path, mode, broke
     assert threading.active_count() == threads_before
 
 
+def _record_hashing(monkeypatch):
+    """(requests laid out, prompts escaped) by every fingerprint from now on.
+
+    Every fingerprint, a slot's or a single call's, lays out its request
+    through canonical_parts once, and escapes its prompt through
+    _escape_prompt unless a sibling slot already did.
+    """
+    hashed, escaped = [], []
+    layout, escape = sgcr.gateway.canonical_parts, sgcr.gateway._escape_prompt
+
+    def recording_layout(request):
+        hashed.append(request)
+        return layout(request)
+
+    def recording_escape(prompt):
+        escaped.append(prompt)
+        return escape(prompt)
+
+    monkeypatch.setattr(sgcr.gateway, "canonical_parts", recording_layout)
+    monkeypatch.setattr(sgcr.gateway, "_escape_prompt", recording_escape)
+    return hashed, escaped
+
+
 def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
     tmp_path, monkeypatch
 ):
     blocks = []
-    hashed = []
     render = sgcr.ingestion.prompt_block
-    layout = sgcr.gateway.canonical_parts
 
     def recording_block(request):
         blocks.append(render(request))
         return blocks[-1]
 
-    # Every fingerprint, a slot's or a single call's, lays out its request
-    # through canonical_parts once.
-    def recording_layout(request):
-        hashed.append(request)
-        return layout(request)
-
     monkeypatch.setattr(sgcr.explicit, "prompt_block", recording_block)
     monkeypatch.setattr(sgcr.implicit, "prompt_block", recording_block)
-    monkeypatch.setattr(sgcr.gateway, "canonical_parts", recording_layout)
+    hashed, escaped = _record_hashing(monkeypatch)
     backend = _CountingBackend(sleep_s=0.0)
     config = _chunked_config(tmp_path, ensemble_size=3)
     final = run_review(config, make_review_request(), backend=backend)
@@ -1036,28 +1056,116 @@ def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
     assert backend.calls_for_role("patch_generator") > 0
     assert final.clusters
     assert len(hashed) == len(backend.call_log)
+    # The slots of an ensemble share their prompt's escape.
+    assert set(escaped) == {request.prompt for request in backend.call_log}
+    assert len(escaped) < len(hashed)
 
 
-def test_every_ensemble_slot_is_hashed_before_it_reaches_the_backend(tmp_path):
+class _BlindBackend(_CountingBackend):
+    """The mock's replies without reading a fingerprint: each is seeded by a
+    digest of role, seed, instance and prompt that this backend makes."""
+
+    def _complete(self, request):
+        key = f"{request.role}:{request.seed}:{request.instance_index}:{request.prompt}"
+        stand_in = SimpleNamespace(
+            role=request.role,
+            prompt=request.prompt,
+            fingerprint=hashlib.sha256(key.encode("utf-8")).hexdigest(),
+        )
+        return super()._complete(stand_in)
+
+
+def test_a_full_run_through_a_backend_that_reads_no_fingerprint_hashes_nothing(
+    tmp_path, monkeypatch
+):
+    hashed, escaped = _record_hashing(monkeypatch)
+    backend = _BlindBackend(sleep_s=0.0)
+    final = run_review(
+        _chunked_config(tmp_path, ensemble_size=3), make_review_request(), backend=backend
+    )
+
+    assert final.clusters
+    assert backend.calls_for_role("patch_generator") > 0
+    assert backend.calls_for_role(Role.VERIFIER) > 0
+    assert hashed == [] and escaped == []
+    assert not any("fingerprint" in vars(request) for request in backend.call_log)
+
+
+def test_a_slot_is_hashed_only_when_its_backend_reads_the_fingerprint(tmp_path):
     arrivals = []
 
     class _ArrivalBackend(_CountingBackend):
         def complete(self, request):
             # cached_property keeps the fingerprint in the instance dict.
-            arrivals.append((request.role, "fingerprint" in vars(request)))
+            arrivals.append((request, "fingerprint" in vars(request)))
             return super().complete(request)
 
     backend = _ArrivalBackend(sleep_s=0.0)
     run_review(_chunked_config(tmp_path, ensemble_size=3), make_review_request(), backend=backend)
 
     slots = [
-        hashed
-        for role, hashed in arrivals
-        if role in (Role.EXPLICIT_REVIEWER.value, Role.VERIFIER.value)
+        (request, hashed)
+        for request, hashed in arrivals
+        if request.role in (Role.EXPLICIT_REVIEWER.value, Role.VERIFIER.value)
     ]
     # Five chunks of three reviewers, and at least one verifier ensemble.
     assert len(slots) >= 5 * 3 + 3
-    assert all(slots)
+    assert not any(hashed for _, hashed in slots)
+    # The mock read every fingerprint, and no slot still holds the escape.
+    assert all("fingerprint" in vars(request) for request, _ in slots)
+    assert not any("_shared_escape" in vars(request) for request, _ in slots)
+
+
+def test_an_ensemble_escapes_its_prompt_once_and_frees_it_after_the_last_slot(
+    monkeypatch,
+):
+    hashed, escaped = _record_hashing(monkeypatch)
+    base = ModelRequest(role="verifier", prompt="shared \u00e9 prompt", seed=3)
+    slots = ensemble_requests(base, EnsembleConfig(n=4, quorum=2, base_seed=9))
+    assert escaped == [] and hashed == []
+
+    for position, slot in enumerate(slots):
+        assert slot.fingerprint == _reference_fingerprint(slot)
+        assert escaped == [base.prompt]
+        # Slots not yet hashed still share the escape; hashed ones dropped it.
+        holders = [other for other in slots if "_shared_escape" in vars(other)]
+        assert holders == slots[position + 1 :]
+    assert hashed == slots
+
+
+def test_slots_hashed_at_once_on_many_threads_all_match_the_reference_dump():
+    base = ModelRequest(role="verifier", prompt="x" * 50_000 + "\u4e2d", seed=1)
+    ensembles = [
+        ensemble_requests(base, EnsembleConfig(n=8, quorum=1, base_seed=seed))
+        for seed in range(40)
+    ]
+    slots = [slot for ensemble in ensembles for slot in ensemble]
+    start = threading.Barrier(8)
+    read = []
+
+    def hash_every_slot(offset):
+        start.wait(timeout=10)
+        for slot in slots[offset:] + slots[:offset]:
+            read.append((slot, slot.fingerprint))
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=hash_every_slot, args=(offset * 37,)) for offset in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch_interval)
+
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(read) == 8 * len(slots)
+    expected = {id(slot): _reference_fingerprint(slot) for slot in slots}
+    assert all(fingerprint == expected[id(slot)] for slot, fingerprint in read)
+    assert not any("_shared_escape" in vars(slot) for slot in slots)
 
 
 class _BadFirstReviewerBackend(_CountingBackend):
@@ -1105,7 +1213,10 @@ def test_a_reviewer_slot_retries_a_lone_surrogate_reply_and_the_run_completes(tm
 
 def test_model_request_fingerprint_is_cached_per_instance():
     base = ModelRequest(role="verifier", prompt="same prompt", seed=1)
-    assert base.fingerprint == request_fingerprint(base)
+    assert "fingerprint" not in vars(base)
+    first = base.fingerprint
+    assert vars(base)["fingerprint"] is first
+    assert base.fingerprint is first
     # replace builds a fresh instance, so a slot never inherits the cache.
     for variant in ensemble_requests(base, EnsembleConfig(n=3, quorum=2, base_seed=5)):
         fresh = ModelRequest(
@@ -1114,7 +1225,7 @@ def test_model_request_fingerprint_is_cached_per_instance():
             seed=variant.seed,
             instance_index=variant.instance_index,
         )
-        assert variant.fingerprint == request_fingerprint(fresh)
+        assert variant.fingerprint == fresh.fingerprint
         assert variant.fingerprint != base.fingerprint
 
 
@@ -1173,9 +1284,10 @@ def test_slot_and_single_fingerprints_match_the_reference_dump():
             n=rng.randint(1, 4), quorum=1, base_seed=rng.choice((0, -5, 2**40))
         )
         for slot in ensemble_requests(base, config):
-            # Hashed by ensemble_requests from the shared escape, not on read.
-            assert "fingerprint" in vars(slot)
+            # Hashed on first read, from the escape the slots share.
+            assert "fingerprint" not in vars(slot)
             assert slot.fingerprint == _reference_fingerprint(slot), case
+            assert "fingerprint" in vars(slot)
             fresh = replace(slot, prompt=slot.prompt)
             assert "fingerprint" not in vars(fresh)
             assert fresh.fingerprint == slot.fingerprint, case
@@ -1204,3 +1316,113 @@ def test_full_run_with_patches_is_byte_identical_under_any_schedule(capsys, monk
         assert main(argv) == 0
         out, _ = capsys.readouterr()
         assert out == expected, f"jitter seed {seed} changed the report"
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 6, 23])
+@pytest.mark.parametrize("n", [1, 3, 16, 40])
+def test_collect_in_order_keeps_the_slots_on_the_pool_within_max_inflight(count, n):
+    submitted = []
+
+    def slot(position):
+        time.sleep(0.001 * (position % 4))
+        return position
+
+    def submit(position):
+        unfinished = sum(len(ensemble.unfinished()) for ensemble in submitted if ensemble)
+        assert unfinished == 0 or unfinished + n <= MAX_INFLIGHT
+        if position % 5 == 4:
+            submitted.append(None)  # nothing to verify: no slots
+            return None
+        ensemble = PendingEnsemble(
+            [pool.submit(slot, position) for _ in range(n)], EnsembleConfig(n=n, quorum=1)
+        )
+        submitted.append(ensemble)
+        return ensemble
+
+    def collect(position, ensemble):
+        assert ensemble is submitted[position]
+        return position, bool(ensemble and ensemble.unfinished())
+
+    with call_pool() as pool:
+        results = collect_in_order(submit, collect, count, n)
+        # The first window is on the pool before anything is collected.
+        assert len(submitted) >= min(count, max(1, MAX_INFLIGHT // n))
+        assert list(results) == [(position, False) for position in range(count)]
+    assert len(submitted) == count
+
+
+def test_collect_in_order_fills_freed_workers_while_the_next_ensemble_to_collect_runs():
+    """One slow slot at the head holds back no later ensemble."""
+    n, count = 3, 12
+    last_started = threading.Event()
+    submitted = []
+
+    def slot(position):
+        if position == 0:
+            # Only reached if every other ensemble got onto the pool meanwhile.
+            return last_started.wait(timeout=10)
+        if position == count - 1:
+            last_started.set()
+        return True
+
+    def submit(position):
+        ensemble = PendingEnsemble(
+            [pool.submit(slot, position) for _ in range(n)], EnsembleConfig(n=n, quorum=1)
+        )
+        submitted.append(ensemble)
+        return ensemble
+
+    with call_pool() as pool:
+        results = collect_in_order(
+            submit, lambda position, ensemble: ensemble.unfinished(), count, n
+        )
+        assert len(submitted) >= MAX_INFLIGHT // n
+        assert list(results) == [[]] * count
+    assert all(future.result() for ensemble in submitted for future in ensemble._futures)
+
+
+def test_collect_in_order_wakes_when_the_pool_cancels_the_slots_it_waits_for():
+    """A run that raises shuts its pool down, cancelling every queued slot."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    release = threading.Event()
+    pool.submit(release.wait, 10)  # the only worker is busy: every slot queues
+    outcome = []
+
+    def submit(position):
+        return PendingEnsemble([pool.submit(int, position)], EnsembleConfig(n=1, quorum=1))
+
+    def consume():
+        results = collect_in_order(
+            submit, lambda position, ensemble: ensemble._futures[0].cancelled(), 3, 1
+        )
+        outcome.extend(results)
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    time.sleep(0.05)  # the consumer now waits for the first slot
+    pool.shutdown(wait=False, cancel_futures=True)
+    consumer.join(timeout=5)
+    release.set()
+    assert not consumer.is_alive()
+    assert outcome == [True, True, True]
+
+
+@pytest.mark.parametrize("kind", ["mock", "replay", "http", "record"])
+def test_a_configured_backend_keeps_no_record_of_the_requests_it_was_sent(kind, tmp_path):
+    """A record would keep every prompt sent, each with the code block, alive."""
+    config = RunConfig(
+        backend=kind,
+        fixtures_dir=str(tmp_path),
+        base_url="http://127.0.0.1:9",
+        specs_dir=str(REPO_ROOT / "sample_specs"),
+    )
+    backend = sgcr.pipeline.build_backend(config)
+    try:
+        request = ModelRequest(role=Role.PROPOSER, prompt="p")
+        backend._before_call(request)
+        assert sys.getrefcount(request) == 2  # the local name and the argument
+        assert not hasattr(backend, "call_log")
+    finally:
+        for closable in (backend, getattr(backend, "delegate", None)):
+            if hasattr(closable, "close"):
+                closable.close()

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import random
+import string
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +14,8 @@ from conftest import (
     GOLDEN_DIR,
     REPO_ROOT,
     CannedBackend,
+    LoggedMockBackend,
+    LoggedReplayBackend,
     issues_json,
     make_library,
     make_review_request,
@@ -20,7 +25,14 @@ from conftest import (
 from sgcr.backends import MockBackend, ReplayBackend
 from sgcr.config import RunConfig
 from sgcr.errors import FixtureMiss, QueryDimensionMismatch, WireError
-from sgcr.gateway import SLOT_RETRIES, EnsembleConfig, ModelRequest, call_pool, submit_ensemble
+from sgcr.gateway import (
+    MAX_INFLIGHT,
+    SLOT_RETRIES,
+    EnsembleConfig,
+    ModelRequest,
+    call_pool,
+    submit_ensemble,
+)
 from sgcr.implicit import (
     decide_quorum,
     ground_issue,
@@ -28,7 +40,7 @@ from sgcr.implicit import (
     run_implicit,
     verify_issue,
 )
-from sgcr.ingestion import build_review_request
+from sgcr.ingestion import build_review_request, prompt_block
 from sgcr.parsing import parse_verdict_response
 from sgcr.pipeline import run_review
 from sgcr.retrieval import MockEmbeddingProvider, build_index
@@ -111,7 +123,7 @@ def test_a_proposer_whose_reply_nests_too_deeply_yields_no_proposals():
     assert calls == len(backend.call_log) == 1 + SLOT_RETRIES
 
 def test_a_proposer_fixture_miss_is_raised_and_degrades_the_pathway(tmp_path):
-    backend = ReplayBackend(tmp_path / "no-fixtures")
+    backend = LoggedReplayBackend(tmp_path / "no-fixtures")
     with pytest.raises(FixtureMiss):
         propose_issues(make_review_request(), backend)
     assert len(backend.call_log) == 1  # a replay miss is never retried
@@ -417,7 +429,7 @@ def test_run_implicit_grounds_issues_concurrently_on_the_pool():
     assert report.stats_dict()["model_calls"] == 1 + 6 * ENSEMBLE.n
 
 
-class _VerifiersFailBackend(MockBackend):
+class _VerifiersFailBackend(LoggedMockBackend):
     """Mock answers for every role but the verifier, whose calls all fail."""
 
     def _complete(self, request):
@@ -444,3 +456,53 @@ def test_model_calls_count_a_verification_ensemble_that_exhausted_its_budget():
         stats["proposals"] * config.ensemble_size * (1 + SLOT_RETRIES)
     )
     assert stats["model_calls"] == len(backend.call_log)
+
+
+class _SlowTwentyProposals(MockBackend):
+    """Mock answers after a 200 ms wait, with 20 proposals.
+
+    The wait lets verifier slots queue, as a real model's latency does.
+    """
+
+    def _complete(self, request):
+        time.sleep(0.2)
+        if request.role == "proposer":
+            return issues_json(
+                *(
+                    {"start_line": line, "description": f"value {line} is read unchecked"}
+                    for line in range(1, 21)
+                )
+            )
+        return super()._complete(request)
+
+
+def test_verifier_prompts_alive_at_once_stay_within_the_submission_window():
+    rng = random.Random(20261018)
+    lines = tuple(
+        f"    int v{number} = {''.join(rng.choices(string.ascii_letters, k=rng.randint(20, 60)))};"
+        for number in range(12_000)
+    )
+    request = make_review_request(lines=lines)
+    code = len(prompt_block(request))
+    config = RunConfig(
+        mode="implicit_only",
+        specs_dir=str(REPO_ROOT / "sample_specs"),
+        allow_ungrounded=True,
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        final = run_review(config, request, backend=_SlowTwentyProposals())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+    (report,) = final.pathway_reports
+    assert report.stats_dict()["proposals"] == 20
+    # Each verifier prompt holds a copy of the code block. Submitting only
+    # while the slots fit under MAX_INFLIGHT keeps about MAX_INFLIGHT // n
+    # of them alive, each with at most one escape, plus the next one being
+    # rendered. Submitting all 20 at once, or logging every request the
+    # backend is sent, kept about 25 code blocks alive.
+    window = MAX_INFLIGHT // config.ensemble_size
+    assert peak < (2 * window + 3) * code

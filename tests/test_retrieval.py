@@ -316,6 +316,30 @@ def test_load_index_rejects_decimal_vectors_and_packed_vectors_of_the_wrong_leng
         assert str(excinfo.value).endswith(REBUILD_HINT)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        (math.nan,) * 3,
+        (math.inf,) * 3,
+        (0.5, -math.inf, 0.5),
+        (math.inf, -math.inf, 0.0),
+        (0.6, math.nan, 0.8),
+    ],
+    ids=["nan", "inf", "minus-inf", "both-infs", "one-nan"],
+)
+def test_load_index_rejects_non_finite_vectors(tmp_path, values):
+    library = make_library(make_spec("r.one"), make_spec("r.two"), make_spec("r.three"))
+    path = tmp_path / "index.json"
+    save_index(build_index(library, MockEmbeddingProvider(dimension=3)), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["entries"][1]["vector"] = base64.b64encode(struct.pack("<3d", *values)).decode()
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+    with pytest.raises(IndexLibraryMismatch, match="non-finite vector for rule 'r.two'") as excinfo:
+        load_index(path, library)
+    assert str(excinfo.value).endswith(REBUILD_HINT)
+
+
 def test_load_index_rejects_library_mismatch(tmp_path):
     library = make_library(make_spec("r.one"), make_spec("r.two"))
     index = build_index(library, MockEmbeddingProvider(dimension=16))
