@@ -131,14 +131,19 @@ def aggregate_candidates(
     maxima, except that confidence = support / present members and, with a
     library, the category is resolved from the union of cited rules (a
     member citing nothing does not pull it to maintainability). Model mode
-    asks the aggregator role to group candidates instead, then computes
-    support the same way and drops unsupported inventions. tokens is the
-    run's TokenTable for the clustering (matching.cluster_tagged).
+    asks the aggregator role to group candidates instead; a returned
+    finding's support is the members with a candidate equivalent to it
+    directly (matching.findings_equivalent, not the closure), and a finding
+    no member supports is an invention and dropped. tokens is the run's
+    TokenTable for the clustering (matching.cluster_tagged) and the support
+    checks (a fresh one when none is given).
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation mode {mode!r}")
     if not candidates:
         raise NoCandidates(f"chunk {chunk.ordinal} has no candidate reviews")
+    if tokens is None:
+        tokens = TokenTable()
     n_effective = len({candidate.instance_index for candidate in candidates})
     entries = [
         (finding, candidate.instance_index)
@@ -149,23 +154,23 @@ def aggregate_candidates(
     if mode == "deterministic":
         merged: list[Finding] = []
         for group in cluster_tagged(entries, tokens=tokens):
-            support = len({instance for _, instance in group})
+            members, instances = zip(*group)
+            support = len(set(instances))
             if support < ensemble.quorum:
                 logger.debug(
                     "chunk %d: dropping finding %s (support %d < quorum %d)",
                     chunk.ordinal,
-                    group[0][0].finding_id,
+                    members[0].finding_id,
                     support,
                     ensemble.quorum,
                 )
                 continue
-            winner = min(group, key=lambda entry: (entry[1], entry[0].sort_key()))[0]
+            # The group is in (sort key, instance) order, so the lowest
+            # instance's first entry is its finding with the lowest key.
+            winner = members[instances.index(min(instances))]
             merged.append(
                 merge_to_maxima(
-                    [finding for finding, _ in group],
-                    winner,
-                    confidence=support / n_effective,
-                    library=library,
+                    members, winner, confidence=support / n_effective, library=library
                 )
             )
         return AggregatedReview(
@@ -196,7 +201,7 @@ def aggregate_candidates(
         supporters = {
             instance
             for candidate_finding, instance in entries
-            if findings_equivalent(finding, candidate_finding)
+            if findings_equivalent(finding, candidate_finding, tokens=tokens)
         }
         if not supporters:
             logger.warning(
@@ -236,9 +241,10 @@ def synthesize_partials(
     ]
     merged: list[Finding] = []
     for group in cluster_tagged(entries, tokens=tokens):
-        members = [finding for finding, _ in group]
-        winner = min(members, key=lambda finding: (-finding.confidence, finding.sort_key()))
-        merged.append(merge_to_maxima(members, winner))
+        members, _ = zip(*group)
+        confidences = [finding.confidence for finding in members]
+        # Group order is by sort key: the first most confident member wins.
+        merged.append(merge_to_maxima(members, members[confidences.index(max(confidences))]))
     findings = tuple(sort_findings(merged))
     summary = (
         f"{len(findings)} rule-grounded finding(s) across {len(partials)} rule chunk(s)"

@@ -7,18 +7,25 @@ closure of that relation, computed with union-find over a sorted input
 so group membership and order never depend on arrival order. The input
 is sorted by file, then start line, so a sweep that stops at the first
 later finding in another file or starting past the current one's end
-skips only pairs that cannot overlap. Token sets come from a
-TokenTable, which tokenizes each distinct description once: a run passes
-one table to every clustering it does (the explicit pathway's quorum
-aggregation and synthesis, then consolidation), so a description repeated
-by ensemble members, rule chunks and pathways is tokenized once per run; a
-caller that passes none gets a fresh table per call. A cluster merges into
-one finding raised to the member maxima.
+skips only pairs that cannot overlap. The sweep is one flat loop over
+columns read once per entry (file, start line, end line, token set); the
+only call it makes for a pair is the Jaccard of two different token sets.
+Entries whose token sets are the same object, as repeated descriptions'
+are, join on that identity alone, and an entry that repeats the file,
+end line and token set of the one before it has no sweep of its own. Token sets come from a TokenTable,
+which tokenizes each distinct description once: a run passes one table to
+every clustering it does (the explicit pathway's quorum aggregation and
+synthesis, then consolidation) and to model-mode support checks
+(findings_equivalent), so a description repeated by ensemble members,
+rule chunks and pathways is tokenized once per run; a caller that passes
+none gets a fresh table per call. A cluster merges into one finding
+raised to the member maxima.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence, TypeVar
 
 from .specs import SpecLibrary, resolve_category
@@ -56,21 +63,37 @@ def _jaccard(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:
     return shared / (len(tokens_a) + len(tokens_b) - shared)
 
 
-def token_jaccard(a: str, b: str) -> float:
-    """Jaccard similarity of word sets; two empty sets count as identical."""
-    return _jaccard(tokenize(a), tokenize(b))
-
-
 def ranges_overlap(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
     return a_start <= b_end and b_start <= a_end
 
 
-def findings_equivalent(a: Finding, b: Finding, threshold: float = JACCARD_THRESHOLD) -> bool:
+def findings_equivalent(
+    a: Finding,
+    b: Finding,
+    threshold: float = JACCARD_THRESHOLD,
+    *,
+    tokens: Optional[TokenTable] = None,
+) -> bool:
+    """The equivalence of one pair, not its transitive closure.
+
+    Token sets come from tokens, the run's TokenTable (a fresh one when
+    none is given), and are compared by the kernel's Jaccard.
+    """
     if a.file != b.file:
         return False
     if not ranges_overlap(a.start_line, a.end_line, b.start_line, b.end_line):
         return False
-    return token_jaccard(a.description, b.description) >= threshold
+    table = TokenTable() if tokens is None else tokens
+    return _jaccard(table[a.description], table[b.description]) >= threshold
+
+
+_TAG = itemgetter(1)
+_FINDING = itemgetter(0)
+_COLUMNS = attrgetter("file", "start_line", "end_line", "description")
+
+
+def _finding_sort_key(entry: tuple[Finding, object]) -> tuple[str, int, str]:
+    return entry[0].sort_key()
 
 
 def cluster_tagged(
@@ -88,35 +111,82 @@ def cluster_tagged(
     are tokenized through tokens, the run's TokenTable, so a text the run
     has already seen is not tokenized again; without one, each distinct
     description of this call is tokenized once.
+
+    The sweep reads each entry's file, start line, end line and token set
+    once, into columns, and compares entry i with each later entry j until
+    the first one in another file or starting past i's end. A pair whose
+    token sets are the same object (the table's set for one text) joins
+    without an intersection whenever threshold <= 1, since its Jaccard is
+    exactly 1.0; an entry with the file, end line and token set of the one
+    before it (another member's copy of a finding, say) has no sweep of its
+    own. Roots are found only for a pair that joins, by walking parent
+    links inline with path halving; a union keeps the smaller root, so
+    every link points to a smaller index and a group's root is its first
+    entry.
     """
-    ordered = sorted(entries, key=lambda entry: (entry[0].sort_key(), entry[1]))
+    # Two stable sorts: by tag, then by finding, give the (sort key, tag)
+    # order without building a nested key tuple per entry.
+    ordered = sorted(entries, key=_TAG)
+    if not ordered:
+        return []
+    ordered.sort(key=_finding_sort_key)
     table = TokenTable() if tokens is None else tokens
-    token_sets = [table[finding.description] for finding, _ in ordered]
-    parent = list(range(len(ordered)))
-
-    def find(index: int) -> int:
-        root = index
-        while parent[root] != root:
-            root = parent[root]
-        while parent[index] != root:
-            parent[index], index = root, parent[index]
-        return root
-
-    for i, (finding, _) in enumerate(ordered):
-        for j in range(i + 1, len(ordered)):
-            other = ordered[j][0]
+    files, starts, ends, descriptions = zip(*map(_COLUMNS, map(_FINDING, ordered)))
+    token_sets = list(map(table.__getitem__, descriptions))
+    identical_join = threshold <= 1
+    count = len(ordered)
+    parent = list(range(count))
+    for i in range(count - 1):
+        file_i = files[i]
+        end_i = ends[i]
+        tokens_i = token_sets[i]
+        # A sweep reads only its entry's file, end and token set. An entry
+        # that repeats those of the one before it would repeat that one's
+        # comparisons, and it starts within that one's lines, so that sweep
+        # already joined it (unless threshold > 1, when nothing joins).
+        if (
+            i
+            and tokens_i is token_sets[i - 1]
+            and end_i == ends[i - 1]
+            and file_i == files[i - 1]
+        ):
+            continue
+        root_i = -1
+        for j in range(i + 1, count):
             # Later entries start no earlier, so once one starts past this
             # end (or sits in a later file) none of the rest can overlap.
-            if other.file != finding.file or other.start_line > finding.end_line:
+            if starts[j] > end_i or files[j] != file_i:
                 break
-            root_i, root_j = find(i), find(j)
-            if root_i != root_j and _jaccard(token_sets[i], token_sets[j]) >= threshold:
-                parent[max(root_i, root_j)] = min(root_i, root_j)
+            tokens_j = token_sets[j]
+            if tokens_j is tokens_i:
+                if not identical_join:
+                    continue
+            elif _jaccard(tokens_i, tokens_j) < threshold:
+                continue
+            # Path halving: each step links a node to its grandparent, so
+            # walks stay short however the unions fell.
+            if root_i < 0:
+                root_i = i
+                while parent[root_i] != root_i:
+                    parent[root_i] = parent[parent[root_i]]
+                    root_i = parent[root_i]
+            root_j = j
+            while parent[root_j] != root_j:
+                parent[root_j] = parent[parent[root_j]]
+                root_j = parent[root_j]
+            if root_j < root_i:
+                parent[root_i] = root_j
+                root_i = root_j
+            else:
+                parent[root_j] = root_i
 
+    # parent[x] <= x, so in index order each entry's parent already points
+    # at its root, and a group's root is met before any other member.
     groups: dict[int, list[tuple[Finding, Tag]]] = {}
     for index, entry in enumerate(ordered):
-        groups.setdefault(find(index), []).append(entry)
-    return [groups[root] for root in sorted(groups)]
+        root = parent[index] = parent[parent[index]]
+        groups.setdefault(root, []).append(entry)
+    return list(groups.values())
 
 
 def cluster_findings(
@@ -145,19 +215,29 @@ def merge_to_maxima(
     Severity becomes the most severe among members and cited rules their
     sorted union. Confidence is the member maximum unless given (an
     aggregate's support share). Category is resolved from the union of
-    cited rules with a library, else the highest-ranked among members. The
-    result is built in one construction, keeping the winner's finding_id
-    and patch; when no field would change, the winner itself is returned.
+    cited rules with a library, else the highest-ranked among members.
+    Severity, category and the confidence maximum are read in one pass over
+    the members. The result is built in one construction, keeping the
+    winner's finding_id and patch; when no field would change, the winner
+    itself is returned.
     """
-    severity = min((member.severity for member in members), key=SEVERITY_RANK.__getitem__)
+    first = members[0]
+    severity, top, category = first.severity, first.confidence, first.category
+    severity_rank, category_rank = SEVERITY_RANK[severity], CATEGORY_RANK[category]
+    for member in members:
+        rank = SEVERITY_RANK[member.severity]
+        if rank < severity_rank:
+            severity, severity_rank = member.severity, rank
+        rank = CATEGORY_RANK[member.category]
+        if rank < category_rank:
+            category, category_rank = member.category, rank
+        if member.confidence > top:
+            top = member.confidence
     spec_ids = tuple(sorted({spec_id for member in members for spec_id in member.spec_ids}))
     if confidence is None:
-        confidence = max(member.confidence for member in members)
-    category = (
-        resolve_category(spec_ids, library)
-        if library is not None
-        else min((member.category for member in members), key=CATEGORY_RANK.__getitem__)
-    )
+        confidence = top
+    if library is not None:
+        category = resolve_category(spec_ids, library)
     if (
         severity is winner.severity
         and confidence == winner.confidence

@@ -105,13 +105,9 @@ class MockEmbeddingProvider:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self.call_log: list[str] = []
-        self._lock = threading.Lock()
         self._buckets = _BucketMemo(dimension)
 
     def embed(self, text: str) -> list[float]:
-        with self._lock:
-            self.call_log.append(text)
         lowered = text.lower()
         if len(lowered) >= 3:
             grams = zip(lowered, lowered[1:], lowered[2:])
@@ -169,7 +165,6 @@ class HttpEmbeddingProvider:
         self.api_key = api_key
         self.timeout = timeout
         self.dimension = 0
-        self.call_log: list[str] = []
         self._lock = threading.Lock()
         self._session = http_session()
 
@@ -180,8 +175,6 @@ class HttpEmbeddingProvider:
     def embed(self, text: str) -> list[float]:
         import requests
 
-        with self._lock:
-            self.call_log.append(text)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

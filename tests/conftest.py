@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
 from sgcr.backends import BaseBackend, Jitter, MockBackend, ReplayBackend
 from sgcr.gateway import ModelRequest
 from sgcr.ingestion import ReviewRequest, ReviewUnit
+from sgcr.retrieval import MockEmbeddingProvider
 from sgcr.specs import Specification, SpecLibrary, estimate_tokens
 from sgcr.types import Category, Finding, Pathway, Severity
 
@@ -47,6 +49,24 @@ class LoggedMockBackend(CallLog, MockBackend):
 
 class LoggedReplayBackend(CallLog, ReplayBackend):
     """ReplayBackend that keeps a call log."""
+
+
+class LoggedMockEmbeddingProvider(MockEmbeddingProvider):
+    """MockEmbeddingProvider that keeps every text it embeds, in call order.
+
+    Providers themselves keep none, so that a run holds no rule text for
+    them; tests that assert on the texts embedded use this.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.call_log: list[str] = []
+        self._log_lock = threading.Lock()
+
+    def embed(self, text: str) -> list[float]:
+        with self._log_lock:
+            self.call_log.append(text)
+        return super().embed(text)
 
 
 class CannedBackend(CallLog, BaseBackend):

@@ -24,10 +24,10 @@ _SPEC.loader.exec_module(bench_pairs)
 BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def _output(failed: int = 0, **metrics: float) -> str:
+def _output(failed: int = 0, golden_ok: bool = True, **metrics: float) -> str:
     """What perfbench/run.py prints: lines for people, then the result."""
     result = {
-        "correct": failed == 0,
+        "correct": golden_ok and failed == 0,
         "attempted": 40,
         "failed": failed,
         "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()},
@@ -127,3 +127,48 @@ def test_format_summary_reports_failures_wins_claim_and_bound_per_workload():
     assert "10/10" in p50 and "holds" in p50 and "within bound (25%)" in p50
     (setup,) = [line for line in lines if line.lstrip().startswith("setup_s")]
     assert "0/10" in setup and "EXCEEDS BOUND" in setup
+
+
+def _canned_run(wrong_side):
+    """A run_once stand-in: every run correct but wrong_side's in pair 3."""
+    calls = []
+
+    def run_once(checkout, command, workload, seed, seconds):
+        side = "parent" if checkout != bench_pairs.ROOT else "change"
+        pair = sum(1 for call in calls if call == (side, workload))
+        calls.append((side, workload))
+        golden_ok = not (side == wrong_side and pair == 3 and workload == "findings-dense")
+        value = 0.166 if side == "parent" else 0.158
+        return bench_pairs.parse_result(_output(0, golden_ok, review_p50_s=value))
+
+    return run_once
+
+
+def test_a_golden_mismatch_counts_as_an_incorrect_run_even_with_no_failed_review():
+    parent = [{"review_p50_s": 0.166} for _ in range(10)]
+    change = [{"review_p50_s": 0.158} for _ in range(10)]
+    results = []
+    for pair, (before, after) in enumerate(zip(parent, change)):
+        for side, metrics in (("parent", before), ("change", after)):
+            output = _output(0, golden_ok=not (side == "change" and pair == 4), **metrics)
+            results.append((pair, side, "findings-dense", bench_pairs.parse_result(output)))
+    summary = bench_pairs.summarize(results, BENCHMARK)
+    assert summary.failed[("findings-dense", "change")] == (0, 400)
+    assert summary.incorrect == {
+        ("findings-dense", "parent"): (0, 10),
+        ("findings-dense", "change"): (1, 10),
+    }
+    assert summary.incorrect_runs() == 1
+    lines = bench_pairs.format_summary(summary).splitlines()
+    assert "parent failed 0 of 400 (0.0000), incorrect runs 0 of 10" in lines[1]
+    assert "change failed 0 of 400 (0.0000), incorrect runs 1 of 10" in lines[2]
+    assert lines[-1].startswith("INCORRECT: 1 run(s) not correct")
+
+
+@pytest.mark.parametrize("wrong_side", [None, "parent", "change"])
+def test_the_tool_exits_nonzero_when_any_run_is_incorrect(wrong_side, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda revision, into: None)
+    monkeypatch.setattr(bench_pairs, "run_once", _canned_run(wrong_side))
+    assert bench_pairs.main(["--parent", "HEAD"]) == (0 if wrong_side is None else 1)
+    out = capsys.readouterr().out
+    assert ("INCORRECT: 1 run(s)" in out) is (wrong_side is not None)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ from conftest import (
     make_review_request,
     make_spec,
 )
-from sgcr.backends import Jitter
+from sgcr.backends import Jitter, MockBackend
 from sgcr.config import RunConfig
 from sgcr.errors import InvalidReviewRequest, NoCandidates, NoPartials, WireError
 from sgcr.explicit import (
@@ -31,7 +33,7 @@ from sgcr.explicit import (
 from sgcr.gateway import EnsembleConfig, ModelRequest, call_pool, submit_ensemble
 from sgcr.ingestion import build_review_request
 from sgcr.parsing import parse_findings_response
-from sgcr.pipeline import run_review
+from sgcr.pipeline import render_report, run_review
 from sgcr.specs import SpecChunk, resolve_category, segment_library
 from sgcr.types import Category, Pathway, Severity
 
@@ -449,3 +451,49 @@ def test_model_calls_count_aggregator_and_summary_calls_with_their_retries(faili
     assert backend.calls_for_role("synthesizer") == (2 if failing_roles else 1)
     (report,) = final.pathway_reports
     assert report.stats_dict()["model_calls"] == len(backend.call_log)
+
+
+class _EchoAggregatorBackend(MockBackend):
+    """Mock answers, except that the aggregator returns every candidate it is shown.
+
+    Candidates from different members only sometimes match, so the kept
+    findings carry different supports.
+    """
+
+    _HEADER = "Candidate reviews (JSON):\n"
+
+    def _complete(self, request):
+        if request.role != "aggregator":
+            return super()._complete(request)
+        start = request.prompt.index(self._HEADER) + len(self._HEADER)
+        reviews, _ = json.JSONDecoder().raw_decode(request.prompt, start)
+        return json.dumps({"findings": [f for review in reviews for f in review["findings"]]})
+
+
+_MODEL_MODE_DIR = REPO_ROOT / "tests" / "data" / "model_mode"
+
+
+@pytest.mark.parametrize(
+    "backend_type, pinned",
+    [(MockBackend, "mock_report.json"), (_EchoAggregatorBackend, "echo_report.json")],
+)
+def test_model_mode_reports_are_byte_identical_to_the_pinned_ones(
+    backend_type, pinned, monkeypatch
+):
+    """Model-mode aggregation and the model summary, on sample_specs.
+
+    The stock mock's aggregator invents every finding (its replies name
+    the file "unknown"), so all are dropped; the echoing one keeps them
+    with their direct support share as confidence.
+    """
+    monkeypatch.chdir(REPO_ROOT)
+    config = RunConfig(
+        mode="explicit_only",
+        specs_dir="sample_specs",
+        chunk_budget=150,
+        aggregation="model",
+        model_summary=True,
+    )
+    request = build_review_request(paths=[Path("tests/data/golden/input/Example.java")])
+    text = render_report(run_review(config, request, backend=backend_type()), "json")
+    assert text == (_MODEL_MODE_DIR / pinned).read_text(encoding="utf-8")

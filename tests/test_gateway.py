@@ -20,6 +20,7 @@ from conftest import (
     REPO_ROOT,
     CannedBackend,
     LoggedMockBackend,
+    LoggedMockEmbeddingProvider,
     findings_json,
     issues_json,
     make_finding,
@@ -970,7 +971,7 @@ def test_an_explicit_pathway_that_raises_before_submitting_releases_the_index_bu
 
 def test_a_run_whose_explicit_pathway_raises_builds_no_index(tmp_path, monkeypatch):
     config = _chunked_config(tmp_path, ensemble_size=3)
-    provider = MockEmbeddingProvider(dimension=config.embedding_dimension)
+    provider = LoggedMockEmbeddingProvider(dimension=config.embedding_dimension)
 
     def broken_segmentation(library, budget):
         raise RuntimeError("segmentation broke")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import string
+import threading
 import time
 import tracemalloc
 
@@ -15,6 +16,7 @@ from conftest import (
     REPO_ROOT,
     CannedBackend,
     LoggedMockBackend,
+    LoggedMockEmbeddingProvider,
     LoggedReplayBackend,
     issues_json,
     make_library,
@@ -394,11 +396,12 @@ def test_run_implicit_handles_zero_proposals():
     assert stats["model_calls"] == 1
 
 
-class _SlowProvider(MockEmbeddingProvider):
+class _SlowProvider(LoggedMockEmbeddingProvider):
     """Mock embeddings that take a while and record how many overlap."""
 
     def __init__(self, delay_s: float) -> None:
         super().__init__(dimension=PROVIDER.dimension)
+        self._lock = threading.Lock()
         self._delay_s = delay_s
         self._inflight = 0
         self.peak_inflight = 0

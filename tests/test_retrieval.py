@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import REPO_ROOT, make_library, make_spec
+from conftest import REPO_ROOT, LoggedMockEmbeddingProvider, make_library, make_spec
 from sgcr.errors import (
     DimensionMismatch,
     EmptyText,
@@ -66,7 +66,7 @@ def test_mock_embedding_short_text_uses_a_single_gram():
 
 
 def test_mock_embedding_lowercases_and_logs():
-    provider = MockEmbeddingProvider(dimension=32)
+    provider = LoggedMockEmbeddingProvider(dimension=32)
     assert provider.embed("ABCdef") == provider.embed("abcdef")
     assert provider.call_log == ["ABCdef", "abcdef"]
 
@@ -240,7 +240,7 @@ def test_build_index_preserves_library_order_and_embeds_title_plus_body():
         make_spec("sec.z-rule", body="validate every input"),
         make_spec("arch.a-rule", body="keep modules small"),
     )
-    provider = MockEmbeddingProvider(dimension=32)
+    provider = LoggedMockEmbeddingProvider(dimension=32)
     index = build_index(library, provider)
     assert [spec_id for spec_id, _ in index.entries] == [spec.id for spec in library.specs]
     assert provider.call_log == [spec.title + spec.body for spec in library.specs]

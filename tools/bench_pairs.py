@@ -23,7 +23,10 @@ for each workload and end-to-end metric, the summary gives:
   median is no worse than the parent's by more than the bound. Where the
   parent's own quartile distance is wider than the bound, and not every
   change run beats every parent run, the metric is "unresolved";
-- each side's share of failed operations.
+- each side's share of failed operations, and how many of its runs were
+  incorrect: a run is correct only when the benchmark says so (its golden
+  replay matched and no review failed). The tool exits 1 if any run was
+  incorrect, whatever the metrics read.
 
 Nothing under perfbench/ is edited; both sides run their own copy.
 """
@@ -108,6 +111,10 @@ class MetricRows:
 class Summary:
     rows: list[MetricRows]
     failed: dict[tuple[str, str], tuple[int, int]]  # (workload, side) -> (failed, attempted)
+    incorrect: dict[tuple[str, str], tuple[int, int]]  # (workload, side) -> (incorrect, runs)
+
+    def incorrect_runs(self) -> int:
+        return sum(incorrect for incorrect, _ in self.incorrect.values())
 
 
 def parse_result(stdout: str) -> dict:
@@ -126,9 +133,12 @@ def summarize(results: list[tuple[int, str, str, dict]], benchmark: dict) -> Sum
     metrics = benchmark["end_to_end"]
     rows: dict[tuple[str, str], MetricRows] = {}
     failed: dict[tuple[str, str], tuple[int, int]] = {}
+    incorrect: dict[tuple[str, str], tuple[int, int]] = {}
     for pair, side, workload, result in results:
         done, tried = failed.get((workload, side), (0, 0))
         failed[(workload, side)] = (done + result["failed"], tried + result["attempted"])
+        wrong, runs = incorrect.get((workload, side), (0, 0))
+        incorrect[(workload, side)] = (wrong + (result.get("correct") is not True), runs + 1)
         for metric in metrics:
             name = metric["name"]
             if name not in result["metrics"]:
@@ -140,7 +150,9 @@ def summarize(results: list[tuple[int, str, str, dict]], benchmark: dict) -> Sum
             row.pairs.setdefault(pair, {})[side] = result["metrics"][name]["value"]
     order = {metric["name"]: position for position, metric in enumerate(metrics)}
     return Summary(
-        sorted(rows.values(), key=lambda row: (row.workload, order[row.metric])), failed
+        sorted(rows.values(), key=lambda row: (row.workload, order[row.metric])),
+        failed,
+        incorrect,
     )
 
 
@@ -154,7 +166,11 @@ def format_summary(summary: Summary) -> str:
             for side in SIDES:
                 failed, attempted = summary.failed.get((workload, side), (0, 0))
                 share = failed / attempted if attempted else 0.0
-                lines.append(f"  {side} failed {failed} of {attempted} ({share:.4f})")
+                wrong, runs = summary.incorrect.get((workload, side), (0, 0))
+                lines.append(
+                    f"  {side} failed {failed} of {attempted} ({share:.4f}),"
+                    f" incorrect runs {wrong} of {runs}"
+                )
             lines.append(
                 f"  {'metric':14s} {'parent q1 / median / q3':34s} {'change q1 / median / q3':34s}"
                 f" {'wins':>6s}  claim  bound"
@@ -170,6 +186,11 @@ def format_summary(summary: Summary) -> str:
         lines.append(
             f"  {row.metric:14s} {cells[0]:34s} {cells[1]:34s} {won:>3d}/{complete:<2d}"
             f"  {claim:5s}  {row.bound_status()} ({row.bound:.0%})"
+        )
+    if summary.incorrect_runs():
+        lines.append(
+            f"\nINCORRECT: {summary.incorrect_runs()} run(s) not correct"
+            " (golden replay mismatch or failed reviews); no figure above counts"
         )
     return "\n".join(lines).lstrip("\n")
 
@@ -234,8 +255,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                     results.append((pair, side, workload, result))
                     record = {"pair": pair, "side": side, "workload": workload, "seed": seed}
                     print("run", json.dumps({**record, "result": result}), flush=True)
-    print(format_summary(summarize(results, benchmark)))
-    return 0
+    summary = summarize(results, benchmark)
+    print(format_summary(summary))
+    return 1 if summary.incorrect_runs() else 0
 
 
 if __name__ == "__main__":
