@@ -28,13 +28,13 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .errors import BackendTimeout, FixtureMiss, MalformedWireResponse, RequestRejected, WireError
 from .gateway import ModelRequest, canonical_request, http_session, rejects_request
 from .prompts import Role
+from .types import Value, value_class
 
 _FILE_HEADER = re.compile(r"^FILE (\S+) \(lines (\d+)\.\.(\d+)\)", re.MULTILINE)
 _RULE_HEADER = re.compile(r"^RULE (\S+) ", re.MULTILINE)
@@ -42,8 +42,8 @@ _RULE_HEADER = re.compile(r"^RULE (\S+) ", re.MULTILINE)
 _SEVERITIES = ("critical", "high", "medium", "low")
 
 
-@dataclass(frozen=True)
-class Jitter:
+@value_class
+class Jitter(Value):
     """Random pre-call delay used to randomize thread completion order."""
 
     max_ms: float

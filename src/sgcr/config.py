@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -21,6 +21,7 @@ from .implicit import MAX_PROPOSALS
 from .ingestion import DEFAULT_CONTEXT_LINES
 from .retrieval import DEFAULT_MOCK_DIMENSION, DEFAULT_SCORE_THRESHOLD, DEFAULT_TOP_K
 from .specs import DEFAULT_CHUNK_BUDGET
+from .types import Value, value_class
 
 logger = logging.getLogger(__name__)
 
@@ -37,8 +38,10 @@ ENV_API_KEY = "SGCR_API_KEY"
 _PRIVATE_KEYS = ("api_key", "base_url", "output")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@value_class
+class RunConfig(Value):
+    """Every run setting, with its built-in default."""
+
     mode: str = "full"
     backend: str = "mock"
     specs_dir: Optional[str] = None

@@ -17,7 +17,7 @@ import json
 import logging
 from collections import deque
 from concurrent.futures import Executor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidReviewRequest, NoCandidates, NoPartials
@@ -48,9 +48,11 @@ from .types import (
     Finding,
     Pathway,
     PathwayReport,
+    Value,
     finding_payload,
     freeze_stats,
     sort_findings,
+    value_class,
 )
 
 logger = logging.getLogger(__name__)
@@ -58,8 +60,8 @@ logger = logging.getLogger(__name__)
 AGGREGATION_MODES = ("deterministic", "model")
 
 
-@dataclass(frozen=True)
-class CandidateReview:
+@value_class
+class CandidateReview(Value):
     """Findings from one ensemble member for one rule chunk."""
 
     chunk_ordinal: int
@@ -67,8 +69,8 @@ class CandidateReview:
     findings: tuple[Finding, ...]
 
 
-@dataclass(frozen=True)
-class AggregatedReview:
+@value_class
+class AggregatedReview(Value):
     """Quorum-filtered findings for one rule chunk."""
 
     chunk_ordinal: int

@@ -29,8 +29,7 @@ import threading
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -44,6 +43,7 @@ from typing import (
 from enum import Enum
 
 from .errors import EnsembleError, RequestRejected, SgcrError, UnparsableResponse, WireError
+from .types import Value, memoized, value_class
 
 if TYPE_CHECKING:
     import requests
@@ -60,8 +60,8 @@ SLOT_RETRIES = 2
 MAX_INFLIGHT = 16
 
 
-@dataclass(frozen=True)
-class ModelRequest:
+@value_class
+class ModelRequest(Value):
     """One model invocation: role, rendered prompt, and sampling knobs."""
 
     role: str
@@ -85,31 +85,33 @@ class ModelRequest:
         if self.instance_index < 0:
             raise ValueError("instance_index must be non-negative")
 
-    @cached_property
+    @memoized
     def fingerprint(self) -> str:
         """sha256 of canonical_request_json, computed on first read.
 
         Only the mock, replay and record backends read it, once per call;
-        a retry reads the cached value. The cache lives on the instance,
-        and dataclasses.replace builds a fresh one, so a replaced request
-        never inherits another's fingerprint. An ensemble slot hashes from
-        the escape it shares with its siblings (ensemble_requests).
+        a retry reads the cached value. The cache lives in the instance
+        dict, with no lock shared between requests, so workers hash
+        different requests at once; dataclasses.replace builds a fresh
+        instance, so a replaced request never inherits another's
+        fingerprint. An ensemble slot hashes from the escape it shares
+        with its siblings (ensemble_requests).
         """
         shared = vars(self).pop(_SHARED_ESCAPE, None)
         escaped = shared.escaped() if shared is not None else _escape_prompt(self.prompt)
         return _digest(self, escaped)
 
 
-@dataclass(frozen=True)
-class ModelResponse:
+@value_class
+class ModelResponse(Value):
     """Raw model output and the backend that produced it."""
 
     text: str
     backend_id: str
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
+@value_class
+class EnsembleConfig(Value):
     """Size, acceptance quorum, and diversity source for an ensemble."""
 
     n: int = 3
@@ -234,12 +236,14 @@ def ensemble_requests(base_request: ModelRequest, config: EnsembleConfig) -> lis
     return slots
 
 
-@dataclass
 class EnsembleStats:
     """Call accounting for one ensemble invocation."""
 
-    calls: int = 0
-    failures: int = 0
+    __slots__ = ("calls", "failures")
+
+    def __init__(self, calls: int = 0, failures: int = 0) -> None:
+        self.calls = calls
+        self.failures = failures
 
 
 T = TypeVar("T")

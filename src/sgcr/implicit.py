@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import Executor, Future
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
@@ -48,10 +48,12 @@ from .types import (
     Pathway,
     PathwayReport,
     Severity,
+    Value,
     Verdict,
     VerifierVerdict,
     freeze_stats,
     sort_findings,
+    value_class,
 )
 
 logger = logging.getLogger(__name__)
@@ -59,8 +61,8 @@ logger = logging.getLogger(__name__)
 MAX_PROPOSALS = 20
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+@value_class
+class VerificationOutcome(Value):
     """Everything the pipeline learned about one proposed issue."""
 
     issue: HypotheticalIssue

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from functools import cached_property
+import threading
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
 from .errors import DiffSyntaxError, HunkCountMismatch, InvalidReviewRequest, PatchDoesNotApply
+from .types import Value, memoized, value_class
 
 logger = logging.getLogger(__name__)
 
@@ -31,9 +31,14 @@ Marker = Literal["context", "added", "removed"]
 
 _HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
+# Held while a request's code block is rendered, so it is rendered once.
+_RENDER_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
-class Hunk:
+
+@value_class
+class Hunk(Value):
+    """One @@ section of a file diff, with its marked lines."""
+
     old_start: int
     old_len: int
     new_start: int
@@ -41,16 +46,18 @@ class Hunk:
     lines: tuple[tuple[Marker, str], ...]
 
 
-@dataclass(frozen=True)
-class FileDiff:
+@value_class
+class FileDiff(Value):
+    """One file's section of a unified diff."""
+
     path: str
     hunks: tuple[Hunk, ...]
     is_new: bool = False
     is_deleted: bool = False
 
 
-@dataclass(frozen=True)
-class ReviewUnit:
+@value_class
+class ReviewUnit(Value):
     """One reviewable slice of a file, in new-file line coordinates."""
 
     path: str
@@ -65,28 +72,39 @@ class ReviewUnit:
         return self.start_line + self.line_count() - 1
 
 
-@dataclass(frozen=True)
-class ReviewRequest:
+@value_class
+class ReviewRequest(Value):
+    """The units under review and whether they came from files or a diff."""
+
     units: tuple[ReviewUnit, ...]
     origin: Literal["files", "diff"]
 
-    @cached_property
+    @memoized
     def prompt_block(self) -> str:
         """The units as numbered text, rendered on first use; see prompt_block()."""
-        # cached_property writes the instance dict directly, so it works on
-        # a frozen dataclass, and dataclasses.replace starts a fresh cache.
-        parts: list[str] = []
-        for unit in self.units:
-            header = f"FILE {unit.path} (lines {unit.start_line}..{unit.end_line()})"
-            if unit.changed_ranges:
-                spans = ", ".join(f"{start}-{end}" for start, end in unit.changed_ranges)
-                header += f"\nChanged lines: {spans}"
-            numbered = "\n".join(
-                f"{unit.start_line + offset:5d} | {text}"
-                for offset, text in enumerate(unit.content.splitlines())
-            )
-            parts.append(f"{header}\n{numbered}")
-        return "\n\n".join(parts)
+        # Both pathways read it at once, so the render and the write to the
+        # instance dict happen under one lock; dataclasses.replace builds a
+        # fresh instance, with nothing cached.
+        with _RENDER_LOCK:
+            block = vars(self).get("prompt_block")
+            if block is None:
+                block = vars(self)["prompt_block"] = _numbered_text(self.units)
+        return block
+
+
+def _numbered_text(units: Sequence[ReviewUnit]) -> str:
+    parts: list[str] = []
+    for unit in units:
+        header = f"FILE {unit.path} (lines {unit.start_line}..{unit.end_line()})"
+        if unit.changed_ranges:
+            spans = ", ".join(f"{start}-{end}" for start, end in unit.changed_ranges)
+            header += f"\nChanged lines: {spans}"
+        numbered = "\n".join(
+            f"{unit.start_line + offset:5d} | {text}"
+            for offset, text in enumerate(unit.content.splitlines())
+        )
+        parts.append(f"{header}\n{numbered}")
+    return "\n\n".join(parts)
 
 
 def _strip_diff_path(raw: str) -> str:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import Executor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping, Optional, Sequence
 
@@ -35,8 +35,10 @@ from .types import (
     Pathway,
     PathwayReport,
     Severity,
+    Value,
     finding_payload,
     patch_payload,
+    value_class,
 )
 
 logger = logging.getLogger(__name__)
@@ -47,8 +49,8 @@ SCHEMA_VERSION = "1"
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-@dataclass(frozen=True)
-class FindingCluster:
+@value_class
+class FindingCluster(Value):
     """One de-duplicated finding plus the members that collapsed into it."""
 
     representative: Finding
@@ -60,8 +62,10 @@ class FindingCluster:
         return len(self.members) - 1
 
 
-@dataclass(frozen=True)
-class FinalReport:
+@value_class
+class FinalReport(Value):
+    """The consolidated review: clusters, summary and run accounting."""
+
     run_id: str
     mode: str
     clusters: tuple[FindingCluster, ...]

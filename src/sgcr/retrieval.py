@@ -44,7 +44,6 @@ import operator
 import struct
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Protocol
@@ -60,6 +59,7 @@ from .errors import (
 )
 from .gateway import http_session, rejects_request, with_retries
 from .specs import SpecLibrary, Specification
+from .types import Value, value_class
 
 logger = logging.getLogger(__name__)
 
@@ -71,8 +71,8 @@ DEFAULT_SCORE_THRESHOLD = 0.35
 REBUILD_HINT = "rebuild it with `sgcr specs index`"
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
+@value_class
+class EmbeddingVector(Value):
     """Unit-norm vector of fixed dimension."""
 
     values: tuple[float, ...]
@@ -228,8 +228,8 @@ def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:
     return normalize(with_retries(lambda: provider.embed(text)))
 
 
-@dataclass(frozen=True)
-class VectorIndex:
+@value_class
+class VectorIndex(Value):
     """Read-only (spec_id, vector) entries in library order.
 
     digests[i] is rule_digest of the rule entries[i] was embedded from.
@@ -241,14 +241,16 @@ class VectorIndex:
     digests: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ScoredSpec:
+@value_class
+class ScoredSpec(Value):
+    """One retrieved rule id and its cosine score."""
+
     spec_id: str
     score: float
 
 
-@dataclass(frozen=True)
-class RetrievedSpecSet:
+@value_class
+class RetrievedSpecSet(Value):
     """Scored spec ids ordered by score descending, ties by id ascending."""
 
     scored: tuple[ScoredSpec, ...]

@@ -28,13 +28,12 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
 from .types import CATEGORY_BY_VALUE, CATEGORY_RANK, SEVERITY_BY_VALUE, Category, Severity
+from .types import Value, memoized, value_class
 
 logger = logging.getLogger(__name__)
 
@@ -50,8 +49,8 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-@dataclass(frozen=True)
-class Specification:
+@value_class
+class Specification(Value):
     """One human-authored review rule with triage metadata."""
 
     id: str
@@ -69,8 +68,8 @@ class Specification:
         return f"{header}\n{self.body}"
 
 
-@dataclass(frozen=True)
-class SpecLibrary:
+@value_class
+class SpecLibrary(Value):
     """Ordered, duplicate-free collection of specifications."""
 
     specs: tuple[Specification, ...]
@@ -88,10 +87,9 @@ class SpecLibrary:
     def get(self, spec_id: str) -> Optional[Specification]:
         return self._by_id.get(spec_id)
 
-    @cached_property
+    @memoized
     def _by_id(self) -> dict[str, Specification]:
-        # Built on first use; cached_property writes the instance dict
-        # directly, so it works on a frozen dataclass.
+        # Built on first use and kept in the instance dict.
         return {spec.id: spec for spec in self.specs}
 
 
@@ -110,8 +108,8 @@ def resolve_category(spec_ids: Sequence[str], library: SpecLibrary) -> Category:
     return Category.MAINTAINABILITY if best is None else best
 
 
-@dataclass(frozen=True)
-class SpecChunk:
+@value_class
+class SpecChunk(Value):
     """A contiguous run of library specs fitting one prompt budget."""
 
     ordinal: int

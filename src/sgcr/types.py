@@ -1,5 +1,8 @@
 """Shared domain types: findings, severities, verdicts, and identity hashing.
 
+Every value class derives from Value, whose methods replace the ones the
+dataclass decorator would generate for each class (see value_class).
+
 A Finding is the atomic unit every pipeline stage produces or consumes;
 its identity is a content hash over (file, line range, description) so the
 same comment emitted by different ensemble members or pathways collides on
@@ -8,11 +11,129 @@ purpose.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence, TypeVar
+
+_MISSING = dataclasses.MISSING
+
+V = TypeVar("V", bound="Value")
+
+
+class Value:
+    """Base of the frozen value classes: one set of methods shared by all.
+
+    A subclass declares its fields as a dataclass does and is decorated
+    with @value_class. Construction (positional or keyword arguments,
+    defaults, then __post_init__ when the class defines one), equality and
+    hashing over the declared fields in order, the dataclass repr and
+    immutability are the methods below, so no class needs generated code.
+    Anything a class caches in its instance dict under another name never
+    enters eq, hash or repr.
+    """
+
+    __slots__ = ()
+    # Set on each class by value_class.
+    _value_names: tuple[str, ...]
+    # Every field in order, holding its default or MISSING.
+    _value_template: dict[str, Any]
+    _value_key: Any
+    _value_post_init: bool
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self._value_names
+        if kwargs or len(args) != len(names):
+            state = self._value_template.copy()
+            state.update(zip(names, args))
+            state.update(kwargs)
+            given = len(args) + len(kwargs)
+            if (
+                given > len(names)
+                or len(state) > len(names)
+                or (args and kwargs and not kwargs.keys().isdisjoint(names[: len(args)]))
+                or (given < len(names) and any(v is _MISSING for v in state.values()))
+            ):
+                raise TypeError(self._binding_error(args, kwargs))
+            self.__dict__.update(state)
+        else:
+            self.__dict__.update(zip(names, args))
+        if self._value_post_init:
+            self.__post_init__()  # type: ignore[attr-defined]
+
+    def _binding_error(self, args: tuple, kwargs: dict[str, Any]) -> str:
+        names = self._value_names
+        where = f"{type(self).__qualname__}.__init__()"
+        if len(args) > len(names):
+            return f"{where} takes {len(names)} arguments but {len(args)} were given"
+        for name in kwargs:
+            if name not in names:
+                return f"{where} got an unexpected keyword argument {name!r}"
+            if name in names[: len(args)]:
+                return f"{where} got multiple values for argument {name!r}"
+        template = self._value_template
+        unset = [n for n in names[len(args) :] if n not in kwargs and template[n] is _MISSING]
+        return f"{where} missing required arguments: {', '.join(map(repr, unset))}"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._value_key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._value_key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._value_names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class memoized:
+    """functools.cached_property without its lock, which on Python 3.11 is
+    shared by every instance. Two threads reading at once may both compute
+    the value, so use it only for a pure function of the instance."""
+
+    def __init__(self, method: Any) -> None:
+        self._method = method
+        self._name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
+        if instance is None:
+            return self
+        result = instance.__dict__[self._name] = self._method(instance)
+        return result
+
+
+def value_class(cls: type[V]) -> type[V]:
+    """Register a Value subclass's fields as dataclass fields.
+
+    dataclasses.fields, replace and asdict then work on it, and the
+    dataclass decorator, asked for no methods, generates no function.
+    """
+    dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+    fields = dataclasses.fields(cls)
+    if any(f.default_factory is not _MISSING for f in fields):
+        raise TypeError(f"{cls.__qualname__}: a Value field takes a plain default")
+    names = tuple(f.name for f in fields)
+    cls._value_names = names
+    cls._value_template = {f.name: f.default for f in fields}
+    if len(names) == 1:
+        # attrgetter of one name returns the bare value; eq and hash use a tuple.
+        one = attrgetter(names[0])
+        cls._value_key = staticmethod(lambda instance: (one(instance),))
+    else:
+        cls._value_key = attrgetter(*names)
+    cls._value_post_init = hasattr(cls, "__post_init__")
+    return cls
 
 
 class Severity(str, Enum):
@@ -72,8 +193,8 @@ def content_id(file: str, start_line: int, end_line: int, description: str) -> s
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class PatchSuggestion:
+@value_class
+class PatchSuggestion(Value):
     """A validated code change proposal attached to a finding or cluster."""
 
     unified_diff: str
@@ -81,8 +202,8 @@ class PatchSuggestion:
     constrained_by: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Finding:
+@value_class
+class Finding(Value):
     """One review comment with location, triage metadata, and provenance.
 
     confidence is the fraction of ensemble members supporting the finding
@@ -90,11 +211,12 @@ class Finding:
     category is resolved from the cited specifications once a library is in
     scope; findings citing nothing default to maintainability.
 
-    Every stage builds findings, so __init__ is written by hand rather than
-    generated: it checks the line range and confidence, hashes content_id
-    only when no finding_id is given, and stores the fields and the sort
-    key in one write. Equality, hashing, repr, replace() and immutability
-    are the dataclass's, over the twelve fields alone.
+    Every stage builds findings, so Finding keeps its own __init__ rather
+    than the shared one: it checks the line range and confidence, hashes
+    content_id only when no finding_id is given, and stores the fields and
+    the sort key in one write. Equality, hashing, repr, replace() and
+    immutability come from the shared Value base, over the twelve fields
+    alone.
     """
 
     file: str
@@ -108,7 +230,7 @@ class Finding:
     confidence: float = 1.0
     category: Category = Category.MAINTAINABILITY
     patch: Optional[PatchSuggestion] = None
-    finding_id: str = field(default="")
+    finding_id: str = ""
 
     def __init__(
         self,
@@ -161,15 +283,15 @@ def sort_findings(findings: Sequence[Finding]) -> list[Finding]:
     return sorted(findings, key=_SORT_KEY)
 
 
-@dataclass(frozen=True)
-class HypotheticalIssue:
+@value_class
+class HypotheticalIssue(Value):
     """An unverified issue proposed by the free-form analysis stage."""
 
     file: str
     start_line: int
     end_line: int
     description: str
-    issue_id: str = field(default="")
+    issue_id: str = ""
 
     def __post_init__(self) -> None:
         if self.start_line < 1 or self.end_line < self.start_line:
@@ -186,8 +308,8 @@ class HypotheticalIssue:
             )
 
 
-@dataclass(frozen=True)
-class VerifierVerdict:
+@value_class
+class VerifierVerdict(Value):
     """One verifier's judgment of a hypothetical issue."""
 
     verdict: Verdict
@@ -197,8 +319,8 @@ class VerifierVerdict:
     instance_index: int = 0
 
 
-@dataclass(frozen=True)
-class PathwayReport:
+@value_class
+class PathwayReport(Value):
     """Output of one review pathway before cross-pathway consolidation."""
 
     pathway: Pathway

@@ -1097,7 +1097,7 @@ def test_a_slot_is_hashed_only_when_its_backend_reads_the_fingerprint(tmp_path):
 
     class _ArrivalBackend(_CountingBackend):
         def complete(self, request):
-            # cached_property keeps the fingerprint in the instance dict.
+            # A read fingerprint is kept in the instance dict.
             arrivals.append((request, "fingerprint" in vars(request)))
             return super().complete(request)
 
@@ -1228,6 +1228,45 @@ def test_model_request_fingerprint_is_cached_per_instance():
         )
         assert variant.fingerprint == fresh.fingerprint
         assert variant.fingerprint != base.fingerprint
+
+
+def test_two_threads_hash_two_requests_at_the_same_time(monkeypatch):
+    # Each hash waits inside _digest until the other has entered it too, so
+    # a lock shared between requests (functools.cached_property's on Python
+    # 3.11) breaks the barrier instead of letting both meet.
+    barrier = threading.Barrier(2, timeout=5)
+    digest = sgcr.gateway._digest
+
+    def meeting_digest(request, escaped_prompt):
+        barrier.wait()
+        return digest(request, escaped_prompt)
+
+    monkeypatch.setattr(sgcr.gateway, "_digest", meeting_digest)
+    requests = [ModelRequest(role="verifier", prompt=f"prompt {i}") for i in range(2)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fingerprints = list(pool.map(lambda request: request.fingerprint, requests))
+
+    assert fingerprints == [_reference_fingerprint(request) for request in requests]
+    assert [vars(request)["fingerprint"] for request in requests] == fingerprints
+
+
+def test_threads_racing_for_the_slots_of_an_ensemble_all_read_the_right_fingerprint():
+    # Without a lock, two readers of one slot may both hash it, and a slot
+    # whose shared escape another reader took escapes the prompt itself;
+    # neither can change the result.
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            base = ModelRequest(role="verifier", prompt="p\u00e9" * 5000 + str(round_))
+            slots = ensemble_requests(base, EnsembleConfig(n=4, quorum=2, base_seed=round_))
+            readers = [slot for slot in slots for _ in range(4)]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(lambda slot: slot.fingerprint, readers, timeout=30))
+            assert seen == [_reference_fingerprint(slot) for slot in readers]
+            assert not any("_shared_escape" in vars(slot) for slot in slots)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def _reference_fingerprint(request: ModelRequest) -> str:
