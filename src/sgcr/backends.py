@@ -51,9 +51,7 @@ class Jitter(Value):
 
 
 class BaseBackend:
-    """Call logging and jitter shared by every backend."""
-
-    backend_id = "base"
+    """The jitter every backend shares, applied before each call."""
 
     def __init__(self, jitter: Optional[Jitter] = None) -> None:
         self._lock = threading.Lock()
@@ -78,8 +76,6 @@ class BaseBackend:
 
 class MockBackend(BaseBackend):
     """Deterministic synthetic responses derived from request fingerprints."""
-
-    backend_id = "mock"
 
     def _complete(self, request: ModelRequest) -> str:
         fingerprint = request.fingerprint
@@ -143,8 +139,6 @@ class MockBackend(BaseBackend):
 class ReplayBackend(BaseBackend):
     """Answer requests from recorded fixtures; a missing fixture is fatal."""
 
-    backend_id = "replay"
-
     def __init__(self, fixtures_dir: Path, jitter: Optional[Jitter] = None) -> None:
         super().__init__(jitter)
         self.fixtures_dir = Path(fixtures_dir)
@@ -165,8 +159,6 @@ class HttpBackend(BaseBackend):
     429 raises WireError; any other 4xx raises RequestRejected. Retrying is
     the caller's: every call goes through gateway.attempt_call.
     """
-
-    backend_id = "http"
 
     def __init__(
         self,
@@ -232,8 +224,6 @@ def _extract_message(reply) -> str:
 
 class RecordingBackend(BaseBackend):
     """Delegate to another backend and persist each exchange as a fixture."""
-
-    backend_id = "record"
 
     def __init__(
         self,

@@ -69,15 +69,7 @@ class UnparsableResponse(SgcrError):
 
 
 class EnsembleError(SgcrError):
-    """More ensemble slots failed than the quorum budget allows.
-
-    calls is the number of model calls the ensemble made, retries included,
-    so a caller that survives the failure can still account for them.
-    """
-
-    def __init__(self, message: str, calls: int = 0) -> None:
-        super().__init__(message)
-        self.calls = calls
+    """More ensemble slots failed than the quorum budget allows."""
 
 
 class NoCandidates(SgcrError):

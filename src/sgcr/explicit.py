@@ -24,14 +24,14 @@ from .errors import InvalidReviewRequest, NoCandidates, NoPartials
 from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
     MAX_INFLIGHT,
+    CountedBackend,
     EnsembleConfig,
     ModelBackend,
     ModelRequest,
     PendingEnsemble,
     PooledBackend,
-    generate,
+    call_model,
     submit_ensemble,
-    with_retries,
 )
 from .ingestion import ReviewRequest, prompt_block
 from .matching import TokenTable, cluster_tagged, findings_equivalent, merge_to_maxima
@@ -95,24 +95,20 @@ def _reviewer_request(
 
 def review_chunk_ensemble(
     chunk: SpecChunk, slots: PendingEnsemble[list[Finding]]
-) -> tuple[list[CandidateReview], int]:
-    """Collect one chunk's reviewer ensemble.
+) -> list[CandidateReview]:
+    """Collect one chunk's reviewer ensemble: a candidate per present slot.
 
-    Returns the candidate reviews for present slots plus the number of
-    calls made (including retries). The slots' parser is given the
-    library, so findings arrive normalized: unknown cited rule ids
-    stripped and the category resolved. Raises EnsembleError past the
-    chunk's failure budget.
+    The slots' parser is given the library, so findings arrive normalized:
+    unknown cited rule ids stripped and the category resolved. Raises
+    EnsembleError past the chunk's failure budget.
     """
-    parsed, stats = slots.collect()
-    candidates = [
+    return [
         CandidateReview(
             chunk_ordinal=chunk.ordinal, instance_index=index, findings=tuple(findings)
         )
-        for index, findings in enumerate(parsed)
+        for index, findings in enumerate(slots.collect())
         if findings is not None
     ]
-    return candidates, stats.calls
 
 
 def aggregate_candidates(
@@ -196,8 +192,9 @@ def aggregate_candidates(
     )
     prompt = render_prompt(Role.AGGREGATOR, {"candidates": payload})
     aggregator = ModelRequest(role=Role.AGGREGATOR.value, prompt=prompt, temperature=0.0)
-    response = with_retries(lambda: generate(backend, aggregator))
-    aggregated = parse_findings_response(response.text, Pathway.EXPLICIT, library)
+    aggregated = parse_findings_response(
+        call_model(backend, aggregator), Pathway.EXPLICIT, library
+    )
     kept: list[Finding] = []
     for finding in aggregated:
         supporters = {
@@ -259,8 +256,7 @@ def synthesize_partials(
         )
         prompt = render_prompt(Role.SYNTHESIZER, {"candidates": payload})
         synthesizer = ModelRequest(role=Role.SYNTHESIZER.value, prompt=prompt, temperature=0.0)
-        response = with_retries(lambda: generate(backend, synthesizer))
-        summary = response.text.strip()
+        summary = call_model(backend, synthesizer).strip()
     return PathwayReport(pathway=Pathway.EXPLICIT, findings=findings, summary=summary)
 
 
@@ -288,9 +284,10 @@ def run_explicit(
     pipeline builds a fresh index only then. Results are collected and
     aggregated in chunk order, so the report is identical whatever the
     completion order. Model-mode aggregation and the model summary retry
-    their call (gateway.with_retries) but not its parsing. The model_calls
-    stat counts every call sent, the reviewer slots', the aggregator's and
-    the summary's, retries included. Aggregation and synthesis tokenize
+    their call (gateway.call_model, given no parser) but not its parsing.
+    Every call goes through one CountedBackend, whose count is the
+    model_calls stat: the reviewer slots', the aggregator's and the
+    summary's, retries included. Aggregation and synthesis tokenize
     descriptions through tokens, the run's TokenTable (a fresh one when
     none is given). Raises EnsembleError when any chunk exceeds its
     failure budget.
@@ -308,10 +305,12 @@ def run_explicit(
     def parse(text: str) -> list[Finding]:
         return parse_findings_response(text, Pathway.EXPLICIT, library)
 
+    counted = CountedBackend(backend)
+
     def submit(chunk: SpecChunk) -> PendingEnsemble:
         return submit_ensemble(
             pool,
-            backend,
+            counted,
             _reviewer_request(request, chunk, library, ensemble),
             ensemble,
             parse,
@@ -322,15 +321,13 @@ def run_explicit(
         on_first_window()
     # Model-mode aggregation and the model summary call from this thread;
     # routed through the pool, they count against its cap.
-    pooled = PooledBackend(backend, pool)
-    calls_total = 0
+    pooled = PooledBackend(counted, pool)
     absent_total = 0
     partials = []
     for position, chunk in enumerate(chunks):
-        candidates, calls_made = review_chunk_ensemble(chunk, pending.popleft())
+        candidates = review_chunk_ensemble(chunk, pending.popleft())
         if position + ahead < len(chunks):
             pending.append(submit(chunks[position + ahead]))
-        calls_total += calls_made
         absent_total += ensemble.n - len(candidates)
         partials.append(
             aggregate_candidates(
@@ -352,7 +349,7 @@ def run_explicit(
         {
             "pathway": Pathway.EXPLICIT.value,
             "chunks": len(chunks),
-            "model_calls": calls_total + pooled.calls,
+            "model_calls": counted.calls,
             "absent_slots": absent_total,
             "findings": len(report.findings),
             "run_id": run_id,

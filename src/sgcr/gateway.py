@@ -15,9 +15,13 @@ on the pool and PendingEnsemble.collect gathers them in instance order, so
 callers can have many ensembles in flight and still assemble results in a
 fixed order; collect_in_order keeps a pool's worth of them in flight.
 
-Backends and embedding providers make one attempt per call. attempt_call
-holds the only retry loop: every model and embedding call passes through
-it, so each is sent at most 1 + SLOT_RETRIES times.
+This module owns every model call. Backends and embedding providers make
+one attempt per call; attempt_call holds the only retry loop, so each call
+is sent at most 1 + SLOT_RETRIES times. A model call goes through
+call_model, which sends each attempt through generate and, when given a
+parser, parses inside the loop, so a reply that does not parse is retried.
+Each pathway counts the calls it sends with one CountedBackend; no
+function returns a count of attempts.
 """
 
 from __future__ import annotations
@@ -103,14 +107,6 @@ class ModelRequest(Value):
 
 
 @value_class
-class ModelResponse(Value):
-    """Raw model output and the backend that produced it."""
-
-    text: str
-    backend_id: str
-
-
-@value_class
 class EnsembleConfig(Value):
     """Size, acceptance quorum, and diversity source for an ensemble."""
 
@@ -182,20 +178,23 @@ class _SharedEscape:
     """One ensemble prompt's escape, made when the first slot is hashed.
 
     Each slot drops its reference once it has hashed, so the escape is freed
-    with the last one, and never made for slots no backend hashes. Two slots
-    hashed at once may both escape the prompt, to the same bytes.
+    with the last one, and never made for slots no backend hashes. The lock
+    is the ensemble's own: sibling slots hashed at once wait for one escape
+    rather than each making a copy, and no other request waits on it.
     """
 
-    __slots__ = ("_prompt", "_escaped")
+    __slots__ = ("_prompt", "_escaped", "_lock")
 
     def __init__(self, prompt: str) -> None:
         self._prompt = prompt
         self._escaped: Optional[bytes] = None
+        self._lock = threading.Lock()
 
     def escaped(self) -> bytes:
-        if self._escaped is None:
-            self._escaped = _escape_prompt(self._prompt)
-        return self._escaped
+        with self._lock:
+            if self._escaped is None:
+                self._escaped = _escape_prompt(self._prompt)
+            return self._escaped
 
 
 def _digest(request: ModelRequest, escaped_prompt: bytes) -> str:
@@ -210,14 +209,12 @@ def _digest(request: ModelRequest, escaped_prompt: bytes) -> str:
 class ModelBackend(Protocol):
     """Anything that can answer a ModelRequest with raw text."""
 
-    backend_id: str
-
     def complete(self, request: ModelRequest) -> str: ...
 
 
-def generate(backend: ModelBackend, request: ModelRequest) -> ModelResponse:
-    """Single-call primitive: dispatch one request via the backend."""
-    return ModelResponse(text=backend.complete(request), backend_id=backend.backend_id)
+def generate(backend: ModelBackend, request: ModelRequest) -> str:
+    """One attempt: send the request through the backend, return its raw text."""
+    return backend.complete(request)
 
 
 def ensemble_requests(base_request: ModelRequest, config: EnsembleConfig) -> list[ModelRequest]:
@@ -234,16 +231,6 @@ def ensemble_requests(base_request: ModelRequest, config: EnsembleConfig) -> lis
         vars(slot)[_SHARED_ESCAPE] = shared
         slots.append(slot)
     return slots
-
-
-class EnsembleStats:
-    """Call accounting for one ensemble invocation."""
-
-    __slots__ = ("calls", "failures")
-
-    def __init__(self, calls: int = 0, failures: int = 0) -> None:
-        self.calls = calls
-        self.failures = failures
 
 
 T = TypeVar("T")
@@ -299,23 +286,38 @@ class PooledBackend:
     """A backend whose calls run on a pool, so they count against its cap.
 
     For the few calls an orchestrating thread makes itself rather than
-    through an ensemble. calls counts every call sent through it, retries
-    and failed calls included; one thread makes them all.
+    through an ensemble.
     """
 
     def __init__(self, backend: ModelBackend, pool: Executor) -> None:
-        self.backend_id = backend.backend_id
         self._backend = backend
         self._pool = pool
-        self.calls = 0
 
     def complete(self, request: ModelRequest) -> str:
-        self.calls += 1
         return self._pool.submit(self._backend.complete, request).result()
 
 
-def attempt_call(call: Callable[[], T]) -> tuple[Optional[T], Optional[SgcrError], int]:
-    """Make one call with retries: (value or None, error or None, attempts made).
+class CountedBackend:
+    """A backend that counts every call sent through it, from any thread.
+
+    Each pathway wraps its backend in one, so its model_calls stat counts
+    what was sent: retries, failed slots and ensembles that exhausted their
+    failure budget included.
+    """
+
+    def __init__(self, backend: ModelBackend) -> None:
+        self._backend = backend
+        self._lock = threading.Lock()
+        self.calls = 0
+
+    def complete(self, request: ModelRequest) -> str:
+        with self._lock:
+            self.calls += 1
+        return self._backend.complete(request)
+
+
+def attempt_call(call: Callable[[], T]) -> T:
+    """call's value, made with retries; raises the last error.
 
     The call is attempted up to 1 + SLOT_RETRIES times when the transport
     fails (WireError) or the response does not parse (UnparsableResponse).
@@ -323,34 +325,29 @@ def attempt_call(call: Callable[[], T]) -> tuple[Optional[T], Optional[SgcrError
     miss), a malformed wire reply is a protocol fault, and an endpoint that
     rejected the request (RequestRejected) would reject it again.
     """
-    last_error: SgcrError = UnparsableResponse("no attempt made")
-    for attempt in range(1 + SLOT_RETRIES):
+    for attempt in range(1, 1 + SLOT_RETRIES):
         try:
-            return call(), None, attempt + 1
-        except RequestRejected as exc:
-            return None, exc, attempt + 1
+            return call()
+        except RequestRejected:
+            raise
         except (WireError, UnparsableResponse) as exc:
-            last_error = exc
-            if attempt < SLOT_RETRIES:
-                logger.warning("call attempt %d failed (%s), retrying", attempt + 1, exc)
-        except SgcrError as exc:
-            return None, exc, attempt + 1
-    return None, last_error, 1 + SLOT_RETRIES
+            logger.warning("call attempt %d failed (%s), retrying", attempt, exc)
+    return call()
 
 
-def with_retries(call: Callable[[], T]) -> T:
-    """attempt_call's value, or its last error raised."""
-    value, error, _ = attempt_call(call)
-    if error is not None:
-        raise error
-    return value  # type: ignore[return-value]
+def call_model(
+    backend: ModelBackend, request: ModelRequest, parser: Optional[Callable[[str], T]] = None
+) -> str | T:
+    """One model call under attempt_call: the raw text, or parser's value.
 
-
-def run_slot(
-    backend: ModelBackend, request: ModelRequest, parser: Callable[[str], T]
-) -> tuple[Optional[T], Optional[SgcrError], int]:
-    """One ensemble slot, generated and parsed under attempt_call."""
-    return attempt_call(lambda: parser(generate(backend, request).text))
+    Each attempt is sent through generate. With a parser, the reply is
+    parsed inside the loop, so an unparsable reply is retried (ensemble
+    slots and the proposer); without one, only the call is retried and the
+    caller parses once.
+    """
+    if parser is None:
+        return attempt_call(lambda: generate(backend, request))
+    return attempt_call(lambda: parser(generate(backend, request)))
 
 
 class PendingEnsemble(Generic[T]):
@@ -364,27 +361,25 @@ class PendingEnsemble(Generic[T]):
         """The slots still queued or running; none once collected."""
         return [future for future in self._futures if not future.done()]
 
-    def collect(self) -> tuple[list[Optional[T]], EnsembleStats]:
+    def collect(self) -> list[Optional[T]]:
         """Slot results in instance order, absent slots as None.
 
         Call once: the futures are released, so a run holds no more raw
         slot results than it has yet to collect. Raises EnsembleError past
-        the n - quorum failure budget, carrying the calls made.
+        the n - quorum failure budget.
         """
         futures, self._futures = self._futures, []
-        stats = EnsembleStats()
         results: list[Optional[T]] = []
         errors: list[tuple[int, SgcrError]] = []
         for index, future in enumerate(futures):
-            value, error, attempts = future.result()
-            stats.calls += attempts
-            if error is not None:
-                errors.append((index, error))
-                stats.failures += 1
-                logger.warning("ensemble slot %d absent: %s", index, error)
-            results.append(value)
-        _check_failure_budget(errors, self._config, stats.calls)
-        return results, stats
+            try:
+                results.append(future.result())
+            except SgcrError as exc:
+                errors.append((index, exc))
+                logger.warning("ensemble slot %d absent: %s", index, exc)
+                results.append(None)
+        _check_failure_budget(errors, self._config)
+        return results
 
 
 def submit_ensemble(
@@ -401,7 +396,7 @@ def submit_ensemble(
     """
     slots = ensemble_requests(base_request, config)
     return PendingEnsemble(
-        [pool.submit(run_slot, backend, request, parser) for request in slots], config
+        [pool.submit(call_model, backend, request, parser) for request in slots], config
     )
 
 
@@ -458,13 +453,10 @@ def collect_in_order(
     return results()
 
 
-def _check_failure_budget(
-    errors: list[tuple[int, SgcrError]], config: EnsembleConfig, calls: int
-) -> None:
+def _check_failure_budget(errors: list[tuple[int, SgcrError]], config: EnsembleConfig) -> None:
     if len(errors) > config.n - config.quorum:
         detail = "; ".join(f"slot {index}: {exc}" for index, exc in errors)
         raise EnsembleError(
             f"{len(errors)} of {config.n} ensemble calls failed"
-            f" (quorum {config.quorum} unreachable): {detail}",
-            calls=calls,
+            f" (quorum {config.quorum} unreachable): {detail}"
         )

@@ -14,18 +14,19 @@ instead of failing the run when something inside it breaks.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Executor, Future
+from concurrent.futures import Executor
 from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
 from .gateway import (
+    CountedBackend,
     EnsembleConfig,
     ModelBackend,
     ModelRequest,
     PendingEnsemble,
+    call_model,
     collect_in_order,
-    run_slot,
     submit_ensemble,
 )
 from .ingestion import ReviewRequest, prompt_block
@@ -78,27 +79,25 @@ def propose_issues(
     temperature: float = 0.7,
     seed: int = 0,
     max_proposals: int = MAX_PROPOSALS,
-) -> tuple[list[HypotheticalIssue], int]:
-    """One proposer call, run as a one-slot ensemble (instance 0, seed seed).
+) -> list[HypotheticalIssue]:
+    """One proposer call (instance 0, seed seed), parsed inside its retries.
 
-    A transport failure or an unparsable response after the slot's
+    A transport failure or an unparsable response after the call's
     retries, or a request the endpoint rejected (never retried), yields
     zero proposals rather than a failed run; discovery finding nothing is a
     valid outcome. Any other error, such as a replay fixture miss, is
     raised. Duplicate proposals (same content hash) collapse to the first
-    occurrence and the list is capped in response order. Returns (issues,
-    calls made).
+    occurrence and the list is capped in response order.
     """
     prompt = render_prompt(Role.PROPOSER, {"code": prompt_block(request)})
     base = ModelRequest(
         role=Role.PROPOSER.value, prompt=prompt, temperature=temperature, seed=seed
     )
-    proposals, error, calls = run_slot(backend, base, parse_proposals_response)
-    if isinstance(error, (WireError, UnparsableResponse)):
-        logger.warning("proposer failed after %d attempts: %s", calls, error)
-        return [], calls
-    if error is not None:
-        raise error
+    try:
+        proposals = call_model(backend, base, parse_proposals_response)
+    except (WireError, UnparsableResponse) as exc:
+        logger.warning("proposer failed: %s", exc)
+        return []
     seen: set[str] = set()
     unique: list[HypotheticalIssue] = []
     for issue in proposals:
@@ -109,7 +108,7 @@ def propose_issues(
     if len(unique) > max_proposals:
         logger.info("capping %d proposals to %d", len(unique), max_proposals)
         unique = unique[:max_proposals]
-    return unique, calls
+    return unique
 
 
 def ground_issue(
@@ -160,17 +159,16 @@ def _verifier_request(
 
 def verify_issue(
     slots: PendingEnsemble[VerifierVerdict], retrieved: RetrievedSpecSet
-) -> tuple[tuple[Optional[VerifierVerdict], ...], int]:
-    """Collect one grounded issue's verifier ensemble: (verdicts, calls made).
+) -> tuple[Optional[VerifierVerdict], ...]:
+    """Collect one grounded issue's verifier ensemble, absent slots as None.
 
     Citations outside the retrieved set are stripped: a verifier may only
     justify its verdict with rules it was actually shown. Raises
-    EnsembleError, carrying the calls made, past the failure budget.
+    EnsembleError past the failure budget.
     """
-    parsed, stats = slots.collect()
     offered = set(retrieved.spec_ids())
     verdicts: list[Optional[VerifierVerdict]] = []
-    for index_, verdict in enumerate(parsed):
+    for index_, verdict in enumerate(slots.collect()):
         if verdict is None:
             verdicts.append(None)
             continue
@@ -183,7 +181,7 @@ def verify_issue(
                 sorted(rogue),
             )
         verdicts.append(replace(verdict, cited_spec_ids=kept, instance_index=index_))
-    return tuple(verdicts), stats.calls
+    return tuple(verdicts)
 
 
 def decide_quorum(
@@ -276,35 +274,81 @@ def run_implicit(
     while they fit under MAX_INFLIGHT beside the unfinished ones
     (gateway.collect_in_order); outcomes are collected in proposal order.
     An issue that retrieves nothing is skipped unless ungrounded
-    verification is allowed. A verification ensemble that exhausts its failure budget rejects that
-    one issue rather than the pathway, and its calls still count in the
-    model_calls stat. With soft_fail (the default) any other error inside
-    the pathway degrades it to an empty report carrying the error in its
-    stats.
+    verification is allowed. A verification ensemble that exhausts its
+    failure budget rejects that one issue rather than the pathway. Every
+    call goes through one CountedBackend, whose count is the model_calls
+    stat, so that ensemble's calls still count. With soft_fail (the
+    default) any other error inside the pathway degrades it to an empty
+    report carrying the error in its stats.
     """
+    counted = CountedBackend(backend)
     proposal = pool.submit(
         propose_issues,
         request,
-        backend,
+        counted,
         temperature=ensemble.temperature,
         seed=ensemble.base_seed,
         max_proposals=max_proposals,
     )
     index = get_index()
     try:
-        return _run_implicit(
-            request,
-            library,
-            backend,
-            provider,
-            index,
-            ensemble,
-            k,
-            threshold,
-            allow_ungrounded,
-            run_id,
-            pool,
-            proposal,
+        issues = proposal.result()
+        groundings = [
+            pool.submit(ground_issue, issue, provider, index, k=k, threshold=threshold)
+            for issue in issues
+        ]
+
+        # Each verifier prompt holds a copy of the code block, so only a
+        # pool's worth of ensembles is in flight at once.
+        def submit(position: int) -> Optional[PendingEnsemble]:
+            retrieved = groundings[position].result()
+            if not (retrieved.scored or allow_ungrounded):
+                return None
+            verifier = _verifier_request(request, issues[position], retrieved, library)
+            return submit_ensemble(pool, counted, verifier, ensemble, parse_verdict_response)
+
+        def collect(position: int, slots: Optional[PendingEnsemble]):
+            """The issue's outcome, or None if its verification failed."""
+            issue, retrieved = issues[position], groundings[position].result()
+            if slots is None:
+                logger.info("issue %s retrieved no rules; skipping", issue.issue_id)
+                return VerificationOutcome(
+                    issue=issue, retrieved=retrieved, verdicts=(), accepted=False
+                )
+            try:
+                verdicts = verify_issue(slots, retrieved)
+            except EnsembleError as exc:
+                logger.warning("verification of issue %s failed: %s", issue.issue_id, exc)
+                return None
+            accepted = decide_quorum(verdicts, ensemble.quorum)
+            return VerificationOutcome(
+                issue=issue,
+                retrieved=retrieved,
+                verdicts=verdicts,
+                accepted=accepted,
+                finding=_finding_from_issue(issue, verdicts, library) if accepted else None,
+            )
+
+        verified = list(collect_in_order(submit, collect, len(issues), ensemble.n))
+        outcomes = [outcome for outcome in verified if outcome is not None]
+        findings = sort_findings(
+            [outcome.finding for outcome in outcomes if outcome.finding is not None]
+        )
+        stats = freeze_stats(
+            {
+                "pathway": Pathway.IMPLICIT.value,
+                "proposals": len(issues),
+                "accepted": sum(1 for o in outcomes if o.accepted),
+                "rejected": sum(1 for o in outcomes if not o.accepted and o.verdicts),
+                "ungrounded_skipped": sum(1 for o in outcomes if not o.verdicts),
+                "verification_failures": len(verified) - len(outcomes),
+                "model_calls": counted.calls,
+                "run_id": run_id,
+            }
+        )
+        summary = f"{len(findings)} verified finding(s) from {len(issues)} proposed issue(s)"
+        return PathwayReport(
+            pathway=Pathway.IMPLICIT, findings=tuple(findings), summary=summary, stats=stats
         )
     except SgcrError as exc:
         if not soft_fail:
@@ -324,97 +368,3 @@ def run_implicit(
             summary="discovery pathway unavailable for this run",
             stats=stats,
         )
-
-
-def _run_implicit(
-    request: ReviewRequest,
-    library: SpecLibrary,
-    backend: ModelBackend,
-    provider: EmbeddingProvider,
-    index: VectorIndex,
-    ensemble: EnsembleConfig,
-    k: int,
-    threshold: float,
-    allow_ungrounded: bool,
-    run_id: str,
-    pool: Executor,
-    proposal: Future[tuple[list[HypotheticalIssue], int]],
-) -> PathwayReport:
-    issues, calls_total = proposal.result()
-    groundings = [
-        pool.submit(ground_issue, issue, provider, index, k=k, threshold=threshold)
-        for issue in issues
-    ]
-
-    # Each verifier prompt holds a copy of the code block, so only a pool's
-    # worth of ensembles is in flight at once.
-    def submit(position: int) -> Optional[PendingEnsemble]:
-        retrieved = groundings[position].result()
-        if not (retrieved.scored or allow_ungrounded):
-            return None
-        verifier = _verifier_request(request, issues[position], retrieved, library)
-        return submit_ensemble(pool, backend, verifier, ensemble, parse_verdict_response)
-
-    def collect(position: int, slots: Optional[PendingEnsemble]):
-        """None if skipped, else verify_issue's result or its EnsembleError."""
-        if slots is None:
-            return None
-        try:
-            return verify_issue(slots, groundings[position].result())
-        except EnsembleError as exc:
-            return exc
-
-    verified_in_order = collect_in_order(submit, collect, len(issues), ensemble.n)
-    ungrounded = 0
-    verify_failures = 0
-    outcomes: list[VerificationOutcome] = []
-    for issue, grounding, verified in zip(issues, groundings, verified_in_order):
-        retrieved = grounding.result()
-        if verified is None:
-            logger.info("issue %s retrieved no rules; skipping", issue.issue_id)
-            ungrounded += 1
-            outcomes.append(
-                VerificationOutcome(issue=issue, retrieved=retrieved, verdicts=(), accepted=False)
-            )
-            continue
-        if isinstance(verified, EnsembleError):
-            logger.warning("verification of issue %s failed: %s", issue.issue_id, verified)
-            verify_failures += 1
-            calls_total += verified.calls
-            continue
-        verdicts, calls_made = verified
-        calls_total += calls_made
-        accepted = decide_quorum(verdicts, ensemble.quorum)
-        outcomes.append(
-            VerificationOutcome(
-                issue=issue,
-                retrieved=retrieved,
-                verdicts=verdicts,
-                accepted=accepted,
-                finding=_finding_from_issue(issue, verdicts, library) if accepted else None,
-            )
-        )
-
-    findings = sort_findings(
-        [outcome.finding for outcome in outcomes if outcome.finding is not None]
-    )
-    accepted = sum(1 for o in outcomes if o.accepted)
-    rejected = sum(1 for o in outcomes if not o.accepted and o.verdicts)
-    stats = freeze_stats(
-        {
-            "pathway": Pathway.IMPLICIT.value,
-            "proposals": len(issues),
-            "accepted": accepted,
-            "rejected": rejected,
-            "ungrounded_skipped": ungrounded,
-            "verification_failures": verify_failures,
-            "model_calls": calls_total,
-            "run_id": run_id,
-        }
-    )
-    summary = (
-        f"{len(findings)} verified finding(s) from {len(issues)} proposed issue(s)"
-    )
-    return PathwayReport(
-        pathway=Pathway.IMPLICIT, findings=tuple(findings), summary=summary, stats=stats
-    )

@@ -29,6 +29,7 @@ from .errors import ConfigError, IndexLibraryMismatch, SgcrError
 from .explicit import run_explicit
 from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
+    CountedBackend,
     EnsembleConfig,
     ModelRequest,
     call_pool,
@@ -141,7 +142,7 @@ def _run_baseline(
 
     Reuses the reviewer prompt with an empty rules block and no quorum
     machinery, so the only difference from the explicit pathway is the
-    grounding.
+    grounding. Its model_calls stat is its CountedBackend's count.
     """
     prompt = render_prompt(
         Role.EXPLICIT_REVIEWER, {"code": prompt_block(request), "specs": ""}
@@ -153,10 +154,11 @@ def _run_baseline(
         max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
     )
     single = EnsembleConfig(n=1, quorum=1, temperature=0.0, base_seed=config.seed)
-    parsed, stats = submit_ensemble(
-        pool, backend, base, single, lambda text: parse_findings_response(text, Pathway.EXPLICIT)
+    counted = CountedBackend(backend)
+    (parsed,) = submit_ensemble(
+        pool, counted, base, single, lambda text: parse_findings_response(text, Pathway.EXPLICIT)
     ).collect()
-    findings = parsed[0] or []
+    findings = parsed or []
     return PathwayReport(
         pathway=Pathway.EXPLICIT,
         findings=tuple(findings),
@@ -165,7 +167,7 @@ def _run_baseline(
             {
                 "pathway": Pathway.EXPLICIT.value,
                 "baseline": True,
-                "model_calls": stats.calls,
+                "model_calls": counted.calls,
                 "run_id": run_id,
             }
         ),

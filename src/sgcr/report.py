@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping, Optional, Sequence
 
 from .errors import DiffSyntaxError, PatchDoesNotApply, SgcrError, UnparsableResponse, WireError
-from .gateway import ModelBackend, ModelRequest, generate, with_retries
+from .gateway import ModelBackend, ModelRequest, call_model
 from .ingestion import ReviewRequest, apply_file_diff, parse_unified_diff, unit_for_location
 from .matching import TokenTable, cluster_findings, merge_to_maxima
 from .parsing import parse_patch_response
@@ -206,8 +206,8 @@ def generate_patch(
 ) -> Optional[PatchSuggestion]:
     """One patch for a cluster; None whenever the result is unusable.
 
-    The call is retried on transport failures (gateway.with_retries); its
-    reply is parsed once. The model sees the raw snippet (no line
+    The call is retried on transport failures (gateway.call_model, given no
+    parser); its reply is parsed once. The model sees the raw snippet (no line
     numbering) and must return a unified diff against that snippet alone:
     exactly one file section, at least one hunk, applying cleanly. Anything
     else is discarded; a bad patch is worse than no patch.
@@ -246,8 +246,7 @@ def generate_patch(
         role=Role.PATCH_GENERATOR.value, prompt=prompt, temperature=0.0, seed=seed
     )
     try:
-        response = with_retries(lambda: generate(backend, patch_request))
-        diff_text, explanation = parse_patch_response(response.text)
+        diff_text, explanation = parse_patch_response(call_model(backend, patch_request))
         diffs = parse_unified_diff(diff_text)
         if len(diffs) != 1 or not diffs[0].hunks:
             raise PatchDoesNotApply(

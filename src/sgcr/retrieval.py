@@ -57,7 +57,7 @@ from .errors import (
     RequestRejected,
     WireError,
 )
-from .gateway import http_session, rejects_request, with_retries
+from .gateway import attempt_call, http_session, rejects_request
 from .specs import SpecLibrary, Specification
 from .types import Value, value_class
 
@@ -225,7 +225,7 @@ def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:
     """Embed text, retrying the provider's one attempt, and normalize it."""
     if not text:
         raise EmptyText("cannot embed empty text")
-    return normalize(with_retries(lambda: provider.embed(text)))
+    return normalize(attempt_call(lambda: provider.embed(text)))
 
 
 @value_class

@@ -7,6 +7,7 @@ import threading
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
+import sgcr.gateway
 from sgcr.backends import BaseBackend, Jitter, MockBackend, ReplayBackend
 from sgcr.gateway import ModelRequest
 from sgcr.ingestion import ReviewRequest, ReviewUnit
@@ -43,6 +44,23 @@ class CallLog:
             return sum(1 for request in self.call_log if request.role == wanted)
 
 
+def record_generate(monkeypatch) -> list[ModelRequest]:
+    """Every request sent through sgcr.gateway.generate from now on.
+
+    Each attempt of every model call goes through it, so on a run its
+    length is the number of calls the backend was sent.
+    """
+    sent: list[ModelRequest] = []
+    generate = sgcr.gateway.generate
+
+    def recording_generate(backend, request):
+        sent.append(request)
+        return generate(backend, request)
+
+    monkeypatch.setattr(sgcr.gateway, "generate", recording_generate)
+    return sent
+
+
 class LoggedMockBackend(CallLog, MockBackend):
     """MockBackend that keeps a call log."""
 
@@ -77,8 +95,6 @@ class CannedBackend(CallLog, BaseBackend):
     request with no matching key is a test bug and fails loudly. Every
     request is kept in call_log.
     """
-
-    backend_id = "canned"
 
     def __init__(
         self,

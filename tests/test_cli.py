@@ -508,8 +508,6 @@ class GarblingBackend(CallLog, BaseBackend):
     never on the thread schedule, so a retried slot may get a good reply.
     """
 
-    backend_id = "garbling"
-
     def __init__(self, seed: int, share: float, jitter=None) -> None:
         super().__init__(jitter)
         self.seed = seed

@@ -18,6 +18,7 @@ from conftest import (
     make_library,
     make_review_request,
     make_spec,
+    record_generate,
 )
 from sgcr.backends import Jitter, MockBackend
 from sgcr.config import RunConfig
@@ -77,8 +78,8 @@ def test_review_chunk_ensemble_normalizes_citations(caplog):
             ENSEMBLE,
             lambda text: parse_findings_response(text, Pathway.EXPLICIT, LIBRARY),
         )
-        candidates, calls = review_chunk_ensemble(_chunk("sec.input", "style.naming"), slots)
-    assert calls == 3
+        candidates = review_chunk_ensemble(_chunk("sec.input", "style.naming"), slots)
+    assert len(backend.call_log) == 3
     assert [candidate.instance_index for candidate in candidates] == [0, 1, 2]
     for candidate in candidates:
         (finding,) = candidate.findings
@@ -435,7 +436,9 @@ class _FirstCallFailsBackend(LoggedMockBackend):
 
 
 @pytest.mark.parametrize("failing_roles", [(), ("aggregator", "synthesizer")])
-def test_model_calls_count_aggregator_and_summary_calls_with_their_retries(failing_roles):
+def test_model_calls_count_aggregator_and_summary_calls_with_their_retries(
+    failing_roles, monkeypatch
+):
     config = RunConfig(
         mode="explicit_only",
         specs_dir=str(REPO_ROOT / "sample_specs"),
@@ -445,12 +448,15 @@ def test_model_calls_count_aggregator_and_summary_calls_with_their_retries(faili
     )
     request = build_review_request(paths=[GOLDEN_DIR / "input" / "Example.java"])
     backend = _FirstCallFailsBackend(failing_roles)
+    sent = record_generate(monkeypatch)
     final = run_review(config, request, backend=backend)
 
     assert backend.calls_for_role("aggregator") > 1
     assert backend.calls_for_role("synthesizer") == (2 if failing_roles else 1)
     (report,) = final.pathway_reports
     assert report.stats_dict()["model_calls"] == len(backend.call_log)
+    # Every attempt, failed ones included, went through gateway.generate.
+    assert len(sent) == len(backend.call_log)
 
 
 class _EchoAggregatorBackend(MockBackend):

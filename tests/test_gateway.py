@@ -21,12 +21,14 @@ from conftest import (
     CannedBackend,
     LoggedMockBackend,
     LoggedMockEmbeddingProvider,
+    LoggedReplayBackend,
     findings_json,
     issues_json,
     make_finding,
     make_library,
     make_review_request,
     make_spec,
+    record_generate,
     write_spec_file,
 )
 from sgcr.backends import (
@@ -52,6 +54,7 @@ from sgcr.config import RunConfig
 from sgcr.gateway import (
     MAX_INFLIGHT,
     SLOT_RETRIES,
+    CountedBackend,
     EnsembleConfig,
     ModelRequest,
     PendingEnsemble,
@@ -145,10 +148,7 @@ def test_ensemble_requests_diversify_seed_and_index():
 def test_mock_backend_is_a_pure_function_of_the_request():
     backend = MockBackend()
     request = ModelRequest(role="explicit_reviewer", prompt="FILE f (lines 1..9)\n    1 | x")
-    first = generate(backend, request)
-    second = generate(backend, request)
-    assert first.text == second.text
-    assert first.backend_id == second.backend_id == "mock"
+    assert generate(backend, request) == generate(backend, request)
 
 
 def _write_fixture(directory, request, text):
@@ -174,19 +174,16 @@ def test_ensemble_tolerates_failures_within_budget(tmp_path):
     slots = ensemble_requests(base, config)
     _write_fixture(tmp_path, slots[0], '{"verdict": "valid"}')
     _write_fixture(tmp_path, slots[2], '{"verdict": "invalid"}')
-    backend = ReplayBackend(tmp_path)
+    backend = LoggedReplayBackend(tmp_path)
 
     from sgcr.parsing import parse_verdict_response
 
     with call_pool() as pool:
-        results, stats = submit_ensemble(
-            pool, backend, base, config, parse_verdict_response
-        ).collect()
+        results = submit_ensemble(pool, backend, base, config, parse_verdict_response).collect()
     assert results[0] is not None and results[2] is not None
     assert results[1] is None
-    assert stats.failures == 1
     # A fixture miss is never retried, so exactly one call per slot.
-    assert stats.calls == 3
+    assert len(backend.call_log) == 3
 
 
 def test_ensemble_fails_past_budget_with_fingerprints(tmp_path):
@@ -229,12 +226,9 @@ def test_slot_retries_recover_from_transient_wire_errors():
     from sgcr.parsing import parse_verdict_response
 
     with call_pool() as pool:
-        results, stats = submit_ensemble(
-            pool, backend, base, config, parse_verdict_response
-        ).collect()
+        results = submit_ensemble(pool, backend, base, config, parse_verdict_response).collect()
     assert results[0] is not None
-    assert stats.calls == 1 + SLOT_RETRIES
-    assert stats.failures == 0
+    assert len(backend.call_log) == 1 + SLOT_RETRIES
 
 
 def test_unparsable_after_retries_exhausts_the_slot():
@@ -358,8 +352,9 @@ def test_a_slot_retries_no_client_error_but_408_and_429(chat_server, status, pos
 
         handler.seen.clear()
         handler.status_plan = [status] * (1 + SLOT_RETRIES)
-        issues, calls = propose_issues(make_review_request(), backend)
-        assert (issues, calls, len(handler.seen)) == ([], posts, posts)
+        counted = CountedBackend(backend)
+        issues = propose_issues(make_review_request(), counted)
+        assert (issues, counted.calls, len(handler.seen)) == ([], posts, posts)
     finally:
         backend.close()
 
@@ -371,12 +366,11 @@ def test_a_slot_resends_the_same_request_at_most_1_plus_slot_retries_times(chat_
     config = EnsembleConfig(n=1, quorum=1, base_seed=4)
     try:
         handler.status_plan = [500] * SLOT_RETRIES + [200]
+        counted = CountedBackend(backend)
         with call_pool() as pool:
-            pending = submit_ensemble(pool, backend, base, config, lambda text: text)
-            results, stats = pending.collect()
+            results = submit_ensemble(pool, counted, base, config, lambda text: text).collect()
         assert results == ["echo seed=4 t=0.0"]
-        assert (stats.calls, stats.failures) == (1 + SLOT_RETRIES, 0)
-        assert len(handler.seen) == 1 + SLOT_RETRIES
+        assert counted.calls == len(handler.seen) == 1 + SLOT_RETRIES
         assert len({json.dumps(call["body"], sort_keys=True) for call in handler.seen}) == 1
 
         handler.seen.clear()
@@ -408,7 +402,7 @@ def _slot_call(backend):
     base = ModelRequest(role="verifier", prompt="q")
     try:
         with call_pool() as pool:
-            results, _ = submit_ensemble(
+            results = submit_ensemble(
                 pool, backend, base, EnsembleConfig(n=1, quorum=1), lambda text: text
             ).collect()
     except EnsembleError:
@@ -417,8 +411,7 @@ def _slot_call(backend):
 
 
 def _proposer_call(backend):
-    issues, _ = propose_issues(make_review_request(), backend)
-    return len(issues) == 1
+    return len(propose_issues(make_review_request(), backend)) == 1
 
 
 def _patch_call(backend):
@@ -763,9 +756,10 @@ def _chunked_config(tmp_path, ensemble_size):
     return config
 
 
-def test_run_review_overlaps_the_pathways_under_one_capped_pool(tmp_path):
+def test_run_review_overlaps_the_pathways_under_one_capped_pool(tmp_path, monkeypatch):
     config = _chunked_config(tmp_path, ensemble_size=8)
     backend = _CountingBackend()
+    sent = record_generate(monkeypatch)
     threads_before = threading.active_count()
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -778,6 +772,11 @@ def test_run_review_overlaps_the_pathways_under_one_capped_pool(tmp_path):
     # A lost update in call accounting would break this reconciliation.
     pathway_calls = sum(report.stats_dict()["model_calls"] for report in final.pathway_reports)
     assert pathway_calls == len(backend.call_log) - backend.calls_for_role("patch_generator")
+    # The benchmark's reconciliation: no patch call was retried here.
+    assert pathway_calls + dict(final.patch_stats)["attempted"] == len(backend.call_log)
+    # Patch calls included, every call went through gateway.generate.
+    assert backend.calls_for_role("patch_generator") > 0
+    assert len(sent) == len(backend.call_log)
     assert backend.peak <= MAX_INFLIGHT
     proposer_start, _ = backend.span("proposer")
     _, last_reviewer_end = backend.span("explicit_reviewer")
@@ -1267,6 +1266,61 @@ def test_threads_racing_for_the_slots_of_an_ensemble_all_read_the_right_fingerpr
             assert not any("_shared_escape" in vars(slot) for slot in slots)
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_the_slots_of_an_ensemble_hashed_at_once_escape_their_prompt_once(monkeypatch):
+    # Each slot is read once, by a thread of its own, and the threads are
+    # let go together: the first to reach the shared escape makes it and
+    # its siblings wait for it rather than each escaping a copy.
+    _, escaped = _record_hashing(monkeypatch)
+    prompts = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            base = ModelRequest(role="verifier", prompt="q\u00e9" * 20_000 + str(round_))
+            prompts.append(base.prompt)
+            slots = ensemble_requests(base, EnsembleConfig(n=3, quorum=2, base_seed=round_))
+            start = threading.Barrier(len(slots))
+
+            def read(slot):
+                start.wait(timeout=10)
+                return slot.fingerprint
+
+            with ThreadPoolExecutor(max_workers=len(slots)) as pool:
+                seen = list(pool.map(read, slots, timeout=30))
+            assert seen == [_reference_fingerprint(slot) for slot in slots]
+    finally:
+        sys.setswitchinterval(switch)
+
+    assert escaped == prompts
+
+
+def test_a_counted_backend_counts_every_call_made_from_many_threads():
+    backend = CannedBackend({"verifier": "ok"})
+    counted = CountedBackend(backend)
+    request = ModelRequest(role="verifier", prompt="q")
+    threads, calls = 8, 400
+    start = threading.Barrier(threads)
+
+    def call_many():
+        start.wait(timeout=10)
+        for _ in range(calls):
+            counted.complete(request)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=call_many) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+
+    assert not any(worker.is_alive() for worker in workers)
+    assert counted.calls == len(backend.call_log) == threads * calls
 
 
 def _reference_fingerprint(request: ModelRequest) -> str:

@@ -94,8 +94,8 @@ def test_propose_dedupes_and_preserves_order():
             )
         }
     )
-    issues, calls = propose_issues(make_review_request(), backend)
-    assert calls == 1
+    issues = propose_issues(make_review_request(), backend)
+    assert len(backend.call_log) == 1
     assert [issue.start_line for issue in issues] == [9, 2]
     assert backend.call_log[0].temperature == 0.7
     assert backend.call_log[0].seed == 0
@@ -104,7 +104,7 @@ def test_propose_dedupes_and_preserves_order():
 def test_propose_caps_the_issue_list():
     entries = [{"start_line": i, "description": f"issue number {i}"} for i in range(1, 30)]
     backend = CannedBackend({"proposer": issues_json(*entries)})
-    issues, _ = propose_issues(make_review_request(), backend, max_proposals=20)
+    issues = propose_issues(make_review_request(), backend, max_proposals=20)
     assert len(issues) == 20
     assert issues[0].start_line == 1 and issues[-1].start_line == 20
 
@@ -112,17 +112,17 @@ def test_propose_caps_the_issue_list():
 def test_propose_degrades_to_empty_after_retries(caplog):
     backend = CannedBackend({"proposer": "not json at all"})
     with caplog.at_level("WARNING", logger="sgcr.implicit"):
-        issues, calls = propose_issues(make_review_request(), backend)
+        issues = propose_issues(make_review_request(), backend)
     assert issues == []
-    assert calls == 1 + SLOT_RETRIES
+    assert len(backend.call_log) == 1 + SLOT_RETRIES
     assert any("proposer failed" in record.message for record in caplog.records)
 
 
 def test_a_proposer_whose_reply_nests_too_deeply_yields_no_proposals():
     backend = CannedBackend({"proposer": '{"issues": ' + "[" * 100_000})
-    issues, calls = propose_issues(make_review_request(), backend)
+    issues = propose_issues(make_review_request(), backend)
     assert issues == []
-    assert calls == len(backend.call_log) == 1 + SLOT_RETRIES
+    assert len(backend.call_log) == 1 + SLOT_RETRIES
 
 def test_a_proposer_fixture_miss_is_raised_and_degrades_the_pathway(tmp_path):
     backend = LoggedReplayBackend(tmp_path / "no-fixtures")
@@ -166,8 +166,8 @@ def test_verify_issue_strips_citations_outside_the_retrieved_set(caplog):
         {"verifier": verdict_json(cited=["sec.sql", "perf.loop", "made.up"])}
     )
     with caplog.at_level("WARNING", logger="sgcr.implicit"), call_pool() as pool:
-        verdicts, calls = verify_issue(_verifier_slots(pool, backend), retrieved)
-    assert calls == 3
+        verdicts = verify_issue(_verifier_slots(pool, backend), retrieved)
+    assert len(backend.call_log) == 3
     assert all(verdict.cited_spec_ids == ("sec.sql",) for verdict in verdicts)
     assert [verdict.instance_index for verdict in verdicts] == [0, 1, 2]
     assert any("outside the retrieved set" in record.message for record in caplog.records)

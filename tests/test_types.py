@@ -202,7 +202,7 @@ def test_every_value_class_but_finding_uses_the_shared_constructor():
         "FinalReport",
         "Jitter",
     } <= names
-    assert len(SHARED_INIT) == 25
+    assert len(SHARED_INIT) == 24
     assert [cls for cls in _value_classes() if cls not in SHARED_INIT] == [Finding]
 
 

@@ -117,8 +117,6 @@ MALFORMED_PATCH = f"""--- a/{JAVA_FILE}
 class ScriptedBackend(BaseBackend):
     """Hand-written responses for the golden scenario."""
 
-    backend_id = "scripted"
-
     def _complete(self, request: ModelRequest) -> str:
         role = str(request.role)
         prompt = request.prompt
