@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import sys
+from typing import Optional
 
 import pytest
 
@@ -24,7 +25,9 @@ _SPEC.loader.exec_module(bench_pairs)
 BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def _output(failed: int = 0, golden_ok: bool = True, **metrics: float) -> str:
+def _output(
+    failed: int = 0, golden_ok: bool = True, digest: Optional[str] = None, **metrics: float
+) -> str:
     """What perfbench/run.py prints: lines for people, then the result."""
     result = {
         "correct": golden_ok and failed == 0,
@@ -32,7 +35,9 @@ def _output(failed: int = 0, golden_ok: bool = True, **metrics: float) -> str:
         "failed": failed,
         "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()},
     }
-    return "workload findings-dense seed 1\n  review_p50_s 0.1 s\n" + json.dumps(result) + "\n"
+    digest_line = f"report sha256: {digest}\n" if digest is not None else ""
+    head = f"workload findings-dense seed 1\n{digest_line}  review_p50_s 0.1 s\n"
+    return head + json.dumps(result) + "\n"
 
 
 def _pairs(parent: list[dict], change: list[dict], workload="findings-dense", failed=(0, 0)):
@@ -57,6 +62,55 @@ def test_parse_result_reads_the_last_line_only():
         bench_pairs.parse_result("")
     with pytest.raises(ValueError):
         bench_pairs.parse_result('{"correct": true}\n')
+
+
+def test_parse_result_reads_the_report_digest_when_there_is_one():
+    assert bench_pairs.parse_result(_output(digest="09af"))["report_sha256"] == "09af"
+    assert bench_pairs.parse_result(_output())["report_sha256"] is None
+
+
+def test_identical_reports_are_counted_per_workload_and_unknown_without_a_digest():
+    runs = []
+    for pair in range(10):
+        sides = {
+            "pr-diff": (f"p{pair}", f"p{pair}"),
+            "findings-dense": (f"d{pair}", f"d{pair}" if pair not in (2, 7) else "other"),
+            "library-build": ("l", "l" if pair != 5 else None),
+        }
+        for workload, (parent, change) in sides.items():
+            runs += [(workload, pair, "parent", parent), (workload, pair, "change", change)]
+    runs.append(("pr-diff", 10, "parent", "p10"))  # an unfinished pair counts for neither
+    results = [
+        (pair, side, workload, bench_pairs.parse_result(_output(digest=digest, review_p50_s=0.1)))
+        for workload, pair, side, digest in runs
+    ]
+    summary = bench_pairs.summarize(results, BENCHMARK)
+    assert summary.identical_reports("pr-diff") == (10, 10)
+    assert summary.identical_reports("findings-dense") == (8, 10)
+    assert summary.identical_reports("library-build") is None
+
+    lines = bench_pairs.format_summary(summary).splitlines()
+    identical = {
+        lines[index - 3]: line.strip()
+        for index, line in enumerate(lines)
+        if line.lstrip().startswith("reports identical")
+    }
+    assert identical == {
+        "findings-dense": "reports identical in 8 of 10 pairs",
+        "library-build": "reports identical unknown",
+        "pr-diff": "reports identical in 10 of 10 pairs",
+    }
+
+
+def test_different_reports_do_not_change_the_exit_code(monkeypatch, capsys):
+    def run_once(checkout, command, workload, seed, seconds):
+        side = "parent" if checkout != bench_pairs.ROOT else "change"
+        return bench_pairs.parse_result(_output(digest=side, review_p50_s=0.1))
+
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda revision, into: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "HEAD"]) == 0
+    assert capsys.readouterr().out.count("reports identical in 0 of 10 pairs") == 3
 
 
 def test_quartiles_are_inclusive_and_a_single_run_is_its_own_spread():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import re
 import sys
 import threading
 import time
@@ -36,6 +38,7 @@ from sgcr.backends import (
     MockBackend,
     RecordingBackend,
     ReplayBackend,
+    prompt_headers,
 )
 from sgcr.errors import (
     BackendTimeout,
@@ -65,6 +68,7 @@ from sgcr.gateway import (
     generate,
     submit_ensemble,
 )
+import sgcr.backends
 import sgcr.explicit
 import sgcr.gateway
 import sgcr.implicit
@@ -149,6 +153,94 @@ def test_mock_backend_is_a_pure_function_of_the_request():
     backend = MockBackend()
     request = ModelRequest(role="explicit_reviewer", prompt="FILE f (lines 1..9)\n    1 | x")
     assert generate(backend, request) == generate(backend, request)
+
+
+# The header rule in its plainest form, as the reference: a header counts at
+# the start of the prompt or right after "\n". The mock matches position 0 on
+# its own and starts its other patterns with a literal "\n" for speed, and
+# must find exactly what these find.
+_REFERENCE_FILE_HEADER = re.compile(r"^FILE (\S+) \(lines (\d+)\.\.(\d+)\)", re.MULTILINE)
+_REFERENCE_RULE_HEADER = re.compile(r"^RULE (\S+) ", re.MULTILINE)
+
+_LINE_STARTS = ("", "\n", "\r\n", "\r", " ", "    ", "\t", "x ", "1 | ")
+_HEADERS = (
+    "FILE src/a.py (lines 1..9)",
+    "FILE src/naïve_模块.py (lines 12..40)",
+    "FILE b.go (lines 7..7)",
+    "FILE c.py (lines 10..3)",
+    "FILE d.py (lines 3..)",
+    "FILE e.py (lines a..9)",
+    "FILE f.py (lines 3-9)",
+    "FILE g.py (line 3..9)",
+    "FILE  h.py (lines 1..2)",
+    "FILE i.py(lines 1..2)",
+    "FILE",
+    "RULE R-1 ",
+    "RULE R-1 again",
+    "RULE 規則-7 body",
+    "RULE ß:λ ",
+    "RULE R-2",
+    "RULE  R-3 ",
+    "RULE\tR-4 ",
+    "RULES R-5 ",
+    "rule R-6 ",
+    "    1 | x = 1",
+    "rule text that mentions FILE a.py (lines 1..2) and RULE R-7 mid-line",
+)
+
+
+def _reference_prompt_headers(prompt):
+    header = _REFERENCE_FILE_HEADER.search(prompt)
+    location = ("unknown", 1, 40)
+    if header:
+        location = (header.group(1), int(header.group(2)), int(header.group(3)))
+    return location, _REFERENCE_RULE_HEADER.findall(prompt)
+
+
+def _header_prompts(count=300, seed=17):
+    """Seeded prompts of headers after every kind of line start, a rule body's
+    FILE lines ahead of the code block's, and near-miss header shapes."""
+    rng = random.Random(seed)
+    prompts = [
+        "FILE a.py (lines 1..2)\nRULE R-1 x",
+        "RULE R-1 x\nFILE a.py (lines 1..2)",
+        "\rFILE a.py (lines 1..2)\rRULE R-1 x",
+        "RULE R-1 \nFILE rule_body.py (lines 5..6)\nFILE code.py (lines 1..9)\n    1 | x",
+        "",
+    ]
+    while len(prompts) < count:
+        pieces = []
+        for _ in range(rng.randrange(1, 16)):
+            pieces.append(rng.choice(_LINE_STARTS))
+            pieces.append(rng.choice(_HEADERS))
+        prompts.append("".join(pieces))
+    return prompts
+
+
+def test_mock_header_scans_find_what_the_multiline_patterns_find():
+    prompts = _header_prompts()
+    found = [prompt_headers(prompt) for prompt in prompts]
+    assert found == [_reference_prompt_headers(prompt) for prompt in prompts]
+    # The seeded prompts reach every case the rule separates.
+    assert found[0] == found[1] == (("a.py", 1, 2), ["R-1"])  # headers at position 0
+    assert found[2] == (("unknown", 1, 40), [])  # a lone "\r" starts no line
+    assert found[3][0] == ("rule_body.py", 5, 6)  # the first FILE header wins
+    assert any(location[0] == "src/naïve_模块.py" for location, _ in found)
+    assert any(ids.count("R-1") > 1 for _, ids in found)  # duplicates kept
+    assert any("規則-7" in ids for _, ids in found)
+
+
+def test_mock_replies_match_the_multiline_patterns_for_every_role(monkeypatch):
+    backend = MockBackend()
+    requests = [
+        ModelRequest(role=role.value, prompt=prompt)
+        for prompt in _header_prompts(count=60, seed=29)
+        if prompt
+        for role in Role
+    ]
+    replies = [backend.complete(request) for request in requests]
+    monkeypatch.setattr(sgcr.backends, "prompt_headers", _reference_prompt_headers)
+    assert replies == [backend.complete(request) for request in requests]
 
 
 def _write_fixture(directory, request, text):
@@ -289,12 +381,15 @@ def chat_server():
     _ChatHandler.embedding_plan = []
     _ChatHandler.chat_content = None
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", _ChatHandler
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_http_backend_speaks_the_wire_protocol(chat_server):
@@ -633,7 +728,9 @@ def keep_alive_server():
     _KeepAliveHandler.peers = []
     _KeepAliveHandler.delay_s = 0.0
     server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", _KeepAliveHandler
     server.shutdown()

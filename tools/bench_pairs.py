@@ -26,7 +26,12 @@ for each workload and end-to-end metric, the summary gives:
 - each side's share of failed operations, and how many of its runs were
   incorrect: a run is correct only when the benchmark says so (its golden
   replay matched and no review failed). The tool exits 1 if any run was
-  incorrect, whatever the metrics read.
+  incorrect, whatever the metrics read;
+- in how many pairs both sides wrote the same report, by the ``report
+  sha256:`` line each run prints. Both sides of a pair run the same seed,
+  so a change that promises identical output should read "in 10 of 10".
+  Where a run printed no such line the count reads "unknown". This line
+  is for reading only: it does not change the exit code.
 
 Nothing under perfbench/ is edited; both sides run their own copy.
 """
@@ -51,6 +56,7 @@ SIDES = ("parent", "change")
 CLAIM_SHARE = 0.9
 PAIRS = 10
 RUN_TIMEOUT_S = 900
+DIGEST_PREFIX = "report sha256:"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -112,19 +118,35 @@ class Summary:
     rows: list[MetricRows]
     failed: dict[tuple[str, str], tuple[int, int]]  # (workload, side) -> (failed, attempted)
     incorrect: dict[tuple[str, str], tuple[int, int]]  # (workload, side) -> (incorrect, runs)
+    digests: dict[tuple[str, int], dict[str, Optional[str]]]  # (workload, pair) -> side -> sha256
 
     def incorrect_runs(self) -> int:
         return sum(incorrect for incorrect, _ in self.incorrect.values())
 
+    def identical_reports(self, workload: str) -> Optional[tuple[int, int]]:
+        """(pairs whose two reports hash the same, complete pairs), or None
+        when a run of the workload printed no report sha256."""
+        pairs = [sides for (name, _), sides in self.digests.items() if name == workload]
+        if any(digest is None for sides in pairs for digest in sides.values()):
+            return None
+        complete = [sides for sides in pairs if len(sides) == 2]
+        return sum(1 for sides in complete if sides["parent"] == sides["change"]), len(complete)
+
 
 def parse_result(stdout: str) -> dict:
-    """The benchmark's result: the JSON object on the last line of its output."""
+    """The benchmark's result: the JSON object on the last line of its output,
+    with the sha256 of its ``report sha256:`` line added under
+    ``report_sha256`` (None when it printed no such line)."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("the benchmark printed nothing")
     result = json.loads(lines[-1])
     if not isinstance(result, dict) or "metrics" not in result:
         raise ValueError(f"the last line is not a result: {lines[-1][:200]}")
+    result["report_sha256"] = next(
+        (line[len(DIGEST_PREFIX) :].strip() for line in lines if line.startswith(DIGEST_PREFIX)),
+        None,
+    )
     return result
 
 
@@ -134,7 +156,9 @@ def summarize(results: list[tuple[int, str, str, dict]], benchmark: dict) -> Sum
     rows: dict[tuple[str, str], MetricRows] = {}
     failed: dict[tuple[str, str], tuple[int, int]] = {}
     incorrect: dict[tuple[str, str], tuple[int, int]] = {}
+    digests: dict[tuple[str, int], dict[str, Optional[str]]] = {}
     for pair, side, workload, result in results:
+        digests.setdefault((workload, pair), {})[side] = result["report_sha256"]
         done, tried = failed.get((workload, side), (0, 0))
         failed[(workload, side)] = (done + result["failed"], tried + result["attempted"])
         wrong, runs = incorrect.get((workload, side), (0, 0))
@@ -153,6 +177,7 @@ def summarize(results: list[tuple[int, str, str, dict]], benchmark: dict) -> Sum
         sorted(rows.values(), key=lambda row: (row.workload, order[row.metric])),
         failed,
         incorrect,
+        digests,
     )
 
 
@@ -171,6 +196,11 @@ def format_summary(summary: Summary) -> str:
                     f"  {side} failed {failed} of {attempted} ({share:.4f}),"
                     f" incorrect runs {wrong} of {runs}"
                 )
+            identical = summary.identical_reports(workload)
+            lines.append(
+                "  reports identical "
+                + (f"in {identical[0]} of {identical[1]} pairs" if identical else "unknown")
+            )
             lines.append(
                 f"  {'metric':14s} {'parent q1 / median / q3':34s} {'change q1 / median / q3':34s}"
                 f" {'wins':>6s}  claim  bound"
