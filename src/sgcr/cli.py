@@ -17,11 +17,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import (
-    AGGREGATIONS,
-    BACKENDS,
-    EMBEDDINGS,
-    FORMATS,
-    MODES,
+    CHOICES,
+    DEFAULTS,
     RunConfig,
     env_overrides,
     load_config_file,
@@ -35,36 +32,6 @@ from .retrieval import build_index, save_index
 
 logger = logging.getLogger(__name__)
 
-_CONFIG_FLAG_DESTS = (
-    "mode",
-    "backend",
-    "specs_dir",
-    "language",
-    "chunk_budget",
-    "ensemble_size",
-    "quorum",
-    "temperature",
-    "seed",
-    "top_k",
-    "score_threshold",
-    "context_lines",
-    "aggregation",
-    "format",
-    "max_proposals",
-    "implicit_soft_fail",
-    "allow_ungrounded",
-    "patches",
-    "model_summary",
-    "fixtures_dir",
-    "index_path",
-    "embedding",
-    "embedding_dimension",
-    "base_url",
-    "model",
-    "repo_root",
-    "output",
-)
-
 
 def _add_review_flags(parser: argparse.ArgumentParser) -> None:
     # Every default here is None so unset flags never mask config file
@@ -72,8 +39,8 @@ def _add_review_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("inputs", nargs="*", help="files to review (post-change state)")
     parser.add_argument("--diff", help="unified diff file to review ('-' for stdin)")
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--backend", choices=BACKENDS)
+    parser.add_argument("--mode", choices=CHOICES["mode"])
+    parser.add_argument("--backend", choices=CHOICES["backend"])
     parser.add_argument("--specs-dir", dest="specs_dir", help="rules directory")
     parser.add_argument("--language", help="only use rules for this language")
     parser.add_argument("--chunk-budget", dest="chunk_budget", type=int)
@@ -87,8 +54,8 @@ def _add_review_flags(parser: argparse.ArgumentParser) -> None:
         help="minimum retrieval score",
     )
     parser.add_argument("--context-lines", dest="context_lines", type=int)
-    parser.add_argument("--aggregation", choices=AGGREGATIONS)
-    parser.add_argument("--format", choices=FORMATS)
+    parser.add_argument("--aggregation", choices=CHOICES["aggregation"])
+    parser.add_argument("--format", choices=CHOICES["format"])
     parser.add_argument("--max-proposals", dest="max_proposals", type=int)
     parser.add_argument(
         "--no-implicit-soft-fail",
@@ -111,7 +78,7 @@ def _add_review_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--fixtures", dest="fixtures_dir", help="fixtures directory")
     parser.add_argument("--index", dest="index_path", help="prebuilt vector index file")
-    parser.add_argument("--embedding", choices=EMBEDDINGS)
+    parser.add_argument("--embedding", choices=CHOICES["embedding"])
     parser.add_argument("--embedding-dimension", dest="embedding_dimension", type=int)
     parser.add_argument("--base-url", dest="base_url")
     parser.add_argument("--model")
@@ -142,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--specs-dir", dest="specs_dir", required=True)
     index.add_argument("--output", required=True, help="where to write the index file")
     index.add_argument("--language")
-    index.add_argument("--embedding", choices=EMBEDDINGS, default="mock")
+    index.add_argument("--embedding", choices=CHOICES["embedding"])
     index.add_argument("--embedding-dimension", dest="embedding_dimension", type=int)
     index.add_argument("--base-url", dest="base_url")
     index.add_argument("--model")
@@ -159,11 +126,17 @@ def _check_paths(config: RunConfig) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = load_config_file(Path(args.config)) if args.config else None
+    """The validated config of any subcommand: file, environment, then flags.
+
+    Every parsed argument named after a config key is a flag value unless
+    it is None, which argparse leaves for a flag that was not passed.
+    """
+    config_path = getattr(args, "config", None)
+    file_values = load_config_file(Path(config_path)) if config_path else None
     flag_values = {
-        dest: getattr(args, dest)
-        for dest in _CONFIG_FLAG_DESTS
-        if getattr(args, dest, None) is not None
+        key: value
+        for key, value in vars(args).items()
+        if key in DEFAULTS and value is not None
     }
     config = merge_config(file_values, env_overrides(), flag_values)
     validate_config(config)
@@ -216,14 +189,8 @@ def _cmd_review(args: argparse.Namespace) -> int:
 
 
 def _cmd_specs_validate(args: argparse.Namespace) -> int:
-    specs_dir = Path(args.specs_dir)
-    if not specs_dir.is_dir():
-        print(f"sgcr: rules directory not found: {specs_dir}", file=sys.stderr)
-        return 2
     try:
-        library = load_rules(
-            RunConfig(specs_dir=str(specs_dir), language=args.language)
-        )
+        library = load_rules(_resolve_config(args))
     except SgcrError as exc:
         print(f"sgcr: {exc}", file=sys.stderr)
         return 2
@@ -237,40 +204,20 @@ def _cmd_specs_validate(args: argparse.Namespace) -> int:
 
 def _cmd_specs_index(args: argparse.Namespace) -> int:
     try:
-        overrides: dict[str, object] = {
-            "specs_dir": args.specs_dir,
-            "embedding": args.embedding,
-        }
-        if args.language:
-            overrides["language"] = args.language
-        if args.embedding_dimension is not None:
-            overrides["embedding_dimension"] = args.embedding_dimension
-        if args.base_url:
-            overrides["base_url"] = args.base_url
-        if args.model:
-            overrides["model"] = args.model
-        config = merge_config(None, env_overrides(), overrides)
-        if config.embedding == "http" and not (config.base_url and config.api_key):
-            raise ConfigError("http embedding requires a base URL and API key")
-        if not Path(args.specs_dir).is_dir():
-            raise ConfigError(f"rules directory not found: {args.specs_dir}")
-    except ConfigError as exc:
-        print(f"sgcr: {exc}", file=sys.stderr)
-        return 2
-    try:
+        config = _resolve_config(args)
         library = load_rules(config)
     except SgcrError as exc:
         print(f"sgcr: {exc}", file=sys.stderr)
         return 2
     try:
         index = build_index(library, build_provider(config))
-        save_index(index, Path(args.output))
+        save_index(index, Path(config.output))
     except (SgcrError, OSError) as exc:
         print(f"sgcr: {exc}", file=sys.stderr)
         return 3
     print(
         f"indexed {len(index.entries)} rule(s) at dimension {index.dimension}"
-        f" -> {args.output}",
+        f" -> {config.output}",
         file=sys.stderr,
     )
     return 0

@@ -1,9 +1,12 @@
 """Run configuration: defaults, JSON config file, environment, CLI flags.
 
 Precedence, lowest to highest: built-in defaults, config file values,
-environment (SGCR_BASE_URL / SGCR_API_KEY), command-line flags. The merge
-is table-driven off the dataclass fields so a new knob only needs to be
-declared once.
+environment (SGCR_BASE_URL / SGCR_API_KEY), command-line flags. RunConfig
+is the one declaration of every setting: a config-file value must have
+its default's type (``null`` only where the default is None), a key with
+a fixed set of values lists them in CHOICES, and the CLI takes every
+parsed argument named after a key as a flag value. A new knob is a
+RunConfig field, plus its flag in ``cli``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from .errors import ConfigError
+from .explicit import AGGREGATION_MODES
 from .implicit import MAX_PROPOSALS
 from .ingestion import DEFAULT_CONTEXT_LINES
 from .retrieval import DEFAULT_MOCK_DIMENSION, DEFAULT_SCORE_THRESHOLD, DEFAULT_TOP_K
@@ -24,12 +28,6 @@ from .specs import DEFAULT_CHUNK_BUDGET
 from .types import Value, value_class
 
 logger = logging.getLogger(__name__)
-
-MODES = ("full", "explicit_only", "implicit_only", "baseline")
-BACKENDS = ("mock", "replay", "record", "http")
-EMBEDDINGS = ("mock", "http")
-FORMATS = ("json", "markdown")
-AGGREGATIONS = ("deterministic", "model")
 
 ENV_BASE_URL = "SGCR_BASE_URL"
 ENV_API_KEY = "SGCR_API_KEY"
@@ -81,42 +79,33 @@ class RunConfig(Value):
         return payload
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(RunConfig)}
 
-_BOOL_FIELDS = {"implicit_soft_fail", "allow_ungrounded", "patches", "model_summary"}
-_INT_FIELDS = {
-    "chunk_budget",
-    "ensemble_size",
-    "quorum",
-    "seed",
-    "top_k",
-    "context_lines",
-    "max_proposals",
-    "embedding_dimension",
+# The allowed values of each key that has a fixed set; argparse reads the same.
+CHOICES: dict[str, tuple[str, ...]] = {
+    "mode": ("full", "explicit_only", "implicit_only", "baseline"),
+    "backend": ("mock", "replay", "record", "http"),
+    "embedding": ("mock", "http"),
+    "format": ("json", "markdown"),
+    "aggregation": AGGREGATION_MODES,
 }
-_FLOAT_FIELDS = {"temperature", "score_threshold"}
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 def _coerce(key: str, value: object) -> object:
-    if value is None:
+    """value as key's setting: the type of its default (str when None)."""
+    default = DEFAULTS[key]
+    if value is None and default is None:
         return None
-    if key in _BOOL_FIELDS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be a boolean")
-        return value
-    if key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer")
-        return value
-    if key in _FLOAT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number")
+    kind = str if default is None else type(default)
+    if kind is float and type(value) is int:
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise ConfigError(f"config key {key!r} is too large for a number") from None
-    if not isinstance(value, str):
-        raise ConfigError(f"config key {key!r} must be a string")
+    if type(value) is not kind:
+        raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
     return value
 
 
@@ -140,7 +129,7 @@ def load_config_file(path: Path) -> dict[str, object]:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    unknown = sorted(set(raw) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
     return {key: _coerce(key, value) for key, value in raw.items()}
@@ -169,7 +158,7 @@ def merge_config(
     for source in (file_values, env_values, flag_values):
         if not source:
             continue
-        unknown = sorted(set(source) - set(_FIELD_TYPES))
+        unknown = sorted(set(source) - set(DEFAULTS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         config = replace(config, **dict(source))
@@ -178,25 +167,10 @@ def merge_config(
 
 def validate_config(config: RunConfig) -> None:
     """Reject impossible or incomplete configurations up front."""
-    if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {config.mode!r}")
-    if config.backend not in BACKENDS:
-        raise ConfigError(
-            f"backend must be one of {', '.join(BACKENDS)}; got {config.backend!r}"
-        )
-    if config.embedding not in EMBEDDINGS:
-        raise ConfigError(
-            f"embedding must be one of {', '.join(EMBEDDINGS)}; got {config.embedding!r}"
-        )
-    if config.format not in FORMATS:
-        raise ConfigError(
-            f"format must be one of {', '.join(FORMATS)}; got {config.format!r}"
-        )
-    if config.aggregation not in AGGREGATIONS:
-        raise ConfigError(
-            f"aggregation must be one of {', '.join(AGGREGATIONS)};"
-            f" got {config.aggregation!r}"
-        )
+    for key, allowed in CHOICES.items():
+        value = getattr(config, key)
+        if value not in allowed:
+            raise ConfigError(f"{key} must be one of {', '.join(allowed)}; got {value!r}")
     if config.ensemble_size < 1:
         raise ConfigError("ensemble_size must be at least 1")
     if not 1 <= config.quorum <= config.ensemble_size:

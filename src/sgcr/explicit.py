@@ -339,8 +339,6 @@ def run_explicit(
                 library=library,
                 tokens=tokens,
             )
-            if candidates
-            else AggregatedReview(chunk.ordinal, (), 0)
         )
     report = synthesize_partials(
         partials, backend=pooled, model_summary=model_summary, tokens=tokens

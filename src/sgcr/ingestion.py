@@ -311,7 +311,7 @@ def _units_from_diff(
 
         windows: list[tuple[int, int]] = []
         changed: list[tuple[int, int]] = []
-        for hunk in diffs_hunks_in_new_order(diff):
+        for hunk in diff.hunks:
             anchor_start = max(1, hunk.new_start)
             anchor_end = hunk.new_start + hunk.new_len - 1 if hunk.new_len > 0 else hunk.new_start
             start = max(1, anchor_start - context_lines)
@@ -336,10 +336,6 @@ def _units_from_diff(
                 )
             )
     return units
-
-
-def diffs_hunks_in_new_order(diff: FileDiff) -> tuple[Hunk, ...]:
-    return tuple(sorted(diff.hunks, key=lambda hunk: hunk.new_start))
 
 
 def build_review_request(

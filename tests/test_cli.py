@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import base64
 import io
 import json
@@ -16,7 +17,8 @@ import pytest
 import sgcr.pipeline
 from conftest import REPO_ROOT, CallLog, write_spec_file
 from sgcr.backends import BaseBackend, MockBackend
-from sgcr.cli import main
+from sgcr.cli import build_parser, main
+from sgcr.config import DEFAULTS
 
 
 @pytest.fixture()
@@ -207,6 +209,47 @@ def test_review_unreadable_config_files_exit_2(
     assert err.startswith("sgcr: ") and fragment in err
 
 
+def _wrong_values(key):
+    """JSON values of another type than key's default ("null" only if it is set)."""
+    default = DEFAULTS[key]
+    kind = str if default is None else type(default)
+    wrong = {bool: ["1", '"true"'], int: ["true", "1.5", '"1"'], float: ["true", '"0.5"']}
+    return wrong.get(kind, ["7", "false", '["x"]']) + ([] if default is None else ["null"])
+
+
+@pytest.mark.parametrize(
+    ("key", "raw"),
+    [(key, raw) for key in sorted(DEFAULTS) for raw in _wrong_values(key)],
+)
+def test_review_config_file_values_of_the_wrong_type_exit_2(
+    capsys, java_file, rules_dir, tmp_path, key, raw
+):
+    path = _write_bytes(tmp_path / "run.json", f'{{"{key}": {raw}}}'.encode())
+    assert main(_review_argv(java_file, rules_dir, "--config", str(path))) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"sgcr: config key {key!r} must be ")
+
+
+def _subparser(parser, *names):
+    for name in names:
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = commands.choices[name]
+    return parser
+
+
+def _dests(parser):
+    return {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+
+
+def test_every_setting_has_one_review_flag_and_every_flag_is_a_setting():
+    parser = build_parser()
+    review = _dests(_subparser(parser, "review"))
+    assert review - {"inputs", "diff", "config"} == set(DEFAULTS) - {"api_key"}
+    for command in ("validate", "index"):
+        assert _dests(_subparser(parser, "specs", command)) <= set(DEFAULTS)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_review_non_finite_temperature_exits_2(capsys, java_file, rules_dir, value):
     assert main(_review_argv(java_file, rules_dir, f"--temperature={value}")) == 2
@@ -327,6 +370,13 @@ def test_specs_index_error_paths(capsys, rules_dir, tmp_path):
     ) == 2
     _, err = capsys.readouterr()
     assert "http embedding requires" in err
+
+    argv = ["specs", "index", "--specs-dir", str(rules_dir), "--output", str(tmp_path / "i.json")]
+    assert main(argv + ["--embedding-dimension", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "sgcr: embedding_dimension must be at least 1\n"
+    assert not (tmp_path / "i.json").exists()
 
     code = main(
         [

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from sgcr.config import (
+    DEFAULTS,
     RunConfig,
     env_overrides,
     load_config_file,
@@ -56,6 +57,11 @@ def test_load_config_file_round_trip(tmp_path):
         ('{"patches": 1}', "must be a boolean"),
         ('{"temperature": "hot"}', "must be a number"),
         ('{"mode": 7}', "must be a string"),
+        ('{"chunk_budget": null}', "'chunk_budget' must be an integer"),
+        ('{"temperature": null}', "'temperature' must be a number"),
+        ('{"patches": null}', "'patches' must be a boolean"),
+        ('{"model": null}', "'model' must be a string"),
+        ('{"specs_dir": 3}', "'specs_dir' must be a string"),
     ],
 )
 def test_load_config_file_rejects_bad_content(tmp_path, raw, fragment):
@@ -64,6 +70,16 @@ def test_load_config_file_rejects_bad_content(tmp_path, raw, fragment):
     with pytest.raises(ConfigError) as excinfo:
         load_config_file(path)
     assert fragment in str(excinfo.value)
+
+
+def test_load_config_file_takes_null_only_where_the_default_is_none(tmp_path):
+    unset = sorted(key for key, default in DEFAULTS.items() if default is None)
+    assert unset == [
+        "api_key", "base_url", "fixtures_dir", "index_path", "language", "output", "specs_dir"
+    ]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict.fromkeys(unset)), encoding="utf-8")
+    assert load_config_file(path) == dict.fromkeys(unset)
 
 
 @pytest.mark.parametrize(
