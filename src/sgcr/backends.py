@@ -76,6 +76,9 @@ class BaseBackend:
         self._before_call(request)
         return self._complete(request)
 
+    def close(self) -> None:
+        """Release what the backend holds open; most hold nothing."""
+
     def _before_call(self, request: ModelRequest) -> None:
         with self._lock:
             delay = None
@@ -256,6 +259,10 @@ class RecordingBackend(BaseBackend):
         self.delegate = delegate
         self.fixtures_dir = Path(fixtures_dir)
         self._write_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the delegate."""
+        self.delegate.close()
 
     def _complete(self, request: ModelRequest) -> str:
         text = self.delegate._complete(request)

@@ -4,8 +4,9 @@ Subcommands: ``review`` runs the pipeline over files or a diff, ``specs
 validate`` checks a rules directory, ``specs index`` persists a vector
 index for later runs. The report is the only thing written to stdout;
 all diagnostics go to stderr. Exit codes: 0 success (a clean review with
-zero findings is success), 2 configuration or input error, 3 pipeline
-failure.
+zero findings is success), 2 configuration or input error (input that is
+not UTF-8 and an output directory that does not exist included), 3
+pipeline failure (a report or index that cannot be written included).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,7 +28,7 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, DiffSyntaxError, InvalidReviewRequest, SgcrError
-from .ingestion import build_review_request
+from .ingestion import build_review_request, decode_utf8
 from .pipeline import build_provider, load_rules, render_report, run_review
 from .retrieval import build_index, save_index
 
@@ -123,6 +125,8 @@ def _check_paths(config: RunConfig) -> None:
         raise ConfigError(f"fixtures directory not found: {config.fixtures_dir}")
     if config.index_path and not Path(config.index_path).is_file():
         raise ConfigError(f"index file not found: {config.index_path}")
+    if config.output and not Path(config.output).parent.is_dir():
+        raise ConfigError(f"output directory not found: {Path(config.output).parent}")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -146,11 +150,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _read_diff(source: str) -> str:
     if source == "-":
-        return sys.stdin.read()
+        return decode_utf8(sys.stdin.buffer.read(), "standard input")
     path = Path(source)
     if not path.is_file():
         raise ConfigError(f"diff file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    return decode_utf8(path.read_bytes(), path)
 
 
 def _cmd_review(args: argparse.Namespace) -> int:
@@ -181,7 +185,11 @@ def _cmd_review(args: argparse.Namespace) -> int:
         return 3
 
     if config.output:
-        Path(config.output).write_text(rendered, encoding="utf-8")
+        try:
+            Path(config.output).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"sgcr: cannot write the report to {config.output}: {exc}", file=sys.stderr)
+            return 3
         logger.info("report written to %s", config.output)
     else:
         sys.stdout.write(rendered)
@@ -210,7 +218,8 @@ def _cmd_specs_index(args: argparse.Namespace) -> int:
         print(f"sgcr: {exc}", file=sys.stderr)
         return 2
     try:
-        index = build_index(library, build_provider(config))
+        with closing(build_provider(config)) as provider:
+            index = build_index(library, provider)
         save_index(index, Path(config.output))
     except (SgcrError, OSError) as exc:
         print(f"sgcr: {exc}", file=sys.stderr)

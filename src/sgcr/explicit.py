@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from concurrent.futures import Executor
 from dataclasses import replace
 from typing import Callable, Optional, Sequence
@@ -23,7 +22,6 @@ from typing import Callable, Optional, Sequence
 from .errors import InvalidReviewRequest, NoCandidates, NoPartials
 from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
-    MAX_INFLIGHT,
     CountedBackend,
     EnsembleConfig,
     ModelBackend,
@@ -31,6 +29,7 @@ from .gateway import (
     PendingEnsemble,
     PooledBackend,
     call_model,
+    collect_in_order,
     submit_ensemble,
 )
 from .ingestion import ReviewRequest, prompt_block
@@ -276,15 +275,17 @@ def run_explicit(
 ) -> PathwayReport:
     """Segment the rule library, review every chunk, and synthesize.
 
-    Chunk ensembles go on the run's call pool up to a pool's worth of
-    slots ahead of collection, so every chunk is in flight at once whenever
-    the chunks' slots fit under MAX_INFLIGHT. on_first_window, if given,
-    is called once that first window, min(chunks, MAX_INFLIGHT // n)
-    ensembles, is on the pool, before any result is collected; the
-    pipeline builds a fresh index only then. Results are collected and
-    aggregated in chunk order, so the report is identical whatever the
-    completion order. Model-mode aggregation and the model summary retry
-    their call (gateway.call_model, given no parser) but not its parsing.
+    Chunk ensembles go on the run's call pool through the one ensemble
+    window, gateway.collect_in_order, as the verifier ensembles do: each
+    is submitted while its slots fit beside the unfinished ones under
+    MAX_INFLIGHT, so one slow slot leaves no freed worker idle.
+    on_first_window, if given, is called once the first window, at least
+    min(chunks, MAX_INFLIGHT // n) ensembles, is on the pool, before any
+    result is collected; the pipeline builds a fresh index only then.
+    Results are collected and aggregated in chunk order, so the report is
+    identical whatever the completion order. Model-mode aggregation and
+    the model summary retry their call (gateway.call_model, given no
+    parser) but not its parsing.
     Every call goes through one CountedBackend, whose count is the
     model_calls stat: the reviewer slots', the aggregator's and the
     summary's, retries included. Aggregation and synthesis tokenize
@@ -298,48 +299,37 @@ def run_explicit(
     if tokens is None:
         tokens = TokenTable()
 
-    # Slots submitted further ahead would only queue, and their parsed
-    # results would pile up uncollected (peak memory, not speed).
-    ahead = max(1, MAX_INFLIGHT // ensemble.n)
-
     def parse(text: str) -> list[Finding]:
         return parse_findings_response(text, Pathway.EXPLICIT, library)
 
     counted = CountedBackend(backend)
-
-    def submit(chunk: SpecChunk) -> PendingEnsemble:
-        return submit_ensemble(
-            pool,
-            counted,
-            _reviewer_request(request, chunk, library, ensemble),
-            ensemble,
-            parse,
-        )
-
-    pending = deque(submit(chunk) for chunk in chunks[:ahead])
-    if on_first_window is not None:
-        on_first_window()
     # Model-mode aggregation and the model summary call from this thread;
     # routed through the pool, they count against its cap.
     pooled = PooledBackend(counted, pool)
     absent_total = 0
-    partials = []
-    for position, chunk in enumerate(chunks):
-        candidates = review_chunk_ensemble(chunk, pending.popleft())
-        if position + ahead < len(chunks):
-            pending.append(submit(chunks[position + ahead]))
+
+    def submit(position: int) -> PendingEnsemble:
+        reviewer = _reviewer_request(request, chunks[position], library, ensemble)
+        return submit_ensemble(pool, counted, reviewer, ensemble, parse)
+
+    def collect(position: int, slots: Optional[PendingEnsemble]) -> AggregatedReview:
+        nonlocal absent_total
+        candidates = review_chunk_ensemble(chunks[position], slots)
         absent_total += ensemble.n - len(candidates)
-        partials.append(
-            aggregate_candidates(
-                chunk,
-                candidates,
-                ensemble,
-                aggregation_mode,
-                backend=pooled,
-                library=library,
-                tokens=tokens,
-            )
+        return aggregate_candidates(
+            chunks[position],
+            candidates,
+            ensemble,
+            aggregation_mode,
+            backend=pooled,
+            library=library,
+            tokens=tokens,
         )
+
+    in_order = collect_in_order(submit, collect, len(chunks), ensemble.n)
+    if on_first_window is not None:
+        on_first_window()
+    partials = list(in_order)
     report = synthesize_partials(
         partials, backend=pooled, model_summary=model_summary, tokens=tokens
     )

@@ -107,6 +107,20 @@ def _numbered_text(units: Sequence[ReviewUnit]) -> str:
     return "\n\n".join(parts)
 
 
+def decode_utf8(data: bytes, source: object) -> str:
+    """data decoded as UTF-8; raises InvalidReviewRequest naming source if it is not.
+
+    Inputs are read as bytes, because text-mode stdin under a C locale
+    passes undecodable bytes on as lone surrogates. Callers split the text
+    with str.splitlines, which breaks on "\\r\\n" and a lone "\\r", the
+    newlines text mode would have translated.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidReviewRequest(f"{source} is not UTF-8 text: {exc.reason}") from exc
+
+
 def _strip_diff_path(raw: str) -> str:
     path = raw.split("\t", 1)[0].strip()
     if path.startswith(("a/", "b/")):
@@ -303,7 +317,7 @@ def _units_from_diff(
         post_path = repo_root / diff.path
         if not post_path.is_file():
             raise FileNotFoundError(f"post-image file not found: {post_path}")
-        post_lines = post_path.read_text(encoding="utf-8").splitlines()
+        post_lines = decode_utf8(post_path.read_bytes(), post_path).splitlines()
         if not post_lines:
             logger.warning("skipping empty post-image file %s", diff.path)
             continue
@@ -346,8 +360,10 @@ def build_review_request(
 ) -> ReviewRequest:
     """Build the request from whole files or from a unified diff.
 
-    Exactly one of paths / diff_text must be given. Diff origin reads the
-    post-image files under repo_root (default: current directory).
+    Exactly one of paths / diff_text must be given; a path named more than
+    once (as Path sees it: "a" and "./a" are one) gives one unit. Diff
+    origin reads the post-image files under repo_root (default: current
+    directory). A file that is not UTF-8 raises InvalidReviewRequest.
     """
     if (paths is None) == (diff_text is None):
         raise InvalidReviewRequest("provide either file paths or diff text, not both")
@@ -355,10 +371,10 @@ def build_review_request(
     units: list[ReviewUnit] = []
     if paths is not None:
         origin: Literal["files", "diff"] = "files"
-        for path in sorted(Path(p) for p in paths):
+        for path in sorted({Path(p) for p in paths}):
             if not path.is_file():
                 raise FileNotFoundError(f"input file not found: {path}")
-            content_lines = path.read_text(encoding="utf-8").splitlines()
+            content_lines = decode_utf8(path.read_bytes(), path).splitlines()
             if not content_lines:
                 logger.warning("skipping empty file %s", path)
                 continue

@@ -18,9 +18,10 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from concurrent.futures import Executor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import report as report_mod
 from .backends import BaseBackend, HttpBackend, Jitter, MockBackend, RecordingBackend, ReplayBackend
@@ -174,33 +175,6 @@ def _run_baseline(
     )
 
 
-class _Beside(threading.Thread):
-    """Runs one function on a thread of its own, started at once.
-
-    result() joins the thread and returns the function's value, or raises
-    what it raised.
-    """
-
-    def __init__(self, function: Callable[[], PathwayReport]) -> None:
-        super().__init__(name="sgcr-implicit")
-        self._function = function
-        self._result: Optional[PathwayReport] = None
-        self._error: Optional[BaseException] = None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._result = self._function()
-        except BaseException as exc:  # re-raised by result() on the caller's thread
-            self._error = exc
-
-    def result(self) -> PathwayReport:
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._result  # type: ignore[return-value]
-
-
 def run_review(
     config: RunConfig,
     request: ReviewRequest,
@@ -210,7 +184,8 @@ def run_review(
 
     Every model call of the run goes through one bounded call pool. In
     full mode the implicit pathway (proposer, index build, verifiers) runs
-    on a thread of its own beside the explicit pathway; reports stay in
+    beside the explicit pathway, on the one worker thread of an executor
+    of its own, whose exit joins that thread on every path; reports stay in
     the order [explicit, implicit], so the report does not depend on which
     finishes first. A fresh index is built once the explicit pathway has
     put its first window of reviewer calls on the pool (an Event set by
@@ -228,11 +203,19 @@ def run_review(
     is tokenized once per run. Nothing outlives the run: a second run
     starts with an empty table.
 
-    backend overrides the configured one (fixture recording, tests);
-    everything else, run identity included, still follows the config.
+    backend overrides the configured one (fixture recording, tests) and
+    is left open; everything else, run identity included, still follows
+    the config. The backend and the embedding provider a run builds itself
+    are closed when it ends, however it ends.
     """
-    if backend is None:
-        backend = build_backend(config)
+    if backend is not None:
+        return _review(config, request, backend)
+    with closing(build_backend(config)) as built:
+        return _review(config, request, built)
+
+
+def _review(config: RunConfig, request: ReviewRequest, backend: BaseBackend) -> FinalReport:
+    """run_review with its backend in hand."""
     ensemble = EnsembleConfig(
         n=config.ensemble_size,
         quorum=config.quorum,
@@ -266,61 +249,61 @@ def run_review(
     with call_pool() as pool:
 
         def implicit() -> PathwayReport:
-            provider = build_provider(config)
+            with closing(build_provider(config)) as provider:
+                def get_index() -> VectorIndex:
+                    if prebuilt is not None:
+                        return prebuilt
+                    first_window.wait()
+                    if run_failed.is_set():
+                        raise SgcrError("the run failed before its index was built")
+                    return build_index(library, provider)
 
-            def get_index() -> VectorIndex:
-                if prebuilt is not None:
-                    return prebuilt
-                first_window.wait()
-                if run_failed.is_set():
-                    raise SgcrError("the run failed before its index was built")
-                return build_index(library, provider)
+                return run_implicit(
+                    request,
+                    library,
+                    backend,
+                    provider,
+                    get_index,
+                    ensemble,
+                    k=config.top_k,
+                    threshold=config.score_threshold,
+                    max_proposals=config.max_proposals,
+                    allow_ungrounded=config.allow_ungrounded,
+                    soft_fail=config.implicit_soft_fail,
+                    run_id=run_id,
+                    pool=pool,
+                )
 
-            return run_implicit(
+        def explicit() -> PathwayReport:
+            return run_explicit(
                 request,
                 library,
                 backend,
-                provider,
-                get_index,
                 ensemble,
-                k=config.top_k,
-                threshold=config.score_threshold,
-                max_proposals=config.max_proposals,
-                allow_ungrounded=config.allow_ungrounded,
-                soft_fail=config.implicit_soft_fail,
+                chunk_budget=config.chunk_budget,
+                aggregation_mode=config.aggregation,
+                model_summary=config.model_summary,
                 run_id=run_id,
                 pool=pool,
+                tokens=tokens,
+                on_first_window=first_window.set,
             )
 
         if config.mode == "implicit_only":
             reports = [implicit()]
+        elif config.mode == "explicit_only":
+            reports = [explicit()]
         else:
-            beside = _Beside(implicit) if config.mode == "full" else None
-            try:
-                reports = [
-                    run_explicit(
-                        request,
-                        library,
-                        backend,
-                        ensemble,
-                        chunk_budget=config.chunk_budget,
-                        aggregation_mode=config.aggregation,
-                        model_summary=config.model_summary,
-                        run_id=run_id,
-                        pool=pool,
-                        tokens=tokens,
-                        on_first_window=first_window.set,
-                    )
-                ]
-            except BaseException:
-                if beside is not None:
+            with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sgcr-implicit") as beside:
+                implicit_report = beside.submit(implicit)
+                try:
+                    reports = [explicit()]
+                except BaseException:
                     pool.shutdown(wait=False, cancel_futures=True)
                     run_failed.set()
                     first_window.set()
-                    beside.join()
-                raise
-            if beside is not None:
-                reports.append(beside.result())
+                    raise
+                reports.append(implicit_report.result())
 
         final = consolidate(reports, run_id, config.mode, config.echo(), tokens=tokens)
         if config.patches:

@@ -95,6 +95,8 @@ class EmbeddingProvider(Protocol):
 
     def embed(self, text: str) -> list[float]: ...
 
+    def close(self) -> None: ...
+
 
 class MockEmbeddingProvider:
     """Trigram-count embeddings; see the module docstring for the rule."""
@@ -106,6 +108,9 @@ class MockEmbeddingProvider:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self._buckets = _BucketMemo(dimension)
+
+    def close(self) -> None:
+        """Nothing to release."""
 
     def embed(self, text: str) -> list[float]:
         lowered = text.lower()

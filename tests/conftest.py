@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Mapping, Optional, Union
 
 import sgcr.gateway
@@ -59,6 +60,28 @@ def record_generate(monkeypatch) -> list[ModelRequest]:
 
     monkeypatch.setattr(sgcr.gateway, "generate", recording_generate)
     return sent
+
+
+class SessionDouble:
+    """A requests.Session stand-in: empty replies, or none, and whether it was closed."""
+
+    def __init__(self, refuse: bool) -> None:
+        self.refuse = refuse
+        self.closed = False
+
+    def post(self, url, json, headers, timeout):
+        import requests
+
+        if self.refuse:
+            raise requests.ConnectionError("connection refused")
+        if url.endswith("/v1/embeddings"):
+            body = {"data": [{"embedding": [1.0, 0.5]}]}
+        else:
+            body = {"choices": [{"message": {"content": '{"findings": [], "issues": []}'}}]}
+        return SimpleNamespace(status_code=200, json=lambda: body, text="")
+
+    def close(self):
+        self.closed = True
 
 
 class LoggedMockBackend(CallLog, MockBackend):

@@ -14,8 +14,10 @@ import threading
 
 import pytest
 
+import sgcr.cli
 import sgcr.pipeline
-from conftest import REPO_ROOT, CallLog, write_spec_file
+import sgcr.retrieval
+from conftest import REPO_ROOT, CallLog, SessionDouble, record_generate, write_spec_file
 from sgcr.backends import BaseBackend, MockBackend
 from sgcr.cli import build_parser, main
 from sgcr.config import DEFAULTS
@@ -143,7 +145,7 @@ def test_review_output_flag_redirects_the_report(capsys, java_file, rules_dir, t
 def test_review_reads_a_diff_from_stdin(capsys, monkeypatch, rules_dir, tmp_path):
     (tmp_path / "app.py").write_text("first\nsecond\nthird\n", encoding="utf-8")
     diff = "--- a/app.py\n+++ b/app.py\n@@ -2,1 +2,1 @@\n-old second\n+second\n"
-    monkeypatch.setattr(sys, "stdin", io.StringIO(diff))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(diff.encode("utf-8"))))
     code = main(
         [
             "review",
@@ -257,6 +259,56 @@ def test_review_non_finite_temperature_exits_2(capsys, java_file, rules_dir, val
     assert out == ""
     assert err.startswith("sgcr: temperature must be a finite number")
 
+
+NOT_UTF8 = b"public class Broken {\n    // caf\xe9\n}\n"
+
+
+@pytest.mark.parametrize("source", ["file", "diff", "stdin", "post-image"])
+def test_review_undecodable_input_exits_2_naming_its_source(
+    capsys, monkeypatch, rules_dir, tmp_path, source
+):
+    broken = tmp_path / "Broken.java"
+    broken.write_bytes(NOT_UTF8)
+    diff = b"--- a/Broken.java\n+++ b/Broken.java\n@@ -2,1 +2,1 @@\n-old\n+new\n"
+    if source == "file":
+        argv, named = [str(broken)], f"{broken} is not UTF-8 text: "
+    elif source == "diff":
+        diff_path = tmp_path / "change.diff"
+        diff_path.write_bytes(diff + NOT_UTF8)
+        argv, named = ["--diff", str(diff_path)], f"{diff_path} is not UTF-8 text: "
+    elif source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(diff + NOT_UTF8)))
+        argv, named = ["--diff", "-"], "standard input is not UTF-8 text: "
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(diff)))
+        argv, named = ["--diff", "-", "--repo-root", str(tmp_path)], f"{broken} is not UTF-8 text: "
+    assert main(["review", *argv, "--specs-dir", str(rules_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"sgcr: {named}")
+    assert err.count("\n") == 1
+
+
+def test_review_into_a_missing_directory_exits_2_before_any_model_call(
+    capsys, monkeypatch, java_file, rules_dir, tmp_path
+):
+    sent = record_generate(monkeypatch)
+    target = tmp_path / "missing" / "r.json"
+    assert main(_review_argv(java_file, rules_dir, "--output", str(target))) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sgcr: output directory not found: {target.parent}\n"
+    assert sent == []
+
+
+def test_review_whose_report_cannot_be_written_exits_3(capsys, java_file, rules_dir, tmp_path):
+    assert main(_review_argv(java_file, rules_dir, "--output", str(tmp_path))) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"sgcr: cannot write the report to {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
 def test_review_malformed_diff_exits_2(capsys, rules_dir, tmp_path):
     bad = tmp_path / "bad.diff"
     bad.write_text("--- a/f\n+++ b/f\n@@ broken @@\n x\n", encoding="utf-8")
@@ -359,7 +411,7 @@ def test_specs_index_then_review_with_the_index(capsys, java_file, rules_dir, tm
     assert json.loads(report_out)["schema_version"] == "1"
 
 
-def test_specs_index_error_paths(capsys, rules_dir, tmp_path):
+def test_specs_index_error_paths(capsys, monkeypatch, rules_dir, tmp_path):
     assert main(
         ["specs", "index", "--specs-dir", str(tmp_path / "nope"), "--output", str(tmp_path / "i.json")]
     ) == 2
@@ -378,18 +430,46 @@ def test_specs_index_error_paths(capsys, rules_dir, tmp_path):
     assert err == "sgcr: embedding_dimension must be at least 1\n"
     assert not (tmp_path / "i.json").exists()
 
-    code = main(
-        [
-            "specs",
-            "index",
-            "--specs-dir",
-            str(rules_dir),
-            "--output",
-            str(tmp_path / "no-such-dir" / "i.json"),
-        ]
-    )
-    assert code == 3
+    # A missing output directory is refused before any rule is embedded.
+    embedded = []
+    with monkeypatch.context() as patched:
+        patched.setattr(sgcr.cli, "build_index", lambda *args: embedded.append(args))
+        code = main(
+            [
+                "specs",
+                "index",
+                "--specs-dir",
+                str(rules_dir),
+                "--output",
+                str(tmp_path / "no-such-dir" / "i.json"),
+            ]
+        )
+    assert code == 2
+    _, err = capsys.readouterr()
+    assert err == f"sgcr: output directory not found: {tmp_path / 'no-such-dir'}\n"
+    assert embedded == []
+
+    # A write that fails still ends in one line and exit 3.
+    assert main(["specs", "index", "--specs-dir", str(rules_dir), "--output", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("sgcr: ") and err.count("\n") == 1
+
+
+def test_specs_index_closes_its_embedding_client(capsys, monkeypatch, rules_dir, tmp_path):
+    sessions = []
+
+    def session_double():
+        sessions.append(SessionDouble(refuse=False))
+        return sessions[-1]
+
+    monkeypatch.setattr(sgcr.retrieval, "http_session", session_double)
+    monkeypatch.setenv("SGCR_API_KEY", "test-key")
+    argv = ["specs", "index", "--specs-dir", str(rules_dir), "--output", str(tmp_path / "i.json")]
+    assert main(argv + ["--embedding", "http", "--base-url", "http://127.0.0.1:9"]) == 0
     capsys.readouterr()
+    (session,) = sessions
+    assert session.closed
 
 
 def test_review_with_a_mismatched_or_missing_index_fails_loudly(

@@ -31,7 +31,7 @@ from sgcr.explicit import (
     run_explicit,
     synthesize_partials,
 )
-from sgcr.gateway import EnsembleConfig, ModelRequest, call_pool, submit_ensemble
+from sgcr.gateway import MAX_INFLIGHT, EnsembleConfig, ModelRequest, call_pool, submit_ensemble
 from sgcr.ingestion import build_review_request
 from sgcr.parsing import parse_findings_response
 from sgcr.pipeline import render_report, run_review
@@ -417,6 +417,31 @@ def test_run_explicit_model_calls_run_on_the_call_pool():
     assert set(threads) == {"explicit_reviewer", "aggregator", "synthesizer"}
     assert all(name.startswith("sgcr-call") for names in threads.values() for name in names)
     assert backend.calls_for_role("aggregator") == 2
+
+
+def test_a_slow_head_slot_leaves_no_freed_worker_idle():
+    """The first ensemble past the first window starts while chunk 0's slot 0 runs."""
+    library = make_library(*(make_spec(f"style.r{number}") for number in range(8)))
+    past_window = f"RULE style.r{MAX_INFLIGHT // ENSEMBLE.n} "
+    arrived = threading.Event()
+    held = []
+
+    def reviewer(request):
+        if past_window in request.prompt:
+            arrived.set()
+        elif "RULE style.r0 " in request.prompt and request.instance_index == 0:
+            # A guard, not a timing: that request arrives at once, or only
+            # after this slot's ensemble is collected.
+            held.append(arrived.wait(timeout=2))
+        return findings_json()
+
+    backend = CannedBackend({"explicit_reviewer": reviewer})
+    with call_pool() as pool:
+        report = run_explicit(
+            make_review_request(), library, backend, ENSEMBLE, chunk_budget=1, pool=pool
+        )
+    assert report.stats_dict()["chunks"] == 8
+    assert held == [True]
 
 
 class _FirstCallFailsBackend(LoggedMockBackend):

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -24,6 +25,7 @@ from conftest import (
     LoggedMockBackend,
     LoggedMockEmbeddingProvider,
     LoggedReplayBackend,
+    SessionDouble,
     findings_json,
     issues_json,
     make_finding,
@@ -74,6 +76,7 @@ import sgcr.gateway
 import sgcr.implicit
 import sgcr.ingestion
 import sgcr.pipeline
+import sgcr.retrieval
 from sgcr.explicit import (
     AggregatedReview,
     CandidateReview,
@@ -1614,6 +1617,44 @@ def test_a_configured_backend_keeps_no_record_of_the_requests_it_was_sent(kind, 
         assert sys.getrefcount(request) == 2  # the local name and the argument
         assert not hasattr(backend, "call_log")
     finally:
-        for closable in (backend, getattr(backend, "delegate", None)):
-            if hasattr(closable, "close"):
-                closable.close()
+        backend.close()
+
+
+@pytest.mark.parametrize("refuse", [False, True])
+@pytest.mark.parametrize("kind", ["http", "record"])
+def test_run_review_closes_the_clients_it_builds_and_only_those(
+    kind, refuse, tmp_path, monkeypatch
+):
+    sessions = []
+
+    def session_double():
+        sessions.append(SessionDouble(refuse))
+        return sessions[-1]
+
+    monkeypatch.setattr(sgcr.backends, "http_session", session_double)
+    monkeypatch.setattr(sgcr.retrieval, "http_session", session_double)
+    config = RunConfig(
+        backend=kind,
+        embedding="http",
+        base_url="http://127.0.0.1:9",
+        fixtures_dir=str(tmp_path),
+        specs_dir=str(REPO_ROOT / "sample_specs"),
+    )
+    def outcome():
+        return pytest.raises(EnsembleError) if refuse else nullcontext()
+
+    with outcome():
+        run_review(config, make_review_request())
+    # The backend's session and the embedding provider's.
+    assert len(sessions) == 2
+    assert all(session.closed for session in sessions)
+
+    sessions.clear()
+    caller_backend = sgcr.pipeline.build_backend(config)
+    with outcome():
+        run_review(config, make_review_request(), backend=caller_backend)
+    backend_session, provider_session = sessions
+    assert not backend_session.closed
+    assert provider_session.closed
+    caller_backend.close()
+    assert backend_session.closed

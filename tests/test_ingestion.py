@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from conftest import REPO_ROOT
 from diffgen import random_diff_set
+from sgcr.config import RunConfig
 from sgcr.errors import (
     DiffSyntaxError,
     HunkCountMismatch,
@@ -25,6 +27,7 @@ from sgcr.ingestion import (
     render_unified_diff,
     unit_for_location,
 )
+from sgcr.pipeline import render_report, run_review
 
 INSERTION_DIFF = "\n".join(
     [
@@ -221,6 +224,20 @@ def test_build_request_from_files_sorts_and_skips_empty(tmp_path, caplog):
     assert first.start_line == 1 and first.changed_ranges == ((1, 1),)
     assert second.changed_ranges == ((1, 2),)
     assert any("empty" in record.message for record in caplog.records)
+
+
+def test_a_file_named_twice_is_reviewed_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "Main.java").write_text(
+        "public class Main {\n    int read() { return value; }\n}\n", encoding="utf-8"
+    )
+    once = build_review_request(paths=["Main.java"])
+    thrice = build_review_request(paths=["Main.java", "Main.java", "./Main.java"])
+    assert thrice.units == once.units
+    config = RunConfig(specs_dir=str(REPO_ROOT / "sample_specs"))
+    assert render_report(run_review(config, thrice), "json") == render_report(
+        run_review(config, once), "json"
+    )
 
 
 def test_build_request_input_validation(tmp_path):
