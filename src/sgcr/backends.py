@@ -2,6 +2,8 @@ r"""Model backends: http, mock, replay, and record.
 
 Backends keep no record of the requests they were sent: each prompt holds
 the whole code block, and a run should free it once its call is done.
+The http backend sends its chat body through gateway.HttpClient, which
+owns the wire protocol and its failures.
 Every backend accepts an optional jitter that sleeps a random, bounded time
 before each call; jitter perturbs scheduling only, never content, which is
 how the schedule-independence tests shake out ordering bugs.
@@ -43,8 +45,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .errors import BackendTimeout, FixtureMiss, MalformedWireResponse, RequestRejected, WireError
-from .gateway import ModelRequest, canonical_request, http_session, rejects_request
+from .errors import FixtureMiss, MalformedWireResponse
+from .gateway import HttpClient, ModelRequest, canonical_request
 from .prompts import Role
 from .types import Value, value_class
 
@@ -177,12 +179,7 @@ class ReplayBackend(BaseBackend):
 
 
 class HttpBackend(BaseBackend):
-    """OpenAI-style chat completions endpoint, one POST per call.
-
-    A timeout raises BackendTimeout; another transport error, a 5xx, 408 or
-    429 raises WireError; any other 4xx raises RequestRejected. Retrying is
-    the caller's: every call goes through gateway.attempt_call.
-    """
+    """OpenAI-style chat completions endpoint, through gateway.HttpClient."""
 
     def __init__(
         self,
@@ -193,57 +190,30 @@ class HttpBackend(BaseBackend):
         jitter: Optional[Jitter] = None,
     ) -> None:
         super().__init__(jitter)
-        self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self._session = http_session()
+        self._client = HttpClient(base_url, api_key, timeout)
 
     def close(self) -> None:
-        """Close the pooled connections."""
-        self._session.close()
+        self._client.close()
 
     def _complete(self, request: ModelRequest) -> str:
-        import requests
-
-        body = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "seed": request.seed,
-            "max_tokens": request.max_output_tokens,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        url = f"{self.base_url}/v1/chat/completions"
-
+        payload = self._client.post(
+            "/v1/chat/completions",
+            {
+                "model": self.model,
+                "messages": [{"role": "user", "content": request.prompt}],
+                "temperature": request.temperature,
+                "seed": request.seed,
+                "max_tokens": request.max_output_tokens,
+            },
+        )
         try:
-            reply = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
-        except requests.Timeout as exc:
-            raise BackendTimeout(f"{url}: {exc}") from exc
-        except requests.RequestException as exc:
-            raise WireError(f"{url}: {exc}") from exc
-        status = reply.status_code
-        if rejects_request(status):
-            raise RequestRejected(f"{url}: status {status}: {reply.text[:200]}")
-        if status != 200:
-            raise WireError(f"{url}: status {status}: {reply.text[:200]}")
-        return _extract_message(reply)
-
-
-def _extract_message(reply) -> str:
-    try:
-        payload = reply.json()
-    except ValueError as exc:
-        raise MalformedWireResponse(f"response body is not JSON: {exc}") from exc
-    try:
-        text = payload["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise MalformedWireResponse(f"missing choices[0].message.content: {exc}") from exc
-    if not isinstance(text, str):
-        raise MalformedWireResponse("choices[0].message.content is not a string")
-    return text
+            text = payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise MalformedWireResponse(f"missing choices[0].message.content: {exc}") from exc
+        if not isinstance(text, str):
+            raise MalformedWireResponse("choices[0].message.content is not a string")
+        return text
 
 
 class RecordingBackend(BaseBackend):

@@ -5,8 +5,9 @@ validate`` checks a rules directory, ``specs index`` persists a vector
 index for later runs. The report is the only thing written to stdout;
 all diagnostics go to stderr. Exit codes: 0 success (a clean review with
 zero findings is success), 2 configuration or input error (input that is
-not UTF-8 and an output directory that does not exist included), 3
-pipeline failure (a report or index that cannot be written included).
+not UTF-8, an output directory that does not exist and an output that is a
+directory included), 3 pipeline failure (a report or index that cannot be
+written included).
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def _check_paths(config: RunConfig) -> None:
         raise ConfigError(f"index file not found: {config.index_path}")
     if config.output and not Path(config.output).parent.is_dir():
         raise ConfigError(f"output directory not found: {Path(config.output).parent}")
+    if config.output and Path(config.output).is_dir():
+        raise ConfigError(f"output is a directory: {config.output}")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:

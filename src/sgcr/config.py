@@ -190,6 +190,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("max_proposals must be non-negative")
     if config.embedding_dimension < 1:
         raise ConfigError("embedding_dimension must be at least 1")
+    if config.top_k < 1:
+        raise ConfigError("top_k must be at least 1")
     if not -1.0 <= config.score_threshold <= 1.0:
         raise ConfigError("score_threshold must be within [-1, 1]")
 

@@ -22,6 +22,10 @@ call_model, which sends each attempt through generate and, when given a
 parser, parses inside the loop, so a reply that does not parse is retried.
 Each pathway counts the calls it sends with one CountedBackend; no
 function returns a count of attempts.
+
+The HTTP wire protocol is written once, in HttpClient, which the http
+model backend and the http embedding provider each hold: both endpoints
+fail with the same errors, which attempt_call retries the same way.
 """
 
 from __future__ import annotations
@@ -46,7 +50,15 @@ from typing import (
 
 from enum import Enum
 
-from .errors import EnsembleError, RequestRejected, SgcrError, UnparsableResponse, WireError
+from .errors import (
+    BackendTimeout,
+    EnsembleError,
+    MalformedWireResponse,
+    RequestRejected,
+    SgcrError,
+    UnparsableResponse,
+    WireError,
+)
 from .types import Value, memoized, value_class
 
 if TYPE_CHECKING:
@@ -273,13 +285,50 @@ def http_session() -> requests.Session:
     return session
 
 
-def rejects_request(status: int) -> bool:
-    """Whether an HTTP status refuses the request itself.
+class HttpClient:
+    """One OpenAI-style endpoint: pooled connections, one POST per call.
 
-    A 4xx other than 408 (request timeout) or 429 (rate limited): the same
-    request sent again would be refused again, so it is never retried.
+    post classifies every failure, for the chat and the embedding endpoint
+    alike: a timeout raises BackendTimeout; any other transport error, a
+    5xx, 408 or 429 raises WireError; any other 4xx, which would be refused
+    again if resent, raises RequestRejected; a 200 whose body is not JSON
+    raises MalformedWireResponse. Messages name the URL, and a status error
+    also the status and the reply's first 200 characters.
     """
-    return 400 <= status < 500 and status not in (408, 429)
+
+    def __init__(self, base_url: str, api_key: Optional[str], timeout: float) -> None:
+        self._base_url = base_url.rstrip("/")
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._timeout = timeout
+        self._session = http_session()
+
+    def close(self) -> None:
+        """Close the pooled connections."""
+        self._session.close()
+
+    def post(self, path: str, body: dict) -> object:
+        """POST body as JSON to base_url + path; the decoded JSON reply."""
+        import requests
+
+        url = self._base_url + path
+        try:
+            reply = self._session.post(url, json=body, headers=self._headers, timeout=self._timeout)
+        except requests.Timeout as exc:
+            raise BackendTimeout(f"{url}: {exc}") from exc
+        except requests.RequestException as exc:
+            raise WireError(f"{url}: {exc}") from exc
+        status = reply.status_code
+        if status != 200:
+            rejected = 400 <= status < 500 and status not in (408, 429)
+            raise (RequestRejected if rejected else WireError)(
+                f"{url}: status {status}: {reply.text[:200]}"
+            )
+        try:
+            return reply.json()
+        except ValueError as exc:
+            raise MalformedWireResponse(f"{url}: response body is not JSON: {exc}") from exc
 
 
 class PooledBackend:

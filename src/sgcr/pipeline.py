@@ -78,21 +78,15 @@ def build_backend(config: RunConfig) -> BaseBackend:
         return MockBackend(jitter=jitter)
     if config.backend == "replay":
         return ReplayBackend(Path(config.fixtures_dir or ""), jitter=jitter)
-    if config.backend == "http":
-        return HttpBackend(
-            base_url=config.base_url or "",
-            model=config.model,
-            api_key=config.api_key,
-            jitter=jitter,
-        )
+    if config.backend not in ("http", "record"):
+        raise ConfigError(f"unknown backend {config.backend!r}")
+    # The recorder calls the live backend's _complete, so jitter applies once.
+    live = HttpBackend(
+        base_url=config.base_url or "", model=config.model, api_key=config.api_key, jitter=jitter
+    )
     if config.backend == "record":
-        delegate = HttpBackend(
-            base_url=config.base_url or "",
-            model=config.model,
-            api_key=config.api_key,
-        )
-        return RecordingBackend(delegate, Path(config.fixtures_dir or ""), jitter=jitter)
-    raise ConfigError(f"unknown backend {config.backend!r}")
+        return RecordingBackend(live, Path(config.fixtures_dir or ""), jitter=jitter)
+    return live
 
 
 def build_provider(config: RunConfig) -> EmbeddingProvider:

@@ -20,6 +20,9 @@ met and once per distinct bucket hit, at most d times per text. The counts
 are small integers, so every float sum is exact and the vectors do not
 depend on the order of counting.
 
+The http provider sends one POST per text through gateway.HttpClient, as
+the http model backend does, and checks the vector each reply holds.
+
 A built index stores, beside each vector, the sha256 of the rule text it
 embedded (title + body); load_index rejects an index whose digests do not
 match the library, so an edited rule is never served a stale vector.
@@ -54,10 +57,8 @@ from .errors import (
     IndexLibraryMismatch,
     MalformedWireResponse,
     QueryDimensionMismatch,
-    RequestRejected,
-    WireError,
 )
-from .gateway import attempt_call, http_session, rejects_request
+from .gateway import HttpClient, attempt_call
 from .specs import SpecLibrary, Specification
 from .types import Value, value_class
 
@@ -149,7 +150,7 @@ def trigram_bucket(gram: str, dimension: int) -> int:
 
 
 class HttpEmbeddingProvider:
-    """OpenAI-style /v1/embeddings endpoint, one POST per embed.
+    """OpenAI-style /v1/embeddings endpoint, through gateway.HttpClient.
 
     The first reply fixes the dimension. A reply that is not a non-empty
     list of finite numbers of that length, with a norm that normalize can
@@ -165,40 +166,19 @@ class HttpEmbeddingProvider:
         api_key: Optional[str] = None,
         timeout: float = 60.0,
     ) -> None:
-        self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
         self.dimension = 0
         self._lock = threading.Lock()
-        self._session = http_session()
+        self._client = HttpClient(base_url, api_key, timeout)
 
     def close(self) -> None:
-        """Close the pooled connections."""
-        self._session.close()
+        self._client.close()
 
     def embed(self, text: str) -> list[float]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        payload = self._client.post("/v1/embeddings", {"model": self.model, "input": text})
         try:
-            reply = self._session.post(
-                f"{self.base_url}/v1/embeddings",
-                json={"model": self.model, "input": text},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise WireError(f"embedding request failed: {exc}") from exc
-        if rejects_request(reply.status_code):
-            raise RequestRejected(f"embedding endpoint status {reply.status_code}")
-        if reply.status_code != 200:
-            raise WireError(f"embedding endpoint status {reply.status_code}")
-        try:
-            values = reply.json()["data"][0]["embedding"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            values = payload["data"][0]["embedding"]
+        except (KeyError, IndexError, TypeError) as exc:
             raise MalformedWireResponse(f"bad embedding response: {exc}") from exc
         if not isinstance(values, list) or not values:
             raise MalformedWireResponse("embedding is not a non-empty list")

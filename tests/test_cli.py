@@ -15,8 +15,8 @@ import threading
 import pytest
 
 import sgcr.cli
+import sgcr.gateway
 import sgcr.pipeline
-import sgcr.retrieval
 from conftest import REPO_ROOT, CallLog, SessionDouble, record_generate, write_spec_file
 from sgcr.backends import BaseBackend, MockBackend
 from sgcr.cli import build_parser, main
@@ -172,6 +172,8 @@ def test_review_reads_a_diff_from_stdin(capsys, monkeypatch, rules_dir, tmp_path
         lambda argv, ctx: argv + ["--index", str(ctx / "no-index.json")],
         lambda argv, ctx: argv + ["--quorum", "9"],
         lambda argv, ctx: [argv[0], str(ctx / "ghost.java"), *argv[2:]],  # missing input
+        lambda argv, ctx: argv + ["--top-k", "0"],
+        lambda argv, ctx: argv + ["--top-k", "-3"],
     ],
 )
 def test_review_configuration_problems_exit_2(capsys, java_file, rules_dir, tmp_path, mutate):
@@ -301,11 +303,23 @@ def test_review_into_a_missing_directory_exits_2_before_any_model_call(
     assert sent == []
 
 
-def test_review_whose_report_cannot_be_written_exits_3(capsys, java_file, rules_dir, tmp_path):
-    assert main(_review_argv(java_file, rules_dir, "--output", str(tmp_path))) == 3
+def test_review_into_a_directory_exits_2_before_any_model_call(
+    capsys, monkeypatch, java_file, rules_dir, tmp_path
+):
+    sent = record_generate(monkeypatch)
+    assert main(_review_argv(java_file, rules_dir, "--output", str(tmp_path))) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"sgcr: cannot write the report to {tmp_path}: ")
+    assert err == f"sgcr: output is a directory: {tmp_path}\n"
+    assert sent == []
+
+
+def test_review_whose_report_cannot_be_written_exits_3(capsys, java_file, rules_dir):
+    # /dev/full passes every up-front check, and each write to it fails (ENOSPC).
+    assert main(_review_argv(java_file, rules_dir, "--output", "/dev/full")) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("sgcr: cannot write the report to /dev/full: ")
     assert err.count("\n") == 1
 
 
@@ -430,27 +444,23 @@ def test_specs_index_error_paths(capsys, monkeypatch, rules_dir, tmp_path):
     assert err == "sgcr: embedding_dimension must be at least 1\n"
     assert not (tmp_path / "i.json").exists()
 
-    # A missing output directory is refused before any rule is embedded.
+    # A missing output directory, or an output that is a directory, is
+    # refused before any rule is embedded.
     embedded = []
-    with monkeypatch.context() as patched:
-        patched.setattr(sgcr.cli, "build_index", lambda *args: embedded.append(args))
-        code = main(
-            [
-                "specs",
-                "index",
-                "--specs-dir",
-                str(rules_dir),
-                "--output",
-                str(tmp_path / "no-such-dir" / "i.json"),
-            ]
-        )
-    assert code == 2
-    _, err = capsys.readouterr()
-    assert err == f"sgcr: output directory not found: {tmp_path / 'no-such-dir'}\n"
+    for output, message in [
+        (tmp_path / "no-such-dir" / "i.json", f"output directory not found: {tmp_path / 'no-such-dir'}"),
+        (tmp_path, f"output is a directory: {tmp_path}"),
+    ]:
+        with monkeypatch.context() as patched:
+            patched.setattr(sgcr.cli, "build_index", lambda *args: embedded.append(args))
+            code = main(["specs", "index", "--specs-dir", str(rules_dir), "--output", str(output)])
+        assert code == 2
+        _, err = capsys.readouterr()
+        assert err == f"sgcr: {message}\n"
     assert embedded == []
 
-    # A write that fails still ends in one line and exit 3.
-    assert main(["specs", "index", "--specs-dir", str(rules_dir), "--output", str(tmp_path)]) == 3
+    # A write that fails still ends in one line and exit 3 (/dev/full: ENOSPC).
+    assert main(["specs", "index", "--specs-dir", str(rules_dir), "--output", "/dev/full"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("sgcr: ") and err.count("\n") == 1
@@ -463,7 +473,7 @@ def test_specs_index_closes_its_embedding_client(capsys, monkeypatch, rules_dir,
         sessions.append(SessionDouble(refuse=False))
         return sessions[-1]
 
-    monkeypatch.setattr(sgcr.retrieval, "http_session", session_double)
+    monkeypatch.setattr(sgcr.gateway, "http_session", session_double)
     monkeypatch.setenv("SGCR_API_KEY", "test-key")
     argv = ["specs", "index", "--specs-dir", str(rules_dir), "--output", str(tmp_path / "i.json")]
     assert main(argv + ["--embedding", "http", "--base-url", "http://127.0.0.1:9"]) == 0

@@ -178,6 +178,8 @@ def test_merge_config_rejects_unknown_keys():
         ),
         ({"temperature": float("nan")}, "temperature must be a finite number"),
         ({"temperature": float("inf")}, "temperature must be a finite number"),
+        ({"top_k": 0}, "top_k must be at least 1"),
+        ({"top_k": -3}, "top_k must be at least 1"),
     ],
 )
 def test_validate_config_rejections(overrides, fragment):

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from copy import copy
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -346,19 +349,30 @@ class _ChatHandler(BaseHTTPRequestHandler):
     embedding_plan: list[str] = []
     # The message content of every chat reply; None echoes seed and temperature.
     chat_content: Optional[str] = None
+    # The whole body of every 200 reply, in place of the endpoint's JSON.
+    raw_reply: Optional[bytes] = None
+    # When set, sleep this long and send no reply: the caller times out.
+    delay_s = 0.0
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).seen.append({"path": self.path, "body": body})
         type(self).headers_seen.append(dict(self.headers))
+        delay_s = type(self).delay_s
+        if delay_s:
+            # Touch no shared plan after the sleep: the next test may own it.
+            time.sleep(delay_s)
+            return
         status = type(self).status_plan.pop(0) if type(self).status_plan else 200
         if status != 200:
             self.send_response(status)
             self.end_headers()
             self.wfile.write(b"{}")
             return
-        if self.path == "/v1/embeddings":
+        if type(self).raw_reply is not None:
+            raw = type(self).raw_reply
+        elif self.path == "/v1/embeddings":
             vector = type(self).embedding_plan.pop(0)
             raw = ('{"data": [{"embedding": %s}]}' % vector).encode("utf-8")
         else:
@@ -383,6 +397,8 @@ def chat_server():
     _ChatHandler.status_plan = []
     _ChatHandler.embedding_plan = []
     _ChatHandler.chat_content = None
+    _ChatHandler.raw_reply = None
+    _ChatHandler.delay_s = 0.0
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -409,28 +425,6 @@ def test_http_backend_speaks_the_wire_protocol(chat_server):
     assert call["body"]["seed"] == 9
     assert call["body"]["max_tokens"] == request.max_output_tokens
     assert handler.headers_seen[-1].get("Authorization") == "Bearer secret-key"
-
-
-def test_http_backend_makes_one_post_per_call(chat_server):
-    base_url, handler = chat_server
-    backend = HttpBackend(base_url=base_url, model="m", api_key=None)
-    request = ModelRequest(role="proposer", prompt="p")
-    try:
-        for status in (500, 503, 408, 429):
-            handler.seen.clear()
-            handler.status_plan = [status, 200]
-            with pytest.raises(WireError, match=f"status {status}") as raised:
-                backend.complete(request)
-            assert not isinstance(raised.value, RequestRejected)
-            assert len(handler.seen) == 1  # retrying is the gateway's
-
-        handler.seen.clear()
-        handler.status_plan = [400]
-        with pytest.raises(RequestRejected):
-            backend.complete(request)
-        assert len(handler.seen) == 1  # no retry on a client error
-    finally:
-        backend.close()
 
 
 @pytest.mark.parametrize(
@@ -621,24 +615,6 @@ def test_http_embeddings_reject_a_vector_that_cannot_be_normalized(chat_server, 
     assert provider.dimension == 0
 
 
-def test_http_embeddings_reject_client_errors_other_than_408_and_429(chat_server):
-    base_url, handler = chat_server
-    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
-    try:
-        for status in (400, 401, 404):
-            handler.status_plan = [status]
-            with pytest.raises(RequestRejected, match=f"status {status}"):
-                provider.embed("text")
-        for status in (408, 429, 500):
-            handler.status_plan = [status]
-            with pytest.raises(WireError, match=f"status {status}") as raised:
-                provider.embed("text")
-            assert not isinstance(raised.value, RequestRejected)
-    finally:
-        provider.close()
-    assert len(handler.seen) == 6
-
-
 def test_embed_text_retries_a_server_error(chat_server):
     base_url, handler = chat_server
     handler.status_plan = [500]
@@ -742,25 +718,49 @@ def keep_alive_server():
     assert not thread.is_alive()
 
 
-def _http_client(base_url, which):
+def _http_client(base_url, which, timeout=60.0):
     """The chat backend or the embedding provider, and one call through it."""
     if which == "chat":
-        backend = HttpBackend(base_url=base_url, model="m")
+        backend = HttpBackend(base_url=base_url, model="m", timeout=timeout)
         return backend, lambda: backend.complete(ModelRequest(role="proposer", prompt="p"))
-    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e", timeout=timeout)
     return provider, lambda: provider.embed("text")
 
 
-def test_http_backend_raises_backend_timeout_after_one_post(keep_alive_server):
-    base_url, handler = keep_alive_server
-    handler.delay_s = 0.5
-    backend = HttpBackend(base_url=base_url, model="m", timeout=0.05)
+# Each way one HTTP attempt can fail: the endpoint's behaviour, the error
+# both clients raise (exactly that class) and a fragment of its message.
+_HTTP_FAILURES = {
+    "timeout": ({"delay_s": 0.5}, BackendTimeout, "timed out"),
+    **{
+        f"status-{status}": ({"status_plan": [status]}, WireError, f"status {status}: {{}}")
+        for status in (408, 429, 500, 503)
+    },
+    **{
+        f"status-{status}": ({"status_plan": [status]}, RequestRejected, f"status {status}: {{}}")
+        for status in (400, 401, 404)
+    },
+    "not-json": ({"raw_reply": b"<html>"}, MalformedWireResponse, "response body is not JSON"),
+}
+
+
+@pytest.mark.parametrize("case", list(_HTTP_FAILURES))
+@pytest.mark.parametrize("which", ["chat", "embeddings"])
+def test_http_clients_map_each_failure_to_one_error_after_one_post(chat_server, which, case):
+    base_url, handler = chat_server
+    behaviour, error, fragment = _HTTP_FAILURES[case]
+    for name, value in behaviour.items():
+        setattr(handler, name, copy(value))  # the handler pops status_plan
+    client, call = _http_client(base_url, which, timeout=0.05 if case == "timeout" else 60.0)
     try:
-        with pytest.raises(BackendTimeout):
-            backend.complete(ModelRequest(role="proposer", prompt="p"))
+        with pytest.raises(error, match=re.escape(fragment)) as raised:
+            call()
     finally:
-        backend.close()
-    assert len(handler.peers) == 1
+        client.close()
+    # A WireError is neither RequestRejected (never retried) nor a timeout.
+    assert type(raised.value) is error
+    endpoint = "/v1/chat/completions" if which == "chat" else "/v1/embeddings"
+    assert str(raised.value).startswith(f"{base_url}{endpoint}: ")
+    assert [call["path"] for call in handler.seen] == [endpoint]  # retrying is the gateway's
 
 
 @pytest.mark.parametrize("which", ["chat", "embeddings"])
@@ -798,6 +798,40 @@ def test_http_clients_keep_a_connection_per_call_in_flight(keep_alive_server, wh
         client.close()
     assert len(handler.peers) == 2 * MAX_INFLIGHT
     assert len(set(handler.peers)) <= MAX_INFLIGHT
+
+
+_COLD_MOCK_REVIEW = """
+import sys
+from pathlib import Path
+
+import sgcr
+from sgcr.config import RunConfig
+from sgcr.ingestion import build_review_request
+from sgcr.pipeline import render_report, run_review
+
+config = RunConfig(specs_dir="sample_specs", chunk_budget=300, patches=True)
+request = build_review_request(paths=[Path("tests/data/golden/input/Example.java")])
+assert render_report(run_review(config, request), "json")
+print(sorted(name for name in sys.modules if name.split(".")[0] == "requests"))
+"""
+
+
+def test_a_mock_review_never_imports_requests():
+    """The wire code imports requests only on the HTTP call path.
+
+    Imported at module level, it would add the whole requests import to
+    every cold start, mock runs included.
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_MOCK_REVIEW],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # -- one call pool per run -------------------------------------------------
@@ -1631,8 +1665,7 @@ def test_run_review_closes_the_clients_it_builds_and_only_those(
         sessions.append(SessionDouble(refuse))
         return sessions[-1]
 
-    monkeypatch.setattr(sgcr.backends, "http_session", session_double)
-    monkeypatch.setattr(sgcr.retrieval, "http_session", session_double)
+    monkeypatch.setattr(sgcr.gateway, "http_session", session_double)
     config = RunConfig(
         backend=kind,
         embedding="http",
