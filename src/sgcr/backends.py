@@ -4,9 +4,6 @@ Backends keep no record of the requests they were sent: each prompt holds
 the whole code block, and a run should free it once its call is done.
 The http backend sends its chat body through gateway.HttpClient, which
 owns the wire protocol and its failures.
-Every backend accepts an optional jitter that sleeps a random, bounded time
-before each call; jitter perturbs scheduling only, never content, which is
-how the schedule-independence tests shake out ordering bugs.
 
 Mock synthesis rules
 --------------------
@@ -41,14 +38,12 @@ import json
 import random
 import re
 import threading
-import time
 from pathlib import Path
 from typing import Optional
 
 from .errors import FixtureMiss, MalformedWireResponse
 from .gateway import HttpClient, ModelRequest, canonical_request
 from .prompts import Role
-from .types import Value, value_class
 
 _FILE_HEADER = r"FILE (\S+) \(lines (\d+)\.\.(\d+)\)"
 _RULE_HEADER = r"RULE (\S+) "
@@ -58,36 +53,20 @@ _RULE_AT_START, _RULE_AFTER_NEWLINE = re.compile(_RULE_HEADER), re.compile("\n" 
 _SEVERITIES = ("critical", "high", "medium", "low")
 
 
-@value_class
-class Jitter(Value):
-    """Random pre-call delay used to randomize thread completion order."""
-
-    max_ms: float
-    seed: int = 0
-
-
 class BaseBackend:
-    """The jitter every backend shares, applied before each call."""
+    """A backend: complete answers a request through the subclass's _complete.
 
-    def __init__(self, jitter: Optional[Jitter] = None) -> None:
+    _lock is for a subclass's own state, shared by the threads calling it.
+    """
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._jitter = jitter
-        self._jitter_rng = random.Random(jitter.seed) if jitter else None
 
     def complete(self, request: ModelRequest) -> str:
-        self._before_call(request)
         return self._complete(request)
 
     def close(self) -> None:
         """Release what the backend holds open; most hold nothing."""
-
-    def _before_call(self, request: ModelRequest) -> None:
-        with self._lock:
-            delay = None
-            if self._jitter and self._jitter_rng:
-                delay = self._jitter_rng.uniform(0, self._jitter.max_ms) / 1000.0
-        if delay:
-            time.sleep(delay)
 
     def _complete(self, request: ModelRequest) -> str:
         raise NotImplementedError
@@ -165,8 +144,8 @@ class MockBackend(BaseBackend):
 class ReplayBackend(BaseBackend):
     """Answer requests from recorded fixtures; a missing fixture is fatal."""
 
-    def __init__(self, fixtures_dir: Path, jitter: Optional[Jitter] = None) -> None:
-        super().__init__(jitter)
+    def __init__(self, fixtures_dir: Path) -> None:
+        super().__init__()
         self.fixtures_dir = Path(fixtures_dir)
 
     def _complete(self, request: ModelRequest) -> str:
@@ -187,9 +166,8 @@ class HttpBackend(BaseBackend):
         model: str,
         api_key: Optional[str] = None,
         timeout: float = 60.0,
-        jitter: Optional[Jitter] = None,
     ) -> None:
-        super().__init__(jitter)
+        super().__init__()
         self.model = model
         self._client = HttpClient(base_url, api_key, timeout)
 
@@ -219,26 +197,20 @@ class HttpBackend(BaseBackend):
 class RecordingBackend(BaseBackend):
     """Delegate to another backend and persist each exchange as a fixture."""
 
-    def __init__(
-        self,
-        delegate: BaseBackend,
-        fixtures_dir: Path,
-        jitter: Optional[Jitter] = None,
-    ) -> None:
-        super().__init__(jitter)
+    def __init__(self, delegate: BaseBackend, fixtures_dir: Path) -> None:
+        super().__init__()
         self.delegate = delegate
         self.fixtures_dir = Path(fixtures_dir)
-        self._write_lock = threading.Lock()
 
     def close(self) -> None:
         """Close the delegate."""
         self.delegate.close()
 
     def _complete(self, request: ModelRequest) -> str:
-        text = self.delegate._complete(request)
+        text = self.delegate.complete(request)
         fingerprint = request.fingerprint
         payload = {"request": canonical_request(request), "response_text": text}
-        with self._write_lock:
+        with self._lock:
             self.fixtures_dir.mkdir(parents=True, exist_ok=True)
             path = self.fixtures_dir / f"{fingerprint}.json"
             path.write_text(

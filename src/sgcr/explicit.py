@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import Executor
 from dataclasses import replace
-from typing import Callable, Optional, Sequence
+from functools import partial
+from types import SimpleNamespace
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvalidReviewRequest, NoCandidates, NoPartials
 from .gateway import (
@@ -27,7 +28,7 @@ from .gateway import (
     ModelBackend,
     ModelRequest,
     PendingEnsemble,
-    PooledBackend,
+    RunScope,
     call_model,
     collect_in_order,
     submit_ensemble,
@@ -259,85 +260,101 @@ def synthesize_partials(
     return PathwayReport(pathway=Pathway.EXPLICIT, findings=findings, summary=summary)
 
 
-def run_explicit(
+class ChunkReviews(NamedTuple):
+    """A library's chunks, each one's candidate reviews in chunk order, and
+    the backend every call of the pathway goes through (calls, whose count
+    is model_calls)."""
+
+    chunks: list[SpecChunk]
+    calls: CountedBackend
+    candidates: Iterator[list[CandidateReview]]
+
+
+def review_chunks(
     request: ReviewRequest,
     library: SpecLibrary,
     backend: ModelBackend,
     ensemble: EnsembleConfig,
     chunk_budget: int = DEFAULT_CHUNK_BUDGET,
-    aggregation_mode: str = "deterministic",
-    model_summary: bool = False,
-    run_id: str = "",
     *,
-    pool: Executor,
-    tokens: Optional[TokenTable] = None,
-    on_first_window: Optional[Callable[[], None]] = None,
-) -> PathwayReport:
-    """Segment the rule library, review every chunk, and synthesize.
+    pool: RunScope,
+) -> ChunkReviews:
+    """Segment the rule library and put the first window of chunk ensembles on the pool.
 
     Chunk ensembles go on the run's call pool through the one ensemble
-    window, gateway.collect_in_order, as the verifier ensembles do: each
-    is submitted while its slots fit beside the unfinished ones under
-    MAX_INFLIGHT, so one slow slot leaves no freed worker idle.
-    on_first_window, if given, is called once the first window, at least
-    min(chunks, MAX_INFLIGHT // n) ensembles, is on the pool, before any
-    result is collected; the pipeline builds a fresh index only then.
-    Results are collected and aggregated in chunk order, so the report is
-    identical whatever the completion order. Model-mode aggregation and
-    the model summary retry their call (gateway.call_model, given no
-    parser) but not its parsing.
-    Every call goes through one CountedBackend, whose count is the
-    model_calls stat: the reviewer slots', the aggregator's and the
-    summary's, retries included. Aggregation and synthesis tokenize
-    descriptions through tokens, the run's TokenTable (a fresh one when
-    none is given). Raises EnsembleError when any chunk exceeds its
-    failure budget.
+    window, gateway.collect_in_order, as the verifier ensembles do: the
+    first window, at least min(chunks, MAX_INFLIGHT // n) ensembles, is on
+    the pool when this returns, and each later one is submitted while its
+    slots fit beside the unfinished ones under MAX_INFLIGHT, as candidates
+    are read, so one slow slot leaves no freed worker idle.
     """
     if not request.units:
         raise InvalidReviewRequest("explicit review needs at least one unit")
     chunks = segment_library(library, chunk_budget)
-    if tokens is None:
-        tokens = TokenTable()
+    calls = CountedBackend(backend)
 
     def parse(text: str) -> list[Finding]:
         return parse_findings_response(text, Pathway.EXPLICIT, library)
 
-    counted = CountedBackend(backend)
-    # Model-mode aggregation and the model summary call from this thread;
-    # routed through the pool, they count against its cap.
-    pooled = PooledBackend(counted, pool)
-    absent_total = 0
-
     def submit(position: int) -> PendingEnsemble:
         reviewer = _reviewer_request(request, chunks[position], library, ensemble)
-        return submit_ensemble(pool, counted, reviewer, ensemble, parse)
+        return submit_ensemble(pool, calls, reviewer, ensemble, parse)
 
-    def collect(position: int, slots: Optional[PendingEnsemble]) -> AggregatedReview:
-        nonlocal absent_total
-        candidates = review_chunk_ensemble(chunks[position], slots)
-        absent_total += ensemble.n - len(candidates)
-        return aggregate_candidates(
-            chunks[position],
-            candidates,
-            ensemble,
-            aggregation_mode,
-            backend=pooled,
-            library=library,
-            tokens=tokens,
-        )
+    def collect(position: int, slots: Optional[PendingEnsemble]) -> list[CandidateReview]:
+        return review_chunk_ensemble(chunks[position], slots)
 
-    in_order = collect_in_order(submit, collect, len(chunks), ensemble.n)
-    if on_first_window is not None:
-        on_first_window()
-    partials = list(in_order)
-    report = synthesize_partials(
-        partials, backend=pooled, model_summary=model_summary, tokens=tokens
+    return ChunkReviews(
+        chunks, calls, collect_in_order(submit, collect, len(chunks), ensemble.n, pool=pool)
     )
+
+
+def run_explicit(
+    reviews: ChunkReviews,
+    library: SpecLibrary,
+    ensemble: EnsembleConfig,
+    aggregation_mode: str = "deterministic",
+    model_summary: bool = False,
+    run_id: str = "",
+    *,
+    pool: RunScope,
+    tokens: Optional[TokenTable] = None,
+) -> PathwayReport:
+    """Aggregate every chunk's reviews as they are collected, and synthesize.
+
+    Reviews are collected and aggregated in chunk order, so the report is
+    identical whatever the completion order. Model-mode aggregation and
+    the model summary call from this thread, each attempt on the pool so
+    it counts against its cap; they retry the call (gateway.call_model,
+    given no parser) but not its parsing. Every call goes through
+    reviews.calls, whose count is the model_calls stat, retries included.
+    Aggregation and synthesis tokenize descriptions through tokens, the
+    run's TokenTable (a fresh one when none is given). Raises EnsembleError
+    when any chunk exceeds its failure budget.
+    """
+    if tokens is None:
+        tokens = TokenTable()
+    pooled = SimpleNamespace(complete=partial(pool.call, reviews.calls.complete))
+    partials = []
+    absent_total = 0
+    for chunk, candidates in zip(reviews.chunks, reviews.candidates):
+        absent_total += ensemble.n - len(candidates)
+        partials.append(
+            aggregate_candidates(
+                chunk,
+                candidates,
+                ensemble,
+                aggregation_mode,
+                backend=pooled,
+                library=library,
+                tokens=tokens,
+            )
+        )
+    report = synthesize_partials(partials, pooled, model_summary, tokens=tokens)
     stats = freeze_stats(
         {
             "pathway": Pathway.EXPLICIT.value,
-            "chunks": len(chunks),
-            "model_calls": counted.calls,
+            "chunks": len(reviews.chunks),
+            "model_calls": reviews.calls.calls,
             "absent_slots": absent_total,
             "findings": len(report.findings),
             "run_id": run_id,

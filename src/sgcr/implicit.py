@@ -14,9 +14,9 @@ instead of failing the run when something inside it breaks.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Executor
+from concurrent.futures import Future
 from dataclasses import replace
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
 from .gateway import (
@@ -25,6 +25,7 @@ from .gateway import (
     ModelBackend,
     ModelRequest,
     PendingEnsemble,
+    RunScope,
     call_model,
     collect_in_order,
     submit_ensemble,
@@ -245,54 +246,67 @@ def _finding_from_issue(
     )
 
 
+class Proposal(NamedTuple):
+    """The proposer call on the pool (issues), and the backend every call of
+    the pathway goes through (calls, whose count is model_calls)."""
+
+    calls: CountedBackend
+    issues: Future
+
+
+def propose(
+    request: ReviewRequest,
+    backend: ModelBackend,
+    ensemble: EnsembleConfig,
+    max_proposals: int = MAX_PROPOSALS,
+    *,
+    pool: RunScope,
+) -> Proposal:
+    """Put the proposer call on the pool, at the ensemble's temperature and base seed."""
+    calls = CountedBackend(backend)
+    issues = pool.submit(
+        propose_issues,
+        request,
+        calls,
+        temperature=ensemble.temperature,
+        seed=ensemble.base_seed,
+        max_proposals=max_proposals,
+    )
+    return Proposal(calls, issues)
+
+
 def run_implicit(
     request: ReviewRequest,
     library: SpecLibrary,
-    backend: ModelBackend,
+    proposal: Proposal,
     provider: EmbeddingProvider,
-    get_index: Callable[[], VectorIndex],
+    index: VectorIndex,
     ensemble: EnsembleConfig,
     k: int = DEFAULT_TOP_K,
     threshold: float = DEFAULT_SCORE_THRESHOLD,
-    max_proposals: int = MAX_PROPOSALS,
     allow_ungrounded: bool = False,
     soft_fail: bool = True,
     run_id: str = "",
     *,
-    pool: Executor,
+    pool: RunScope,
 ) -> PathwayReport:
-    """Propose, ground, verify, and assemble the discovery report.
+    """Ground and verify the proposed issues, and assemble the discovery report.
 
-    Every model and embedding call goes on the run's call pool. The
-    proposer call is submitted first and get_index, which loads or builds
-    the index, runs while it is in flight. get_index may block first: in a
-    full run the pipeline builds a fresh index only once the explicit
-    pathway's first window of reviewer calls is on the pool. Its errors
-    always propagate, because a broken index is a configuration problem,
-    not a degraded pathway. Then every issue is grounded on the pool, and
+    Every model and embedding call goes on the run's call pool. Once the
+    proposal is in, every issue is grounded on the pool against index, and
     in proposal order each grounded issue's verifier slots are submitted
     while they fit under MAX_INFLIGHT beside the unfinished ones
     (gateway.collect_in_order); outcomes are collected in proposal order.
     An issue that retrieves nothing is skipped unless ungrounded
     verification is allowed. A verification ensemble that exhausts its
     failure budget rejects that one issue rather than the pathway. Every
-    call goes through one CountedBackend, whose count is the model_calls
-    stat, so that ensemble's calls still count. With soft_fail (the
-    default) any other error inside the pathway degrades it to an empty
-    report carrying the error in its stats.
+    call goes through proposal.calls, whose count is the model_calls stat,
+    so that ensemble's calls still count. With soft_fail (the default) any
+    other error inside the pathway degrades it to an empty report carrying
+    the error in its stats.
     """
-    counted = CountedBackend(backend)
-    proposal = pool.submit(
-        propose_issues,
-        request,
-        counted,
-        temperature=ensemble.temperature,
-        seed=ensemble.base_seed,
-        max_proposals=max_proposals,
-    )
-    index = get_index()
     try:
-        issues = proposal.result()
+        issues = pool.wait(proposal.issues)
         groundings = [
             pool.submit(ground_issue, issue, provider, index, k=k, threshold=threshold)
             for issue in issues
@@ -301,15 +315,15 @@ def run_implicit(
         # Each verifier prompt holds a copy of the code block, so only a
         # pool's worth of ensembles is in flight at once.
         def submit(position: int) -> Optional[PendingEnsemble]:
-            retrieved = groundings[position].result()
+            retrieved = pool.wait(groundings[position])
             if not (retrieved.scored or allow_ungrounded):
                 return None
             verifier = _verifier_request(request, issues[position], retrieved, library)
-            return submit_ensemble(pool, counted, verifier, ensemble, parse_verdict_response)
+            return submit_ensemble(pool, proposal.calls, verifier, ensemble, parse_verdict_response)
 
         def collect(position: int, slots: Optional[PendingEnsemble]):
             """The issue's outcome, or None if its verification failed."""
-            issue, retrieved = issues[position], groundings[position].result()
+            issue, retrieved = issues[position], pool.wait(groundings[position])
             if slots is None:
                 logger.info("issue %s retrieved no rules; skipping", issue.issue_id)
                 return VerificationOutcome(
@@ -329,7 +343,7 @@ def run_implicit(
                 finding=_finding_from_issue(issue, verdicts, library) if accepted else None,
             )
 
-        verified = list(collect_in_order(submit, collect, len(issues), ensemble.n))
+        verified = list(collect_in_order(submit, collect, len(issues), ensemble.n, pool=pool))
         outcomes = [outcome for outcome in verified if outcome is not None]
         findings = sort_findings(
             [outcome.finding for outcome in outcomes if outcome.finding is not None]
@@ -342,7 +356,7 @@ def run_implicit(
                 "rejected": sum(1 for o in outcomes if not o.accepted and o.verdicts),
                 "ungrounded_skipped": sum(1 for o in outcomes if not o.verdicts),
                 "verification_failures": len(verified) - len(outcomes),
-                "model_calls": counted.calls,
+                "model_calls": proposal.calls.calls,
                 "run_id": run_id,
             }
         )

@@ -3,40 +3,38 @@
 This is the layer the command line (and tests that want end-to-end runs
 without a subprocess) calls: build the backend and embedding provider,
 load rules and index, run the requested pathway combination, consolidate,
-and optionally attach patches. A run makes all its model calls on one
-bounded call pool (gateway.call_pool); in full mode the two pathways run
-side by side. Rules load, and fail, before any model call. The proposer
-goes on the pool first, then the explicit pathway's first window of
-reviewer calls, and only then is a fresh index built, while those calls
-are in flight. The build holds the interpreter lock, so run earlier it
-would only hold up those reviewer calls, and with them the verifiers
-that queue behind them for a pool worker.
+and optionally attach patches. A run's calls, waits and threads live in
+one run scope (gateway.call_pool). Rules load, and fail, before any model
+call. _review then starts, from one thread and in this order, the
+proposer call, the explicit pathway's first window of reviewer calls, and
+the implicit pathway on the scope's side thread, which first builds a
+fresh index. Started earlier, a build with mock embeddings, which holds
+the interpreter lock, would hold up those first calls.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, nullcontext
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from . import report as report_mod
-from .backends import BaseBackend, HttpBackend, Jitter, MockBackend, RecordingBackend, ReplayBackend
+from .backends import BaseBackend, HttpBackend, MockBackend, RecordingBackend, ReplayBackend
 from .config import RunConfig
-from .errors import ConfigError, IndexLibraryMismatch, SgcrError
-from .explicit import run_explicit
+from .errors import ConfigError, IndexLibraryMismatch
+from .explicit import review_chunks, run_explicit
 from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
     CountedBackend,
     EnsembleConfig,
     ModelRequest,
+    RunScope,
     call_pool,
     submit_ensemble,
 )
-from .implicit import run_implicit
+from .implicit import propose, run_implicit
 from .ingestion import ReviewRequest, prompt_block
 from .matching import TokenTable
 from .parsing import parse_findings_response
@@ -56,36 +54,16 @@ from .types import Pathway, PathwayReport, freeze_stats
 
 logger = logging.getLogger(__name__)
 
-ENV_TEST_JITTER = "SGCR_TEST_JITTER"
-
-
-def _jitter_from_env() -> Optional[Jitter]:
-    """Optional scheduling noise, set as 'max_ms:seed' (testing aid)."""
-    raw = os.environ.get(ENV_TEST_JITTER, "")
-    if not raw:
-        return None
-    try:
-        max_ms_text, seed_text = raw.split(":", 1)
-        return Jitter(max_ms=float(max_ms_text), seed=int(seed_text))
-    except ValueError:
-        logger.warning("ignoring malformed %s=%r", ENV_TEST_JITTER, raw)
-        return None
-
-
 def build_backend(config: RunConfig) -> BaseBackend:
-    jitter = _jitter_from_env()
     if config.backend == "mock":
-        return MockBackend(jitter=jitter)
+        return MockBackend()
     if config.backend == "replay":
-        return ReplayBackend(Path(config.fixtures_dir or ""), jitter=jitter)
+        return ReplayBackend(Path(config.fixtures_dir or ""))
     if config.backend not in ("http", "record"):
         raise ConfigError(f"unknown backend {config.backend!r}")
-    # The recorder calls the live backend's _complete, so jitter applies once.
-    live = HttpBackend(
-        base_url=config.base_url or "", model=config.model, api_key=config.api_key, jitter=jitter
-    )
+    live = HttpBackend(base_url=config.base_url or "", model=config.model, api_key=config.api_key)
     if config.backend == "record":
-        return RecordingBackend(live, Path(config.fixtures_dir or ""), jitter=jitter)
+        return RecordingBackend(live, Path(config.fixtures_dir or ""))
     return live
 
 
@@ -131,7 +109,7 @@ def _run_baseline(
     backend: BaseBackend,
     config: RunConfig,
     run_id: str,
-    pool: Executor,
+    pool: RunScope,
 ) -> PathwayReport:
     """Single ungrounded review call: the comparison floor.
 
@@ -176,21 +154,14 @@ def run_review(
 ) -> FinalReport:
     """Execute the configured pathway combination over the request.
 
-    Every model call of the run goes through one bounded call pool. In
-    full mode the implicit pathway (proposer, index build, verifiers) runs
-    beside the explicit pathway, on the one worker thread of an executor
-    of its own, whose exit joins that thread on every path; reports stay in
-    the order [explicit, implicit], so the report does not depend on which
-    finishes first. A fresh index is built once the explicit pathway has
-    put its first window of reviewer calls on the pool (an Event set by
-    run_explicit's on_first_window), so those calls start before the
-    build takes the interpreter lock; the lock serialises the build and
-    the submission anyway, so the build ends no later. A prebuilt index,
-    or implicit_only mode, never waits. If the explicit pathway raises,
-    calls not yet started are cancelled, the Event is set so a build
-    still waiting stops waiting, and the implicit thread is joined before
-    the error propagates. That build is not made: the thread raises
-    instead of embedding every rule for a run that has already failed.
+    Every model call of the run goes through one run scope. In full mode
+    the implicit pathway runs on the scope's side thread, started after the
+    explicit pathway's first window (see the module doc) with no signal
+    between threads; reports stay in the order [explicit, implicit]. A
+    prebuilt index, read before any call, is never built. If a pathway
+    raises, leaving the scope cancels the calls not yet started and joins
+    the side thread before the error propagates; a run whose explicit
+    pathway raises before its first window builds no index.
 
     The run makes one TokenTable and passes it to the explicit pathway's
     clustering and to consolidation, so each distinct finding description
@@ -218,90 +189,69 @@ def _review(config: RunConfig, request: ReviewRequest, backend: BaseBackend) -> 
     )
     run_id = compute_run_id(request, config.echo())
     tokens = TokenTable()
-
-    if config.mode == "baseline":
-        with call_pool() as pool:
-            reports = [_run_baseline(request, backend, config, run_id, pool)]
-        return consolidate(reports, run_id, config.mode, config.echo(), tokens=tokens)
-
-    library = load_rules(config)
+    explicit = config.mode in ("full", "explicit_only")
+    implicit = config.mode in ("full", "implicit_only")
+    library = load_rules(config) if explicit or implicit else None
     # A prebuilt index is quick to read, and a bad one then fails the run
     # before any model call; a fresh one is built while the first calls run.
     prebuilt = (
-        _load_prebuilt_index(config, library)
-        if config.index_path and config.mode != "explicit_only"
-        else None
+        _load_prebuilt_index(config, library) if implicit and config.index_path else None
     )
-    # Set once the explicit pathway's first window is on the pool; only
-    # full mode has one to wait for. run_failed is set, before first_window,
-    # when the explicit pathway raises: a build still waiting then never
-    # starts.
-    first_window = threading.Event()
-    run_failed = threading.Event()
-    if config.mode != "full":
-        first_window.set()
-    with call_pool() as pool:
+    opened = closing(build_provider(config)) if implicit else nullcontext()
+    with opened as provider, call_pool() as scope:
+        pathways = []
+        if config.mode == "baseline":
+            pathways.append(partial(_run_baseline, request, backend, config, run_id, scope))
+        # Started in order: the proposer, the first window of reviewer calls,
+        # then the implicit pathway, which builds a fresh index first.
+        if implicit:
+            proposal = propose(request, backend, ensemble, config.max_proposals, pool=scope)
+        if explicit:
+            reviews = review_chunks(
+                request, library, backend, ensemble, config.chunk_budget, pool=scope
+            )
+            pathways.append(
+                partial(
+                    run_explicit,
+                    reviews,
+                    library,
+                    ensemble,
+                    config.aggregation,
+                    config.model_summary,
+                    run_id,
+                    pool=scope,
+                    tokens=tokens,
+                )
+            )
+        if implicit:
 
-        def implicit() -> PathwayReport:
-            with closing(build_provider(config)) as provider:
-                def get_index() -> VectorIndex:
-                    if prebuilt is not None:
-                        return prebuilt
-                    first_window.wait()
-                    if run_failed.is_set():
-                        raise SgcrError("the run failed before its index was built")
-                    return build_index(library, provider)
-
+            def implicit_pathway() -> PathwayReport:
+                index = prebuilt if prebuilt is not None else build_index(library, provider)
                 return run_implicit(
                     request,
                     library,
-                    backend,
+                    proposal,
                     provider,
-                    get_index,
+                    index,
                     ensemble,
                     k=config.top_k,
                     threshold=config.score_threshold,
-                    max_proposals=config.max_proposals,
                     allow_ungrounded=config.allow_ungrounded,
                     soft_fail=config.implicit_soft_fail,
                     run_id=run_id,
-                    pool=pool,
+                    pool=scope,
                 )
 
-        def explicit() -> PathwayReport:
-            return run_explicit(
-                request,
-                library,
-                backend,
-                ensemble,
-                chunk_budget=config.chunk_budget,
-                aggregation_mode=config.aggregation,
-                model_summary=config.model_summary,
-                run_id=run_id,
-                pool=pool,
-                tokens=tokens,
-                on_first_window=first_window.set,
-            )
-
-        if config.mode == "implicit_only":
-            reports = [implicit()]
-        elif config.mode == "explicit_only":
-            reports = [explicit()]
-        else:
-            with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sgcr-implicit") as beside:
-                implicit_report = beside.submit(implicit)
-                try:
-                    reports = [explicit()]
-                except BaseException:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    run_failed.set()
-                    first_window.set()
-                    raise
-                reports.append(implicit_report.result())
+            pathways.append(implicit_pathway)
+        # The first pathway runs on this thread, the other beside it.
+        first, *rest = pathways
+        beside = [scope.beside(pathway) for pathway in rest]
+        reports = [first()] + [scope.wait(future) for future in beside]
 
         final = consolidate(reports, run_id, config.mode, config.echo(), tokens=tokens)
-        if config.patches:
-            final = attach_patches(final, request, library, backend, seed=config.seed, pool=pool)
+        # A baseline run has no rules for a patch to follow.
+        if config.patches and library is not None:
+            final = attach_patches(final, request, library, backend, seed=config.seed, pool=scope)
             stats = dict(final.patch_stats)
             logger.info(
                 "patches: %d attached of %d attempted (%d uncited skipped)",

@@ -15,13 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import Executor
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping, Optional, Sequence
 
 from .errors import DiffSyntaxError, PatchDoesNotApply, SgcrError, UnparsableResponse, WireError
-from .gateway import ModelBackend, ModelRequest, call_model
+from .gateway import ModelBackend, ModelRequest, RunScope, call_model
 from .ingestion import ReviewRequest, apply_file_diff, parse_unified_diff, unit_for_location
 from .matching import TokenTable, cluster_findings, merge_to_maxima
 from .parsing import parse_patch_response
@@ -272,7 +271,7 @@ def attach_patches(
     backend: ModelBackend,
     seed: int = 0,
     *,
-    pool: Executor,
+    pool: RunScope,
 ) -> FinalReport:
     """Generate patches on the run's call pool, attach in cluster order.
 
@@ -293,7 +292,7 @@ def attach_patches(
         for index in eligible
     }
     for index in eligible:
-        patch = futures[index].result()
+        patch = pool.wait(futures[index])
         if patch is None:
             continue
         cluster = clusters[index]

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 import threading
+import time
+from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Mapping, Optional, Union
 
 import sgcr.gateway
-from sgcr.backends import BaseBackend, Jitter, MockBackend, ReplayBackend
-from sgcr.gateway import ModelRequest
+import sgcr.pipeline
+from sgcr.backends import BaseBackend, MockBackend, ReplayBackend
+from sgcr.gateway import ModelRequest, RunScope
 from sgcr.ingestion import ReviewRequest, ReviewUnit
 from sgcr.retrieval import MockEmbeddingProvider
 from sgcr.specs import Specification, SpecLibrary, estimate_tokens
@@ -84,6 +89,131 @@ class SessionDouble:
         self.closed = True
 
 
+class JitteredBackend:
+    """A backend that sleeps a seeded random time, up to max_ms, before each call.
+
+    The delay perturbs the thread schedule only, never content, which is how
+    the schedule-independence tests shake out ordering bugs.
+    """
+
+    def __init__(self, backend, max_ms: float, seed: int) -> None:
+        self.backend = backend
+        self._max_ms = max_ms
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+
+    def complete(self, request: ModelRequest) -> str:
+        with self._lock:
+            delay = self._rng.uniform(0, self._max_ms) / 1000.0
+        if delay:
+            time.sleep(delay)
+        return self.backend.complete(request)
+
+    def close(self) -> None:
+        self.backend.close()
+
+
+_BUILD_BACKEND = sgcr.pipeline.build_backend
+
+
+def jitter_built_backends(monkeypatch, max_ms: float, seed: int) -> None:
+    """Every backend a run builds from now on is a JitteredBackend(max_ms, seed)."""
+    monkeypatch.setattr(
+        sgcr.pipeline,
+        "build_backend",
+        lambda config: JitteredBackend(_BUILD_BACKEND(config), max_ms, seed),
+    )
+
+
+class OrderedScope(RunScope):
+    """A run scope that forces the order in which the run sees its calls finish.
+
+    Each call is given a priority when it is submitted, and what the run
+    holds is a stand-in future. A finished call is held back until the run
+    is still: every thread of the run (the caller and the side thread) is
+    blocked in a wait that no released call satisfies, and no call is
+    running. Then the held call of highest priority is let through, and
+    only the thread it wakes runs until it waits again. So one thread runs
+    at a time, and the schedule the run observes is set by the priorities
+    alone, not sampled from latencies: submission order reversed, or
+    seeded random priorities as in PCT (Burckhardt et al., ASPLOS 2010).
+    released lists the submission numbers in the order they were let
+    through.
+    """
+
+    def __init__(self, priority: Callable[[int], float]) -> None:
+        super().__init__()
+        self._priority = priority
+        self._numbers = itertools.count()
+        self._held: list[tuple[float, int, Future, Future]] = []
+        self._threads = 1  # the caller's, and the side thread's while it runs
+        self._waiting: list[Callable[[], bool]] = []  # the blocked threads' tests
+        self.released: list[int] = []
+
+    @classmethod
+    def reverse(cls) -> "OrderedScope":
+        return cls(lambda number: number)
+
+    @classmethod
+    def seeded(cls, seed: int) -> "OrderedScope":
+        rng = random.Random(seed)
+        return cls(lambda number: rng.random())
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        call = super().submit(fn, *args, **kwargs)
+        shown = Future()
+        with self._changed:
+            number = next(self._numbers)
+            self._held.append((self._priority(number), number, shown, call))
+        return shown
+
+    def beside(self, fn, /, *args, **kwargs) -> Future:
+        def counted():
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                with self._changed:
+                    self._threads -= 1
+                    self._changed.notify_all()
+
+        with self._changed:
+            self._threads += 1
+        return super().beside(counted)
+
+    def _until(self, ready) -> None:
+        with self._changed:
+            self._waiting.append(ready)
+            try:
+                while not ready():
+                    if self._still():
+                        self._release()
+                    else:
+                        self._changed.wait()
+            finally:
+                self._waiting.remove(ready)
+
+    def _still(self) -> bool:
+        return (
+            len(self._waiting) == self._threads
+            and bool(self._held)
+            and all(call.done() for *_, call in self._held)
+            and not any(test() for test in self._waiting)
+        )
+
+    def _release(self) -> None:
+        held = max(self._held, key=lambda entry: entry[0])
+        self._held.remove(held)
+        _, number, shown, call = held
+        self.released.append(number)
+        if call.cancelled():
+            shown.cancel()
+        elif call.exception() is not None:
+            shown.set_exception(call.exception())
+        else:
+            shown.set_result(call.result())
+        self._changed.notify_all()
+
+
 class LoggedMockBackend(CallLog, MockBackend):
     """MockBackend that keeps a call log."""
 
@@ -119,12 +249,8 @@ class CannedBackend(CallLog, BaseBackend):
     request is kept in call_log.
     """
 
-    def __init__(
-        self,
-        responses: Mapping[object, Responder],
-        jitter: Optional[Jitter] = None,
-    ) -> None:
-        super().__init__(jitter)
+    def __init__(self, responses: Mapping[object, Responder]) -> None:
+        super().__init__()
         self.responses = dict(responses)
 
     def _complete(self, request: ModelRequest) -> str:

@@ -20,6 +20,7 @@ from conftest import (
     REPO_ROOT,
     CannedBackend,
     LoggedMockBackend,
+    jitter_built_backends,
     make_finding,
     make_library,
     make_review_request,
@@ -113,7 +114,7 @@ def test_criterion_1_golden_run_is_byte_deterministic(capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     started = time.monotonic()
     for attempt in range(10):
-        monkeypatch.setenv("SGCR_TEST_JITTER", f"8:{attempt}")
+        jitter_built_backends(monkeypatch, 8, attempt)
         assert main(GOLDEN_ARGV) == 0
         out, _ = capsys.readouterr()
         assert out == expected, f"run {attempt} diverged from the frozen report"

@@ -17,7 +17,14 @@ import pytest
 import sgcr.cli
 import sgcr.gateway
 import sgcr.pipeline
-from conftest import REPO_ROOT, CallLog, SessionDouble, record_generate, write_spec_file
+from conftest import (
+    REPO_ROOT,
+    CallLog,
+    JitteredBackend,
+    SessionDouble,
+    record_generate,
+    write_spec_file,
+)
 from sgcr.backends import BaseBackend, MockBackend
 from sgcr.cli import build_parser, main
 from sgcr.config import DEFAULTS
@@ -648,8 +655,8 @@ class GarblingBackend(CallLog, BaseBackend):
     never on the thread schedule, so a retried slot may get a good reply.
     """
 
-    def __init__(self, seed: int, share: float, jitter=None) -> None:
-        super().__init__(jitter)
+    def __init__(self, seed: int, share: float) -> None:
+        super().__init__()
         self.seed = seed
         self.share = share
         self._mock = MockBackend()
@@ -688,15 +695,14 @@ def test_garbled_replies_end_a_review_only_with_a_typed_error(capsys, monkeypatc
     backends = []
 
     def build_garbling_backend(config):
-        backends.append(GarblingBackend(seed, 0.75, jitter=sgcr.pipeline._jitter_from_env()))
-        return backends[-1]
+        backends.append(GarblingBackend(seed, 0.75))
+        return JitteredBackend(backends[-1], 3, jitter_seed)
 
     monkeypatch.setattr(sgcr.pipeline, "build_backend", build_garbling_backend)
     codes = set()
     for seed in range(8):
         outcomes = []
         for jitter_seed in (1, 2):
-            monkeypatch.setenv("SGCR_TEST_JITTER", f"3:{jitter_seed}")
             code = main(argv)
             out, err = capsys.readouterr()
             if code == 3:

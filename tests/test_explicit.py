@@ -12,6 +12,7 @@ from conftest import (
     GOLDEN_DIR,
     REPO_ROOT,
     CannedBackend,
+    JitteredBackend,
     LoggedMockBackend,
     findings_json,
     make_finding,
@@ -20,7 +21,7 @@ from conftest import (
     make_spec,
     record_generate,
 )
-from sgcr.backends import Jitter, MockBackend
+from sgcr.backends import MockBackend
 from sgcr.config import RunConfig
 from sgcr.errors import InvalidReviewRequest, NoCandidates, NoPartials, WireError
 from sgcr.explicit import (
@@ -28,6 +29,7 @@ from sgcr.explicit import (
     CandidateReview,
     aggregate_candidates,
     review_chunk_ensemble,
+    review_chunks,
     run_explicit,
     synthesize_partials,
 )
@@ -302,6 +304,12 @@ def test_synthesize_requires_partials_and_backend_for_model_summary():
     assert backend.call_log[0].temperature == 0.0
 
 
+def _run_explicit(request, library, backend, chunk_budget, *, pool, **options):
+    """review_chunks then run_explicit: the explicit pathway from end to end."""
+    reviews = review_chunks(request, library, backend, ENSEMBLE, chunk_budget, pool=pool)
+    return run_explicit(reviews, library, ENSEMBLE, pool=pool, **options)
+
+
 def _two_chunk_library():
     return make_library(
         make_spec("sec.input", severity=Severity.HIGH, category=Category.SECURITY, tokens=100),
@@ -320,14 +328,8 @@ def test_run_explicit_reports_stats_and_dedupes_across_chunks():
         }
     )
     with call_pool() as pool:
-        report = run_explicit(
-            make_review_request(),
-            library,
-            backend,
-            ENSEMBLE,
-            chunk_budget=100,
-            run_id="run-one",
-            pool=pool,
+        report = _run_explicit(
+            make_review_request(), library, backend, 100, run_id="run-one", pool=pool
         )
     assert len(report.findings) == 1
     stats = report.stats_dict()
@@ -356,20 +358,14 @@ def test_run_explicit_is_independent_of_scheduling_jitter():
         )
     }
     with call_pool() as pool:
-        plain = run_explicit(
-            make_review_request(),
-            library,
-            CannedBackend(responses),
-            ENSEMBLE,
-            chunk_budget=100,
-            pool=pool,
+        plain = _run_explicit(
+            make_review_request(), library, CannedBackend(responses), 100, pool=pool
         )
-        jittered = run_explicit(
+        jittered = _run_explicit(
             make_review_request(),
             library,
-            CannedBackend(responses, jitter=Jitter(max_ms=6, seed=13)),
-            ENSEMBLE,
-            chunk_budget=100,
+            JitteredBackend(CannedBackend(responses), max_ms=6, seed=13),
+            100,
             pool=pool,
         )
     assert plain == jittered
@@ -380,7 +376,7 @@ def test_run_explicit_rejects_empty_requests():
 
     empty = ReviewRequest(units=(), origin="files")
     with pytest.raises(InvalidReviewRequest), call_pool() as pool:
-        run_explicit(empty, LIBRARY, CannedBackend({}), ENSEMBLE, pool=pool)
+        review_chunks(empty, LIBRARY, CannedBackend({}), ENSEMBLE, pool=pool)
 
 
 def test_run_explicit_model_calls_run_on_the_call_pool():
@@ -403,12 +399,11 @@ def test_run_explicit_model_calls_run_on_the_call_pool():
         }
     )
     with call_pool() as pool:
-        report = run_explicit(
+        report = _run_explicit(
             make_review_request(),
             _two_chunk_library(),
             backend,
-            ENSEMBLE,
-            chunk_budget=100,
+            100,
             aggregation_mode="model",
             model_summary=True,
             pool=pool,
@@ -437,9 +432,7 @@ def test_a_slow_head_slot_leaves_no_freed_worker_idle():
 
     backend = CannedBackend({"explicit_reviewer": reviewer})
     with call_pool() as pool:
-        report = run_explicit(
-            make_review_request(), library, backend, ENSEMBLE, chunk_budget=1, pool=pool
-        )
+        report = _run_explicit(make_review_request(), library, backend, 1, pool=pool)
     assert report.stats_dict()["chunks"] == 8
     assert held == [True]
 

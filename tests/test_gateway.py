@@ -23,14 +23,17 @@ from typing import Optional
 import pytest
 
 from conftest import (
+    GOLDEN_DIR,
     REPO_ROOT,
     CannedBackend,
     LoggedMockBackend,
     LoggedMockEmbeddingProvider,
     LoggedReplayBackend,
+    OrderedScope,
     SessionDouble,
     findings_json,
     issues_json,
+    jitter_built_backends,
     make_finding,
     make_library,
     make_review_request,
@@ -60,12 +63,14 @@ from sgcr.errors import (
 from sgcr.cli import main
 from sgcr.config import RunConfig
 from sgcr.gateway import (
+    HASH_SLICE,
     MAX_INFLIGHT,
     SLOT_RETRIES,
     CountedBackend,
     EnsembleConfig,
     ModelRequest,
     PendingEnsemble,
+    RunScope,
     call_pool,
     canonical_request_json,
     collect_in_order,
@@ -87,7 +92,8 @@ from sgcr.explicit import (
     synthesize_partials,
 )
 from sgcr.implicit import propose_issues
-from sgcr.pipeline import run_review
+from sgcr.ingestion import build_review_request
+from sgcr.pipeline import render_report, run_review
 from sgcr.report import FindingCluster, generate_patch
 from sgcr.retrieval import (
     HttpEmbeddingProvider,
@@ -1049,26 +1055,22 @@ def test_a_full_run_with_a_prebuilt_index_never_waits_for_the_explicit_pathway(
         build_index(library, MockEmbeddingProvider(dimension=config.embedding_dimension)),
         index_path,
     )
-    index_returned = threading.Event()
+    built = []
+    monkeypatch.setattr(sgcr.pipeline, "build_index", lambda *args: built.append(args))
+    index_held = threading.Event()
     explicit_saw_index = []
     run_implicit = sgcr.pipeline.run_implicit
     run_explicit = sgcr.pipeline.run_explicit
 
-    def implicit(request, library, backend, provider, get_index, *args, **kwargs):
-        def observed_get_index():
-            index = get_index()
-            index_returned.set()
-            return index
+    def implicit(request, library, proposal, provider, index, *args, **kwargs):
+        index_held.set()
+        return run_implicit(request, library, proposal, provider, index, *args, **kwargs)
 
-        return run_implicit(
-            request, library, backend, provider, observed_get_index, *args, **kwargs
-        )
-
-    # The explicit pathway submits nothing until the implicit pathway holds
-    # its index: had get_index waited for that submission, the wait below
-    # would time out.
+    # The explicit pathway collects nothing until the implicit pathway holds
+    # its index: had that index waited for the explicit pathway, the wait
+    # below would time out.
     def explicit(*args, **kwargs):
-        explicit_saw_index.append(index_returned.wait(RUN_TIMEOUT_S / 2))
+        explicit_saw_index.append(index_held.wait(RUN_TIMEOUT_S / 2))
         return run_explicit(*args, **kwargs)
 
     monkeypatch.setattr(sgcr.pipeline, "run_implicit", implicit)
@@ -1079,6 +1081,7 @@ def test_a_full_run_with_a_prebuilt_index_never_waits_for_the_explicit_pathway(
 
     assert error is None
     assert explicit_saw_index == [True]
+    assert built == []
     assert final.clusters
 
 
@@ -1145,26 +1148,20 @@ def test_a_broken_rule_library_fails_before_any_model_call(tmp_path, mode, broke
 
 
 def _record_hashing(monkeypatch):
-    """(requests laid out, prompts escaped) by every fingerprint from now on.
+    """Every request hashed from now on, once per hash.
 
-    Every fingerprint, a slot's or a single call's, lays out its request
-    through canonical_parts once, and escapes its prompt through
-    _escape_prompt unless a sibling slot already did.
+    Every fingerprint, a slot's or a single call's, is computed by one call
+    of gateway._digest.
     """
-    hashed, escaped = [], []
-    layout, escape = sgcr.gateway.canonical_parts, sgcr.gateway._escape_prompt
+    hashed = []
+    digest = sgcr.gateway._digest
 
-    def recording_layout(request):
+    def recording_digest(request):
         hashed.append(request)
-        return layout(request)
+        return digest(request)
 
-    def recording_escape(prompt):
-        escaped.append(prompt)
-        return escape(prompt)
-
-    monkeypatch.setattr(sgcr.gateway, "canonical_parts", recording_layout)
-    monkeypatch.setattr(sgcr.gateway, "_escape_prompt", recording_escape)
-    return hashed, escaped
+    monkeypatch.setattr(sgcr.gateway, "_digest", recording_digest)
+    return hashed
 
 
 def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
@@ -1179,7 +1176,7 @@ def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
 
     monkeypatch.setattr(sgcr.explicit, "prompt_block", recording_block)
     monkeypatch.setattr(sgcr.implicit, "prompt_block", recording_block)
-    hashed, escaped = _record_hashing(monkeypatch)
+    hashed = _record_hashing(monkeypatch)
     backend = _CountingBackend(sleep_s=0.0)
     config = _chunked_config(tmp_path, ensemble_size=3)
     final = run_review(config, make_review_request(), backend=backend)
@@ -1189,10 +1186,10 @@ def test_a_full_run_renders_the_code_block_once_and_hashes_each_call_once(
     assert all(block is blocks[0] for block in blocks)
     assert backend.calls_for_role("patch_generator") > 0
     assert final.clusters
+    # Each call's request was hashed once, the slots of an ensemble each on
+    # their own.
     assert len(hashed) == len(backend.call_log)
-    # The slots of an ensemble share their prompt's escape.
-    assert set(escaped) == {request.prompt for request in backend.call_log}
-    assert len(escaped) < len(hashed)
+    assert {id(request) for request in hashed} == {id(request) for request in backend.call_log}
 
 
 class _BlindBackend(_CountingBackend):
@@ -1212,7 +1209,7 @@ class _BlindBackend(_CountingBackend):
 def test_a_full_run_through_a_backend_that_reads_no_fingerprint_hashes_nothing(
     tmp_path, monkeypatch
 ):
-    hashed, escaped = _record_hashing(monkeypatch)
+    hashed = _record_hashing(monkeypatch)
     backend = _BlindBackend(sleep_s=0.0)
     final = run_review(
         _chunked_config(tmp_path, ensemble_size=3), make_review_request(), backend=backend
@@ -1221,7 +1218,7 @@ def test_a_full_run_through_a_backend_that_reads_no_fingerprint_hashes_nothing(
     assert final.clusters
     assert backend.calls_for_role("patch_generator") > 0
     assert backend.calls_for_role(Role.VERIFIER) > 0
-    assert hashed == [] and escaped == []
+    assert hashed == []
     assert not any("fingerprint" in vars(request) for request in backend.call_log)
 
 
@@ -1245,26 +1242,40 @@ def test_a_slot_is_hashed_only_when_its_backend_reads_the_fingerprint(tmp_path):
     # Five chunks of three reviewers, and at least one verifier ensemble.
     assert len(slots) >= 5 * 3 + 3
     assert not any(hashed for _, hashed in slots)
-    # The mock read every fingerprint, and no slot still holds the escape.
+    # The mock read every fingerprint.
     assert all("fingerprint" in vars(request) for request, _ in slots)
-    assert not any("_shared_escape" in vars(request) for request, _ in slots)
 
 
-def test_an_ensemble_escapes_its_prompt_once_and_frees_it_after_the_last_slot(
-    monkeypatch,
-):
-    hashed, escaped = _record_hashing(monkeypatch)
-    base = ModelRequest(role="verifier", prompt="shared \u00e9 prompt", seed=3)
-    slots = ensemble_requests(base, EnsembleConfig(n=4, quorum=2, base_seed=9))
-    assert escaped == [] and hashed == []
+@pytest.mark.parametrize(
+    "length",
+    [1, HASH_SLICE - 1, HASH_SLICE, HASH_SLICE + 1, 2 * HASH_SLICE + 7, 3 * HASH_SLICE],
+)
+def test_a_prompt_hashed_a_slice_at_a_time_matches_the_reference_dump(length):
+    """Any code point, a lone surrogate included, may fall on a slice boundary."""
+    rng = random.Random(length)
+    for case in range(4):
+        prompt = _oracle_request_text(rng, length)
+        # Put a surrogate pair, two code points, across the first boundary.
+        if length > HASH_SLICE:
+            prompt = prompt[: HASH_SLICE - 1] + "\ud83d\ude00" + prompt[HASH_SLICE + 1 :]
+        base = ModelRequest(role="verifier", prompt=prompt, seed=case)
+        for request in [base, *ensemble_requests(base, EnsembleConfig(n=2, quorum=1))]:
+            assert request.fingerprint == _reference_fingerprint(request), (length, case)
 
-    for position, slot in enumerate(slots):
-        assert slot.fingerprint == _reference_fingerprint(slot)
-        assert escaped == [base.prompt]
-        # Slots not yet hashed still share the escape; hashed ones dropped it.
-        holders = [other for other in slots if "_shared_escape" in vars(other)]
-        assert holders == slots[position + 1 :]
-    assert hashed == slots
+
+def test_a_slice_escapes_as_json_dumps_does_on_and_off_the_plain_ascii_path():
+    """Printable ASCII with newlines and tabs takes the byte replacements; a
+    slice with any other character, other control characters and 0x7f
+    among them, goes through json.dumps. Both give json.dumps's bytes."""
+    rng = random.Random(20261019)
+    plain = "".join(map(chr, range(0x20, 0x7F))) + '\n\t""\\\\'
+    other = "\r\x00\x08\x0c\x1f\x7fé \ud800\U0001f600"
+    for case in range(2000):
+        text = "".join(rng.choice(plain) for _ in range(rng.randint(0, 40)))
+        if case % 2:
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(other) + text[at:]
+        assert sgcr.gateway._escape(text) == json.dumps(text)[1:-1].encode("ascii"), text
 
 
 def test_slots_hashed_at_once_on_many_threads_all_match_the_reference_dump():
@@ -1299,7 +1310,6 @@ def test_slots_hashed_at_once_on_many_threads_all_match_the_reference_dump():
     assert len(read) == 8 * len(slots)
     expected = {id(slot): _reference_fingerprint(slot) for slot in slots}
     assert all(fingerprint == expected[id(slot)] for slot, fingerprint in read)
-    assert not any("_shared_escape" in vars(slot) for slot in slots)
 
 
 class _BadFirstReviewerBackend(_CountingBackend):
@@ -1370,9 +1380,9 @@ def test_two_threads_hash_two_requests_at_the_same_time(monkeypatch):
     barrier = threading.Barrier(2, timeout=5)
     digest = sgcr.gateway._digest
 
-    def meeting_digest(request, escaped_prompt):
+    def meeting_digest(request):
         barrier.wait()
-        return digest(request, escaped_prompt)
+        return digest(request)
 
     monkeypatch.setattr(sgcr.gateway, "_digest", meeting_digest)
     requests = [ModelRequest(role="verifier", prompt=f"prompt {i}") for i in range(2)]
@@ -1384,9 +1394,8 @@ def test_two_threads_hash_two_requests_at_the_same_time(monkeypatch):
 
 
 def test_threads_racing_for_the_slots_of_an_ensemble_all_read_the_right_fingerprint():
-    # Without a lock, two readers of one slot may both hash it, and a slot
-    # whose shared escape another reader took escapes the prompt itself;
-    # neither can change the result.
+    # Without a lock, two readers of one slot may both hash it; that cannot
+    # change the result.
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1397,37 +1406,8 @@ def test_threads_racing_for_the_slots_of_an_ensemble_all_read_the_right_fingerpr
             with ThreadPoolExecutor(max_workers=8) as pool:
                 seen = list(pool.map(lambda slot: slot.fingerprint, readers, timeout=30))
             assert seen == [_reference_fingerprint(slot) for slot in readers]
-            assert not any("_shared_escape" in vars(slot) for slot in slots)
     finally:
         sys.setswitchinterval(switch)
-
-
-def test_the_slots_of_an_ensemble_hashed_at_once_escape_their_prompt_once(monkeypatch):
-    # Each slot is read once, by a thread of its own, and the threads are
-    # let go together: the first to reach the shared escape makes it and
-    # its siblings wait for it rather than each escaping a copy.
-    _, escaped = _record_hashing(monkeypatch)
-    prompts = []
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for round_ in range(20):
-            base = ModelRequest(role="verifier", prompt="q\u00e9" * 20_000 + str(round_))
-            prompts.append(base.prompt)
-            slots = ensemble_requests(base, EnsembleConfig(n=3, quorum=2, base_seed=round_))
-            start = threading.Barrier(len(slots))
-
-            def read(slot):
-                start.wait(timeout=10)
-                return slot.fingerprint
-
-            with ThreadPoolExecutor(max_workers=len(slots)) as pool:
-                seen = list(pool.map(read, slots, timeout=30))
-            assert seen == [_reference_fingerprint(slot) for slot in slots]
-    finally:
-        sys.setswitchinterval(switch)
-
-    assert escaped == prompts
 
 
 def test_a_counted_backend_counts_every_call_made_from_many_threads():
@@ -1512,7 +1492,7 @@ def test_slot_and_single_fingerprints_match_the_reference_dump():
             n=rng.randint(1, 4), quorum=1, base_seed=rng.choice((0, -5, 2**40))
         )
         for slot in ensemble_requests(base, config):
-            # Hashed on first read, from the escape the slots share.
+            # Hashed on first read.
             assert "fingerprint" not in vars(slot)
             assert slot.fingerprint == _reference_fingerprint(slot), case
             assert "fingerprint" in vars(slot)
@@ -1535,15 +1515,64 @@ def test_full_run_with_patches_is_byte_identical_under_any_schedule(capsys, monk
     ]
     monkeypatch.chdir(REPO_ROOT)
     assert len(segment_library(load_library(REPO_ROOT / "sample_specs"), 150)) > 4
-    monkeypatch.delenv("SGCR_TEST_JITTER", raising=False)
     assert main(argv) == 0
     expected, _ = capsys.readouterr()
     assert json.loads(expected)["clusters"]
     for seed in range(5):
-        monkeypatch.setenv("SGCR_TEST_JITTER", f"8:{seed}")
+        jitter_built_backends(monkeypatch, 8, seed)
         assert main(argv) == 0
         out, _ = capsys.readouterr()
         assert out == expected, f"jitter seed {seed} changed the report"
+
+
+# The golden command's settings; its paths are relative to the repository root.
+_GOLDEN_CONFIG = RunConfig(
+    mode="full",
+    backend="replay",
+    fixtures_dir="tests/data/golden/fixtures",
+    specs_dir="sample_specs",
+    chunk_budget=300,
+    patches=True,
+)
+
+
+@pytest.mark.parametrize("order", ["reverse", "seed-0", "seed-1", "seed-2", "seed-3", "seed-4"])
+def test_a_full_run_gives_the_golden_report_under_a_forced_completion_order(order, monkeypatch):
+    """Every wait of the run goes through its scope, so a test scope can force
+    the order in which the run sees its calls finish, not merely sample it."""
+    scopes = []
+
+    def ordered_scope():
+        seed = None if order == "reverse" else int(order.split("-")[1])
+        scopes.append(OrderedScope.reverse() if seed is None else OrderedScope.seeded(seed))
+        return scopes[-1]
+
+    monkeypatch.setattr(sgcr.pipeline, "call_pool", ordered_scope)
+    monkeypatch.chdir(REPO_ROOT)
+    request = build_review_request(paths=[Path("tests/data/golden/input/Example.java")])
+    expected = (GOLDEN_DIR / "expected_report.json").read_text(encoding="utf-8")
+    for _ in range(2):
+        outcome = {}
+
+        def run():
+            try:
+                outcome["report"] = render_report(run_review(_GOLDEN_CONFIG, request), "json")
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run, name="ordered-run", daemon=True)
+        runner.start()
+        runner.join(RUN_TIMEOUT_S)
+        assert not runner.is_alive(), "the ordered run hung"
+        assert outcome.get("error") is None
+        assert outcome["report"] == expected
+    first, second = scopes
+    # Proposer, reviewers, groundings, verifiers and patches all went through
+    # the scope; the run saw them finish out of submission order, and in the
+    # same order both times.
+    assert len(first.released) > 20
+    assert first.released != sorted(first.released)
+    assert first.released == second.released
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 6, 23])
@@ -1562,7 +1591,7 @@ def test_collect_in_order_keeps_the_slots_on_the_pool_within_max_inflight(count,
             submitted.append(None)  # nothing to verify: no slots
             return None
         ensemble = PendingEnsemble(
-            [pool.submit(slot, position) for _ in range(n)], EnsembleConfig(n=n, quorum=1)
+            [pool.submit(slot, position) for _ in range(n)], EnsembleConfig(n=n, quorum=1), pool
         )
         submitted.append(ensemble)
         return ensemble
@@ -1572,7 +1601,7 @@ def test_collect_in_order_keeps_the_slots_on_the_pool_within_max_inflight(count,
         return position, bool(ensemble and ensemble.unfinished())
 
     with call_pool() as pool:
-        results = collect_in_order(submit, collect, count, n)
+        results = collect_in_order(submit, collect, count, n, pool=pool)
         # The first window is on the pool before anything is collected.
         assert len(submitted) >= min(count, max(1, MAX_INFLIGHT // n))
         assert list(results) == [(position, False) for position in range(count)]
@@ -1595,49 +1624,100 @@ def test_collect_in_order_fills_freed_workers_while_the_next_ensemble_to_collect
 
     def submit(position):
         ensemble = PendingEnsemble(
-            [pool.submit(slot, position) for _ in range(n)], EnsembleConfig(n=n, quorum=1)
+            [pool.submit(slot, position) for _ in range(n)], EnsembleConfig(n=n, quorum=1), pool
         )
         submitted.append(ensemble)
         return ensemble
 
     with call_pool() as pool:
         results = collect_in_order(
-            submit, lambda position, ensemble: ensemble.unfinished(), count, n
+            submit, lambda position, ensemble: ensemble.unfinished(), count, n, pool=pool
         )
         assert len(submitted) >= MAX_INFLIGHT // n
         assert list(results) == [[]] * count
     assert all(future.result() for ensemble in submitted for future in ensemble._futures)
 
 
+class _BlockingSeenScope(RunScope):
+    """A run scope that sets blocked whenever a thread is about to wait in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocked = threading.Event()
+
+    def _until(self, ready):
+        if not ready():
+            self.blocked.set()
+        super()._until(ready)
+
+
 def test_collect_in_order_wakes_when_the_pool_cancels_the_slots_it_waits_for():
-    """A run that raises shuts its pool down, cancelling every queued slot."""
-    pool = ThreadPoolExecutor(max_workers=1)
+    """A run that raises cancels its scope's queued calls, every slot among them."""
     release = threading.Event()
-    pool.submit(release.wait, 10)  # the only worker is busy: every slot queues
     outcome = []
+    with _BlockingSeenScope() as pool:
+        for _ in range(MAX_INFLIGHT):
+            pool.submit(release.wait, 10)  # every worker is busy: every slot queues
 
-    def submit(position):
-        return PendingEnsemble([pool.submit(int, position)], EnsembleConfig(n=1, quorum=1))
+        def submit(position):
+            return PendingEnsemble(
+                [pool.submit(int, position)], EnsembleConfig(n=1, quorum=1), pool
+            )
 
-    def consume():
-        results = collect_in_order(
-            submit, lambda position, ensemble: ensemble._futures[0].cancelled(), 3, 1
-        )
-        outcome.extend(results)
+        def consume():
+            results = collect_in_order(
+                submit, lambda position, ensemble: ensemble._futures[0].cancelled(), 3, 1, pool=pool
+            )
+            outcome.extend(results)
 
-    consumer = threading.Thread(target=consume, daemon=True)
-    consumer.start()
-    time.sleep(0.05)  # the consumer now waits for the first slot
-    pool.shutdown(wait=False, cancel_futures=True)
-    consumer.join(timeout=5)
-    release.set()
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        # The whole window is queued, and the consumer waits for its first slot.
+        assert pool.blocked.wait(timeout=5)
+        pool.cancel()
+        consumer.join(timeout=5)
+        release.set()
     assert not consumer.is_alive()
     assert outcome == [True, True, True]
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_collect_in_order_keeps_exactly_max_inflight_slots_in_flight(n):
+    """When n divides MAX_INFLIGHT, the window fills to the cap, not one ensemble short."""
+    count = 3 * MAX_INFLIGHT // n
+    gates = [threading.Event() for _ in range(count)]
+    submitted = []
+
+    def submit(position):
+        ensemble = PendingEnsemble(
+            [pool.submit(gates[position].wait, 10) for _ in range(n)],
+            EnsembleConfig(n=n, quorum=1),
+            pool,
+        )
+        submitted.append(ensemble)
+        return ensemble
+
+    def in_flight():
+        return sum(len(ensemble.unfinished()) for ensemble in submitted)
+
+    with call_pool() as pool:
+        results = collect_in_order(submit, lambda position, ensemble: position, count, n, pool=pool)
+        fills = [in_flight()]
+        for position in range(count):
+            gates[position].set()  # only the ensemble to collect next may finish
+            assert next(results) == position
+            fills.append(in_flight())
+    # After each collection, every slot still gated is on the pool: the cap's
+    # worth while enough remain.
+    assert fills == [min(MAX_INFLIGHT, (count - done) * n) for done in range(count + 1)]
+
+
 @pytest.mark.parametrize("kind", ["mock", "replay", "http", "record"])
-def test_a_configured_backend_keeps_no_record_of_the_requests_it_was_sent(kind, tmp_path):
+def test_a_configured_backend_keeps_no_record_of_the_requests_it_was_sent(
+    kind, tmp_path, monkeypatch
+):
     """A record would keep every prompt sent, each with the code block, alive."""
+    monkeypatch.setattr(sgcr.gateway, "http_session", lambda: SessionDouble(refuse=False))
     config = RunConfig(
         backend=kind,
         fixtures_dir=str(tmp_path),
@@ -1647,7 +1727,11 @@ def test_a_configured_backend_keeps_no_record_of_the_requests_it_was_sent(kind, 
     backend = sgcr.pipeline.build_backend(config)
     try:
         request = ModelRequest(role=Role.PROPOSER, prompt="p")
-        backend._before_call(request)
+        if kind == "replay":
+            with pytest.raises(FixtureMiss):
+                backend.complete(request)
+        else:
+            assert backend.complete(request)
         assert sys.getrefcount(request) == 2  # the local name and the argument
         assert not hasattr(backend, "call_log")
     finally:

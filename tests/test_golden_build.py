@@ -23,7 +23,6 @@ def test_regenerating_the_golden_files_reproduces_them_byte_for_byte(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    env.pop("SGCR_TEST_JITTER", None)
     done = subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "build_golden.py")],
         cwd=tmp_path,

@@ -38,6 +38,7 @@ from sgcr.gateway import (
 from sgcr.implicit import (
     decide_quorum,
     ground_issue,
+    propose,
     propose_issues,
     run_implicit,
     verify_issue,
@@ -214,16 +215,11 @@ def test_decide_quorum_counts_only_valid_verdicts(verdicts, quorum, expected):
 def _run(backend, *, library=LIBRARY, index=INDEX, provider=PROVIDER, **kwargs):
     defaults = dict(threshold=-1.0, k=1, soft_fail=False, run_id="run-x")
     defaults.update(kwargs)
+    request = make_review_request()
     with call_pool() as pool:
+        proposal = propose(request, backend, ENSEMBLE, pool=pool)
         return run_implicit(
-            make_review_request(),
-            library,
-            backend,
-            provider,
-            lambda: index,
-            ENSEMBLE,
-            pool=pool,
-            **defaults,
+            request, library, proposal, provider, index, ENSEMBLE, pool=pool, **defaults
         )
 
 
