@@ -169,21 +169,20 @@ class HttpBackend(BaseBackend):
     ) -> None:
         super().__init__()
         self.model = model
-        self._client = HttpClient(base_url, api_key, timeout)
+        self._client = HttpClient(base_url, "/v1/chat/completions", api_key, timeout)
 
     def close(self) -> None:
         self._client.close()
 
     def _complete(self, request: ModelRequest) -> str:
         payload = self._client.post(
-            "/v1/chat/completions",
             {
                 "model": self.model,
                 "messages": [{"role": "user", "content": request.prompt}],
                 "temperature": request.temperature,
                 "seed": request.seed,
                 "max_tokens": request.max_output_tokens,
-            },
+            }
         )
         try:
             text = payload["choices"][0]["message"]["content"]

@@ -18,6 +18,7 @@ import os
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Mapping, Optional
+from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .explicit import AGGREGATION_MODES
@@ -199,23 +200,22 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"mode {config.mode!r} requires --specs-dir")
     if config.backend in ("replay", "record") and not config.fixtures_dir:
         raise ConfigError(f"backend {config.backend!r} requires --fixtures")
-    if config.backend in ("http", "record"):
-        if not config.base_url:
-            raise ConfigError(
-                f"backend {config.backend!r} requires a base URL"
-                f" (--base-url or {ENV_BASE_URL})"
-            )
-        if not config.api_key:
-            raise ConfigError(
-                f"backend {config.backend!r} requires an API key ({ENV_API_KEY})"
-            )
+    users = [f"backend {config.backend!r}"] if config.backend in ("http", "record") else []
     # Queries are embedded at review time, so implicit modes always need
     # a provider, prebuilt index or not.
-    needs_embedder = config.mode in ("full", "implicit_only")
-    if needs_embedder and config.embedding == "http":
+    if config.mode in ("full", "implicit_only") and config.embedding == "http":
+        users.append("http embedding")
+    for user in users:
         if not config.base_url:
+            raise ConfigError(f"{user} requires a base URL (--base-url or {ENV_BASE_URL})")
+        parts = urlsplit(config.base_url)
+        try:
+            valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+        except ValueError:  # a port that is not a number in 0..65535
+            valid = False
+        if not valid:
             raise ConfigError(
-                f"http embedding requires a base URL (--base-url or {ENV_BASE_URL})"
+                f"{user} requires an http or https base URL with a host; got {config.base_url!r}"
             )
         if not config.api_key:
-            raise ConfigError(f"http embedding requires an API key ({ENV_API_KEY})")
+            raise ConfigError(f"{user} requires an API key ({ENV_API_KEY})")

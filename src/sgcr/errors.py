@@ -43,8 +43,8 @@ class WireError(SgcrError):
 class RequestRejected(WireError):
     """The endpoint refused the request itself (a 4xx other than 408 or 429).
 
-    Sending the same request again would be refused again, so it is never
-    retried.
+    A 3xx is one too: redirects are not followed. Sending the same request
+    again would be refused again, so it is never retried.
     """
 
 

@@ -23,9 +23,10 @@ parser, parses inside the loop, so a reply that does not parse is retried.
 Each pathway counts the calls it sends with one CountedBackend; no
 function returns a count of attempts.
 
-The HTTP wire protocol is written once, in HttpClient, which the http
-model backend and the http embedding provider each hold: both endpoints
-fail with the same errors, which attempt_call retries the same way.
+The HTTP wire protocol is written once, in HttpClient, on the standard
+library's http.client, which the http model backend and the http embedding
+provider each hold: both endpoints fail with the same errors, which
+attempt_call retries the same way.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ from typing import (
     Protocol,
     TypeVar,
 )
+from urllib.parse import urlsplit
 
 from enum import Enum
 
 from .errors import (
     BackendTimeout,
+    ConfigError,
     EnsembleError,
     MalformedWireResponse,
     RequestRejected,
@@ -61,7 +64,7 @@ from .errors import (
 from .types import Value, memoized, value_class
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
 
 logger = logging.getLogger(__name__)
 
@@ -322,67 +325,114 @@ def call_pool() -> RunScope:
     return RunScope()
 
 
-def http_session() -> requests.Session:
-    """A requests.Session for one HTTP client's lifetime, reusing connections.
+def http_connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, str]:
+    """An unopened connection that reaches url, and the request target to send on it.
 
-    Its pool keeps MAX_INFLIGHT connections per host; at urllib3's default
-    of 10, the calls a run has in flight beyond that would each open a
-    connection, use it once and discard it with a warning. The adapter adds
-    no retries of its own. requests is imported here, not at module level,
-    so runs that make no HTTP call never load it.
+    HTTP(S)_PROXY and NO_PROXY are read as urllib reads them: an https url
+    goes through a CONNECT tunnel on the proxy, an http url is sent to the
+    proxy whole, as an absolute-form target. TLS trusts the system's CA
+    roots, or SSL_CERT_FILE. The modules are imported here, not at module
+    level, so runs that make no HTTP call never load them.
     """
-    import requests
-    from requests.adapters import HTTPAdapter
+    import http.client
+    import ssl
+    import urllib.request
 
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=MAX_INFLIGHT)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
+    parts = urlsplit(url)
+    target = url[len(f"{parts.scheme}://{parts.netloc}") :]
+    proxy = None
+    if not urllib.request.proxy_bypass(parts.netloc):
+        proxy = urllib.request.getproxies().get(parts.scheme)
+    host, port = parts.hostname, parts.port
+    if proxy:
+        proxied = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        try:
+            host, port = proxied.hostname, proxied.port or 80
+        except ValueError as exc:  # a port that is not a number in 0..65535
+            raise ConfigError(f"proxy {proxy!r} for {url}: {exc}") from exc
+    if parts.scheme == "http":
+        return http.client.HTTPConnection(host, port, timeout=timeout), url if proxy else target
+    context = ssl.create_default_context()
+    connection = http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
+    if proxy:
+        connection.set_tunnel(parts.hostname, parts.port)
+    return connection, target
 
 
 class HttpClient:
-    """One OpenAI-style endpoint: pooled connections, one POST per call.
+    """One OpenAI-style endpoint: kept-alive connections, one POST per call.
+
+    Idle connections wait in a last-in first-out list; list.append and
+    list.pop are atomic, so it needs no lock, and a client holds at most as
+    many connections as it has calls in flight, which the run scope caps at
+    MAX_INFLIGHT. An idle connection the server has closed fails before any
+    reply; it is reopened once, inside the one POST.
 
     post classifies every failure, for the chat and the embedding endpoint
     alike: a timeout raises BackendTimeout; any other transport error, a
-    5xx, 408 or 429 raises WireError; any other 4xx, which would be refused
-    again if resent, raises RequestRejected; a 200 whose body is not JSON
-    raises MalformedWireResponse. Messages name the URL, and a status error
-    also the status and the reply's first 200 characters.
+    5xx, 408 or 429 raises WireError; a 3xx (redirects are not followed)
+    or any other 4xx, which would be refused again if resent, raises
+    RequestRejected; a 200 whose body is not JSON raises
+    MalformedWireResponse. Messages name the URL, and a status error also
+    the status and the reply's first 200 characters.
     """
 
-    def __init__(self, base_url: str, api_key: Optional[str], timeout: float) -> None:
-        self._base_url = base_url.rstrip("/")
+    def __init__(self, base_url: str, path: str, api_key: Optional[str], timeout: float) -> None:
+        self._url = base_url.rstrip("/") + path
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._timeout = timeout
-        self._session = http_session()
+        self._idle: list[tuple[http.client.HTTPConnection, str]] = []
 
     def close(self) -> None:
-        """Close the pooled connections."""
-        self._session.close()
+        """Close the idle connections."""
+        while self._idle:
+            self._idle.pop()[0].close()
 
-    def post(self, path: str, body: dict) -> object:
-        """POST body as JSON to base_url + path; the decoded JSON reply."""
-        import requests
+    def post(self, body: dict) -> object:
+        """POST body as JSON to the endpoint; the decoded JSON reply."""
+        from http.client import HTTPException
 
-        url = self._base_url + path
+        url = self._url
+        data = json.dumps(body).encode("utf-8")
         try:
-            reply = self._session.post(url, json=body, headers=self._headers, timeout=self._timeout)
-        except requests.Timeout as exc:
+            connection, target = self._idle.pop()
+            kept_alive = True
+        except IndexError:
+            connection, target = http_connection(url, self._timeout)
+            kept_alive = False
+        try:
+            try:
+                connection.request("POST", target, data, self._headers)
+                reply = connection.getresponse()
+            except ConnectionError:
+                if not kept_alive:
+                    raise
+                # The server closed the idle connection: reopen it once.
+                connection.close()
+                connection, target = http_connection(url, self._timeout)
+                connection.request("POST", target, data, self._headers)
+                reply = connection.getresponse()
+            raw = reply.read()
+        except TimeoutError as exc:
+            connection.close()
             raise BackendTimeout(f"{url}: {exc}") from exc
-        except requests.RequestException as exc:
+        except (OSError, HTTPException) as exc:
+            connection.close()
             raise WireError(f"{url}: {exc}") from exc
-        status = reply.status_code
+        if reply.will_close:
+            connection.close()
+        else:
+            self._idle.append((connection, target))
+        status = reply.status
         if status != 200:
-            rejected = 400 <= status < 500 and status not in (408, 429)
+            rejected = 300 <= status < 500 and status not in (408, 429)
             raise (RequestRejected if rejected else WireError)(
-                f"{url}: status {status}: {reply.text[:200]}"
+                f"{url}: status {status}: {raw.decode('utf-8', 'replace')[:200]}"
             )
         try:
-            return reply.json()
+            return json.loads(raw)
         except ValueError as exc:
             raise MalformedWireResponse(f"{url}: response body is not JSON: {exc}") from exc
 

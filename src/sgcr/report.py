@@ -19,7 +19,7 @@ from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping, Optional, Sequence
 
-from .errors import DiffSyntaxError, PatchDoesNotApply, SgcrError, UnparsableResponse, WireError
+from .errors import FixtureMiss, PatchDoesNotApply, SgcrError
 from .gateway import ModelBackend, ModelRequest, RunScope, call_model
 from .ingestion import ReviewRequest, apply_file_diff, parse_unified_diff, unit_for_location
 from .matching import TokenTable, cluster_findings, merge_to_maxima
@@ -209,7 +209,9 @@ def generate_patch(
     parser); its reply is parsed once. The model sees the raw snippet (no line
     numbering) and must return a unified diff against that snippet alone:
     exactly one file section, at least one hunk, applying cleanly. Anything
-    else is discarded; a bad patch is worse than no patch.
+    else is discarded, as is a call that fails or a reply that breaks the
+    wire protocol; a bad patch is worse than no patch. Only a replay fixture
+    miss is raised.
     """
     finding = cluster.representative
     unit = unit_for_location(request, finding.file, finding.start_line)
@@ -252,7 +254,9 @@ def generate_patch(
                 f"expected one file section with hunks, got {len(diffs)}"
             )
         apply_file_diff(unit.content, diffs[0])
-    except (WireError, UnparsableResponse, DiffSyntaxError, PatchDoesNotApply) as exc:
+    except FixtureMiss:
+        raise
+    except SgcrError as exc:
         logger.warning(
             "patch for finding %s discarded: %s", finding.finding_id, exc
         )

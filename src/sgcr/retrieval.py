@@ -169,13 +169,13 @@ class HttpEmbeddingProvider:
         self.model = model
         self.dimension = 0
         self._lock = threading.Lock()
-        self._client = HttpClient(base_url, api_key, timeout)
+        self._client = HttpClient(base_url, "/v1/embeddings", api_key, timeout)
 
     def close(self) -> None:
         self._client.close()
 
     def embed(self, text: str) -> list[float]:
-        payload = self._client.post("/v1/embeddings", {"model": self.model, "input": text})
+        payload = self._client.post({"model": self.model, "input": text})
         try:
             values = payload["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:

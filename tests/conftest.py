@@ -67,26 +67,45 @@ def record_generate(monkeypatch) -> list[ModelRequest]:
     return sent
 
 
-class SessionDouble:
-    """A requests.Session stand-in: empty replies, or none, and whether it was closed."""
+class ConnectionDouble:
+    """An http.client connection stand-in: empty replies, or a refused connect.
 
-    def __init__(self, refuse: bool) -> None:
+    Made by open_connection_doubles in place of gateway.http_connection; it
+    records the url it was opened for and whether it was closed.
+    """
+
+    def __init__(self, url: str, refuse: bool) -> None:
+        self.url = url
         self.refuse = refuse
         self.closed = False
 
-    def post(self, url, json, headers, timeout):
-        import requests
-
+    def request(self, method, target, body, headers):
         if self.refuse:
-            raise requests.ConnectionError("connection refused")
-        if url.endswith("/v1/embeddings"):
+            raise ConnectionRefusedError("connection refused")
+
+    def getresponse(self):
+        if self.url.endswith("/v1/embeddings"):
             body = {"data": [{"embedding": [1.0, 0.5]}]}
         else:
             body = {"choices": [{"message": {"content": '{"findings": [], "issues": []}'}}]}
-        return SimpleNamespace(status_code=200, json=lambda: body, text="")
+        raw = json.dumps(body).encode("utf-8")
+        return SimpleNamespace(status=200, will_close=False, read=lambda: raw)
 
     def close(self):
         self.closed = True
+
+
+def open_connection_doubles(monkeypatch, refuse: bool = False) -> list[ConnectionDouble]:
+    """Every connection an HTTP client opens from now on, as a ConnectionDouble."""
+    opened: list[ConnectionDouble] = []
+
+    def http_connection(url, timeout):
+        connection = ConnectionDouble(url, refuse)
+        opened.append(connection)
+        return connection, "/"
+
+    monkeypatch.setattr(sgcr.gateway, "http_connection", http_connection)
+    return opened
 
 
 class JitteredBackend:

@@ -15,13 +15,12 @@ import threading
 import pytest
 
 import sgcr.cli
-import sgcr.gateway
 import sgcr.pipeline
 from conftest import (
     REPO_ROOT,
     CallLog,
     JitteredBackend,
-    SessionDouble,
+    open_connection_doubles,
     record_generate,
     write_spec_file,
 )
@@ -474,20 +473,31 @@ def test_specs_index_error_paths(capsys, monkeypatch, rules_dir, tmp_path):
 
 
 def test_specs_index_closes_its_embedding_client(capsys, monkeypatch, rules_dir, tmp_path):
-    sessions = []
-
-    def session_double():
-        sessions.append(SessionDouble(refuse=False))
-        return sessions[-1]
-
-    monkeypatch.setattr(sgcr.gateway, "http_session", session_double)
+    opened = open_connection_doubles(monkeypatch)
     monkeypatch.setenv("SGCR_API_KEY", "test-key")
     argv = ["specs", "index", "--specs-dir", str(rules_dir), "--output", str(tmp_path / "i.json")]
     assert main(argv + ["--embedding", "http", "--base-url", "http://127.0.0.1:9"]) == 0
     capsys.readouterr()
-    (session,) = sessions
-    assert session.closed
+    assert opened
+    assert all(connection.closed for connection in opened)
 
+
+
+def test_a_base_url_with_no_host_exits_2_before_any_connection(
+    capsys, java_file, monkeypatch, rules_dir, tmp_path
+):
+    opened = open_connection_doubles(monkeypatch)
+    monkeypatch.setenv("SGCR_API_KEY", "test-key")
+    index = ["specs", "index", "--specs-dir", str(rules_dir), "--output", str(tmp_path / "i.json")]
+    for argv in [
+        _review_argv(java_file, rules_dir, "--backend", "http", "--base-url", "localhost:8000"),
+        index + ["--embedding", "http", "--base-url", "localhost:8000"],
+    ]:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("base URL with a host; got 'localhost:8000'\n")
+    assert opened == []
 
 def test_review_with_a_mismatched_or_missing_index_fails_loudly(
     capsys, java_file, rules_dir, tmp_path

@@ -190,6 +190,39 @@ def test_validate_config_rejections(overrides, fragment):
     assert fragment in str(excinfo.value)
 
 
+
+@pytest.mark.parametrize(
+    "base_url",
+    [
+        "localhost:8000",
+        "ftp://models.example",
+        "http://",
+        "https:///v1",
+        "//models.example",
+        "http://models.example:http",
+        "http://models.example:70000",
+        "http://models.example:0",
+    ],
+)
+@pytest.mark.parametrize(
+    "user, overrides",
+    [
+        ("backend 'http'", {"backend": "http"}),
+        ("backend 'record'", {"backend": "record", "fixtures_dir": "fx"}),
+        ("http embedding", {"embedding": "http"}),
+    ],
+)
+def test_a_base_url_without_an_http_scheme_and_a_host_is_refused(base_url, user, overrides):
+    """Such a URL names no endpoint: refused up front, not call by call mid-run."""
+    config = RunConfig(specs_dir="rules", base_url=base_url, api_key="k", **overrides)
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(config)
+    assert str(excinfo.value) == (
+        f"{user} requires an http or https base URL with a host; got {base_url!r}"
+    )
+    # Runs that make no HTTP call do not read it.
+    validate_config(RunConfig(specs_dir="rules", base_url=base_url))
+
 def test_validate_config_accepts_complete_setups():
     validate_config(RunConfig(specs_dir="rules"))
     validate_config(RunConfig(specs_dir="rules", backend="replay", fixtures_dir="fx"))

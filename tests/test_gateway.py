@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from copy import copy
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -30,7 +30,6 @@ from conftest import (
     LoggedMockEmbeddingProvider,
     LoggedReplayBackend,
     OrderedScope,
-    SessionDouble,
     findings_json,
     issues_json,
     jitter_built_backends,
@@ -38,6 +37,7 @@ from conftest import (
     make_library,
     make_review_request,
     make_spec,
+    open_connection_doubles,
     record_generate,
     write_spec_file,
 )
@@ -50,6 +50,7 @@ from sgcr.backends import (
 )
 from sgcr.errors import (
     BackendTimeout,
+    ConfigError,
     EmptyLibrary,
     EnsembleError,
     FixtureMiss,
@@ -373,6 +374,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
         status = type(self).status_plan.pop(0) if type(self).status_plan else 200
         if status != 200:
             self.send_response(status)
+            if 300 <= status < 400:
+                self.send_header("Location", "/v1/elsewhere")
             self.end_headers()
             self.wfile.write(b"{}")
             return
@@ -396,6 +399,23 @@ class _ChatHandler(BaseHTTPRequestHandler):
         pass
 
 
+@contextmanager
+def _serving(handler):
+    """A loopback server of handler on a thread of its own; yields its base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 @pytest.fixture()
 def chat_server():
     _ChatHandler.seen = []
@@ -405,16 +425,8 @@ def chat_server():
     _ChatHandler.chat_content = None
     _ChatHandler.raw_reply = None
     _ChatHandler.delay_s = 0.0
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}", _ChatHandler
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with _serving(_ChatHandler) as base_url:
+        yield base_url, _ChatHandler
 
 
 def test_http_backend_speaks_the_wire_protocol(chat_server):
@@ -685,6 +697,9 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     peers: list[tuple[str, int]] = []
     delay_s = 0.0
+    # When set, close each connection after its reply without saying so, as
+    # a server does with a connection that has idled past its keep-alive.
+    hang_up = False
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
@@ -703,6 +718,8 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
             self.wfile.write(raw)
         except (BrokenPipeError, ConnectionResetError):
             pass  # a caller that timed out has hung up
+        if type(self).hang_up:
+            self.close_connection = True
 
     def log_message(self, *args):  # silence test output
         pass
@@ -712,16 +729,9 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 def keep_alive_server():
     _KeepAliveHandler.peers = []
     _KeepAliveHandler.delay_s = 0.0
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveHandler)
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}", _KeepAliveHandler
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    _KeepAliveHandler.hang_up = False
+    with _serving(_KeepAliveHandler) as base_url:
+        yield base_url, _KeepAliveHandler
 
 
 def _http_client(base_url, which, timeout=60.0):
@@ -743,7 +753,7 @@ _HTTP_FAILURES = {
     },
     **{
         f"status-{status}": ({"status_plan": [status]}, RequestRejected, f"status {status}: {{}}")
-        for status in (400, 401, 404)
+        for status in (301, 307, 400, 401, 404)
     },
     "not-json": ({"raw_reply": b"<html>"}, MalformedWireResponse, "response body is not JSON"),
 }
@@ -806,6 +816,106 @@ def test_http_clients_keep_a_connection_per_call_in_flight(keep_alive_server, wh
     assert len(set(handler.peers)) <= MAX_INFLIGHT
 
 
+def test_a_connection_the_server_closed_costs_one_post_and_one_counted_call(keep_alive_server):
+    """An idle connection the server hung up on is reopened inside the call."""
+    base_url, handler = keep_alive_server
+    handler.hang_up = True
+    backend = HttpBackend(base_url=base_url, model="m")
+    counted = CountedBackend(backend)
+    provider = HttpEmbeddingProvider(base_url=base_url, model="e")
+    try:
+        for _ in range(3):
+            counted.complete(ModelRequest(role="proposer", prompt="p"))
+            provider.embed("text")
+    finally:
+        backend.close()
+        provider.close()
+    assert counted.calls == 3
+    assert len(handler.peers) == 6
+    assert len(set(handler.peers)) == 6  # each on a connection of its own
+
+
+class _ProxyHandler(BaseHTTPRequestHandler):
+    """A forward proxy that answers every POST itself and refuses every tunnel."""
+
+    protocol_version = "HTTP/1.1"
+    targets: list[str] = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).targets.append(self.path)
+        reply = {
+            "choices": [{"message": {"content": "ok"}}],
+            "data": [{"embedding": [0.6, 0.8]}],
+        }
+        raw = json.dumps(reply).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def do_CONNECT(self):
+        type(self).targets.append(f"CONNECT {self.path}")
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):  # silence test output
+        pass
+
+
+def _clear_proxies(monkeypatch):
+    """Unset every *_proxy variable, in either case, for the test."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+@pytest.mark.parametrize("which", ["chat", "embeddings"])
+def test_http_clients_go_through_the_proxy_the_environment_names(chat_server, which, monkeypatch):
+    base_url, handler = chat_server
+    endpoint = "/v1/chat/completions" if which == "chat" else "/v1/embeddings"
+    handler.embedding_plan = ["[0.6, 0.8]"]
+    _clear_proxies(monkeypatch)
+    _ProxyHandler.targets = []
+
+    def one_call(url):
+        client, call = _http_client(url, which)
+        try:
+            call()
+        finally:
+            client.close()
+
+    with _serving(_ProxyHandler) as proxy_url:
+        monkeypatch.setenv("HTTP_PROXY", proxy_url)
+        monkeypatch.setenv("HTTPS_PROXY", proxy_url)
+        one_call(base_url)
+        # An http target is sent to the proxy whole, in absolute form.
+        assert _ProxyHandler.targets == [base_url + endpoint]
+        assert handler.seen == []
+        # An https target goes through a tunnel the proxy opens.
+        with pytest.raises(WireError, match="Tunnel connection failed: 502"):
+            one_call("https://127.0.0.1:9")
+        assert _ProxyHandler.targets[1:] == ["CONNECT 127.0.0.1:9"]
+
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        one_call(base_url)
+    assert len(_ProxyHandler.targets) == 2
+    assert [call["path"] for call in handler.seen] == [endpoint]
+
+
+
+def test_a_proxy_url_with_a_bad_port_is_a_configuration_error(monkeypatch):
+    _clear_proxies(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:port")
+    backend = HttpBackend(base_url="http://127.0.0.1:9", model="m")
+    try:
+        message = "proxy 'http://127.0.0.1:port' for http://127.0.0.1:9/v1/chat/completions"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            backend.complete(ModelRequest(role="proposer", prompt="p"))
+    finally:
+        backend.close()
+
 _COLD_MOCK_REVIEW = """
 import sys
 from pathlib import Path
@@ -818,15 +928,15 @@ from sgcr.pipeline import render_report, run_review
 config = RunConfig(specs_dir="sample_specs", chunk_budget=300, patches=True)
 request = build_review_request(paths=[Path("tests/data/golden/input/Example.java")])
 assert render_report(run_review(config, request), "json")
-print(sorted(name for name in sys.modules if name.split(".")[0] == "requests"))
+print(sorted({"http.client", "ssl", "urllib.request"} & set(sys.modules)))
 """
 
 
-def test_a_mock_review_never_imports_requests():
-    """The wire code imports requests only on the HTTP call path.
+def test_a_mock_review_never_imports_the_wire_modules():
+    """The wire code imports http.client, ssl and urllib.request only on the HTTP path.
 
-    Imported at module level, it would add the whole requests import to
-    every cold start, mock runs included.
+    Imported at module level, they would add about 40 ms to every cold
+    start, mock runs included.
     """
     done = subprocess.run(
         [sys.executable, "-c", _COLD_MOCK_REVIEW],
@@ -1717,7 +1827,7 @@ def test_a_configured_backend_keeps_no_record_of_the_requests_it_was_sent(
     kind, tmp_path, monkeypatch
 ):
     """A record would keep every prompt sent, each with the code block, alive."""
-    monkeypatch.setattr(sgcr.gateway, "http_session", lambda: SessionDouble(refuse=False))
+    open_connection_doubles(monkeypatch)
     config = RunConfig(
         backend=kind,
         fixtures_dir=str(tmp_path),
@@ -1743,13 +1853,7 @@ def test_a_configured_backend_keeps_no_record_of_the_requests_it_was_sent(
 def test_run_review_closes_the_clients_it_builds_and_only_those(
     kind, refuse, tmp_path, monkeypatch
 ):
-    sessions = []
-
-    def session_double():
-        sessions.append(SessionDouble(refuse))
-        return sessions[-1]
-
-    monkeypatch.setattr(sgcr.gateway, "http_session", session_double)
+    opened = open_connection_doubles(monkeypatch, refuse)
     config = RunConfig(
         backend=kind,
         embedding="http",
@@ -1760,18 +1864,23 @@ def test_run_review_closes_the_clients_it_builds_and_only_those(
     def outcome():
         return pytest.raises(EnsembleError) if refuse else nullcontext()
 
+    def opened_for(endpoint):
+        return [connection for connection in opened if connection.url.endswith(endpoint)]
+
     with outcome():
         run_review(config, make_review_request())
-    # The backend's session and the embedding provider's.
-    assert len(sessions) == 2
-    assert all(session.closed for session in sessions)
+    # The backend's connections and the embedding provider's.
+    assert opened_for("/v1/chat/completions")
+    assert opened_for("/v1/embeddings") or refuse
+    assert all(connection.closed for connection in opened)
 
-    sessions.clear()
+    opened.clear()
     caller_backend = sgcr.pipeline.build_backend(config)
     with outcome():
         run_review(config, make_review_request(), backend=caller_backend)
-    backend_session, provider_session = sessions
-    assert not backend_session.closed
-    assert provider_session.closed
+    backend_connections = opened_for("/v1/chat/completions")
+    # A refused connection is closed at once; a working one is kept alive.
+    assert all(connection.closed is refuse for connection in backend_connections)
+    assert all(connection.closed for connection in opened_for("/v1/embeddings"))
     caller_backend.close()
-    assert backend_session.closed
+    assert all(connection.closed for connection in backend_connections)

@@ -5,11 +5,24 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from conftest import CannedBackend, make_finding, make_library, make_review_request, make_spec
-from sgcr.errors import SgcrError
+from conftest import (
+    GOLDEN_DIR,
+    REPO_ROOT,
+    CannedBackend,
+    make_finding,
+    make_library,
+    make_review_request,
+    make_spec,
+)
+from sgcr.backends import ReplayBackend
+from sgcr.config import RunConfig
+from sgcr.errors import FixtureMiss, MalformedWireResponse, SgcrError
+from sgcr.ingestion import build_review_request
+from sgcr.pipeline import run_review
 from sgcr.gateway import call_pool
 import sgcr.report
 from sgcr.report import (
@@ -310,6 +323,45 @@ def test_attach_patches_counts_outcomes_and_keeps_order():
         c.representative.description for c in report.clusters
     ]
 
+
+
+class _FailingPatches(ReplayBackend):
+    """The golden replies, except that every patch call raises error."""
+
+    def __init__(self, error: SgcrError) -> None:
+        super().__init__(GOLDEN_DIR / "fixtures")
+        self.error = error
+
+    def _complete(self, request):
+        if request.role == "patch_generator":
+            raise self.error
+        return super()._complete(request)
+
+
+def test_a_patch_reply_that_breaks_the_wire_protocol_costs_only_that_patch(monkeypatch):
+    # The golden command's settings; its paths are relative to the repository root.
+    monkeypatch.chdir(REPO_ROOT)
+    config = RunConfig(
+        backend="replay",
+        specs_dir="sample_specs",
+        fixtures_dir="tests/data/golden/fixtures",
+        chunk_budget=300,
+        patches=True,
+    )
+    request = build_review_request(paths=[Path("tests/data/golden/input/Example.java")])
+    golden = run_review(config, request)
+    assert dict(golden.patch_stats)["attached"] == 1
+
+    broken = MalformedWireResponse("missing choices[0].message.content")
+    final = run_review(config, request, backend=_FailingPatches(broken))
+    assert dict(final.patch_stats) == {"attached": 0, "attempted": 3, "skipped_uncited": 0}
+    assert [cluster.representative.patch for cluster in final.clusters] == [None] * 3
+    assert [cluster.representative.finding_id for cluster in final.clusters] == [
+        cluster.representative.finding_id for cluster in golden.clusters
+    ]
+    # A missing fixture is still fatal: the replay set is incomplete.
+    with pytest.raises(FixtureMiss, match="no-such-fixture"):
+        run_review(config, request, backend=_FailingPatches(FixtureMiss("no-such-fixture")))
 
 def test_report_payload_matches_schema_v1():
     finding = make_finding(
