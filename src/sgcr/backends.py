@@ -29,7 +29,8 @@ every prompt, and verifier prompts each hold the whole code block.
 
 Fixture format (record/replay): one JSON file per request at
 ``<fixtures_dir>/<fingerprint>.json`` holding ``{"request": <canonical
-request object>, "response_text": <string>}``.
+request object>, "response_text": <string>}``, written whole or not at all
+(``files.write_text_atomic``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import FixtureMiss, MalformedWireResponse
+from .files import write_text_atomic
 from .gateway import HttpClient, ModelRequest, canonical_request
 from .prompts import Role
 
@@ -211,8 +213,8 @@ class RecordingBackend(BaseBackend):
         payload = {"request": canonical_request(request), "response_text": text}
         with self._lock:
             self.fixtures_dir.mkdir(parents=True, exist_ok=True)
-            path = self.fixtures_dir / f"{fingerprint}.json"
-            path.write_text(
-                json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            write_text_atomic(
+                self.fixtures_dir / f"{fingerprint}.json",
+                json.dumps(payload, sort_keys=True, indent=2) + "\n",
             )
         return text

@@ -29,6 +29,7 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, DiffSyntaxError, InvalidReviewRequest, SgcrError
+from .files import write_text_atomic
 from .ingestion import build_review_request, decode_utf8
 from .pipeline import build_provider, load_rules, render_report, run_review
 from .retrieval import build_index, save_index
@@ -189,7 +190,7 @@ def _cmd_review(args: argparse.Namespace) -> int:
 
     if config.output:
         try:
-            Path(config.output).write_text(rendered, encoding="utf-8")
+            write_text_atomic(config.output, rendered)
         except OSError as exc:
             print(f"sgcr: cannot write the report to {config.output}: {exc}", file=sys.stderr)
             return 3

@@ -9,6 +9,11 @@ and merge with the kernels in ``matching`` (``cluster_tagged`` and
 rule chunk. Aggregation is deterministic by default; a model-backed mode
 exists for semantic grouping but anything the model invents without
 candidate support is dropped.
+
+Every reviewer slot parses through the pathway's one parsing.FindingTable
+(shared without a lock, it dies with the pathway; a race only rebuilds an
+equal Finding), so agreeing members hold the same Finding objects, and
+deterministic aggregation clusters each distinct object once.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .gateway import (
 )
 from .ingestion import ReviewRequest, prompt_block
 from .matching import TokenTable, cluster_tagged, findings_equivalent, merge_to_maxima
-from .parsing import parse_findings_response
+from .parsing import FindingTable, parse_findings_response
 from .prompts import Role, render_prompt
 from .specs import (
     DEFAULT_CHUNK_BUDGET,
@@ -124,7 +129,9 @@ def aggregate_candidates(
     """Merge one chunk's candidate reviews into a quorum-filtered partial.
 
     Deterministic mode clusters equivalent findings and keeps groups whose
-    support (distinct ensemble members) reaches the quorum; the merged
+    support (distinct ensemble members) reaches the quorum. Each distinct
+    Finding object is clustered once, tagged with its lowest member, and a
+    group's support is the union of its objects' members; the merged
     finding takes the lowest instance's wording and is raised to the member
     maxima, except that confidence = support / present members and, with a
     library, the category is resolved from the union of cited rules (a
@@ -150,10 +157,19 @@ def aggregate_candidates(
     ]
 
     if mode == "deterministic":
+        # Members share the finding table's objects: cluster each once.
+        holders: dict[int, set[int]] = {}
+        distinct = []
+        for entry in entries:
+            held = holders.get(id(entry[0]))
+            if held is None:
+                held = holders[id(entry[0])] = set()
+                distinct.append(entry)
+            held.add(entry[1])
         merged: list[Finding] = []
-        for group in cluster_tagged(entries, tokens=tokens):
+        for group in cluster_tagged(distinct, tokens=tokens):
             members, instances = zip(*group)
-            support = len(set(instances))
+            support = len(set().union(*[holders[id(member)] for member in members]))
             if support < ensemble.quorum:
                 logger.debug(
                     "chunk %d: dropping finding %s (support %d < quorum %d)",
@@ -292,9 +308,10 @@ def review_chunks(
         raise InvalidReviewRequest("explicit review needs at least one unit")
     chunks = segment_library(library, chunk_budget)
     calls = CountedBackend(backend)
+    table = FindingTable()
 
     def parse(text: str) -> list[Finding]:
-        return parse_findings_response(text, Pathway.EXPLICIT, library)
+        return parse_findings_response(text, Pathway.EXPLICIT, library, table=table)
 
     def submit(position: int) -> PendingEnsemble:
         reviewer = _reviewer_request(request, chunks[position], library, ensemble)

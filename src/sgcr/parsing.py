@@ -7,8 +7,12 @@ are tolerated); within a well-formed document, entries that violate the
 schema are dropped with a warning while valid siblings survive.
 
 The findings parser, which reads most of a run's replies, checks each
-entry in one inline pass with exact-type tests and builds its Finding once,
-with positional arguments.
+entry in one inline pass with exact-type tests and builds one Finding per
+distinct entry through a FindingTable. The explicit pathway's one table
+(explicit.review_chunks) dies with the pathway, and its pool workers share
+it without a lock, as they share matching.TokenTable: a race only builds an
+equal Finding twice. So an entry that agreeing members repeat is built, and
+its location hashed (content_id), once. A call given no table uses a fresh one.
 """
 
 from __future__ import annotations
@@ -116,8 +120,20 @@ def _string_list(value) -> Optional[list[str]]:
     return value
 
 
+class FindingTable(dict):
+    """Location (file, start, end, description) -> content_id, hashed on a
+    miss, and validated entry (location, severity, rationale, kept spec ids)
+    -> the Finding built for it. Use a table with one pathway and library.
+    """
+
+    def __missing__(self, location: tuple) -> str:
+        finding_id = self[location] = content_id(*location)
+        return finding_id
+
+
 def parse_findings_response(
-    text: str, pathway: Pathway, library: Optional[SpecLibrary] = None
+    text: str, pathway: Pathway, library: Optional[SpecLibrary] = None,
+    *, table: Optional[FindingTable] = None,
 ) -> list[Finding]:
     """Parse a findings-schema response; invalid entries are dropped.
 
@@ -133,13 +149,17 @@ def parse_findings_response(
     With a library, each finding is built once and already normalized:
     cited ids the library does not hold are dropped with a warning, and
     the category is resolved from the ids that remain. Without one, the
-    ids are kept as cited and the category is the default.
+    ids are kept as cited and the category is the default. Warnings are
+    logged per entry; an entry the table (module docstring) already holds
+    yields the Finding built for it.
     """
     document = extract_json_document(text)
     entries = document.get("findings")
     if type(entries) is not list:
         raise UnparsableResponse('response has no "findings" list')
 
+    if table is None:
+        table = FindingTable()
     findings: list[Finding] = []
     for position, entry in enumerate(entries):
         if type(entry) is not dict:
@@ -172,23 +192,25 @@ def parse_findings_response(
         rationale = entry.get("rationale")
         if type(rationale) is not str:
             rationale = ""
-        category = Category.MAINTAINABILITY
-        if library is not None:
-            if not all(map(library.__contains__, spec_ids)):
-                kept = [spec_id for spec_id in spec_ids if spec_id in library]
-                logger.warning(
-                    "finding %s cites unknown rule ids %s; dropping them",
-                    content_id(file, start, end, description),
-                    sorted(set(spec_ids) - set(kept)),
-                )
-                spec_ids = kept
-            category = resolve_category(spec_ids, library)
-        findings.append(
-            Finding(
-                file, start, end, description, severity, pathway, rationale,
-                tuple(spec_ids), 1.0, category,
+        if library is not None and not all(map(library.__contains__, spec_ids)):
+            kept = [spec_id for spec_id in spec_ids if spec_id in library]
+            logger.warning(
+                "finding %s cites unknown rule ids %s; dropping them",
+                table[file, start, end, description],
+                sorted(set(spec_ids) - set(kept)),
             )
-        )
+            spec_ids = kept
+        key = (file, start, end, description, severity, rationale, tuple(spec_ids))
+        finding = table.get(key)
+        if finding is None:
+            category = Category.MAINTAINABILITY
+            if library is not None:
+                category = resolve_category(spec_ids, library)
+            finding = table[key] = Finding(
+                file, start, end, description, severity, pathway, rationale,
+                key[6], 1.0, category, None, table[file, start, end, description],
+            )
+        findings.append(finding)
     return sort_findings(findings)
 
 

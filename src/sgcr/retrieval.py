@@ -58,6 +58,7 @@ from .errors import (
     MalformedWireResponse,
     QueryDimensionMismatch,
 )
+from .files import write_text_atomic
 from .gateway import HttpClient, attempt_call
 from .specs import SpecLibrary, Specification
 from .types import Value, value_class
@@ -317,7 +318,8 @@ def retrieve(
 
 
 def save_index(index: VectorIndex, path: Path) -> None:
-    """Write the index as JSON with packed vectors (module docstring)."""
+    """Write the index as JSON with packed vectors (module docstring), whole
+    or not at all (files.write_text_atomic)."""
     packed = struct.Struct(f"<{index.dimension}d")
     payload = {
         "dimension": index.dimension,
@@ -331,7 +333,7 @@ def save_index(index: VectorIndex, path: Path) -> None:
             for (spec_id, vector), digest in zip(index.entries, index.digests, strict=True)
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_index(path: Path, library: SpecLibrary) -> VectorIndex:

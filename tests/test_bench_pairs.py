@@ -226,3 +226,48 @@ def test_the_tool_exits_nonzero_when_any_run_is_incorrect(wrong_side, monkeypatc
     assert bench_pairs.main(["--parent", "HEAD"]) == (0 if wrong_side is None else 1)
     out = capsys.readouterr().out
     assert ("INCORRECT: 1 run(s)" in out) is (wrong_side is not None)
+
+
+def _recording_run(ran):
+    """A run_once stand-in that records (side, workload) and reads correct."""
+
+    def run_once(checkout, command, workload, seed, seconds):
+        ran.append(("parent" if checkout != bench_pairs.ROOT else "change", workload))
+        return bench_pairs.parse_result(_output(review_p50_s=0.1))
+
+    return run_once
+
+
+@pytest.mark.parametrize(
+    "chosen, expected",
+    [
+        ([], [workload["name"] for workload in BENCHMARK["workloads"]]),
+        (["findings-dense"], ["findings-dense"]),
+        (["findings-dense", "pr-diff", "findings-dense"], ["pr-diff", "findings-dense"]),
+    ],
+)
+def test_workload_picks_the_workloads_run_in_benchmark_order(chosen, expected, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda revision, into: None)
+    monkeypatch.setattr(bench_pairs, "run_once", _recording_run(ran))
+    argv = ["--parent", "HEAD"] + [arg for name in chosen for arg in ("--workload", name)]
+    assert bench_pairs.main(argv) == 0
+    assert ran == [
+        (side, workload)
+        for pair in range(bench_pairs.PAIRS)
+        for workload in expected
+        for side in (bench_pairs.SIDES if pair % 2 == 0 else bench_pairs.SIDES[::-1])
+    ]
+    names = {workload["name"] for workload in BENCHMARK["workloads"]}
+    headers = [line for line in capsys.readouterr().out.splitlines() if line in names]
+    assert headers == sorted(expected)  # the summary covers the workloads run
+
+
+def test_an_unknown_workload_is_refused_before_anything_runs(monkeypatch, capsys):
+    exported = []
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda revision, into: exported.append(1))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "no-such-workload"])
+    assert exit_info.value.code == 2
+    assert exported == []
+    assert "invalid choice: 'no-such-workload'" in capsys.readouterr().err

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import sgcr.parsing
+import sgcr.types
 from conftest import (
     GOLDEN_DIR,
     REPO_ROOT,
@@ -184,6 +186,66 @@ def test_aggregate_model_mode_drops_inventions(caplog):
     assert merged.confidence == pytest.approx(2 / 3)
     assert any("no candidate support" in record.message for record in caplog.records)
     assert backend.call_log[0].temperature == 0.0
+
+
+def _collapse_candidates(shared):
+    """Three members' candidates, the same objects across members when shared.
+
+    A: only in members 1 and 2, plus a reworded copy in member 2 that
+    sorts first, so its wording is member 1's and its severity member 2's.
+    B and B2: one location and description, so equal sort keys, with
+    different cited rules and rationales; member 0 holds both, B first.
+    C: only in member 0, below the quorum.
+    """
+    builders = {
+        "A": lambda: make_finding(start=4, description="user input reaches the query unchecked"),
+        "A'": lambda: make_finding(
+            start=3,
+            end=4,
+            description="user input reaches the query unchecked here",
+            severity=Severity.HIGH,
+        ),
+        "B": lambda: make_finding(
+            start=9, description="loop allocates a buffer", spec_ids=("sec.input",), rationale="one"
+        ),
+        "B2": lambda: make_finding(
+            start=9, description="loop allocates a buffer", spec_ids=("style.naming",), rationale="two"
+        ),
+        "C": lambda: make_finding(start=20, description="method name shadows the field"),
+    }
+    built = {name: build() for name, build in builders.items()}
+    held = {0: ["B", "B2", "C"], 1: ["A", "B2"], 2: ["A", "A'", "B"]}
+    return [
+        _candidate(
+            instance,
+            *(built[name] if shared else builders[name]() for name in names),
+        )
+        for instance, names in held.items()
+    ]
+
+
+def test_aggregate_is_the_same_whether_members_share_findings_or_hold_copies():
+    shared = _collapse_candidates(shared=True)
+    assert shared[1].findings[0] is shared[2].findings[0]
+    copies = _collapse_candidates(shared=False)
+    assert copies[1].findings[0] is not copies[2].findings[0]
+    result = aggregate_candidates(_chunk("sec.input"), shared, ENSEMBLE, library=LIBRARY)
+    assert result == aggregate_candidates(_chunk("sec.input"), copies, ENSEMBLE, library=LIBRARY)
+
+    a, b = result.findings
+    assert (a.start_line, a.description, a.severity) == (
+        4,
+        "user input reaches the query unchecked",
+        Severity.HIGH,
+    )
+    assert a.confidence == pytest.approx(2 / 3)
+    assert (b.rationale, b.spec_ids, b.category) == (
+        "one",
+        ("sec.input", "style.naming"),
+        Category.SECURITY,
+    )
+    assert b.confidence == pytest.approx(1.0)
+    assert all(f.start_line != 20 for f in result.findings)  # C is below the quorum
 
 
 def test_synthesize_collapses_cross_chunk_duplicates_to_maxima():
@@ -435,6 +497,93 @@ def test_a_slow_head_slot_leaves_no_freed_worker_idle():
         report = _run_explicit(make_review_request(), library, backend, 1, pool=pool)
     assert report.stats_dict()["chunks"] == 8
     assert held == [True]
+
+
+def _agreeing_entries(request):
+    """What a reviewer slot returns: entries every slot and chunk repeats word
+    for word, one more in the second chunk, one location cited at two
+    severities, and one entry of the slot's own."""
+    entries = [
+        {"start_line": 2, "description": "field is never validated", "spec_ids": ["sec.input"]},
+        {"start_line": 4, "description": "return path skips the bounds check"},
+        {"start_line": 4, "description": "return path skips the bounds check", "severity": "high"},
+        {
+            "start_line": 5,
+            "description": ("a counter overflows", "a lock is never released", "a handle leaks")[
+                request.instance_index
+            ],
+        },
+    ]
+    if "RULE style.naming " in request.prompt:
+        entries.append(
+            {"start_line": 3, "description": "method name is not a verb", "spec_ids": ["style.naming"]}
+        )
+    return entries
+
+
+def test_each_distinct_reviewer_location_is_hashed_once_and_members_share_findings(monkeypatch):
+    """Work counts of the explicit pathway with agreeing reviewers.
+
+    Every content_id call of the pathway (parsing, aggregation, synthesis)
+    is counted: there is one per distinct (file, start, end, description)
+    among the reviewers' entries. Members' equal entries are one Finding
+    object, in one chunk and across chunks.
+    """
+    hashed = []
+    real = sgcr.types.content_id
+
+    def counted(*location):
+        hashed.append(location)
+        return real(*location)
+
+    monkeypatch.setattr(sgcr.types, "content_id", counted)
+    monkeypatch.setattr(sgcr.parsing, "content_id", counted)
+    sent = []
+
+    def reviewer(request):
+        entries = _agreeing_entries(request)
+        sent.extend(entries)
+        return findings_json(*entries)
+
+    library = _two_chunk_library()
+    collected = []
+
+    def keep(candidates):
+        for chunk_candidates in candidates:
+            collected.append(chunk_candidates)
+            yield chunk_candidates
+
+    with call_pool() as pool:
+        reviews = review_chunks(
+            make_review_request(), library, CannedBackend({"explicit_reviewer": reviewer}),
+            ENSEMBLE, 100, pool=pool,
+        )
+        reviews = reviews._replace(candidates=keep(reviews.candidates))
+        report = run_explicit(reviews, library, ENSEMBLE, pool=pool)
+
+    assert [len(candidates) for candidates in collected] == [3, 3]
+    assert len(sent) == 3 * 4 + 3 * 5
+    locations = {
+        ("src/Main.java", entry["start_line"], entry["start_line"], entry["description"])
+        for entry in sent
+    }
+    assert len(locations) == 6
+    assert len(hashed) == len(locations)
+    assert set(hashed) == locations
+
+    findings = [f for chunk in collected for c in chunk for f in c.findings]
+    assert len(findings) == len(sent)
+    # One object per distinct entry: the three every slot repeats, the style
+    # one and each slot's own.
+    assert len({id(finding) for finding in findings}) == 3 + 1 + 3
+    first, second = (chunk[0].findings for chunk in collected)
+    assert all(any(f is finding for f in second) for finding in first[:3])
+    # Each slot's own entry is below the quorum; both severities merge.
+    assert [(f.start_line, f.severity) for f in report.findings] == [
+        (2, Severity.MEDIUM),
+        (3, Severity.MEDIUM),
+        (4, Severity.HIGH),
+    ]
 
 
 class _FirstCallFailsBackend(LoggedMockBackend):

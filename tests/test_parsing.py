@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
+import sys
+import threading
 
 import pytest
 
 from conftest import findings_json, make_library, make_spec
 from sgcr.errors import SgcrError, UnparsableResponse
 from sgcr.parsing import (
+    FindingTable,
     extract_json_document,
     parse_findings_response,
     parse_patch_response,
@@ -528,7 +532,12 @@ def _records(caplog):
 
 
 def test_findings_parser_matches_the_per_entry_oracle_on_random_entries(caplog):
+    """With a fresh finding table per reply, and with one table per pathway
+    and library kept across all replies, as the explicit pathway keeps one:
+    the same findings and the same warnings, each logged per entry."""
     rng = random.Random(20261018)
+    tables = {}
+    shared = []
     for _ in range(400):
         entries = [_random_entry(rng) for _ in range(rng.randint(0, 12))]
         text = json.dumps({"findings": entries})
@@ -538,12 +547,66 @@ def test_findings_parser_matches_the_per_entry_oracle_on_random_entries(caplog):
         with caplog.at_level("WARNING", logger="sgcr.parsing"):
             expected = _reference_parse_findings(text, pathway, library)
         expected_records = _records(caplog)
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="sgcr.parsing"):
-            parsed = parse_findings_response(text, pathway, library)
-        assert parsed == expected, text
-        assert [f.finding_id for f in parsed] == [f.finding_id for f in expected]
-        assert _records(caplog) == expected_records, text
+        for table in (None, tables.setdefault((pathway, library is None), FindingTable())):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="sgcr.parsing"):
+                parsed = parse_findings_response(text, pathway, library, table=table)
+            assert parsed == expected, text
+            assert [f.finding_id for f in parsed] == [f.finding_id for f in expected]
+            assert _records(caplog) == expected_records, text
+        shared.extend(parsed)
+    # Replies repeated entries, and the kept tables handed back what they held.
+    assert len({id(finding) for finding in shared}) < len(shared)
+
+
+def test_threads_sharing_a_finding_table_get_what_a_fresh_parse_gives():
+    """More threads than cores parse agreeing replies through one table while
+    the interpreter switches threads every microsecond. A race may build an
+    entry's Finding twice, never a different one: each thread gets exactly
+    what a parse with a fresh table gives."""
+    replies = [
+        findings_json(
+            *(
+                {
+                    "start_line": (reply * entry) % 7 + 1,
+                    "description": f"issue {entry % 5} of the loop",
+                    "severity": ("low", "high")[entry % 2],
+                    "spec_ids": [("sec.input", "ghost.rule", "perf.loop")[entry % 3]],
+                }
+                for entry in range(12)
+            )
+        )
+        for reply in range(6)
+    ]
+    expected = [parse_findings_response(r, Pathway.EXPLICIT, ORACLE_LIBRARY) for r in replies]
+    table = FindingTable()
+    workers = min(2 * (os.cpu_count() or 1) + 1, 17)
+    start = threading.Barrier(workers)
+    mismatches = []
+
+    def parse_all():
+        start.wait(timeout=30)
+        for _ in range(30):
+            for reply, want in zip(replies, expected):
+                got = parse_findings_response(reply, Pathway.EXPLICIT, ORACLE_LIBRARY, table=table)
+                if got != want or [f.finding_id for f in got] != [f.finding_id for f in want]:
+                    mismatches.append(reply)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_all) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert {finding for findings in expected for finding in findings} == {
+        finding for key, finding in table.items() if len(key) == 7
+    }
 
 
 def _valid_documents():

@@ -2,13 +2,16 @@
 
 Run from anywhere inside the repository:
 
-    python3 tools/bench_pairs.py --parent HEAD
+    python3 tools/bench_pairs.py --parent HEAD [--workload NAME ...]
 
 The committed files of the parent revision are exported (``git archive``)
 into a temporary directory, which is removed at the end. Each of the 10
 pairs then runs the benchmark command of BENCHMARK.json with
 ``--trace 0``, for its run_seconds on every workload, once in that copy
-and once in the working tree. Every pair draws a fresh random seed, so
+and once in the working tree. ``--workload NAME`` (repeatable) runs only
+the named workloads, in BENCHMARK.json's order, so a change can be tried on
+one of them; evidence for a change needs the default, every workload.
+Every pair draws a fresh random seed, so
 no seed tried while writing a change is reused, and switches which side
 runs first from one pair to the next. The seeds are printed first. Every run's
 result line is printed as it arrives, prefixed with ``run``. At the end,
@@ -255,16 +258,24 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int, secon
     return parse_result(done.stdout)
 
 
-def parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+def parse_args(argv: Optional[list[str]], workloads: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
+    parser.add_argument(
+        "--workload",
+        action="append",
+        choices=workloads,
+        help="run only this workload (repeatable; default: every workload)",
+    )
     return parser.parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [workload["name"] for workload in benchmark["workloads"]]
+    args = parse_args(argv, workloads)
+    if args.workload:
+        workloads = [name for name in workloads if name in args.workload]
     seeds = random.SystemRandom().sample(range(1, 10**9), PAIRS)
     print("seeds", " ".join(map(str, seeds)), flush=True)
     results = []
