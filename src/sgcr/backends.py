@@ -25,7 +25,10 @@ with ``^`` under ``re.MULTILINE`` is tried at every character of a prompt
 that may hold 48k of them, and an alternation in front (``(?:^|\n)``)
 loses the literal prefix too and is slower still. Scanning ``"\n" +
 prompt`` instead of the position-0 match costs as little time, but copies
-every prompt, and verifier prompts each hold the whole code block.
+every prompt, and verifier prompts each hold the whole code block. The
+slots of an ensemble send one prompt, so the mock takes its headers through
+``ModelRequest.per_prompt``: the scan runs once per ensemble, and its
+slots share the result.
 
 Fixture format (record/replay): one JSON file per request at
 ``<fixtures_dir>/<fingerprint>.json`` holding ``{"request": <canonical
@@ -91,7 +94,7 @@ class MockBackend(BaseBackend):
     def _complete(self, request: ModelRequest) -> str:
         fingerprint = request.fingerprint
         rng = random.Random(int(fingerprint[:16], 16))
-        (file, low, high), rule_ids = prompt_headers(request.prompt)
+        (file, low, high), rule_ids = request.per_prompt(prompt_headers)
 
         def location() -> tuple[int, int]:
             start = low + rng.randrange(max(1, high - low + 1))

@@ -6,8 +6,11 @@ and is stable across processes. Fingerprints key the record/replay fixture
 store and seed the mock backend, so the whole pipeline can run offline and
 deterministically. Only those backends read one, so a request is hashed
 when a backend first reads its fingerprint, in the worker making the call,
-and never on an HTTP run. The prompt is escaped and hashed a slice at a
-time, so no escape of a whole prompt is ever held.
+and never on an HTTP run. The slots of an ensemble share one SharedPrompt:
+the first read of any slot's fingerprint escapes the prompt once, a slice
+at a time, and hashes every slot from that escape, so no escape of a whole
+prompt is ever held and none is repeated. A lone request is an ensemble of
+one.
 
 A run's calls, threads and waits live in one RunScope (call_pool).
 Ensembles are submit-then-collect: submit_ensemble puts the slots on the
@@ -35,6 +38,7 @@ import hashlib
 import json
 import logging
 import threading
+import weakref
 from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import replace
@@ -47,7 +51,7 @@ from typing import (
     Protocol,
     TypeVar,
 )
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from enum import Enum
 
@@ -80,6 +84,9 @@ MAX_INFLIGHT = 16
 # Characters of a prompt escaped and hashed at a time by a fingerprint.
 HASH_SLICE = 16 * 1024
 
+T = TypeVar("T")
+R = TypeVar("R")
+
 
 @value_class
 class ModelRequest(Value):
@@ -111,13 +118,21 @@ class ModelRequest(Value):
         """sha256 of canonical_request_json, computed on first read.
 
         Only the mock, replay and record backends read it, once per call;
-        a retry reads the cached value. The cache lives in the instance
-        dict, with no lock shared between requests, so workers hash
-        different requests at once; dataclasses.replace builds a fresh
-        instance, so a replaced request never inherits another's
-        fingerprint.
+        a retry reads the cached value. The first read of any slot of an
+        ensemble hashes every slot, under its SharedPrompt's lock alone, so
+        workers hash different ensembles at once; dataclasses.replace
+        builds a fresh instance, a lone request, so a replaced request never
+        inherits another's fingerprint.
         """
         return _digest(self)
+
+    def per_prompt(self, derive: Callable[[str], T]) -> T:
+        """derive(self.prompt), computed once for every slot sharing the prompt.
+
+        derive must be a pure function of the prompt that reads no
+        fingerprint; its value is shared, so callers must not change it.
+        """
+        return _shared_prompt(self).derived(derive, self.prompt)
 
 
 @value_class
@@ -201,20 +216,87 @@ def _escape(piece: str) -> bytes:
     return json.dumps(piece)[1:-1].encode("ascii")
 
 
-def _digest(request: ModelRequest) -> str:
-    """sha256 of canonical_request_json(request), its prompt escaped a slice at a time.
+class SharedPrompt:
+    """What the slots of one ensemble share: their prompt's one pass.
 
-    json.dumps escapes each code point on its own, lone surrogates included,
-    so the escapes of HASH_SLICE-character slices join into the whole
-    prompt's escape, which is never held.
+    Each slot holds it in its instance dict, not as a field, so it never
+    enters eq, hash or repr. It holds its slots by weak reference alone, so
+    no reference cycle keeps a prompt alive once its slots are gone. The
+    first fingerprint read of any slot hashes every live slot in one pass
+    (_hash_slots), and derived keeps values computed from the prompt alone
+    (the mock's header scan), each computed once. Both run under the lock,
+    held only for that computation: a sibling waits for the pass rather
+    than repeating it.
     """
-    head, tail = canonical_parts(request)
-    digest = hashlib.sha256(head.encode("ascii") + b'"')
-    prompt = request.prompt
+
+    __slots__ = ("_lock", "_slots", "_fingerprints", "_derived")
+
+    def __init__(self, slots: list[ModelRequest]) -> None:
+        self._lock = threading.Lock()
+        self._slots = [weakref.ref(slot) for slot in slots]
+        self._fingerprints: Optional[dict[int, str]] = None
+        self._derived: dict[Callable[[str], object], object] = {}
+
+    def fingerprint(self, slot: ModelRequest) -> str:
+        with self._lock:
+            if self._fingerprints is None:
+                live = [alive for alive in (ref() for ref in self._slots) if alive is not None]
+                self._fingerprints = _hash_slots(live)
+            return self._fingerprints[slot.instance_index]
+
+    def derived(self, derive: Callable[[str], T], prompt: str) -> T:
+        with self._lock:
+            if derive not in self._derived:
+                self._derived[derive] = derive(prompt)
+            return self._derived[derive]  # type: ignore[return-value]
+
+
+def _share(slots: list[ModelRequest]) -> SharedPrompt:
+    """One SharedPrompt for slots, which differ at most in seed and instance_index."""
+    shared = SharedPrompt(slots)
+    for slot in slots:
+        vars(slot)["_shared_prompt"] = shared
+    return shared
+
+
+def _shared_prompt(request: ModelRequest) -> SharedPrompt:
+    """request's SharedPrompt; a lone request is shared as an ensemble of one.
+
+    Two threads first reading a lone request at once may each share it
+    anew; each then hashes it, to the same fingerprint.
+    """
+    return vars(request).get("_shared_prompt") or _share([request])
+
+
+def _digest(request: ModelRequest) -> str:
+    """sha256 of canonical_request_json(request), from its SharedPrompt's one pass."""
+    return _shared_prompt(request).fingerprint(request)
+
+
+def _hash_slots(slots: list[ModelRequest]) -> dict[int, str]:
+    """Each slot's fingerprint by instance_index, the shared prompt escaped once.
+
+    The prompt is escaped a HASH_SLICE-character slice at a time, and each
+    slice feeds every slot's sha256. json.dumps escapes each code point on
+    its own, lone surrogates included, so the slices' escapes join into the
+    whole prompt's escape, which is never held.
+    """
+    states = []
+    for slot in slots:
+        head, tail = canonical_parts(slot)
+        states.append(
+            (slot.instance_index, hashlib.sha256(head.encode("ascii") + b'"'), tail.encode("ascii"))
+        )
+    prompt = slots[0].prompt
     for start in range(0, len(prompt), HASH_SLICE):
-        digest.update(_escape(prompt[start : start + HASH_SLICE]))
-    digest.update(b'"' + tail.encode("ascii"))
-    return digest.hexdigest()
+        piece = _escape(prompt[start : start + HASH_SLICE])
+        for _, digest, _ in states:
+            digest.update(piece)
+    fingerprints = {}
+    for index, digest, tail in states:
+        digest.update(b'"' + tail)
+        fingerprints[index] = digest.hexdigest()
+    return fingerprints
 
 
 class ModelBackend(Protocol):
@@ -231,16 +313,15 @@ def generate(backend: ModelBackend, request: ModelRequest) -> str:
 def ensemble_requests(base_request: ModelRequest, config: EnsembleConfig) -> list[ModelRequest]:
     """The n slot requests, differing only in instance_index and seed.
 
-    No slot is hashed here; each is hashed when its fingerprint is first read.
+    The slots share one SharedPrompt. None is hashed here: the first read of
+    any slot's fingerprint hashes them all.
     """
-    return [
+    slots = [
         replace(base_request, instance_index=i, seed=config.base_seed + i)
         for i in range(config.n)
     ]
-
-
-T = TypeVar("T")
-R = TypeVar("R")
+    _share(slots)
+    return slots
 
 
 class RunScope:
@@ -325,15 +406,22 @@ def call_pool() -> RunScope:
     return RunScope()
 
 
-def http_connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, str]:
-    """An unopened connection that reaches url, and the request target to send on it.
+def http_connection(
+    url: str, timeout: float
+) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+    """An unopened connection that reaches url, the request target to send on
+    it, and the headers the proxy needs on each request.
 
     HTTP(S)_PROXY and NO_PROXY are read as urllib reads them: an https url
     goes through a CONNECT tunnel on the proxy, an http url is sent to the
-    proxy whole, as an absolute-form target. TLS trusts the system's CA
-    roots, or SSL_CERT_FILE. The modules are imported here, not at module
+    proxy whole, as an absolute-form target. A user (and password) in the
+    proxy URL, percent-decoded, is sent as Proxy-Authorization: Basic on the
+    CONNECT, or on each absolute-form request, never to the endpoint itself.
+    Error messages show the proxy URL without them. TLS trusts the system's
+    CA roots, or SSL_CERT_FILE. The modules are imported here, not at module
     level, so runs that make no HTTP call never load them.
     """
+    import base64
     import http.client
     import ssl
     import urllib.request
@@ -344,19 +432,26 @@ def http_connection(url: str, timeout: float) -> tuple[http.client.HTTPConnectio
     if not urllib.request.proxy_bypass(parts.netloc):
         proxy = urllib.request.getproxies().get(parts.scheme)
     host, port = parts.hostname, parts.port
+    proxy_headers: dict[str, str] = {}
     if proxy:
         proxied = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
         try:
             host, port = proxied.hostname, proxied.port or 80
         except ValueError as exc:  # a port that is not a number in 0..65535
-            raise ConfigError(f"proxy {proxy!r} for {url}: {exc}") from exc
+            shown = proxied._replace(netloc=proxied.netloc.rpartition("@")[2]).geturl()
+            raise ConfigError(f"proxy {shown!r} for {url}: {exc}") from exc
+        if proxied.username:
+            credentials = f"{unquote(proxied.username)}:{unquote(proxied.password or '')}"
+            token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+            proxy_headers["Proxy-Authorization"] = f"Basic {token}"
     if parts.scheme == "http":
-        return http.client.HTTPConnection(host, port, timeout=timeout), url if proxy else target
+        connection = http.client.HTTPConnection(host, port, timeout=timeout)
+        return connection, url if proxy else target, proxy_headers
     context = ssl.create_default_context()
     connection = http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
     if proxy:
-        connection.set_tunnel(parts.hostname, parts.port)
-    return connection, target
+        connection.set_tunnel(parts.hostname, parts.port, headers=proxy_headers)
+    return connection, target, {}
 
 
 class HttpClient:
@@ -383,12 +478,17 @@ class HttpClient:
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._timeout = timeout
-        self._idle: list[tuple[http.client.HTTPConnection, str]] = []
+        # Each idle connection with its request target and headers.
+        self._idle: list[tuple[http.client.HTTPConnection, str, dict[str, str]]] = []
 
     def close(self) -> None:
         """Close the idle connections."""
         while self._idle:
             self._idle.pop()[0].close()
+
+    def _connect(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+        connection, target, proxy_headers = http_connection(self._url, self._timeout)
+        return connection, target, {**self._headers, **proxy_headers}
 
     def post(self, body: dict) -> object:
         """POST body as JSON to the endpoint; the decoded JSON reply."""
@@ -397,22 +497,22 @@ class HttpClient:
         url = self._url
         data = json.dumps(body).encode("utf-8")
         try:
-            connection, target = self._idle.pop()
+            connection, target, headers = self._idle.pop()
             kept_alive = True
         except IndexError:
-            connection, target = http_connection(url, self._timeout)
+            connection, target, headers = self._connect()
             kept_alive = False
         try:
             try:
-                connection.request("POST", target, data, self._headers)
+                connection.request("POST", target, data, headers)
                 reply = connection.getresponse()
             except ConnectionError:
                 if not kept_alive:
                     raise
                 # The server closed the idle connection: reopen it once.
                 connection.close()
-                connection, target = http_connection(url, self._timeout)
-                connection.request("POST", target, data, self._headers)
+                connection, target, headers = self._connect()
+                connection.request("POST", target, data, headers)
                 reply = connection.getresponse()
             raw = reply.read()
         except TimeoutError as exc:
@@ -424,7 +524,7 @@ class HttpClient:
         if reply.will_close:
             connection.close()
         else:
-            self._idle.append((connection, target))
+            self._idle.append((connection, target, headers))
         status = reply.status
         if status != 200:
             rejected = 300 <= status < 500 and status not in (408, 429)
@@ -532,8 +632,8 @@ def submit_ensemble(
 ) -> PendingEnsemble[T]:
     """Put the n diversified slots on the pool without waiting for them.
 
-    Nothing is hashed here: a slot is hashed in the worker that calls the
-    backend, and only if the backend reads its fingerprint.
+    Nothing is hashed here: the slots are hashed in the first worker whose
+    backend reads a fingerprint, and only then.
     """
     slots = ensemble_requests(base_request, config)
     return PendingEnsemble(

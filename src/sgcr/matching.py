@@ -219,21 +219,29 @@ def merge_to_maxima(
     Severity, category and the confidence maximum are read in one pass over
     the members. The result is built in one construction, keeping the
     winner's finding_id and patch; when no field would change, the winner
-    itself is returned.
+    itself is returned. A group of one, most groups, skips the pass, and
+    the sort when its rule ids are a tuple already sorted and distinct.
     """
     first = members[0]
     severity, top, category = first.severity, first.confidence, first.category
-    severity_rank, category_rank = SEVERITY_RANK[severity], CATEGORY_RANK[category]
-    for member in members:
-        rank = SEVERITY_RANK[member.severity]
-        if rank < severity_rank:
-            severity, severity_rank = member.severity, rank
-        rank = CATEGORY_RANK[member.category]
-        if rank < category_rank:
-            category, category_rank = member.category, rank
-        if member.confidence > top:
-            top = member.confidence
-    spec_ids = tuple(sorted({spec_id for member in members for spec_id in member.spec_ids}))
+    if len(members) == 1:
+        spec_ids = first.spec_ids
+        if type(spec_ids) is not tuple or (
+            len(spec_ids) > 1 and any(a >= b for a, b in zip(spec_ids, spec_ids[1:]))
+        ):
+            spec_ids = tuple(sorted(set(spec_ids)))
+    else:
+        severity_rank, category_rank = SEVERITY_RANK[severity], CATEGORY_RANK[category]
+        for member in members:
+            rank = SEVERITY_RANK[member.severity]
+            if rank < severity_rank:
+                severity, severity_rank = member.severity, rank
+            rank = CATEGORY_RANK[member.category]
+            if rank < category_rank:
+                category, category_rank = member.category, rank
+            if member.confidence > top:
+                top = member.confidence
+        spec_ids = tuple(sorted({spec_id for member in members for spec_id in member.spec_ids}))
     if confidence is None:
         confidence = top
     if library is not None:

@@ -102,7 +102,7 @@ def open_connection_doubles(monkeypatch, refuse: bool = False) -> list[Connectio
     def http_connection(url, timeout):
         connection = ConnectionDouble(url, refuse)
         opened.append(connection)
-        return connection, "/"
+        return connection, "/", {}
 
     monkeypatch.setattr(sgcr.gateway, "http_connection", http_connection)
     return opened

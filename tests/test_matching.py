@@ -430,6 +430,47 @@ def test_merge_to_maxima_matches_the_replace_reference_on_random_groups():
     assert returned_winner > 20
 
 
+def test_a_group_of_one_merges_as_the_general_path_and_the_reference_do():
+    """A group of one skips the members' pass; merging the same finding
+    twice takes the general path, and both must give the reference."""
+    rng = random.Random(78)
+    ids = ["sec.a", "style.b", "perf.c", "gone.d"]
+    seen = set()
+    for trial in range(600):
+        spec_ids = rng.choices(ids, k=rng.randint(0, 4))
+        if rng.random() < 0.5:
+            spec_ids = sorted(set(spec_ids))
+        member = make_finding(
+            severity=rng.choice(list(Severity)),
+            confidence=rng.choice([0.5, 2 / 3, 1.0]),
+            category=rng.choice(list(Category)),
+            spec_ids=tuple(spec_ids) if rng.random() < 0.8 else list(spec_ids),
+        )
+        confidence = rng.choice([None, member.confidence, 1 / 3, 1.0])
+        library = rng.choice([None, _MERGE_LIBRARY])
+        alone = merge_to_maxima([member], member, confidence=confidence, library=library)
+        general = merge_to_maxima([member, member], member, confidence=confidence, library=library)
+        expected = _replace_reference([member], member, confidence, library)
+        assert alone == general == expected, f"trial {trial}"
+        assert type(alone.spec_ids) is tuple, f"trial {trial}"
+        assert (alone is member) is (general is member), f"trial {trial}"
+        seen.add(
+            (
+                alone is member,
+                type(member.spec_ids),
+                list(member.spec_ids) == sorted(set(member.spec_ids)),
+                confidence is None,
+                library is None,
+            )
+        )
+    # Kept and rebuilt, tuple and list ids, tidy and unsorted or duplicate
+    # ids, with and without a confidence and a library.
+    for position, values in enumerate(
+        [(True, False), (tuple, list), (True, False), (True, False), (True, False)]
+    ):
+        assert {key[position] for key in seen} == set(values)
+
+
 def test_a_singleton_merge_still_sorts_and_dedupes_its_rule_ids():
     tidy = make_finding(spec_ids=("perf.c", "sec.a"), category=Category.SECURITY)
     assert merge_to_maxima([tidy], tidy) is tidy
