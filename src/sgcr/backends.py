@@ -49,13 +49,14 @@ from .errors import FixtureMiss, MalformedWireResponse
 from .files import write_text_atomic
 from .gateway import HttpClient, ModelRequest, canonical_request
 from .prompts import Role
+from .types import Severity
 
 _FILE_HEADER = r"FILE (\S+) \(lines (\d+)\.\.(\d+)\)"
 _RULE_HEADER = r"RULE (\S+) "
 _FILE_AT_START, _FILE_AFTER_NEWLINE = re.compile(_FILE_HEADER), re.compile("\n" + _FILE_HEADER)
 _RULE_AT_START, _RULE_AFTER_NEWLINE = re.compile(_RULE_HEADER), re.compile("\n" + _RULE_HEADER)
 
-_SEVERITIES = ("critical", "high", "medium", "low")
+_SEVERITIES = tuple(severity.value for severity in Severity)
 
 
 class BaseBackend:

@@ -22,6 +22,7 @@ from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .explicit import AGGREGATION_MODES
+from .gateway import proxy_route
 from .implicit import MAX_PROPOSALS
 from .ingestion import DEFAULT_CONTEXT_LINES
 from .retrieval import DEFAULT_MOCK_DIMENSION, DEFAULT_SCORE_THRESHOLD, DEFAULT_TOP_K
@@ -219,3 +220,5 @@ def validate_config(config: RunConfig) -> None:
             )
         if not config.api_key:
             raise ConfigError(f"{user} requires an API key ({ENV_API_KEY})")
+        # A proxy URL with a bad port would fail every call: refuse it now.
+        proxy_route(config.base_url)

@@ -29,10 +29,6 @@ class EmptyLibrary(SgcrError):
 # -- model gateway ------------------------------------------------------------
 
 
-class MissingSlot(SgcrError):
-    """A prompt template slot required by the role was not supplied."""
-
-
 class WireError(SgcrError):
     """One HTTP attempt failed in transport, or with a 5xx, 408 or 429.
 

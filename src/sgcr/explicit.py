@@ -208,8 +208,8 @@ def aggregate_candidates(
     )
     prompt = render_prompt(Role.AGGREGATOR, {"candidates": payload})
     aggregator = ModelRequest(role=Role.AGGREGATOR.value, prompt=prompt, temperature=0.0)
-    aggregated = parse_findings_response(
-        call_model(backend, aggregator), Pathway.EXPLICIT, library
+    aggregated = call_model(
+        backend, aggregator, lambda text: parse_findings_response(text, Pathway.EXPLICIT, library)
     )
     kept: list[Finding] = []
     for finding in aggregated:
@@ -272,7 +272,7 @@ def synthesize_partials(
         )
         prompt = render_prompt(Role.SYNTHESIZER, {"candidates": payload})
         synthesizer = ModelRequest(role=Role.SYNTHESIZER.value, prompt=prompt, temperature=0.0)
-        summary = call_model(backend, synthesizer).strip()
+        summary = call_model(backend, synthesizer, str.strip)
     return PathwayReport(pathway=Pathway.EXPLICIT, findings=findings, summary=summary)
 
 
@@ -341,8 +341,8 @@ def run_explicit(
     Reviews are collected and aggregated in chunk order, so the report is
     identical whatever the completion order. Model-mode aggregation and
     the model summary call from this thread, each attempt on the pool so
-    it counts against its cap; they retry the call (gateway.call_model,
-    given no parser) but not its parsing. Every call goes through
+    it counts against its cap, and parse each reply inside the call's
+    retries (gateway.call_model), as the slots do. Every call goes through
     reviews.calls, whose count is the model_calls stat, retries included.
     Aggregation and synthesis tokenize descriptions through tokens, the
     run's TokenTable (a fresh one when none is given). Raises EnsembleError

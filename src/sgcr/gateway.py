@@ -6,11 +6,11 @@ and is stable across processes. Fingerprints key the record/replay fixture
 store and seed the mock backend, so the whole pipeline can run offline and
 deterministically. Only those backends read one, so a request is hashed
 when a backend first reads its fingerprint, in the worker making the call,
-and never on an HTTP run. The slots of an ensemble share one SharedPrompt:
-the first read of any slot's fingerprint escapes the prompt once, a slice
-at a time, and hashes every slot from that escape, so no escape of a whole
-prompt is ever held and none is repeated. A lone request is an ensemble of
-one.
+and never on an HTTP run. The slots of an ensemble share one SharedPrompt,
+the only cache of their fingerprints: the first read of any slot's
+fingerprint escapes the prompt once, a slice at a time, and hashes every
+slot from that escape, so no escape of a whole prompt is ever held and
+none is repeated. A lone request is an ensemble of one.
 
 A run's calls, threads and waits live in one RunScope (call_pool).
 Ensembles are submit-then-collect: submit_ensemble puts the slots on the
@@ -21,15 +21,16 @@ fixed order; collect_in_order keeps a pool's worth of them in flight.
 This module owns every model call. Backends and embedding providers make
 one attempt per call; attempt_call holds the only retry loop, so each call
 is sent at most 1 + SLOT_RETRIES times. A model call goes through
-call_model, which sends each attempt through generate and, when given a
-parser, parses inside the loop, so a reply that does not parse is retried.
-Each pathway counts the calls it sends with one CountedBackend; no
-function returns a count of attempts.
+call_model, which sends each attempt through generate and parses the reply
+with the caller's parser inside the loop, so a reply that does not parse
+is retried, whatever the role. Each pathway counts the calls it sends with
+one CountedBackend; no function returns a count of attempts.
 
 The HTTP wire protocol is written once, in HttpClient, on the standard
 library's http.client, which the http model backend and the http embedding
 provider each hold: both endpoints fail with the same errors, which
-attempt_call retries the same way.
+attempt_call retries the same way. proxy_route is the one reading of the
+proxy settings, for each connection and for the configuration check.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .errors import (
     UnparsableResponse,
     WireError,
 )
-from .types import Value, memoized, value_class
+from .types import Value, value_class
 
 if TYPE_CHECKING:
     import http.client
@@ -113,18 +114,18 @@ class ModelRequest(Value):
         if self.instance_index < 0:
             raise ValueError("instance_index must be non-negative")
 
-    @memoized
+    @property
     def fingerprint(self) -> str:
-        """sha256 of canonical_request_json, computed on first read.
+        """sha256 of canonical_request_json, from the SharedPrompt's one pass.
 
-        Only the mock, replay and record backends read it, once per call;
-        a retry reads the cached value. The first read of any slot of an
-        ensemble hashes every slot, under its SharedPrompt's lock alone, so
-        workers hash different ensembles at once; dataclasses.replace
-        builds a fresh instance, a lone request, so a replaced request never
-        inherits another's fingerprint.
+        Only the mock, replay and record backends read it, once per call.
+        The first read of any slot of an ensemble hashes every slot, under
+        its SharedPrompt's lock alone, so workers hash different ensembles
+        at once; later reads, a retry's included, find the value there.
+        dataclasses.replace builds a fresh instance, a lone request, so a
+        replaced request is hashed afresh.
         """
-        return _digest(self)
+        return _shared_prompt(self).fingerprint(self)
 
     def per_prompt(self, derive: Callable[[str], T]) -> T:
         """derive(self.prompt), computed once for every slot sharing the prompt.
@@ -151,25 +152,14 @@ class EnsembleConfig(Value):
             raise ValueError(f"quorum must be in 1..{self.n}, got {self.quorum}")
 
 
-def canonical_request(request: ModelRequest) -> dict:
-    return {
-        "role": request.role,
-        "prompt": request.prompt,
-        "temperature": request.temperature,
-        "seed": request.seed,
-        "max_output_tokens": request.max_output_tokens,
-        "instance_index": request.instance_index,
-    }
-
-
 def canonical_parts(request: ModelRequest) -> tuple[str, str]:
     """The canonical request JSON before and after its escaped prompt.
 
-    The one owner of the canonical layout: canonical_request with sorted
-    keys (instance_index, max_output_tokens, prompt, role, seed,
-    temperature) and no whitespace, each value written by json.dumps, so
-    head + json.dumps(prompt) + tail equals json.dumps(canonical_request(r),
-    sort_keys=True, separators=(",", ":")).
+    The one owner of the canonical keys and layout: instance_index,
+    max_output_tokens, prompt, role, seed and temperature, sorted, with no
+    whitespace, each value written by json.dumps, so head +
+    json.dumps(prompt) + tail is the JSON of those fields with sorted keys
+    and the separators "," and ":".
     """
     head = (
         f'{{"instance_index":{json.dumps(request.instance_index)},'
@@ -190,6 +180,11 @@ def canonical_request_json(request: ModelRequest) -> str:
     """
     head, tail = canonical_parts(request)
     return head + json.dumps(request.prompt) + tail
+
+
+def canonical_request(request: ModelRequest) -> dict:
+    """The canonical request as an object, as a fixture stores it."""
+    return json.loads(canonical_request_json(request))
 
 
 # Printable ASCII, the newline and the tab. In text made of them, JSON
@@ -223,10 +218,10 @@ class SharedPrompt:
     enters eq, hash or repr. It holds its slots by weak reference alone, so
     no reference cycle keeps a prompt alive once its slots are gone. The
     first fingerprint read of any slot hashes every live slot in one pass
-    (_hash_slots), and derived keeps values computed from the prompt alone
-    (the mock's header scan), each computed once. Both run under the lock,
-    held only for that computation: a sibling waits for the pass rather
-    than repeating it.
+    (_hash_slots) and keeps the fingerprints, their only cache; derived
+    keeps values computed from the prompt alone (the mock's header scan),
+    each computed once. Both run under the lock, held only for that
+    computation: a sibling waits for the pass rather than repeating it.
     """
 
     __slots__ = ("_lock", "_slots", "_fingerprints", "_derived")
@@ -266,11 +261,6 @@ def _shared_prompt(request: ModelRequest) -> SharedPrompt:
     anew; each then hashes it, to the same fingerprint.
     """
     return vars(request).get("_shared_prompt") or _share([request])
-
-
-def _digest(request: ModelRequest) -> str:
-    """sha256 of canonical_request_json(request), from its SharedPrompt's one pass."""
-    return _shared_prompt(request).fingerprint(request)
 
 
 def _hash_slots(slots: list[ModelRequest]) -> dict[int, str]:
@@ -406,44 +396,61 @@ def call_pool() -> RunScope:
     return RunScope()
 
 
+def proxy_route(url: str) -> Optional[tuple[str, int, dict[str, str]]]:
+    """The proxy that reaches url: its host, its port and the headers it
+    needs; None when url is reached directly.
+
+    HTTP(S)_PROXY and NO_PROXY are read as urllib reads them. A user (and
+    password) in the proxy URL, percent-decoded, becomes a
+    Proxy-Authorization: Basic header. A port that is not a number in
+    0..65535 raises ConfigError, whose message shows the proxy URL without
+    the user and password. The modules are imported here, not at module
+    level, so runs that make no HTTP call never load them.
+    """
+    import base64
+    import urllib.request
+
+    parts = urlsplit(url)
+    if urllib.request.proxy_bypass(parts.netloc):
+        return None
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if not proxy:
+        return None
+    proxied = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        host, port = proxied.hostname, proxied.port or 80
+    except ValueError as exc:  # a port that is not a number in 0..65535
+        shown = proxied._replace(netloc=proxied.netloc.rpartition("@")[2]).geturl()
+        raise ConfigError(f"proxy {shown!r} for {url}: {exc}") from exc
+    headers: dict[str, str] = {}
+    if proxied.username:
+        credentials = f"{unquote(proxied.username)}:{unquote(proxied.password or '')}"
+        token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+        headers["Proxy-Authorization"] = f"Basic {token}"
+    return host, port, headers
+
+
 def http_connection(
     url: str, timeout: float
 ) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
     """An unopened connection that reaches url, the request target to send on
     it, and the headers the proxy needs on each request.
 
-    HTTP(S)_PROXY and NO_PROXY are read as urllib reads them: an https url
-    goes through a CONNECT tunnel on the proxy, an http url is sent to the
-    proxy whole, as an absolute-form target. A user (and password) in the
-    proxy URL, percent-decoded, is sent as Proxy-Authorization: Basic on the
-    CONNECT, or on each absolute-form request, never to the endpoint itself.
-    Error messages show the proxy URL without them. TLS trusts the system's
-    CA roots, or SSL_CERT_FILE. The modules are imported here, not at module
-    level, so runs that make no HTTP call never load them.
+    Through a proxy (proxy_route), an https url goes through a CONNECT
+    tunnel, whose CONNECT carries the proxy's headers, and an http url is
+    sent to the proxy whole, as an absolute-form target with the proxy's
+    headers on each request; the endpoint itself never sees them. TLS
+    trusts the system's CA roots, or SSL_CERT_FILE. The modules are
+    imported here, not at module level, so runs that make no HTTP call
+    never load them.
     """
-    import base64
     import http.client
     import ssl
-    import urllib.request
 
     parts = urlsplit(url)
     target = url[len(f"{parts.scheme}://{parts.netloc}") :]
-    proxy = None
-    if not urllib.request.proxy_bypass(parts.netloc):
-        proxy = urllib.request.getproxies().get(parts.scheme)
-    host, port = parts.hostname, parts.port
-    proxy_headers: dict[str, str] = {}
-    if proxy:
-        proxied = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        try:
-            host, port = proxied.hostname, proxied.port or 80
-        except ValueError as exc:  # a port that is not a number in 0..65535
-            shown = proxied._replace(netloc=proxied.netloc.rpartition("@")[2]).geturl()
-            raise ConfigError(f"proxy {shown!r} for {url}: {exc}") from exc
-        if proxied.username:
-            credentials = f"{unquote(proxied.username)}:{unquote(proxied.password or '')}"
-            token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
-            proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+    proxy = proxy_route(url)
+    host, port, proxy_headers = proxy or (parts.hostname, parts.port, {})
     if parts.scheme == "http":
         connection = http.client.HTTPConnection(host, port, timeout=timeout)
         return connection, url if proxy else target, proxy_headers
@@ -575,18 +582,13 @@ def attempt_call(call: Callable[[], T]) -> T:
     return call()
 
 
-def call_model(
-    backend: ModelBackend, request: ModelRequest, parser: Optional[Callable[[str], T]] = None
-) -> str | T:
-    """One model call under attempt_call: the raw text, or parser's value.
+def call_model(backend: ModelBackend, request: ModelRequest, parser: Callable[[str], T]) -> T:
+    """One model call under attempt_call: parser's value of the reply.
 
-    Each attempt is sent through generate. With a parser, the reply is
-    parsed inside the loop, so an unparsable reply is retried (ensemble
-    slots and the proposer); without one, only the call is retried and the
-    caller parses once.
+    Each attempt is sent through generate and its reply parsed inside the
+    loop, so a reply that does not parse is resent like a failed call,
+    for every role alike.
     """
-    if parser is None:
-        return attempt_call(lambda: generate(backend, request))
     return attempt_call(lambda: parser(generate(backend, request)))
 
 

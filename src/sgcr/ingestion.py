@@ -10,18 +10,20 @@ The diff grammar accepted is the standard unified format (``--- a/...``,
 ``+++ b/...``, ``@@ -a,b +c,d @@`` headers, markers ' ', '+', '-');
 surrounding metadata lines such as ``diff --git`` or ``index ...`` are
 tolerated, hunk arithmetic is not negotiable.
+
+A ReviewRequest renders its code block, the numbered text every prompt
+shows, once when it is built, so no later reader renders or waits for it.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-import threading
 from pathlib import Path
 from typing import Literal, Optional, Sequence
 
 from .errors import DiffSyntaxError, HunkCountMismatch, InvalidReviewRequest, PatchDoesNotApply
-from .types import Value, memoized, value_class
+from .types import Value, value_class
 
 logger = logging.getLogger(__name__)
 
@@ -30,9 +32,6 @@ DEFAULT_CONTEXT_LINES = 10
 Marker = Literal["context", "added", "removed"]
 
 _HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
-
-# Held while a request's code block is rendered, so it is rendered once.
-_RENDER_LOCK = threading.Lock()
 
 
 @value_class
@@ -79,17 +78,11 @@ class ReviewRequest(Value):
     units: tuple[ReviewUnit, ...]
     origin: Literal["files", "diff"]
 
-    @memoized
-    def prompt_block(self) -> str:
-        """The units as numbered text, rendered on first use; see prompt_block()."""
-        # Both pathways read it at once, so the render and the write to the
-        # instance dict happen under one lock; dataclasses.replace builds a
-        # fresh instance, with nothing cached.
-        with _RENDER_LOCK:
-            block = vars(self).get("prompt_block")
-            if block is None:
-                block = vars(self)["prompt_block"] = _numbered_text(self.units)
-        return block
+    def __post_init__(self) -> None:
+        # The units as numbered text (see prompt_block()), rendered once with
+        # the request and kept in the instance dict, out of eq, hash and
+        # repr; dataclasses.replace builds a fresh instance, rendered anew.
+        vars(self)["prompt_block"] = _numbered_text(self.units)
 
 
 def _numbered_text(units: Sequence[ReviewUnit]) -> str:
@@ -400,8 +393,8 @@ def prompt_block(request: ReviewRequest) -> str:
     """Render units as numbered text for model prompts.
 
     Every prompt of a run shows the same code, so the text is rendered
-    once per request (ReviewRequest.prompt_block) and each call returns
-    that same string.
+    once, when the request is built (ReviewRequest.__post_init__), and
+    each call returns that same string.
 
     The ``FILE path (lines a..b)`` header shape is load-bearing: the mock
     backend parses it to aim synthetic findings at real locations.

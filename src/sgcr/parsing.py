@@ -104,11 +104,10 @@ def extract_json_document(text: str) -> dict:
         except ValueError:
             index = text.find("{", index + 1)
             continue
-        if isinstance(value, dict):
-            if _may_hold_surrogate(text) and _has_lone_surrogate(value):
-                raise UnparsableResponse("JSON in model response holds an unpaired surrogate")
-            return value
-        index = text.find("{", index + 1)
+        # raw_decode at a "{" returns an object or raises.
+        if _may_hold_surrogate(text) and _has_lone_surrogate(value):
+            raise UnparsableResponse("JSON in model response holds an unpaired surrogate")
+        return value
     raise UnparsableResponse("no JSON object found in model response")
 
 

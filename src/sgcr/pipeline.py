@@ -31,8 +31,8 @@ from .gateway import (
     EnsembleConfig,
     ModelRequest,
     RunScope,
+    call_model,
     call_pool,
-    submit_ensemble,
 )
 from .implicit import propose, run_implicit
 from .ingestion import ReviewRequest, prompt_block
@@ -115,23 +115,27 @@ def _run_baseline(
 
     Reuses the reviewer prompt with an empty rules block and no quorum
     machinery, so the only difference from the explicit pathway is the
-    grounding. Its model_calls stat is its CountedBackend's count.
+    grounding. The call is made on the pool, so it counts against its cap,
+    and parses inside its retries (gateway.call_model). Its model_calls
+    stat is its CountedBackend's count.
     """
     prompt = render_prompt(
         Role.EXPLICIT_REVIEWER, {"code": prompt_block(request), "specs": ""}
     )
-    base = ModelRequest(
+    single = ModelRequest(
         role=Role.EXPLICIT_REVIEWER.value,
         prompt=prompt,
         temperature=0.0,
+        seed=config.seed,
         max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
     )
-    single = EnsembleConfig(n=1, quorum=1, temperature=0.0, base_seed=config.seed)
     counted = CountedBackend(backend)
-    (parsed,) = submit_ensemble(
-        pool, counted, base, single, lambda text: parse_findings_response(text, Pathway.EXPLICIT)
-    ).collect()
-    findings = parsed or []
+    findings = pool.call(
+        call_model,
+        counted,
+        single,
+        lambda text: parse_findings_response(text, Pathway.EXPLICIT),
+    )
     return PathwayReport(
         pathway=Pathway.EXPLICIT,
         findings=tuple(findings),

@@ -1,4 +1,4 @@
-"""Prompt templates for every model role, with slot validation.
+"""Prompt templates for every model role.
 
 Each template instructs the model to answer with exactly one JSON document
 matching its role's response schema (see parsing). Rendering is a pure
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from enum import Enum
 from string import Template
-
-from .errors import MissingSlot
 
 
 class Role(str, Enum):
@@ -29,15 +27,6 @@ FINDINGS_SCHEMA_NOTE = (
     '  "severity": "critical|high|medium|low", "description": "...",\n'
     '  "rationale": "...", "spec_ids": ["rule-id"]}]}'
 )
-
-REQUIRED_SLOTS: dict[Role, tuple[str, ...]] = {
-    Role.EXPLICIT_REVIEWER: ("code", "specs"),
-    Role.AGGREGATOR: ("candidates",),
-    Role.PROPOSER: ("code",),
-    Role.VERIFIER: ("code", "issue", "retrieved_specs"),
-    Role.SYNTHESIZER: ("candidates",),
-    Role.PATCH_GENERATOR: ("code", "finding", "specs"),
-}
 
 _TEMPLATES: dict[Role, Template] = {
     Role.EXPLICIT_REVIEWER: Template(
@@ -99,9 +88,5 @@ _TEMPLATES: dict[Role, Template] = {
 
 
 def render_prompt(role: Role, slots: dict[str, str]) -> str:
-    """Fill the role's template; missing required slots raise MissingSlot."""
-    required = REQUIRED_SLOTS[role]
-    missing = [name for name in required if name not in slots]
-    if missing:
-        raise MissingSlot(f"{role.value} template missing slots: {', '.join(missing)}")
-    return _TEMPLATES[role].substitute({name: slots[name] for name in required})
+    """Fill the role's template; a missing slot raises KeyError naming it."""
+    return _TEMPLATES[role].substitute(slots)

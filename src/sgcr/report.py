@@ -205,10 +205,12 @@ def generate_patch(
 ) -> Optional[PatchSuggestion]:
     """One patch for a cluster; None whenever the result is unusable.
 
-    The call is retried on transport failures (gateway.call_model, given no
-    parser); its reply is parsed once. The model sees the raw snippet (no line
-    numbering) and must return a unified diff against that snippet alone:
-    exactly one file section, at least one hunk, applying cleanly. Anything
+    The call parses its reply inside its retries (gateway.call_model), so a
+    reply that does not parse is resent; the diff is then parsed and
+    applied once, and a diff that does not apply is not resent. The model
+    sees the raw snippet (no line numbering) and must return a unified diff
+    against that snippet alone: exactly one file section, at least one
+    hunk, applying cleanly. Anything
     else is discarded, as is a call that fails or a reply that breaks the
     wire protocol; a bad patch is worse than no patch. Only a replay fixture
     miss is raised.
@@ -247,7 +249,7 @@ def generate_patch(
         role=Role.PATCH_GENERATOR.value, prompt=prompt, temperature=0.0, seed=seed
     )
     try:
-        diff_text, explanation = parse_patch_response(call_model(backend, patch_request))
+        diff_text, explanation = call_model(backend, patch_request, parse_patch_response)
         diffs = parse_unified_diff(diff_text)
         if len(diffs) != 1 or not diffs[0].hunks:
             raise PatchDoesNotApply(
@@ -406,14 +408,6 @@ def render_json(report: FinalReport) -> str:
     return "".join(parts)
 
 
-_SEVERITY_TITLES = {
-    Severity.CRITICAL: "Critical",
-    Severity.HIGH: "High",
-    Severity.MEDIUM: "Medium",
-    Severity.LOW: "Low",
-}
-
-
 def render_markdown(report: FinalReport) -> str:
     lines = [
         "# Review report",
@@ -429,7 +423,7 @@ def render_markdown(report: FinalReport) -> str:
         ]
         if not section:
             continue
-        lines += ["", f"## {_SEVERITY_TITLES[severity]}", ""]
+        lines += ["", f"## {severity.value.title()}", ""]
         for cluster in section:
             finding = cluster.representative
             anchor = f"{finding.file}:{finding.start_line}"

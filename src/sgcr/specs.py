@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
 from .types import CATEGORY_BY_VALUE, CATEGORY_RANK, SEVERITY_BY_VALUE, Category, Severity
-from .types import Value, memoized, value_class
+from .types import Value, value_class
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +73,10 @@ class SpecLibrary(Value):
     """Ordered, duplicate-free collection of specifications."""
 
     specs: tuple[Specification, ...]
-    language_filter: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Each spec by id, kept in the instance dict, out of eq, hash and repr.
+        vars(self)["_by_id"] = {spec.id: spec for spec in self.specs}
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -86,11 +89,6 @@ class SpecLibrary(Value):
 
     def get(self, spec_id: str) -> Optional[Specification]:
         return self._by_id.get(spec_id)
-
-    @memoized
-    def _by_id(self) -> dict[str, Specification]:
-        # Built on first use and kept in the instance dict.
-        return {spec.id: spec for spec in self.specs}
 
 
 def resolve_category(spec_ids: Sequence[str], library: SpecLibrary) -> Category:
@@ -268,7 +266,7 @@ def load_library(root_dir: Path, language_filter: Optional[str] = None) -> SpecL
             f"no specifications loaded from {root_dir}"
             + (f" with language filter {language_filter!r}" if language_filter else "")
         )
-    return SpecLibrary(specs=tuple(specs), language_filter=language_filter)
+    return SpecLibrary(specs=tuple(specs))
 
 
 def segment_library(library: SpecLibrary, budget: int = DEFAULT_CHUNK_BUDGET) -> list[SpecChunk]:

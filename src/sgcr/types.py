@@ -96,23 +96,6 @@ class Value:
         raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-class memoized:
-    """functools.cached_property without its lock, which on Python 3.11 is
-    shared by every instance. Two threads reading at once may both compute
-    the value, so use it only for a pure function of the instance."""
-
-    def __init__(self, method: Any) -> None:
-        self._method = method
-        self._name = method.__name__
-        self.__doc__ = method.__doc__
-
-    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
-        if instance is None:
-            return self
-        result = instance.__dict__[self._name] = self._method(instance)
-        return result
-
-
 def value_class(cls: type[V]) -> type[V]:
     """Register a Value subclass's fields as dataclass fields.
 
@@ -143,13 +126,8 @@ class Severity(str, Enum):
     LOW = "low"
 
 
-# Lower rank sorts first in a prioritized report.
-SEVERITY_RANK = {
-    Severity.CRITICAL: 0,
-    Severity.HIGH: 1,
-    Severity.MEDIUM: 2,
-    Severity.LOW: 3,
-}
+# Lower rank sorts first in a prioritized report: the order Severity declares.
+SEVERITY_RANK = {severity: rank for rank, severity in enumerate(Severity)}
 
 
 class Category(str, Enum):
@@ -161,14 +139,7 @@ class Category(str, Enum):
     STYLE = "style"
 
 
-CATEGORY_RANK = {
-    Category.SECURITY: 0,
-    Category.CORRECTNESS: 1,
-    Category.PERFORMANCE: 2,
-    Category.BUSINESS_LOGIC: 3,
-    Category.MAINTAINABILITY: 4,
-    Category.STYLE: 5,
-}
+CATEGORY_RANK = {category: rank for rank, category in enumerate(Category)}
 
 # Each member by its value, for parsers that look one up without an Enum
 # call per entry.

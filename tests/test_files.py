@@ -79,9 +79,16 @@ def _sgcr_limited_to(size, *argv):
     )
 
 
-def test_a_report_write_that_fails_midway_leaves_the_earlier_report(capsys, tmp_path):
+def test_a_report_write_that_fails_midway_leaves_the_earlier_report(
+    capsys, monkeypatch, tmp_path
+):
+    # Repo-relative inputs, as the golden command takes them: the FILE header,
+    # and with it the mock's replies, then do not depend on the checkout's path.
+    monkeypatch.chdir(REPO_ROOT)
     report = tmp_path / "report.json"
-    argv = ["review", str(EXAMPLE), "--specs-dir", str(SPECS), "--output", str(report)]
+    example = EXAMPLE.relative_to(REPO_ROOT).as_posix()
+    specs = SPECS.relative_to(REPO_ROOT).as_posix()
+    argv = ["review", example, "--specs-dir", specs, "--output", str(report)]
     assert main(argv) == 0
     earlier = report.read_bytes()
     assert len(earlier) > 2048

@@ -378,12 +378,14 @@ def _assert_only_fields_count(instance, fresh, cached: str) -> None:
 def test_values_cached_in_the_instance_dict_never_enter_eq_hash_or_repr():
     request = ModelRequest(role="verifier", prompt="p", seed=2)
     request.fingerprint
-    _assert_only_fields_count(request, ModelRequest(role="verifier", prompt="p", seed=2), "fingerprint")
+    fresh = ModelRequest(role="verifier", prompt="p", seed=2)
+    assert "_shared_prompt" not in vars(fresh)
+    _assert_only_fields_count(request, fresh, "_shared_prompt")
 
     slot = ensemble_requests(request, EnsembleConfig(n=2, quorum=1))[1]
     slot.fingerprint
     fresh_slot = ModelRequest(role="verifier", prompt="p", seed=1, instance_index=1)
-    _assert_only_fields_count(slot, fresh_slot, "fingerprint")
+    _assert_only_fields_count(slot, fresh_slot, "_shared_prompt")
 
     library = make_library(make_spec("sec.a"), make_spec("sec.b"))
     assert library.get("sec.b") is library.specs[1]
