@@ -33,7 +33,14 @@ slots share the result.
 Fixture format (record/replay): one JSON file per request at
 ``<fixtures_dir>/<fingerprint>.json`` holding ``{"request": <canonical
 request object>, "response_text": <string>}``, written whole or not at all
-(``files.write_text_atomic``).
+(``files.write_text_atomic``). The name is the request's fingerprint
+(``gateway.request_fingerprint``): the sha256 of the JSON of the request's
+fields other than the prompt (instance_index, max_output_tokens, role, seed,
+temperature) plus ``"prompt_sha256"``, the sha256 of the prompt's UTF-8
+bytes (encoded with ``surrogatepass``), which stands in for the prompt.
+The file keeps the whole request, prompt included, so
+``tools/rekey_fixtures.py DIR`` can rename a store's files from their own
+content whenever the fingerprint's definition changes.
 """
 
 from __future__ import annotations

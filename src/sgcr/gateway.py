@@ -1,16 +1,19 @@
 """Model request/response contract, fingerprinting, and ensemble dispatch.
 
-Every model call is described by a ModelRequest; its fingerprint is the
-sha256 of the canonical request JSON (sorted keys, prompt hashed verbatim)
-and is stable across processes. Fingerprints key the record/replay fixture
-store and seed the mock backend, so the whole pipeline can run offline and
-deterministically. Only those backends read one, so a request is hashed
-when a backend first reads its fingerprint, in the worker making the call,
-and never on an HTTP run. The slots of an ensemble share one SharedPrompt,
-the only cache of their fingerprints: the first read of any slot's
-fingerprint escapes the prompt once, a slice at a time, and hashes every
-slot from that escape, so no escape of a whole prompt is ever held and
-none is repeated. A lone request is an ensemble of one.
+Every model call is described by a ModelRequest. Its fingerprint, stable
+across processes, is the sha256 of the compact, sorted-key JSON of the
+request's fields other than the prompt (instance_index, max_output_tokens,
+role, seed, temperature) plus "prompt_sha256", the sha256 of the prompt's
+UTF-8 bytes, which stands in for the prompt (request_fingerprint). The
+prompt is encoded with "surrogatepass", so a lone surrogate still hashes.
+Fingerprints key the record/replay fixture store and seed the mock
+backend, so the whole pipeline can run offline and deterministically. Only
+those backends read one, so a request is hashed when a backend first reads
+its fingerprint, in the worker making the call, and never on an HTTP run.
+The slots of an ensemble share one SharedPrompt: the first read of any
+slot's fingerprint hashes the prompt once, a slice at a time, so no copy of
+the whole prompt is made and no slot repeats the pass. A lone request is an
+ensemble of one.
 
 A run's calls, threads and waits live in one RunScope (call_pool).
 Ensembles are submit-then-collect: submit_ensemble puts the slots on the
@@ -39,7 +42,6 @@ import hashlib
 import json
 import logging
 import threading
-import weakref
 from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import replace
@@ -82,7 +84,7 @@ SLOT_RETRIES = 2
 # Model calls in flight at once, per run, across both pathways and patches.
 MAX_INFLIGHT = 16
 
-# Characters of a prompt escaped and hashed at a time by a fingerprint.
+# Characters of a prompt encoded and hashed at a time by prompt_sha256.
 HASH_SLICE = 16 * 1024
 
 T = TypeVar("T")
@@ -116,16 +118,14 @@ class ModelRequest(Value):
 
     @property
     def fingerprint(self) -> str:
-        """sha256 of canonical_request_json, from the SharedPrompt's one pass.
+        """request_fingerprint of the canonical request and the shared prompt digest.
 
         Only the mock, replay and record backends read it, once per call.
-        The first read of any slot of an ensemble hashes every slot, under
-        its SharedPrompt's lock alone, so workers hash different ensembles
-        at once; later reads, a retry's included, find the value there.
-        dataclasses.replace builds a fresh instance, a lone request, so a
-        replaced request is hashed afresh.
+        The prompt is hashed once per SharedPrompt (per_prompt), under its
+        lock alone, so workers hash different ensembles at once; each read
+        then hashes the slot's small JSON afresh, which needs no cache.
         """
-        return _shared_prompt(self).fingerprint(self)
+        return request_fingerprint(canonical_request(self), self.per_prompt(prompt_sha256))
 
     def per_prompt(self, derive: Callable[[str], T]) -> T:
         """derive(self.prompt), computed once for every slot sharing the prompt.
@@ -152,92 +152,61 @@ class EnsembleConfig(Value):
             raise ValueError(f"quorum must be in 1..{self.n}, got {self.quorum}")
 
 
-def canonical_parts(request: ModelRequest) -> tuple[str, str]:
-    """The canonical request JSON before and after its escaped prompt.
-
-    The one owner of the canonical keys and layout: instance_index,
-    max_output_tokens, prompt, role, seed and temperature, sorted, with no
-    whitespace, each value written by json.dumps, so head +
-    json.dumps(prompt) + tail is the JSON of those fields with sorted keys
-    and the separators "," and ":".
-    """
-    head = (
-        f'{{"instance_index":{json.dumps(request.instance_index)},'
-        f'"max_output_tokens":{json.dumps(request.max_output_tokens)},"prompt":'
-    )
-    tail = (
-        f',"role":{json.dumps(request.role)},"seed":{json.dumps(request.seed)},'
-        f'"temperature":{json.dumps(request.temperature)}}}'
-    )
-    return head, tail
-
-
-def canonical_request_json(request: ModelRequest) -> str:
-    """Sorted, compact JSON of canonical_request; its sha256 is the fingerprint.
-
-    Built from canonical_parts, as the fingerprint is, so the text and the
-    hash cannot disagree.
-    """
-    head, tail = canonical_parts(request)
-    return head + json.dumps(request.prompt) + tail
+# The fields of a canonical request, as a fixture stores it, in sorted order.
+CANONICAL_FIELDS = ("instance_index", "max_output_tokens", "prompt", "role", "seed", "temperature")
 
 
 def canonical_request(request: ModelRequest) -> dict:
     """The canonical request as an object, as a fixture stores it."""
-    return json.loads(canonical_request_json(request))
+    return {name: getattr(request, name) for name in CANONICAL_FIELDS}
 
 
-# Printable ASCII, the newline and the tab. In text made of them, JSON
-# escapes only the backslash, the double quote, the newline and the tab.
-_PLAIN_ASCII = bytes(range(0x20, 0x7F)) + b"\n\t"
+def canonical_request_json(request: ModelRequest) -> str:
+    """canonical_request as JSON with sorted keys and no whitespace."""
+    return json.dumps(canonical_request(request), sort_keys=True, separators=(",", ":"))
 
 
-def _escape(piece: str) -> bytes:
-    """json.dumps(piece) as ASCII bytes, its quotes cut off.
+def prompt_sha256(prompt: str) -> str:
+    """sha256 of the prompt's UTF-8 bytes, taken a HASH_SLICE at a time.
 
-    Text of printable ASCII, newlines and tabs (prompts almost always) is
-    escaped by four byte replacements, about three times faster than
-    json.dumps; anything else goes through json.dumps.
+    UTF-8 encodes each code point on its own, so the slices' bytes join
+    into the whole prompt's, which are never held. surrogatepass encodes a
+    lone surrogate, which a str may hold, as its three bytes.
     """
-    if piece.isascii():
-        raw = piece.encode("ascii")
-        if not raw.translate(None, _PLAIN_ASCII):
-            return (
-                raw.replace(b"\\", b"\\\\")
-                .replace(b'"', b'\\"')
-                .replace(b"\n", b"\\n")
-                .replace(b"\t", b"\\t")
-            )
-    return json.dumps(piece)[1:-1].encode("ascii")
+    digest = hashlib.sha256()
+    for start in range(0, len(prompt), HASH_SLICE):
+        digest.update(prompt[start : start + HASH_SLICE].encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
+def request_fingerprint(canonical: dict, prompt_digest: str) -> str:
+    """The fingerprint of a canonical request whose prompt has prompt_digest.
+
+    It is the sha256 of the JSON, sorted and compact as canonical_request_json
+    is, of every canonical field but the prompt, plus "prompt_sha256":
+    prompt_digest standing in for it. Raises KeyError for a missing field.
+    """
+    fields = {name: canonical[name] for name in CANONICAL_FIELDS if name != "prompt"}
+    fields["prompt_sha256"] = prompt_digest
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class SharedPrompt:
-    """What the slots of one ensemble share: their prompt's one pass.
+    """What the slots of one ensemble share: values derived from their prompt.
 
     Each slot holds it in its instance dict, not as a field, so it never
-    enters eq, hash or repr. It holds its slots by weak reference alone, so
-    no reference cycle keeps a prompt alive once its slots are gone. The
-    first fingerprint read of any slot hashes every live slot in one pass
-    (_hash_slots) and keeps the fingerprints, their only cache; derived
-    keeps values computed from the prompt alone (the mock's header scan),
-    each computed once. Both run under the lock, held only for that
-    computation: a sibling waits for the pass rather than repeating it.
+    enters eq, hash or repr. derived computes each value once, under the
+    lock, held only for that computation: a sibling waits for the value
+    rather than repeating it. The prompt digest (prompt_sha256) and the
+    mock's header scan are such values.
     """
 
-    __slots__ = ("_lock", "_slots", "_fingerprints", "_derived")
+    __slots__ = ("_lock", "_derived")
 
-    def __init__(self, slots: list[ModelRequest]) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._slots = [weakref.ref(slot) for slot in slots]
-        self._fingerprints: Optional[dict[int, str]] = None
         self._derived: dict[Callable[[str], object], object] = {}
-
-    def fingerprint(self, slot: ModelRequest) -> str:
-        with self._lock:
-            if self._fingerprints is None:
-                live = [alive for alive in (ref() for ref in self._slots) if alive is not None]
-                self._fingerprints = _hash_slots(live)
-            return self._fingerprints[slot.instance_index]
 
     def derived(self, derive: Callable[[str], T], prompt: str) -> T:
         with self._lock:
@@ -248,7 +217,7 @@ class SharedPrompt:
 
 def _share(slots: list[ModelRequest]) -> SharedPrompt:
     """One SharedPrompt for slots, which differ at most in seed and instance_index."""
-    shared = SharedPrompt(slots)
+    shared = SharedPrompt()
     for slot in slots:
         vars(slot)["_shared_prompt"] = shared
     return shared
@@ -258,35 +227,9 @@ def _shared_prompt(request: ModelRequest) -> SharedPrompt:
     """request's SharedPrompt; a lone request is shared as an ensemble of one.
 
     Two threads first reading a lone request at once may each share it
-    anew; each then hashes it, to the same fingerprint.
+    anew; each then derives its values, the same ones.
     """
     return vars(request).get("_shared_prompt") or _share([request])
-
-
-def _hash_slots(slots: list[ModelRequest]) -> dict[int, str]:
-    """Each slot's fingerprint by instance_index, the shared prompt escaped once.
-
-    The prompt is escaped a HASH_SLICE-character slice at a time, and each
-    slice feeds every slot's sha256. json.dumps escapes each code point on
-    its own, lone surrogates included, so the slices' escapes join into the
-    whole prompt's escape, which is never held.
-    """
-    states = []
-    for slot in slots:
-        head, tail = canonical_parts(slot)
-        states.append(
-            (slot.instance_index, hashlib.sha256(head.encode("ascii") + b'"'), tail.encode("ascii"))
-        )
-    prompt = slots[0].prompt
-    for start in range(0, len(prompt), HASH_SLICE):
-        piece = _escape(prompt[start : start + HASH_SLICE])
-        for _, digest, _ in states:
-            digest.update(piece)
-    fingerprints = {}
-    for index, digest, tail in states:
-        digest.update(b'"' + tail)
-        fingerprints[index] = digest.hexdigest()
-    return fingerprints
 
 
 class ModelBackend(Protocol):
@@ -304,7 +247,7 @@ def ensemble_requests(base_request: ModelRequest, config: EnsembleConfig) -> lis
     """The n slot requests, differing only in instance_index and seed.
 
     The slots share one SharedPrompt. None is hashed here: the first read of
-    any slot's fingerprint hashes them all.
+    any slot's fingerprint hashes the prompt for them all.
     """
     slots = [
         replace(base_request, instance_index=i, seed=config.base_seed + i)
@@ -634,7 +577,7 @@ def submit_ensemble(
 ) -> PendingEnsemble[T]:
     """Put the n diversified slots on the pool without waiting for them.
 
-    Nothing is hashed here: the slots are hashed in the first worker whose
+    Nothing is hashed here: the prompt is hashed in the first worker whose
     backend reads a fingerprint, and only then.
     """
     slots = ensemble_requests(base_request, config)

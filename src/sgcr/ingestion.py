@@ -221,22 +221,6 @@ def _parse_hunk(lines: list[str], i: int) -> tuple[Hunk, int]:
     return Hunk(old_start, old_len, new_start, new_len, tuple(body)), i
 
 
-def render_unified_diff(diffs: Sequence[FileDiff]) -> str:
-    """Render structures back to canonical diff text (explicit counts)."""
-    out: list[str] = []
-    marker_char = {"context": " ", "added": "+", "removed": "-"}
-    for diff in diffs:
-        out.append("--- " + ("/dev/null" if diff.is_new else f"a/{diff.path}"))
-        out.append("+++ " + ("/dev/null" if diff.is_deleted else f"b/{diff.path}"))
-        for hunk in diff.hunks:
-            out.append(
-                f"@@ -{hunk.old_start},{hunk.old_len} +{hunk.new_start},{hunk.new_len} @@"
-            )
-            for marker, text in hunk.lines:
-                out.append(marker_char[marker] + text)
-    return "\n".join(out) + ("\n" if out else "")
-
-
 def apply_file_diff(content: str, diff: FileDiff) -> str:
     """Apply one file's hunks to content; raise PatchDoesNotApply on mismatch."""
     source = content.splitlines()

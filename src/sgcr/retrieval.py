@@ -3,9 +3,10 @@
 Retrieval is a linear scan with a full deterministic tie-break (score
 descending, then spec id ascending); the library scale this serves is a few
 hundred rules, where exactness is cheap and makes oracle testing possible.
-Each row is scored with one C-level sum of products, the sum
-cosine_similarity takes, so scores are bit-identical to it; only the k rows
-returned become ScoredSpec objects.
+Each row's score is the dot product of two unit vectors, clamped to
+[-1, 1]: their cosine similarity, taken as one C-level sum of products
+(the tests hold a plain cosine as the reference); only the k rows returned
+become ScoredSpec objects.
 
 The mock provider hashes character trigrams of the lowercased text into d
 buckets (sha256 of the trigram, modulo d), counts them, and L2-normalizes;
@@ -268,14 +269,6 @@ def build_index(library: SpecLibrary, provider: EmbeddingProvider) -> VectorInde
     )
 
 
-def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
-    """Dot product of unit vectors, clamped to [-1, 1]."""
-    if u.dimension != v.dimension:
-        raise DimensionMismatch(f"dimensions differ: {u.dimension} vs {v.dimension}")
-    score = sum(map(operator.mul, u.values, v.values))
-    return max(-1.0, min(1.0, score))
-
-
 def retrieve(
     index: VectorIndex,
     query: EmbeddingVector,
@@ -284,10 +277,10 @@ def retrieve(
 ) -> RetrievedSpecSet:
     """Exact top-k by cosine score, filtered by score >= threshold.
 
-    Each row scores as cosine_similarity would score it: the same products
-    summed in the same order, then clamped to [-1, 1] before the threshold
-    test. The query's dimension is checked once; a row of another length
-    still raises DimensionMismatch. Rows that pass are ranked as
+    Each row scores as its cosine similarity with the query: the products
+    of their values summed in order, then clamped to [-1, 1] before the
+    threshold test. The query's dimension is checked once; a row of another
+    length still raises DimensionMismatch. Rows that pass are ranked as
     (-score, spec_id) tuples, and a ScoredSpec is built only for the k
     returned.
     """

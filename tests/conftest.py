@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -48,6 +49,21 @@ class CallLog:
         wanted = getattr(role, "value", role)
         with self._lock:
             return sum(1 for request in self.call_log if request.role == wanted)
+
+
+def reference_prompt_sha256(prompt: str) -> str:
+    """A prompt's digest by definition: its whole UTF-8 bytes hashed in one call."""
+    return hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def reference_fingerprint(request: Mapping) -> str:
+    """The fingerprint by definition, of a request's six canonical fields:
+    sha256 of the sorted, compact dump of every field but the prompt, plus
+    the prompt's digest as "prompt_sha256"."""
+    fields = {name: value for name, value in request.items() if name != "prompt"}
+    fields["prompt_sha256"] = reference_prompt_sha256(request["prompt"])
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def record_generate(monkeypatch) -> list[ModelRequest]:

@@ -1,10 +1,31 @@
-"""Random generators shared by ingestion unit tests and the acceptance suite."""
+"""Random diffs and a diff renderer, shared by ingestion unit tests and the
+acceptance suite."""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from sgcr.ingestion import FileDiff, Hunk
+
+
+def render_unified_diff(diffs: Sequence[FileDiff]) -> str:
+    """Render structures back to canonical diff text (explicit counts).
+
+    The oracle for parse_unified_diff: parsing its text gives back diffs.
+    """
+    out: list[str] = []
+    marker_char = {"context": " ", "added": "+", "removed": "-"}
+    for diff in diffs:
+        out.append("--- " + ("/dev/null" if diff.is_new else f"a/{diff.path}"))
+        out.append("+++ " + ("/dev/null" if diff.is_deleted else f"b/{diff.path}"))
+        for hunk in diff.hunks:
+            out.append(
+                f"@@ -{hunk.old_start},{hunk.old_len} +{hunk.new_start},{hunk.new_len} @@"
+            )
+            for marker, text in hunk.lines:
+                out.append(marker_char[marker] + text)
+    return "\n".join(out) + ("\n" if out else "")
 
 _WORDS = (
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot",

@@ -27,7 +27,7 @@ from conftest import (
     make_spec,
     write_spec_file,
 )
-from diffgen import random_diff_set
+from diffgen import random_diff_set, render_unified_diff
 from sgcr.cli import main
 from sgcr.config import RunConfig
 from sgcr.errors import HunkCountMismatch
@@ -38,7 +38,6 @@ from sgcr.ingestion import (
     apply_file_diff,
     build_review_request,
     parse_unified_diff,
-    render_unified_diff,
 )
 from sgcr.report import FindingCluster, dedupe, generate_patch, prioritize
 from sgcr.retrieval import (

@@ -309,6 +309,19 @@ def test_review_into_a_missing_directory_exits_2_before_any_model_call(
     assert sent == []
 
 
+def test_review_of_a_missing_diff_file_exits_2_before_any_model_call(
+    capsys, monkeypatch, rules_dir, tmp_path
+):
+    sent = record_generate(monkeypatch)
+    missing = tmp_path / "missing.diff"
+    argv = ["review", "--diff", str(missing), "--specs-dir", str(rules_dir), "--backend", "mock"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sgcr: diff file not found: {missing}\n"
+    assert sent == []
+
+
 def test_review_into_a_directory_exits_2_before_any_model_call(
     capsys, monkeypatch, java_file, rules_dir, tmp_path
 ):
@@ -675,7 +688,7 @@ class GarblingBackend(CallLog, BaseBackend):
 
     def _complete(self, request):
         text = self._mock._complete(request)
-        # A retry reads the slot's cached fingerprint again.
+        # A retry reads the slot's fingerprint again.
         fingerprint = request.fingerprint
         with self._sent_lock:
             attempt = self._sent.get(fingerprint, 0)

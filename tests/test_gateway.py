@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -42,6 +43,8 @@ from conftest import (
     make_spec,
     open_connection_doubles,
     record_generate,
+    reference_fingerprint,
+    reference_prompt_sha256,
     verdict_json,
     write_spec_file,
 )
@@ -83,6 +86,8 @@ from sgcr.gateway import (
     collect_in_order,
     ensemble_requests,
     generate,
+    prompt_sha256,
+    request_fingerprint,
     submit_ensemble,
 )
 import sgcr.backends
@@ -1443,41 +1448,24 @@ def test_a_broken_rule_library_fails_before_any_model_call(tmp_path, mode, broke
     assert threading.active_count() == threads_before
 
 
-def _record_escapes(monkeypatch):
-    """Every prompt slice escaped from now on, once per escape.
+def _record_prompt_hashes(monkeypatch, meet=None):
+    """Every prompt hashed from now on, once per digest pass.
 
-    A fingerprint escapes its prompt through gateway._escape, one
-    HASH_SLICE at a time, so an escaped prompt shows up here.
+    Every fingerprint takes its prompt's digest from gateway.prompt_sha256
+    through its SharedPrompt, so a prompt hashed twice shows up here twice.
+    meet, when given, is called inside each pass before it hashes.
     """
-    escaped = []
-    escape = sgcr.gateway._escape
+    hashed = []
+    digest = sgcr.gateway.prompt_sha256
 
-    def recording_escape(piece):
-        escaped.append(piece)
-        return escape(piece)
-
-    monkeypatch.setattr(sgcr.gateway, "_escape", recording_escape)
-    return escaped
-
-
-def _record_hash_passes(monkeypatch, meet=None):
-    """The slots of every hashing pass from now on, one list per pass.
-
-    Every fingerprint comes from a SharedPrompt's one gateway._hash_slots
-    pass, so a request hashed twice shows up here twice. meet, when given,
-    is called inside each pass before it hashes.
-    """
-    passes = []
-    hash_slots = sgcr.gateway._hash_slots
-
-    def recording_hash_slots(slots):
-        passes.append(list(slots))
+    def recording_digest(prompt):
+        hashed.append(prompt)
         if meet is not None:
             meet()
-        return hash_slots(slots)
+        return digest(prompt)
 
-    monkeypatch.setattr(sgcr.gateway, "_hash_slots", recording_hash_slots)
-    return passes
+    monkeypatch.setattr(sgcr.gateway, "prompt_sha256", recording_digest)
+    return hashed
 
 
 def _record_header_scans(monkeypatch):
@@ -1492,7 +1480,7 @@ def _record_header_scans(monkeypatch):
     return scanned
 
 
-def test_a_full_run_renders_the_code_block_once_and_escapes_each_ensemble_prompt_once(
+def test_a_full_run_renders_the_code_block_once_and_hashes_each_ensemble_prompt_once(
     tmp_path, monkeypatch
 ):
     blocks = []
@@ -1504,7 +1492,7 @@ def test_a_full_run_renders_the_code_block_once_and_escapes_each_ensemble_prompt
 
     monkeypatch.setattr(sgcr.explicit, "prompt_block", recording_block)
     monkeypatch.setattr(sgcr.implicit, "prompt_block", recording_block)
-    escaped = _record_escapes(monkeypatch)
+    hashed = _record_prompt_hashes(monkeypatch)
     scanned = _record_header_scans(monkeypatch)
     backend = _CountingBackend(sleep_s=0.0)
     config = _chunked_config(tmp_path, ensemble_size=3)
@@ -1516,11 +1504,10 @@ def test_a_full_run_renders_the_code_block_once_and_escapes_each_ensemble_prompt
     assert backend.calls_for_role("patch_generator") > 0
     assert final.clusters
     # Each ensemble sends one prompt, and a lone call one of its own: each
-    # is escaped once, a slice at a time, and scanned for headers once.
+    # is hashed once and scanned for headers once.
     prompts = {request.prompt for request in backend.call_log}
     assert len(prompts) < len(backend.call_log)
-    slices = sum(-(-len(prompt) // HASH_SLICE) for prompt in prompts)
-    assert len(escaped) == slices
+    assert sorted(hashed) == sorted(prompts)
     assert sorted(scanned) == sorted(prompts)
     assert all(
         request.fingerprint == _reference_fingerprint(request) for request in backend.call_log
@@ -1545,8 +1532,7 @@ class _BlindBackend(_CountingBackend):
 def test_a_full_run_through_a_backend_that_reads_no_fingerprint_hashes_nothing(
     tmp_path, monkeypatch
 ):
-    escaped = _record_escapes(monkeypatch)
-    passes = _record_hash_passes(monkeypatch)
+    hashed = _record_prompt_hashes(monkeypatch)
     backend = _BlindBackend(sleep_s=0.0)
     final = run_review(
         _chunked_config(tmp_path, ensemble_size=3), make_review_request(), backend=backend
@@ -1555,30 +1541,28 @@ def test_a_full_run_through_a_backend_that_reads_no_fingerprint_hashes_nothing(
     assert final.clusters
     assert backend.calls_for_role("patch_generator") > 0
     assert backend.calls_for_role(Role.VERIFIER) > 0
-    assert escaped == []
-    assert passes == []
+    assert hashed == []
 
 
-def test_the_first_fingerprint_read_hashes_every_slot_of_its_ensemble_in_one_escape(
-    monkeypatch,
-):
-    escaped = _record_escapes(monkeypatch)
+def test_the_first_fingerprint_read_hashes_the_prompt_once_for_every_slot(monkeypatch):
+    hashed = _record_prompt_hashes(monkeypatch)
     base = ModelRequest(role="verifier", prompt="q\u00e9" * HASH_SLICE + "x", seed=3)
     slots = ensemble_requests(base, EnsembleConfig(n=4, quorum=2, base_seed=9))
-    assert escaped == []  # nothing is hashed until a fingerprint is read
+    assert hashed == []  # nothing is hashed until a fingerprint is read
 
     assert slots[2].fingerprint == _reference_fingerprint(slots[2])
-    assert len(escaped) == 3  # 2 * HASH_SLICE + 1 characters: three slices
+    assert hashed == [base.prompt]
     assert [slot.fingerprint for slot in slots] == [_reference_fingerprint(s) for s in slots]
-    assert len(escaped) == 3
-    # A lone request is an ensemble of one: one escape of its own.
+    assert len(hashed) == 1
+    # A lone request is an ensemble of one: one pass of its own.
     assert base.fingerprint == _reference_fingerprint(base)
-    assert len(escaped) == 6
+    assert len(hashed) == 2
 
 
 def test_an_ensembles_slots_are_freed_with_no_collector_run():
-    """The shared prompt holds its slots by weak reference, so the slots,
-    once dropped, leave no reference cycle for the cyclic collector."""
+    """The shared prompt keeps only values derived from the prompt, and no
+    reference to a slot, so the slots, once dropped, leave no reference
+    cycle for the cyclic collector."""
     base = ModelRequest(role="explicit_reviewer", prompt="FILE a.py (lines 1..9)\nRULE R-1 x")
     backend = MockBackend()
     was_enabled = gc.isenabled()
@@ -1601,7 +1585,7 @@ def test_an_ensembles_slots_are_freed_with_no_collector_run():
     "length",
     [1, HASH_SLICE - 1, HASH_SLICE, HASH_SLICE + 1, 2 * HASH_SLICE + 7, 3 * HASH_SLICE],
 )
-def test_a_prompt_hashed_a_slice_at_a_time_matches_the_reference_dump(length):
+def test_a_prompt_hashed_a_slice_at_a_time_matches_hashlib_over_the_whole_prompt(length):
     """Any code point, a lone surrogate included, may fall on a slice boundary."""
     rng = random.Random(length)
     for case in range(4):
@@ -1609,24 +1593,47 @@ def test_a_prompt_hashed_a_slice_at_a_time_matches_the_reference_dump(length):
         # Put a surrogate pair, two code points, across the first boundary.
         if length > HASH_SLICE:
             prompt = prompt[: HASH_SLICE - 1] + "\ud83d\ude00" + prompt[HASH_SLICE + 1 :]
+        assert prompt_sha256(prompt) == reference_prompt_sha256(prompt), (length, case)
         base = ModelRequest(role="verifier", prompt=prompt, seed=case)
         for request in [base, *ensemble_requests(base, EnsembleConfig(n=2, quorum=1))]:
             assert request.fingerprint == _reference_fingerprint(request), (length, case)
 
 
-def test_a_slice_escapes_as_json_dumps_does_on_and_off_the_plain_ascii_path():
-    """Printable ASCII with newlines and tabs takes the byte replacements; a
-    slice with any other character, other control characters and 0x7f
-    among them, goes through json.dumps. Both give json.dumps's bytes."""
-    rng = random.Random(20261019)
-    plain = "".join(map(chr, range(0x20, 0x7F))) + '\n\t""\\\\'
-    other = "\r\x00\x08\x0c\x1f\x7fé \ud800\U0001f600"
-    for case in range(2000):
-        text = "".join(rng.choice(plain) for _ in range(rng.randint(0, 40)))
-        if case % 2:
-            at = rng.randint(0, len(text))
-            text = text[:at] + rng.choice(other) + text[at:]
-        assert sgcr.gateway._escape(text) == json.dumps(text)[1:-1].encode("ascii"), text
+def test_the_fingerprint_hashes_the_other_fields_with_the_prompts_sha256_in_their_place():
+    prompt = "FILE a.py (lines 1..2)\nx = '\u00e9'\n"
+    request = ModelRequest(role="verifier", prompt=prompt, seed=3, instance_index=1)
+    digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    text = (
+        '{"instance_index":1,"max_output_tokens":2048,'
+        f'"prompt_sha256":"{digest}","role":"verifier","seed":3,"temperature":0.0}}'
+    )
+    assert request.fingerprint == hashlib.sha256(text.encode("ascii")).hexdigest()
+    # A fixture keeps the whole request, so its name comes from its content.
+    stored = json.loads(canonical_request_json(request))
+    assert request_fingerprint(stored, prompt_sha256(stored["prompt"])) == request.fingerprint
+
+
+def test_a_prompt_with_lone_surrogates_hashes_and_differs_from_the_pair_they_form():
+    pair = ModelRequest(role="verifier", prompt="a\U0001f600")
+    lone = ModelRequest(role="verifier", prompt="a\ud83d\ude00")
+    one = ModelRequest(role="verifier", prompt="a\ud83d")
+    fingerprints = [pair.fingerprint, lone.fingerprint, one.fingerprint]
+    assert fingerprints == [_reference_fingerprint(r) for r in (pair, lone, one)]
+    assert len(set(fingerprints)) == 3
+
+
+def test_hashing_a_prompt_never_holds_a_copy_of_the_whole_prompt():
+    prompt = "x" * (64 * HASH_SLICE)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        digest = prompt_sha256(prompt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert digest == reference_prompt_sha256(prompt)
+    # A slice and its bytes, never the prompt's 64 slices.
+    assert peak < 8 * HASH_SLICE
 
 
 def test_slots_hashed_at_once_on_many_threads_all_match_the_reference_dump():
@@ -1706,47 +1713,46 @@ def test_a_reviewer_slot_retries_a_lone_surrogate_reply_and_the_run_completes(tm
     _assert_the_slot_retried_once(tmp_path, _BadFirstReviewerBackend(reply))
 
 
-def test_a_request_is_hashed_once_however_often_its_fingerprint_is_read(monkeypatch):
-    passes = _record_hash_passes(monkeypatch)
+def test_a_prompt_is_hashed_once_however_often_its_fingerprint_is_read(monkeypatch):
+    hashed = _record_prompt_hashes(monkeypatch)
     base = ModelRequest(role="verifier", prompt="same prompt", seed=1)
-    assert passes == []  # nothing is hashed before the first read
+    assert hashed == []  # nothing is hashed before the first read
     first = base.fingerprint
     assert [base.fingerprint, base.fingerprint] == [first, first]
-    assert passes == [[base]]
-    # One pass hashes every slot of an ensemble, whichever slot is read first.
+    assert hashed == [base.prompt]
+    # One pass serves every slot of an ensemble, whichever slot is read first.
     slots = ensemble_requests(base, EnsembleConfig(n=3, quorum=2, base_seed=5))
     for _ in range(3):
         for slot in reversed(slots):
             assert slot.fingerprint == _reference_fingerprint(slot)
             assert slot.fingerprint != first
-    assert len(passes) == 2 and passes[1] == slots
-    # replace builds a fresh instance, so a replaced request hashes afresh.
-    for slot in slots:
+    assert len(hashed) == 2
+    # replace builds a fresh instance, a lone request, so it hashes afresh.
+    for count, slot in enumerate(slots, start=3):
         fresh = replace(slot, prompt=slot.prompt)
         assert fresh.fingerprint == fresh.fingerprint == slot.fingerprint
-        assert passes[-1] == [fresh] and passes[-1][0] is fresh
-    assert len(passes) == 2 + len(slots)
+        assert len(hashed) == count
 
 
 def test_two_threads_hash_two_requests_at_the_same_time(monkeypatch):
-    # Each pass waits inside _hash_slots until the other has entered it too,
-    # so a lock shared between requests (functools.cached_property's on
+    # Each pass waits inside prompt_sha256 until the other has entered it
+    # too, so a lock shared between requests (functools.cached_property's on
     # Python 3.11) breaks the barrier instead of letting both meet.
     barrier = threading.Barrier(2, timeout=5)
-    passes = _record_hash_passes(monkeypatch, meet=barrier.wait)
+    hashed = _record_prompt_hashes(monkeypatch, meet=barrier.wait)
     requests = [ModelRequest(role="verifier", prompt=f"prompt {i}") for i in range(2)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         fingerprints = list(pool.map(lambda request: request.fingerprint, requests))
 
     assert fingerprints == [_reference_fingerprint(request) for request in requests]
-    assert sorted(passes, key=lambda slots: slots[0].prompt) == [[request] for request in requests]
-    # Read again, each finds its SharedPrompt's value: no pass meets the barrier.
+    assert sorted(hashed) == [request.prompt for request in requests]
+    # Read again, each finds its SharedPrompt's digest: no pass meets the barrier.
     assert [request.fingerprint for request in requests] == fingerprints
-    assert len(passes) == 2
+    assert len(hashed) == 2
 
 
 def test_threads_racing_for_the_slots_of_an_ensemble_all_read_the_right_fingerprint():
-    # Readers of one ensemble's slots wait for the first one's pass over the
+    # Readers of one ensemble's slots wait for the first one's digest of the
     # shared prompt, and each reads its own slot's fingerprint.
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1813,25 +1819,25 @@ def test_a_counted_backend_counts_every_call_made_from_many_threads():
     assert counted.calls == len(backend.call_log) == threads * calls
 
 
+def _reference_fields(request: ModelRequest) -> dict:
+    """The canonical request as first defined, spelled out field by field."""
+    return {
+        "role": request.role,
+        "prompt": request.prompt,
+        "temperature": request.temperature,
+        "seed": request.seed,
+        "max_output_tokens": request.max_output_tokens,
+        "instance_index": request.instance_index,
+    }
+
+
 def _reference_text(request: ModelRequest) -> str:
     """The canonical request as first defined: the sorted, compact dump."""
-    return json.dumps(
-        {
-            "role": request.role,
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-            "seed": request.seed,
-            "max_output_tokens": request.max_output_tokens,
-            "instance_index": request.instance_index,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return json.dumps(_reference_fields(request), sort_keys=True, separators=(",", ":"))
 
 
 def _reference_fingerprint(request: ModelRequest) -> str:
-    """The fingerprint as first defined: sha256 of the sorted, compact dump."""
-    return hashlib.sha256(_reference_text(request).encode("utf-8")).hexdigest()
+    return reference_fingerprint(_reference_fields(request))
 
 
 def _oracle_request_text(rng, length: int) -> str:
@@ -1847,7 +1853,7 @@ def _oracle_request_text(rng, length: int) -> str:
 
 
 def test_slot_and_single_fingerprints_match_the_reference_dump(monkeypatch):
-    passes = _record_hash_passes(monkeypatch)
+    hashed = _record_prompt_hashes(monkeypatch)
     rng = random.Random(20261018)
     temperatures = (0, 0.0, 1e-7, 0.7, 2.0)
     seeds = (None, 0, -1, -(2**63), 2**31 - 1, 2**70)
@@ -1861,23 +1867,24 @@ def test_slot_and_single_fingerprints_match_the_reference_dump(monkeypatch):
             instance_index=rng.choice((0, 7)),
         )
         assert canonical_request_json(base) == _reference_text(base), case
-        assert canonical_request(base) == json.loads(_reference_text(base)), case
+        # A fixture stores the object, written as JSON.
+        stored = json.dumps(canonical_request(base), sort_keys=True, separators=(",", ":"))
+        assert stored == _reference_text(base), case
         assert base.fingerprint == _reference_fingerprint(base), case
         config = EnsembleConfig(
             n=rng.randint(1, 4), quorum=1, base_seed=rng.choice((0, -5, 2**40))
         )
         slots = ensemble_requests(base, config)
-        passes.clear()
-        # The first read hashes every slot; read them in a shuffled order.
+        hashed.clear()
+        # The first read hashes the prompt for every slot; read them shuffled.
         for slot in random.Random(case).sample(slots, len(slots)):
             assert slot.fingerprint == _reference_fingerprint(slot), case
-            assert passes == [slots], case
+            assert hashed == [base.prompt], case
         # A replaced request is a lone one: it hashes afresh, to the same value.
         for slot in slots:
             fresh = replace(slot, prompt=slot.prompt)
             assert fresh.fingerprint == slot.fingerprint, case
-            assert passes[-1] == [fresh] and passes[-1][0] is fresh, case
-        assert len(passes) == 1 + len(slots), case
+        assert len(hashed) == 1 + len(slots), case
 
 
 def test_full_run_with_patches_is_byte_identical_under_any_schedule(capsys, monkeypatch):

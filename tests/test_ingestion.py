@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import REPO_ROOT
-from diffgen import random_diff_set
+from diffgen import random_diff_set, render_unified_diff
 from sgcr.config import RunConfig
 from sgcr.errors import (
     DiffSyntaxError,
@@ -24,7 +24,6 @@ from sgcr.ingestion import (
     build_review_request,
     parse_unified_diff,
     prompt_block,
-    render_unified_diff,
     unit_for_location,
 )
 from sgcr.pipeline import render_report, run_review
@@ -291,6 +290,28 @@ def test_build_request_from_diff_windows_hand_traced(tmp_path):
     clamped = build_review_request(diff_text=SIX_LINE_DIFF, repo_root=repo, context_lines=99)
     unit = clamped.units[0]
     assert (unit.start_line, unit.end_line()) == (1, 6)
+
+
+def test_consecutive_added_lines_form_one_changed_range(tmp_path):
+    lines = "\n".join(f"line {i}" for i in range(1, 11)) + "\n"
+    (tmp_path / "run.py").write_text(lines, encoding="utf-8")
+    diff = "\n".join(
+        [
+            "--- a/run.py",
+            "+++ b/run.py",
+            "@@ -3,3 +3,5 @@",
+            " line 3",
+            "-old four",
+            "+line 4",
+            "+line 5",
+            " line 6",
+            "+line 7",
+            "",
+        ]
+    )
+    request = build_review_request(diff_text=diff, repo_root=tmp_path, context_lines=0)
+    (unit,) = request.units
+    assert unit.changed_ranges == ((4, 5), (7, 7))
 
 
 def test_build_request_from_diff_merges_adjacent_windows(tmp_path):

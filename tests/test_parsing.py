@@ -340,6 +340,16 @@ def test_parse_proposals_drops_bad_entries():
     assert [issue.description for issue in issues] == ["good"]
 
 
+def test_parse_proposals_drops_an_issue_that_is_not_an_object(caplog):
+    good = {"file": "f", "start_line": 1, "end_line": 1, "description": "good"}
+    text = json.dumps({"issues": ["not an object", good, ["file"], None]})
+    with caplog.at_level(logging.WARNING, logger="sgcr.parsing"):
+        issues = parse_proposals_response(text)
+    assert [issue.description for issue in issues] == ["good"]
+    dropped = [r.getMessage() for r in caplog.records if "not an object" in r.getMessage()]
+    assert dropped == [f"dropping issue {i}: not an object" for i in (0, 2, 3)]
+
+
 def test_parse_proposals_requires_list():
     with pytest.raises(UnparsableResponse):
         parse_proposals_response('{"issues": null}')

@@ -6,6 +6,7 @@ import base64
 import hashlib
 import json
 import math
+import operator
 import random
 import struct
 import sys
@@ -28,7 +29,6 @@ from sgcr.retrieval import (
     ScoredSpec,
     VectorIndex,
     build_index,
-    cosine_similarity,
     embed_text,
     load_index,
     normalize,
@@ -38,6 +38,15 @@ from sgcr.retrieval import (
     trigram_bucket,
 )
 from sgcr.specs import load_library
+
+
+def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
+    """Dot product of unit vectors, clamped to [-1, 1]: the reference that
+    retrieve's scores must equal bit for bit."""
+    if u.dimension != v.dimension:
+        raise DimensionMismatch(f"dimensions differ: {u.dimension} vs {v.dimension}")
+    score = sum(map(operator.mul, u.values, v.values))
+    return max(-1.0, min(1.0, score))
 
 
 def test_trigram_bucket_is_deterministic_and_in_range():
@@ -132,6 +141,12 @@ def _normalize_reference(values: list[float]) -> tuple[float, ...]:
 
 def _hex(values) -> list[str]:
     return [float.hex(value) for value in values]
+
+
+@pytest.mark.parametrize("values", [[0.0], [0.0, -0.0, 0.0]])
+def test_normalize_refuses_a_zero_vector(values):
+    with pytest.raises(ValueError, match="zero vector"):
+        normalize(values)
 
 
 def test_mock_embedding_and_normalize_match_the_references_bit_for_bit():

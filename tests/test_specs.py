@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import errno
 import logging
+import os
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -218,6 +220,64 @@ def test_load_library_reports_unreadable_files_as_rglob_paths_did(
         load_library(root)
     expected = PermissionError(errno.EACCES, "Permission denied", refused)
     assert str(excinfo.value) == f"sub/b.md: unreadable ({expected})"
+
+
+_SCANDIR = os.scandir
+
+
+def _scandir_with(monkeypatch, refuse_listing=(), entry_errors=None):
+    """os.scandir as the loader sees it: listing a directory whose name ends
+    with one of refuse_listing raises PermissionError, and asking an entry
+    whose name is a key of entry_errors what it is raises that OSError."""
+    entry_errors = entry_errors or {}
+
+    class Entry:
+        def __init__(self, entry):
+            self._entry = entry
+            self.name = entry.name
+
+        def is_dir(self, **kwargs):
+            if self.name in entry_errors:
+                raise entry_errors[self.name]
+            return self._entry.is_dir(**kwargs)
+
+        def is_file(self, **kwargs):
+            return self._entry.is_file(**kwargs)
+
+    @contextmanager
+    def patched(path="."):
+        if str(path).rstrip("/").endswith(tuple(refuse_listing)):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        with _SCANDIR(path) as entries:
+            yield [Entry(entry) for entry in entries]
+
+    monkeypatch.setattr(os, "scandir", patched)
+
+
+def test_a_directory_that_cannot_be_listed_is_skipped(tmp_path, monkeypatch):
+    root = tmp_path / "rules"
+    write_spec_file(root, "top.rule", filename="top.md")
+    write_spec_file(root / "locked", "locked.rule", filename="l.md")
+    write_spec_file(root / "open", "open.rule", filename="o.md")
+    _scandir_with(monkeypatch, refuse_listing=["locked"])
+    assert [spec.id for spec in load_library(root).specs] == ["open.rule", "top.rule"]
+
+
+def test_an_entry_that_vanished_is_skipped_and_any_other_error_is_raised(
+    tmp_path, monkeypatch
+):
+    root = tmp_path / "rules"
+    write_spec_file(root, "top.rule", filename="top.md")
+    write_spec_file(root, "gone.rule", filename="gone.md")
+    gone = FileNotFoundError(errno.ENOENT, "No such file or directory")
+    _scandir_with(monkeypatch, entry_errors={"gone.md": gone})
+    assert [spec.id for spec in load_library(root).specs] == ["top.rule"]
+
+    failing = OSError(errno.EIO, "Input/output error")
+    _scandir_with(monkeypatch, entry_errors={"gone.md": failing})
+    with pytest.raises(OSError) as excinfo:
+        load_library(root)
+    assert excinfo.value is failing
 
 
 def test_segment_three_specs_budget_250():
