@@ -1,9 +1,7 @@
-r"""Model backends: http, mock, replay, and record.
+r"""Model backends: mock, replay, and record. The http backend is in wire.
 
 Backends keep no record of the requests they were sent: each prompt holds
 the whole code block, and a run should free it once its call is done.
-The http backend sends its chat body through gateway.HttpClient, which
-owns the wire protocol and its failures.
 
 Mock synthesis rules
 --------------------
@@ -40,7 +38,10 @@ temperature) plus ``"prompt_sha256"``, the sha256 of the prompt's UTF-8
 bytes (encoded with ``surrogatepass``), which stands in for the prompt.
 The file keeps the whole request, prompt included, so
 ``tools/rekey_fixtures.py DIR`` can rename a store's files from their own
-content whenever the fingerprint's definition changes.
+content whenever the fingerprint's definition changes. The recorder
+refuses a request whose prompt or role holds a surrogate pair as two code
+points: the fixture's JSON would give the pair back as one, so the file
+would re-key to another name and a replay of the request would miss it.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ import random
 import re
 import threading
 from pathlib import Path
-from typing import Optional
 
-from .errors import FixtureMiss, MalformedWireResponse
+from .errors import FixtureMiss, RequestRejected
 from .files import write_text_atomic
-from .gateway import HttpClient, ModelRequest, canonical_request
+from .gateway import ModelRequest, canonical_request
 from .prompts import Role
 from .types import Severity
 
@@ -62,6 +62,8 @@ _FILE_HEADER = r"FILE (\S+) \(lines (\d+)\.\.(\d+)\)"
 _RULE_HEADER = r"RULE (\S+) "
 _FILE_AT_START, _FILE_AFTER_NEWLINE = re.compile(_FILE_HEADER), re.compile("\n" + _FILE_HEADER)
 _RULE_AT_START, _RULE_AFTER_NEWLINE = re.compile(_RULE_HEADER), re.compile("\n" + _RULE_HEADER)
+# A high surrogate followed by a low one, which JSON decodes as one code point.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 _SEVERITIES = tuple(severity.value for severity in Severity)
 
@@ -170,42 +172,6 @@ class ReplayBackend(BaseBackend):
         return payload["response_text"]
 
 
-class HttpBackend(BaseBackend):
-    """OpenAI-style chat completions endpoint, through gateway.HttpClient."""
-
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key: Optional[str] = None,
-        timeout: float = 60.0,
-    ) -> None:
-        super().__init__()
-        self.model = model
-        self._client = HttpClient(base_url, "/v1/chat/completions", api_key, timeout)
-
-    def close(self) -> None:
-        self._client.close()
-
-    def _complete(self, request: ModelRequest) -> str:
-        payload = self._client.post(
-            {
-                "model": self.model,
-                "messages": [{"role": "user", "content": request.prompt}],
-                "temperature": request.temperature,
-                "seed": request.seed,
-                "max_tokens": request.max_output_tokens,
-            }
-        )
-        try:
-            text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedWireResponse(f"missing choices[0].message.content: {exc}") from exc
-        if not isinstance(text, str):
-            raise MalformedWireResponse("choices[0].message.content is not a string")
-        return text
-
-
 class RecordingBackend(BaseBackend):
     """Delegate to another backend and persist each exchange as a fixture."""
 
@@ -219,6 +185,12 @@ class RecordingBackend(BaseBackend):
         self.delegate.close()
 
     def _complete(self, request: ModelRequest) -> str:
+        for name in ("prompt", "role"):
+            if _SURROGATE_PAIR.search(getattr(request, name)):
+                raise RequestRejected(
+                    f"cannot record a request whose {name} holds a surrogate pair as two"
+                    " code points: its fixture would give them back as one, and miss on replay"
+                )
         text = self.delegate.complete(request)
         fingerprint = request.fingerprint
         payload = {"request": canonical_request(request), "response_text": text}

@@ -6,7 +6,9 @@ is the one declaration of every setting: a config-file value must have
 its default's type (``null`` only where the default is None), a key with
 a fixed set of values lists them in CHOICES, and the CLI takes every
 parsed argument named after a key as a flag value. A new knob is a
-RunConfig field, plus its flag in ``cli``.
+RunConfig field, plus its flag in ``cli``. validate_config checks a base
+URL and the proxy that reaches it with wire's rules (check_base_url,
+proxy_route), and loads wire only for a run that makes HTTP calls.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ import os
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Mapping, Optional
-from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .explicit import AGGREGATION_MODES
-from .gateway import proxy_route
 from .implicit import MAX_PROPOSALS
 from .ingestion import DEFAULT_CONTEXT_LINES
 from .retrieval import DEFAULT_MOCK_DIMENSION, DEFAULT_SCORE_THRESHOLD, DEFAULT_TOP_K
@@ -207,17 +207,11 @@ def validate_config(config: RunConfig) -> None:
     if config.mode in ("full", "implicit_only") and config.embedding == "http":
         users.append("http embedding")
     for user in users:
+        from .wire import check_base_url, proxy_route
+
         if not config.base_url:
             raise ConfigError(f"{user} requires a base URL (--base-url or {ENV_BASE_URL})")
-        parts = urlsplit(config.base_url)
-        try:
-            valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
-        except ValueError:  # a port that is not a number in 0..65535
-            valid = False
-        if not valid:
-            raise ConfigError(
-                f"{user} requires an http or https base URL with a host; got {config.base_url!r}"
-            )
+        check_base_url(user, config.base_url)
         if not config.api_key:
             raise ConfigError(f"{user} requires an API key ({ENV_API_KEY})")
         # A proxy URL with a bad port would fail every call: refuse it now.

@@ -40,7 +40,8 @@ class RequestRejected(WireError):
     """The endpoint refused the request itself (a 4xx other than 408 or 429).
 
     A 3xx is one too: redirects are not followed. Sending the same request
-    again would be refused again, so it is never retried.
+    again would be refused again, so it is never retried. The record backend
+    raises it for a request whose fixture would not replay.
     """
 
 

@@ -27,13 +27,8 @@ is sent at most 1 + SLOT_RETRIES times. A model call goes through
 call_model, which sends each attempt through generate and parses the reply
 with the caller's parser inside the loop, so a reply that does not parse
 is retried, whatever the role. Each pathway counts the calls it sends with
-one CountedBackend; no function returns a count of attempts.
-
-The HTTP wire protocol is written once, in HttpClient, on the standard
-library's http.client, which the http model backend and the http embedding
-provider each hold: both endpoints fail with the same errors, which
-attempt_call retries the same way. proxy_route is the one reading of the
-proxy settings, for each connection and for the configuration check.
+one CountedBackend; no function returns a count of attempts. The HTTP
+wire protocol, whose failures attempt_call retries, lives in wire.
 """
 
 from __future__ import annotations
@@ -45,33 +40,11 @@ import threading
 from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import replace
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Generic,
-    Iterator,
-    Optional,
-    Protocol,
-    TypeVar,
-)
-from urllib.parse import unquote, urlsplit
-
 from enum import Enum
+from typing import Callable, Generic, Iterator, Optional, Protocol, TypeVar
 
-from .errors import (
-    BackendTimeout,
-    ConfigError,
-    EnsembleError,
-    MalformedWireResponse,
-    RequestRejected,
-    SgcrError,
-    UnparsableResponse,
-    WireError,
-)
+from .errors import EnsembleError, RequestRejected, SgcrError, UnparsableResponse, WireError
 from .types import Value, value_class
-
-if TYPE_CHECKING:
-    import http.client
 
 logger = logging.getLogger(__name__)
 
@@ -161,11 +134,6 @@ def canonical_request(request: ModelRequest) -> dict:
     return {name: getattr(request, name) for name in CANONICAL_FIELDS}
 
 
-def canonical_request_json(request: ModelRequest) -> str:
-    """canonical_request as JSON with sorted keys and no whitespace."""
-    return json.dumps(canonical_request(request), sort_keys=True, separators=(",", ":"))
-
-
 def prompt_sha256(prompt: str) -> str:
     """sha256 of the prompt's UTF-8 bytes, taken a HASH_SLICE at a time.
 
@@ -182,9 +150,9 @@ def prompt_sha256(prompt: str) -> str:
 def request_fingerprint(canonical: dict, prompt_digest: str) -> str:
     """The fingerprint of a canonical request whose prompt has prompt_digest.
 
-    It is the sha256 of the JSON, sorted and compact as canonical_request_json
-    is, of every canonical field but the prompt, plus "prompt_sha256":
-    prompt_digest standing in for it. Raises KeyError for a missing field.
+    It is the sha256 of the compact, sorted-key JSON of every canonical
+    field but the prompt, plus "prompt_sha256": prompt_digest standing in
+    for it. Raises KeyError for a missing field.
     """
     fields = {name: canonical[name] for name in CANONICAL_FIELDS if name != "prompt"}
     fields["prompt_sha256"] = prompt_digest
@@ -337,154 +305,6 @@ class RunScope:
 def call_pool() -> RunScope:
     """A run's scope, to enter with ``with``: ``with call_pool() as pool``."""
     return RunScope()
-
-
-def proxy_route(url: str) -> Optional[tuple[str, int, dict[str, str]]]:
-    """The proxy that reaches url: its host, its port and the headers it
-    needs; None when url is reached directly.
-
-    HTTP(S)_PROXY and NO_PROXY are read as urllib reads them. A user (and
-    password) in the proxy URL, percent-decoded, becomes a
-    Proxy-Authorization: Basic header. A port that is not a number in
-    0..65535 raises ConfigError, whose message shows the proxy URL without
-    the user and password. The modules are imported here, not at module
-    level, so runs that make no HTTP call never load them.
-    """
-    import base64
-    import urllib.request
-
-    parts = urlsplit(url)
-    if urllib.request.proxy_bypass(parts.netloc):
-        return None
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    if not proxy:
-        return None
-    proxied = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-    try:
-        host, port = proxied.hostname, proxied.port or 80
-    except ValueError as exc:  # a port that is not a number in 0..65535
-        shown = proxied._replace(netloc=proxied.netloc.rpartition("@")[2]).geturl()
-        raise ConfigError(f"proxy {shown!r} for {url}: {exc}") from exc
-    headers: dict[str, str] = {}
-    if proxied.username:
-        credentials = f"{unquote(proxied.username)}:{unquote(proxied.password or '')}"
-        token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
-        headers["Proxy-Authorization"] = f"Basic {token}"
-    return host, port, headers
-
-
-def http_connection(
-    url: str, timeout: float
-) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
-    """An unopened connection that reaches url, the request target to send on
-    it, and the headers the proxy needs on each request.
-
-    Through a proxy (proxy_route), an https url goes through a CONNECT
-    tunnel, whose CONNECT carries the proxy's headers, and an http url is
-    sent to the proxy whole, as an absolute-form target with the proxy's
-    headers on each request; the endpoint itself never sees them. TLS
-    trusts the system's CA roots, or SSL_CERT_FILE. The modules are
-    imported here, not at module level, so runs that make no HTTP call
-    never load them.
-    """
-    import http.client
-    import ssl
-
-    parts = urlsplit(url)
-    target = url[len(f"{parts.scheme}://{parts.netloc}") :]
-    proxy = proxy_route(url)
-    host, port, proxy_headers = proxy or (parts.hostname, parts.port, {})
-    if parts.scheme == "http":
-        connection = http.client.HTTPConnection(host, port, timeout=timeout)
-        return connection, url if proxy else target, proxy_headers
-    context = ssl.create_default_context()
-    connection = http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
-    if proxy:
-        connection.set_tunnel(parts.hostname, parts.port, headers=proxy_headers)
-    return connection, target, {}
-
-
-class HttpClient:
-    """One OpenAI-style endpoint: kept-alive connections, one POST per call.
-
-    Idle connections wait in a last-in first-out list; list.append and
-    list.pop are atomic, so it needs no lock, and a client holds at most as
-    many connections as it has calls in flight, which the run scope caps at
-    MAX_INFLIGHT. An idle connection the server has closed fails before any
-    reply; it is reopened once, inside the one POST.
-
-    post classifies every failure, for the chat and the embedding endpoint
-    alike: a timeout raises BackendTimeout; any other transport error, a
-    5xx, 408 or 429 raises WireError; a 3xx (redirects are not followed)
-    or any other 4xx, which would be refused again if resent, raises
-    RequestRejected; a 200 whose body is not JSON raises
-    MalformedWireResponse. Messages name the URL, and a status error also
-    the status and the reply's first 200 characters.
-    """
-
-    def __init__(self, base_url: str, path: str, api_key: Optional[str], timeout: float) -> None:
-        self._url = base_url.rstrip("/") + path
-        self._headers = {"Content-Type": "application/json"}
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
-        self._timeout = timeout
-        # Each idle connection with its request target and headers.
-        self._idle: list[tuple[http.client.HTTPConnection, str, dict[str, str]]] = []
-
-    def close(self) -> None:
-        """Close the idle connections."""
-        while self._idle:
-            self._idle.pop()[0].close()
-
-    def _connect(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
-        connection, target, proxy_headers = http_connection(self._url, self._timeout)
-        return connection, target, {**self._headers, **proxy_headers}
-
-    def post(self, body: dict) -> object:
-        """POST body as JSON to the endpoint; the decoded JSON reply."""
-        from http.client import HTTPException
-
-        url = self._url
-        data = json.dumps(body).encode("utf-8")
-        try:
-            connection, target, headers = self._idle.pop()
-            kept_alive = True
-        except IndexError:
-            connection, target, headers = self._connect()
-            kept_alive = False
-        try:
-            try:
-                connection.request("POST", target, data, headers)
-                reply = connection.getresponse()
-            except ConnectionError:
-                if not kept_alive:
-                    raise
-                # The server closed the idle connection: reopen it once.
-                connection.close()
-                connection, target, headers = self._connect()
-                connection.request("POST", target, data, headers)
-                reply = connection.getresponse()
-            raw = reply.read()
-        except TimeoutError as exc:
-            connection.close()
-            raise BackendTimeout(f"{url}: {exc}") from exc
-        except (OSError, HTTPException) as exc:
-            connection.close()
-            raise WireError(f"{url}: {exc}") from exc
-        if reply.will_close:
-            connection.close()
-        else:
-            self._idle.append((connection, target, headers))
-        status = reply.status
-        if status != 200:
-            rejected = 300 <= status < 500 and status not in (408, 429)
-            raise (RequestRejected if rejected else WireError)(
-                f"{url}: status {status}: {raw.decode('utf-8', 'replace')[:200]}"
-            )
-        try:
-            return json.loads(raw)
-        except ValueError as exc:
-            raise MalformedWireResponse(f"{url}: response body is not JSON: {exc}") from exc
 
 
 class CountedBackend:

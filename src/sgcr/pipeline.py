@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import report as report_mod
-from .backends import BaseBackend, HttpBackend, MockBackend, RecordingBackend, ReplayBackend
+from .backends import BaseBackend, MockBackend, RecordingBackend, ReplayBackend
 from .config import RunConfig
 from .errors import ConfigError, IndexLibraryMismatch
 from .explicit import review_chunks, run_explicit
@@ -43,7 +43,6 @@ from .report import FinalReport, attach_patches, compute_run_id, consolidate
 from .retrieval import (
     REBUILD_HINT,
     EmbeddingProvider,
-    HttpEmbeddingProvider,
     MockEmbeddingProvider,
     VectorIndex,
     build_index,
@@ -61,6 +60,8 @@ def build_backend(config: RunConfig) -> BaseBackend:
         return ReplayBackend(Path(config.fixtures_dir or ""))
     if config.backend not in ("http", "record"):
         raise ConfigError(f"unknown backend {config.backend!r}")
+    from .wire import HttpBackend  # only a run that makes HTTP calls loads wire
+
     live = HttpBackend(base_url=config.base_url or "", model=config.model, api_key=config.api_key)
     if config.backend == "record":
         return RecordingBackend(live, Path(config.fixtures_dir or ""))
@@ -70,6 +71,8 @@ def build_backend(config: RunConfig) -> BaseBackend:
 def build_provider(config: RunConfig) -> EmbeddingProvider:
     if config.embedding == "mock":
         return MockEmbeddingProvider(dimension=config.embedding_dimension)
+    from .wire import HttpEmbeddingProvider
+
     return HttpEmbeddingProvider(
         base_url=config.base_url or "",
         model=config.model,

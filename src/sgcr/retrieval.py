@@ -21,8 +21,8 @@ met and once per distinct bucket hit, at most d times per text. The counts
 are small integers, so every float sum is exact and the vectors do not
 depend on the order of counting.
 
-The http provider sends one POST per text through gateway.HttpClient, as
-the http model backend does, and checks the vector each reply holds.
+The http provider, HttpEmbeddingProvider, is in wire with the rest of
+the HTTP wire protocol.
 
 A built index stores, beside each vector, the sha256 of the rule text it
 embedded (title + body); load_index rejects an index whose digests do not
@@ -46,21 +46,14 @@ import logging
 import math
 import operator
 import struct
-import threading
 from collections import Counter
 from itertools import repeat
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Protocol
 
-from .errors import (
-    DimensionMismatch,
-    EmptyText,
-    IndexLibraryMismatch,
-    MalformedWireResponse,
-    QueryDimensionMismatch,
-)
+from .errors import DimensionMismatch, EmptyText, IndexLibraryMismatch, QueryDimensionMismatch
 from .files import write_text_atomic
-from .gateway import HttpClient, attempt_call
+from .gateway import attempt_call
 from .specs import SpecLibrary, Specification
 from .types import Value, value_class
 
@@ -149,63 +142,6 @@ class _BucketMemo(dict):
 def trigram_bucket(gram: str, dimension: int) -> int:
     digest = hashlib.sha256(gram.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % dimension
-
-
-class HttpEmbeddingProvider:
-    """OpenAI-style /v1/embeddings endpoint, through gateway.HttpClient.
-
-    The first reply fixes the dimension. A reply that is not a non-empty
-    list of finite numbers of that length, with a norm that normalize can
-    divide by, raises MalformedWireResponse.
-    """
-
-    provider_id = "http"
-
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key: Optional[str] = None,
-        timeout: float = 60.0,
-    ) -> None:
-        self.model = model
-        self.dimension = 0
-        self._lock = threading.Lock()
-        self._client = HttpClient(base_url, "/v1/embeddings", api_key, timeout)
-
-    def close(self) -> None:
-        self._client.close()
-
-    def embed(self, text: str) -> list[float]:
-        payload = self._client.post({"model": self.model, "input": text})
-        try:
-            values = payload["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedWireResponse(f"bad embedding response: {exc}") from exc
-        if not isinstance(values, list) or not values:
-            raise MalformedWireResponse("embedding is not a non-empty list")
-        # JSON numbers parse to int or float; this also refuses true/false.
-        if not all(type(value) in (int, float) for value in values):
-            raise MalformedWireResponse("embedding holds an element that is not a number")
-        try:
-            floats = [float(value) for value in values]
-        except OverflowError as exc:
-            raise MalformedWireResponse(f"embedding element out of range: {exc}") from exc
-        if not all(map(math.isfinite, floats)):
-            raise MalformedWireResponse("embedding holds NaN or an infinity")
-        # The sum normalize takes the root of: zero or an overflow would leave
-        # a vector with no direction.
-        if not 0.0 < sum(map(operator.mul, floats, floats)) < math.inf:
-            raise MalformedWireResponse("embedding is all zeros, or too small or large to normalize")
-        with self._lock:
-            if self.dimension == 0:
-                self.dimension = len(floats)
-            dimension = self.dimension
-        if len(floats) != dimension:
-            raise MalformedWireResponse(
-                f"embedding has {len(floats)} values, the first reply had {dimension}"
-            )
-        return floats
 
 
 def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:

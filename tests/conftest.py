@@ -15,8 +15,9 @@ from typing import Callable, Mapping, Optional, Union
 
 import sgcr.gateway
 import sgcr.pipeline
+import sgcr.wire
 from sgcr.backends import BaseBackend, MockBackend, ReplayBackend
-from sgcr.gateway import ModelRequest, RunScope
+from sgcr.gateway import ModelRequest, RunScope, canonical_request
 from sgcr.ingestion import ReviewRequest, ReviewUnit
 from sgcr.retrieval import MockEmbeddingProvider
 from sgcr.specs import Specification, SpecLibrary, estimate_tokens
@@ -56,6 +57,11 @@ def reference_prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
 
 
+def canonical_request_json(request: ModelRequest) -> str:
+    """canonical_request as JSON with sorted keys and no whitespace."""
+    return json.dumps(canonical_request(request), sort_keys=True, separators=(",", ":"))
+
+
 def reference_fingerprint(request: Mapping) -> str:
     """The fingerprint by definition, of a request's six canonical fields:
     sha256 of the sorted, compact dump of every field but the prompt, plus
@@ -86,7 +92,7 @@ def record_generate(monkeypatch) -> list[ModelRequest]:
 class ConnectionDouble:
     """An http.client connection stand-in: empty replies, or a refused connect.
 
-    Made by open_connection_doubles in place of gateway.http_connection; it
+    Made by open_connection_doubles in place of wire.http_connection; it
     records the url it was opened for and whether it was closed.
     """
 
@@ -120,7 +126,7 @@ def open_connection_doubles(monkeypatch, refuse: bool = False) -> list[Connectio
         opened.append(connection)
         return connection, "/", {}
 
-    monkeypatch.setattr(sgcr.gateway, "http_connection", http_connection)
+    monkeypatch.setattr(sgcr.wire, "http_connection", http_connection)
     return opened
 
 

@@ -42,6 +42,23 @@ def test_a_write_that_fails_leaves_the_earlier_file_and_no_temporary_file(tmp_pa
     assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_a_write_whose_cleanup_fails_too_raises_the_first_error(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("earlier\n", encoding="utf-8")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(f"cannot remove {path}")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(target, "x" * 100_000 + "\ud800")
+    monkeypatch.undo()
+    assert target.read_bytes() == b"earlier\n"
+    # Only the temporary file that could not be removed is left beside it.
+    left = sorted(path.name for path in tmp_path.iterdir() if path != target)
+    assert len(left) == 1 and left[0].startswith("report.json.") and left[0].endswith(".tmp")
+
+
 def test_a_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)

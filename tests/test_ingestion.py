@@ -133,6 +133,7 @@ def test_parse_defaults_omitted_counts_to_one():
         ("--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n?odd\n", "unexpected line inside hunk"),
         ("--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n+a\n+b\n x\n", "more added lines"),
         ("--- a/f\n+++ b/f\n@@ -1,1 +1,2 @@\n x\n y\n", "more context lines"),
+        ("--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n-a\n-b\n+x\n", "more removed lines"),
     ],
 )
 def test_parse_rejects_malformed_diffs(text, fragment):
@@ -344,6 +345,21 @@ def test_build_request_from_diff_skips_deleted_files(tmp_path):
     diff = "--- a/gone.py\n+++ /dev/null\n@@ -1,1 +0,0 @@\n-x\n"
     with pytest.raises(InvalidReviewRequest):
         build_review_request(diff_text=diff, repo_root=tmp_path)
+
+
+def test_build_request_from_diff_skips_an_empty_post_image(tmp_path, caplog):
+    (tmp_path / "emptied.py").write_text("", encoding="utf-8")
+    (tmp_path / "kept.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    diff = (
+        "--- a/emptied.py\n+++ b/emptied.py\n@@ -1,1 +0,0 @@\n-x = 1\n"
+        "--- a/kept.py\n+++ b/kept.py\n@@ -1,1 +1,2 @@\n x = 1\n+y = 2\n"
+    )
+    with caplog.at_level("WARNING", logger="sgcr.ingestion"):
+        request = build_review_request(diff_text=diff, repo_root=tmp_path)
+    assert [(unit.path, unit.changed_ranges) for unit in request.units] == [("kept.py", ((2, 2),))]
+    assert [record.message for record in caplog.records] == [
+        "skipping empty post-image file emptied.py"
+    ]
 
 
 def test_build_request_from_diff_requires_post_image(tmp_path):

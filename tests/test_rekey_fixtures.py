@@ -9,7 +9,10 @@ import shutil
 
 import pytest
 
-from conftest import GOLDEN_DIR, REPO_ROOT, reference_fingerprint
+from conftest import GOLDEN_DIR, REPO_ROOT, LoggedMockBackend, reference_fingerprint
+from sgcr.backends import RecordingBackend, ReplayBackend
+from sgcr.errors import RequestRejected
+from sgcr.gateway import ModelRequest, attempt_call
 
 _SPEC = importlib.util.spec_from_file_location(
     "rekey_fixtures", REPO_ROOT / "tools" / "rekey_fixtures.py"
@@ -86,3 +89,33 @@ def test_two_files_holding_one_request_are_refused(tmp_path, capsys):
     assert rekey_fixtures.main([str(tmp_path)]) == 2
     assert "same request" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted([name, "copy.json"])
+
+
+@pytest.mark.parametrize(
+    "request_fields",
+    [{"prompt": "smile \ud83d\ude00"}, {"role": "verifier \udbff\udfff", "prompt": "p"}],
+)
+def test_a_request_holding_a_surrogate_pair_as_two_code_points_is_refused_unrecorded(
+    tmp_path, request_fields
+):
+    """Its fixture's JSON would give the pair back as one code point: the file
+    would re-key to another name, and a replay of the request would miss."""
+    delegate = LoggedMockBackend()
+    recorder = RecordingBackend(delegate, tmp_path / "store")
+    request = ModelRequest(**{"role": "proposer", **request_fields})
+    with pytest.raises(RequestRejected, match="surrogate pair as two code points"):
+        attempt_call(lambda: recorder.complete(request))
+    assert delegate.call_log == []  # refused before the call, and never retried
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize(
+    "prompt", ["smile \U0001f600", "lone \ud83d", "low then high \ude00\ud83d", "tail \udbff"]
+)
+def test_a_recorded_request_replays_and_its_fixture_keeps_its_name(tmp_path, prompt):
+    store = tmp_path / "store"
+    request = ModelRequest(role="verifier", prompt=prompt, seed=4)
+    recorded = RecordingBackend(LoggedMockBackend(), store).complete(request)
+    assert ReplayBackend(store).complete(request) == recorded
+    [path] = store.iterdir()
+    assert rekey_fixtures.fixture_name(path) == path.name

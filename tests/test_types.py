@@ -4,6 +4,7 @@ against the methods the dataclass decorator generates."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from sgcr.types import (
     Value,
     content_id,
     sort_findings,
+    value_class,
 )
 
 
@@ -358,6 +360,18 @@ def test_post_init_checks_still_raise(build, message):
     with pytest.raises(ValueError) as raised:
         build()
     assert str(raised.value) == message
+
+
+def test_a_value_field_with_a_default_factory_is_refused():
+    with pytest.raises(TypeError, match="Listed: a Value field takes a plain default"):
+
+        @value_class
+        class Listed(Value):
+            items: list = field(default_factory=list)
+
+    # The refused class is gone, so no later walk of Value's subclasses meets it.
+    gc.collect()
+    assert "Listed" not in {cls.__name__ for cls in _value_classes()}
 
 
 def test_post_init_still_fills_and_converts_fields():

@@ -11,9 +11,7 @@ file holds. Contents are not touched. Run with sgcr importable:
 Every file is read and checked before any is renamed. A file that is not a
 fixture (no ``request`` object, or one that lacks a canonical field), or
 two files that hold the same request, make the tool exit 2 with nothing
-renamed. A prompt that holds a surrogate pair as two code points (no file
-or reply that sgcr reads gives one) comes back from the JSON as one code
-point, so its file is named for that prompt.
+renamed.
 """
 
 from __future__ import annotations
