@@ -25,7 +25,12 @@ from .errors import ConfigError
 from .explicit import AGGREGATION_MODES
 from .implicit import MAX_PROPOSALS
 from .ingestion import DEFAULT_CONTEXT_LINES
-from .retrieval import DEFAULT_MOCK_DIMENSION, DEFAULT_SCORE_THRESHOLD, DEFAULT_TOP_K
+from .retrieval import (
+    DEFAULT_MOCK_DIMENSION,
+    DEFAULT_SCORE_THRESHOLD,
+    DEFAULT_TOP_K,
+    MAX_MOCK_DIMENSION,
+)
 from .specs import DEFAULT_CHUNK_BUDGET
 from .types import Value, value_class
 
@@ -192,6 +197,11 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("max_proposals must be non-negative")
     if config.embedding_dimension < 1:
         raise ConfigError("embedding_dimension must be at least 1")
+    if config.embedding == "mock" and config.embedding_dimension > MAX_MOCK_DIMENSION:
+        raise ConfigError(
+            f"embedding_dimension must be at most {MAX_MOCK_DIMENSION} for mock embeddings;"
+            f" got {config.embedding_dimension}"
+        )
     if config.top_k < 1:
         raise ConfigError("top_k must be at least 1")
     if not -1.0 <= config.score_threshold <= 1.0:

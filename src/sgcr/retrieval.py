@@ -11,15 +11,26 @@ become ScoredSpec objects.
 The mock provider hashes character trigrams of the lowercased text into d
 buckets (sha256 of the trigram, modulo d), counts them, and L2-normalizes;
 texts shorter than three characters count as a single trigram. It is
-deterministic across processes and needs no tokenizer or network. Each
-provider memoizes the bucket of every distinct trigram it has met, keyed by
-the trigram's three code points as a tuple, so a run (one provider) hashes
-each distinct trigram once, not once per occurrence. Forming the trigrams
-(zip over the text), looking them up (map over the memo) and counting the
-bucket hits (Counter) all run in C; Python runs once per trigram not yet
-met and once per distinct bucket hit, at most d times per text. The counts
-are small integers, so every float sum is exact and the vectors do not
-depend on the order of counting.
+deterministic across processes and needs no tokenizer or network. It
+counts a text l of three or more code points word by word. Its words are
+``l.split(" ")``, empty ones included; a tab, NBSP or other space stays
+inside a word. Pad l with one space at each end. Each trigram of the
+padded text is centred either on a character of a word w, and then lies
+within " " + w + " ", or on a separating space, and then is (the last
+character of the word before it, " ", the first of the word after it),
+with " " for an empty word. So l's trigrams are exactly those of " " + w +
+" " for every word, one per separating space, less the two the pads add:
+(" ", l[0], l[1]) and (l[-2], l[-1], " "). Each provider memoizes three
+maps, so they live for one run and never for the whole process: trigram
+-> bucket (sha256 runs once per distinct trigram), word -> the buckets of
+its trigrams as the bytes of an array("I"), and the ends of the two words
+beside a space -> the bucket of the separator's trigram. A text is then one
+split, one map over its words, one Counter over their joined bucket ids (a
+memoryview cast) and the separator buckets, all in C, and the two
+corrections. Python runs once per distinct trigram, word and pair of word
+ends a run meets, and once per distinct bucket a text hits; not once per
+trigram occurrence. The counts are small integers, so every float sum is
+exact and the vectors do not depend on the order of counting.
 
 The http provider, HttpEmbeddingProvider, is in wire with the rest of
 the HTTP wire protocol.
@@ -46,10 +57,11 @@ import logging
 import math
 import operator
 import struct
+from array import array
 from collections import Counter
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Protocol
+from typing import Any, Callable, Protocol
 
 from .errors import DimensionMismatch, EmptyText, IndexLibraryMismatch, QueryDimensionMismatch
 from .files import write_text_atomic
@@ -60,6 +72,9 @@ from .types import Value, value_class
 logger = logging.getLogger(__name__)
 
 DEFAULT_MOCK_DIMENSION = 64
+# The largest mock dimension a run accepts: each embed allocates, and each
+# indexed rule keeps, this many floats.
+MAX_MOCK_DIMENSION = 4096
 DEFAULT_TOP_K = 5
 DEFAULT_SCORE_THRESHOLD = 0.35
 
@@ -95,7 +110,12 @@ class EmbeddingProvider(Protocol):
 
 
 class MockEmbeddingProvider:
-    """Trigram-count embeddings; see the module docstring for the rule."""
+    """Trigram-count embeddings; see the module docstring for the rule.
+
+    Its memos (trigram, word and separator buckets) last as long as the
+    provider, one run: Python work per text is per trigram, word or word-end
+    pair the run has not met, and per distinct bucket hit, not per trigram.
+    """
 
     provider_id = "mock"
 
@@ -103,40 +123,59 @@ class MockEmbeddingProvider:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self._buckets = _BucketMemo(dimension)
+        buckets = _Memo(lambda gram: trigram_bucket("".join(gram), dimension))
+
+        def word_buckets(word: str) -> bytes:
+            padded = f" {word} "
+            grams = zip(padded, padded[1:], padded[2:])
+            return array("I", map(buckets.__getitem__, grams)).tobytes()
+
+        self._buckets = buckets
+        self._words = _Memo(word_buckets)
+        self._spaces = _Memo(lambda ends: buckets[(ends[0] or " ", " ", ends[1] or " ")])
 
     def close(self) -> None:
         """Nothing to release."""
 
     def embed(self, text: str) -> list[float]:
         lowered = text.lower()
-        if len(lowered) >= 3:
-            grams = zip(lowered, lowered[1:], lowered[2:])
-        else:
-            grams = ((lowered,),)
         counts = [0.0] * self.dimension
-        for bucket, hits in Counter(map(self._buckets.__getitem__, grams)).items():
-            counts[bucket] += hits
+        if len(lowered) < 3:
+            # A 1-tuple key, which no trigram key equals.
+            counts[self._buckets[(lowered,)]] = 1.0
+            return counts
+        words = lowered.split(" ")
+        hits = Counter(memoryview(b"".join(map(self._words.__getitem__, words))).cast("I"))
+        ends = zip(map(_LAST, words), map(_FIRST, islice(words, 1, None)))
+        hits.update(map(self._spaces.__getitem__, ends))
+        # Less the two trigrams the padding spaces add.
+        hits[self._buckets[(" ", lowered[0], lowered[1])]] -= 1
+        hits[self._buckets[(lowered[-2], lowered[-1], " ")]] -= 1
+        for bucket, hit in hits.items():
+            counts[bucket] += hit
         return counts
 
 
-class _BucketMemo(dict):
-    """Trigram code points -> trigram_bucket of their string, filled on a miss.
+# A word's last and first character, "" for an empty word.
+_LAST = operator.itemgetter(slice(-1, None))
+_FIRST = operator.itemgetter(slice(None, 1))
 
-    Pool threads share it without the lock: a bucket is a pure function of
+
+class _Memo(dict):
+    """key -> fill(key), filled on a miss.
+
+    Pool threads share it without a lock: each value is a pure function of
     its key, so two threads missing the same key at once only compute the
-    same bucket twice, and a single dict read or write is atomic. A text
-    shorter than three code points is looked up as a 1-tuple, which no
-    trigram key equals.
+    same value twice, and a single dict read or write is atomic.
     """
 
-    def __init__(self, dimension: int) -> None:
+    def __init__(self, fill: Callable[[Any], Any]) -> None:
         super().__init__()
-        self.dimension = dimension
+        self.fill = fill
 
-    def __missing__(self, key: tuple[str, ...]) -> int:
-        bucket = self[key] = trigram_bucket("".join(key), self.dimension)
-        return bucket
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.fill(key)
+        return value
 
 
 def trigram_bucket(gram: str, dimension: int) -> int:

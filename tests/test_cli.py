@@ -485,6 +485,27 @@ def test_specs_index_error_paths(capsys, monkeypatch, rules_dir, tmp_path):
     assert err.startswith("sgcr: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["review", "specs index"])
+def test_an_oversized_mock_dimension_exits_2_before_any_provider_or_call(
+    capsys, monkeypatch, java_file, rules_dir, tmp_path, command
+):
+    sent = record_generate(monkeypatch)
+    built = []
+    monkeypatch.setattr(sgcr.pipeline, "MockEmbeddingProvider", lambda **kw: built.append(kw))
+    if command == "review":
+        argv = _review_argv(java_file, rules_dir)
+    else:
+        argv = ["specs", "index", "--specs-dir", str(rules_dir), "--output", str(tmp_path / "i.json")]
+    assert main([*argv, "--embedding-dimension", "100000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "sgcr: embedding_dimension must be at most 4096 for mock embeddings; got 100000000\n"
+    )
+    assert sent == [] and built == []
+    assert not (tmp_path / "i.json").exists()
+
+
 def test_specs_index_closes_its_embedding_client(capsys, monkeypatch, rules_dir, tmp_path):
     opened = open_connection_doubles(monkeypatch)
     monkeypatch.setenv("SGCR_API_KEY", "test-key")

@@ -15,6 +15,7 @@ from sgcr.config import (
     validate_config,
 )
 from sgcr.errors import ConfigError
+from sgcr.retrieval import MAX_MOCK_DIMENSION
 
 
 def test_defaults_are_a_valid_mock_baseline():
@@ -162,6 +163,11 @@ def test_merge_config_rejects_unknown_keys():
         ({"context_lines": -1}, "context_lines must be non-negative"),
         ({"max_proposals": -1}, "max_proposals must be non-negative"),
         ({"embedding_dimension": 0}, "embedding_dimension must be at least 1"),
+        (
+            {"embedding_dimension": MAX_MOCK_DIMENSION + 1},
+            f"embedding_dimension must be at most {MAX_MOCK_DIMENSION} for mock embeddings;"
+            f" got {MAX_MOCK_DIMENSION + 1}",
+        ),
         ({"score_threshold": 1.5}, "score_threshold must be within [-1, 1]"),
         ({"score_threshold": -1.5}, "score_threshold must be within [-1, 1]"),
         ({"specs_dir": None}, "requires --specs-dir"),
@@ -188,6 +194,21 @@ def test_validate_config_rejections(overrides, fragment):
     with pytest.raises(ConfigError) as excinfo:
         validate_config(RunConfig(**base))
     assert fragment in str(excinfo.value)
+
+
+def test_validate_config_caps_only_the_mock_dimension():
+    validate_config(RunConfig(specs_dir="rules", embedding_dimension=MAX_MOCK_DIMENSION))
+    # An http provider's dimension is whatever its replies hold, so the
+    # mock setting is not checked against the cap there.
+    validate_config(
+        RunConfig(
+            specs_dir="rules",
+            embedding="http",
+            base_url="http://example.invalid",
+            api_key="key",
+            embedding_dimension=10**8,
+        )
+    )
 
 
 

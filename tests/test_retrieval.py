@@ -10,10 +10,13 @@ import operator
 import random
 import struct
 import sys
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import sgcr.retrieval
 from conftest import REPO_ROOT, LoggedMockEmbeddingProvider, make_library, make_spec
 from sgcr.errors import (
     DimensionMismatch,
@@ -23,6 +26,7 @@ from sgcr.errors import (
 )
 from sgcr.retrieval import (
     DEFAULT_MOCK_DIMENSION,
+    MAX_MOCK_DIMENSION,
     REBUILD_HINT,
     EmbeddingVector,
     MockEmbeddingProvider,
@@ -94,6 +98,27 @@ def _per_trigram_reference(text: str, dimension: int) -> list[float]:
     return counts
 
 
+# Texts aimed at the word split: the embedding counts the trigrams of each
+# part of text.lower().split(" ") and of each separating space, so these
+# put spaces, empty parts and short parts at every position.
+_WORD_SPLIT_TEXTS = [
+    *(f"a{' ' * run}b" for run in range(2, 6)),
+    " ab", "ab ", " abc", "abc ", "  abc  ", "   x   y   ", " a", "a ", " a ",
+    *(" " * length for length in range(1, 7)),
+    "a b c", "ab cd ef", " ab ", "x y", "i a ok no", "a bb c dd", "ab  c  de",
+    # NBSP and tabs are not " ", so split must not cut at them.
+    "a\u00a0 b", "a \u00a0b", "\u00a0 \u00a0", "a\u00a0b c", "a\t b", "a \tb", "\t \t", " \t ",
+    # "İ" lowercases to two code points, lengthening the text.
+    "İ ", " İ", "İ  ", "a İ b", "İ İ", " İ ", "İa bİ",
+    # Astral code points at the ends of parts.
+    "😀a b😀", "😀 😀", "𝔘x y𝔘 z", " 😀", "😀 ", "😀  𝔘", "a😀 😀b",
+]
+
+# Every dimension the oracles run at: 1 puts every trigram in one bucket,
+# 7 and 300 are not powers of two, and the cap is the largest a run takes.
+_ORACLE_DIMENSIONS = (1, 7, 64, 300, MAX_MOCK_DIMENSION)
+
+
 def _oracle_texts() -> list[str]:
     rng = random.Random(11)
     # "İ" lowercases to two code points, so lowering changes the length and
@@ -103,12 +128,17 @@ def _oracle_texts() -> list[str]:
     for _ in range(200):
         length = rng.choice((0, 1, 2, 3, 4, rng.randint(5, 120)))
         texts.append("".join(rng.choice(alphabet) for _ in range(length)))
+    texts.extend(_WORD_SPLIT_TEXTS)
+    # Mostly spaces, so runs of them and one-letter parts are common.
+    spaced = ["a", "B", " ", " ", " ", "\u00a0", "\t", "😀", "İ"]
+    for _ in range(100):
+        texts.append("".join(rng.choice(spaced) for _ in range(rng.randint(1, 40))))
     return texts
 
 
 def test_mock_embedding_matches_the_per_trigram_reference_on_random_texts():
     texts = _oracle_texts()
-    for dimension in (1, 7, 64):
+    for dimension in _ORACLE_DIMENSIONS:
         expected = {text: _per_trigram_reference(text, dimension) for text in texts}
         provider = MockEmbeddingProvider(dimension=dimension)
         for round_seed in range(3):
@@ -117,20 +147,55 @@ def test_mock_embedding_matches_the_per_trigram_reference_on_random_texts():
             assert [provider.embed(text) for text in order] == [expected[t] for t in order]
 
     # One provider shared by more threads than cores gives the serial result.
-    serial = [_per_trigram_reference(text, 64) for text in texts]
+    # The threads start together on a fresh provider, so all 8 miss the same
+    # new words, trigrams and word ends at once; the memos need no lock.
+    serial_provider = MockEmbeddingProvider(dimension=64)
+    serial = [serial_provider.embed(text) for text in texts]
+    assert serial == [_per_trigram_reference(text, 64) for text in texts]
     shared = MockEmbeddingProvider(dimension=64)
+    start = threading.Barrier(8)
+
+    def embed_all():
+        start.wait(timeout=60)
+        return [shared.embed(text) for text in texts]
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as workers:
-            futures = [
-                workers.submit(lambda: [shared.embed(text) for text in texts])
-                for _ in range(8)
-            ]
+            futures = [workers.submit(embed_all) for _ in range(8)]
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert results == [serial] * 8
+    assert shared._words == serial_provider._words
+    assert shared._buckets == serial_provider._buckets
+    assert shared._spaces == serial_provider._spaces
+
+
+def test_a_run_hashes_each_trigram_once_and_a_second_build_hashes_nothing(monkeypatch):
+    hashed = []
+    real = sgcr.retrieval.trigram_bucket
+
+    def counted(gram, dimension):
+        hashed.append(gram)
+        return real(gram, dimension)
+
+    monkeypatch.setattr(sgcr.retrieval, "trigram_bucket", counted)
+    library = load_library(REPO_ROOT / "sample_specs")
+    provider = MockEmbeddingProvider(dimension=64)
+    first = build_index(library, provider)
+    repeated = sorted(gram for gram, times in Counter(hashed).items() if times > 1)
+    assert not repeated, f"trigrams hashed more than once: {repeated}"
+    assert hashed
+
+    words = dict(provider._words)
+    hashed.clear()
+    second = build_index(library, provider)
+    assert not hashed, f"the second build hashed: {sorted(set(hashed))}"
+    filled = sorted(provider._words.keys() - words.keys())
+    assert not filled, f"the second build filled word entries: {filled}"
+    assert second == first
 
 
 def _normalize_reference(values: list[float]) -> tuple[float, ...]:
@@ -157,7 +222,8 @@ def test_mock_embedding_and_normalize_match_the_references_bit_for_bit():
     texts = ["😀𝔘", "😀", "\r\n", "a\r\nb", "\t\t\t", "e\u0301", "İ", "xİ", "x" * 5000]
     for length in (0, 1, 2, 3, 4, 5, 31, 400, 1800, 5000):
         texts.append("".join(rng.choice(alphabet) for _ in range(length))[:length])
-    for dimension in (1, 7, 64, 300):
+    texts.extend(_WORD_SPLIT_TEXTS)
+    for dimension in _ORACLE_DIMENSIONS:
         provider = MockEmbeddingProvider(dimension=dimension)
         for text in texts:
             raw = provider.embed(text)
@@ -165,7 +231,7 @@ def test_mock_embedding_and_normalize_match_the_references_bit_for_bit():
             assert _hex(normalize(raw).values) == _hex(_normalize_reference(raw))
 
     library = load_library(REPO_ROOT / "sample_specs")
-    for dimension in (1, 7, 64, 300):
+    for dimension in _ORACLE_DIMENSIONS:
         index = build_index(library, MockEmbeddingProvider(dimension=dimension))
         for spec, (spec_id, vector) in zip(library.specs, index.entries, strict=True):
             assert spec_id == spec.id
