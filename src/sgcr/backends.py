@@ -1,4 +1,4 @@
-r"""Model backends: mock, replay, and record. The http backend is in wire.
+"""Model backends: mock, replay, and record. The http backend is in wire.
 
 Backends keep no record of the requests they were sent: each prompt holds
 the whole code block, and a run should free it once its call is done.
@@ -7,26 +7,12 @@ Mock synthesis rules
 --------------------
 The mock backend emits a schema-conformant response whose content is a pure
 function of the request fingerprint: the fingerprint's leading 64 bits seed
-a private RNG, and the prompt is scanned for ``FILE <path> (lines a..b)``
-headers and ``RULE <id> `` lines so synthetic findings land on real files
-and cite real rule ids when available. Identical requests therefore yield
-byte-identical responses; ensemble slots (different seeds, different
-fingerprints) yield different ones.
-
-A header counts only at the start of the prompt or right after ``"\n"``
-(not after a lone ``"\r"``, nor indented or mid-line). The first ``FILE``
-header wins; ``RULE`` ids come back in prompt order, duplicates kept. Each
-header shape is matched once at position 0, and searched for past it by a
-pattern that starts with the literal ``"\n"``: the regex engine then jumps
-between candidate lines with its literal-prefix search. A pattern starting
-with ``^`` under ``re.MULTILINE`` is tried at every character of a prompt
-that may hold 48k of them, and an alternation in front (``(?:^|\n)``)
-loses the literal prefix too and is slower still. Scanning ``"\n" +
-prompt`` instead of the position-0 match costs as little time, but copies
-every prompt, and verifier prompts each hold the whole code block. The
-slots of an ensemble send one prompt, so the mock takes its headers through
-``ModelRequest.per_prompt``: the scan runs once per ensemble, and its
-slots share the result.
+a private RNG, and the prompt's headers (prompts.prompt_headers) aim the
+synthetic findings at real files and rule ids when available. Identical
+requests therefore yield byte-identical responses; ensemble slots
+(different seeds, different fingerprints) yield different ones. The slots
+of an ensemble send one prompt and share one header scan
+(``ModelRequest.per_prompt``).
 
 Fixture format (record/replay): one JSON file per request at
 ``<fixtures_dir>/<fingerprint>.json`` holding ``{"request": <canonical
@@ -55,13 +41,9 @@ from pathlib import Path
 from .errors import FixtureMiss, RequestRejected
 from .files import write_text_atomic
 from .gateway import ModelRequest, canonical_request
-from .prompts import Role
+from .prompts import Role, prompt_headers
 from .types import Severity
 
-_FILE_HEADER = r"FILE (\S+) \(lines (\d+)\.\.(\d+)\)"
-_RULE_HEADER = r"RULE (\S+) "
-_FILE_AT_START, _FILE_AFTER_NEWLINE = re.compile(_FILE_HEADER), re.compile("\n" + _FILE_HEADER)
-_RULE_AT_START, _RULE_AFTER_NEWLINE = re.compile(_RULE_HEADER), re.compile("\n" + _RULE_HEADER)
 # A high surrogate followed by a low one, which JSON decodes as one code point.
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
@@ -85,17 +67,6 @@ class BaseBackend:
 
     def _complete(self, request: ModelRequest) -> str:
         raise NotImplementedError
-
-
-def prompt_headers(prompt: str) -> tuple[tuple[str, int, int], list[str]]:
-    """The first FILE header's (path, first line, last line), or ("unknown", 1,
-    40) without one, and the RULE ids in prompt order (see the module doc)."""
-    header = _FILE_AT_START.match(prompt) or _FILE_AFTER_NEWLINE.search(prompt)
-    location = ("unknown", 1, 40)
-    if header:
-        location = (header.group(1), int(header.group(2)), int(header.group(3)))
-    first = _RULE_AT_START.match(prompt)
-    return location, ([first.group(1)] if first else []) + _RULE_AFTER_NEWLINE.findall(prompt)
 
 
 class MockBackend(BaseBackend):

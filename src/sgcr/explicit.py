@@ -18,7 +18,6 @@ deterministic aggregation clusters each distinct object once.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import replace
 from functools import partial
@@ -41,14 +40,8 @@ from .gateway import (
 from .ingestion import ReviewRequest, prompt_block
 from .matching import TokenTable, cluster_tagged, findings_equivalent, merge_to_maxima
 from .parsing import FindingTable, parse_findings_response
-from .prompts import Role, render_prompt
-from .specs import (
-    DEFAULT_CHUNK_BUDGET,
-    SpecChunk,
-    SpecLibrary,
-    chunk_prompt_text,
-    segment_library,
-)
+from .prompts import Role, candidates_block, chunk_prompt_text, render_prompt
+from .specs import DEFAULT_CHUNK_BUDGET, SpecChunk, SpecLibrary, segment_library
 from .types import (
     Finding,
     Pathway,
@@ -195,16 +188,14 @@ def aggregate_candidates(
 
     if backend is None:
         raise ValueError("model aggregation requires a backend")
-    payload = json.dumps(
+    payload = candidates_block(
         [
             {
                 "instance": candidate.instance_index,
                 "findings": [finding_payload(f) for f in candidate.findings],
             }
             for candidate in sorted(candidates, key=lambda c: c.instance_index)
-        ],
-        sort_keys=True,
-        indent=2,
+        ]
     )
     prompt = render_prompt(Role.AGGREGATOR, {"candidates": payload})
     aggregator = ModelRequest(role=Role.AGGREGATOR.value, prompt=prompt, temperature=0.0)
@@ -267,9 +258,7 @@ def synthesize_partials(
     if model_summary:
         if backend is None:
             raise ValueError("a model summary requires a backend")
-        payload = json.dumps(
-            [finding_payload(f) for f in findings], sort_keys=True, indent=2
-        )
+        payload = candidates_block([finding_payload(f) for f in findings])
         prompt = render_prompt(Role.SYNTHESIZER, {"candidates": payload})
         synthesizer = ModelRequest(role=Role.SYNTHESIZER.value, prompt=prompt, temperature=0.0)
         summary = call_model(backend, synthesizer, str.strip)

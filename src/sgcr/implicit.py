@@ -5,7 +5,8 @@ alone. Each issue is grounded by retrieving the closest rules from the
 vector index, judged by a verifier ensemble that sees code, issue, and the
 retrieved rules, and accepted only when a quorum of verifiers deems it
 valid. Accepted issues become findings whose severity and cited rules come
-from the verifiers, not the proposer.
+from the verifiers, not the proposer. The verifier prompt's issue and
+retrieved-rules blocks are written in prompts.
 
 This pathway is exploratory, so by default it degrades to an empty report
 instead of failing the run when something inside it breaks.
@@ -32,7 +33,7 @@ from .gateway import (
 )
 from .ingestion import ReviewRequest, prompt_block
 from .parsing import parse_proposals_response, parse_verdict_response
-from .prompts import Role, render_prompt
+from .prompts import Role, issue_block, render_prompt, rules_block
 from .retrieval import (
     DEFAULT_SCORE_THRESHOLD,
     DEFAULT_TOP_K,
@@ -124,34 +125,19 @@ def ground_issue(
     return retrieve(index, query, k=k, threshold=threshold)
 
 
-def _issue_block(issue: HypotheticalIssue) -> str:
-    return (
-        f"{issue.file} lines {issue.start_line}..{issue.end_line}: {issue.description}"
-    )
-
-
-def _retrieved_block(retrieved: RetrievedSpecSet, library: SpecLibrary) -> str:
-    if not retrieved.scored:
-        return "(no rules retrieved for this issue)"
-    parts = [
-        f"score={item.score:.4f}\n{library.get(item.spec_id).prompt_text()}"
-        for item in retrieved.scored
-    ]
-    return "\n\n".join(parts)
-
-
 def _verifier_request(
     request: ReviewRequest,
     issue: HypotheticalIssue,
     retrieved: RetrievedSpecSet,
     library: SpecLibrary,
 ) -> ModelRequest:
+    scores = [item.score for item in retrieved.scored]
     prompt = render_prompt(
         Role.VERIFIER,
         {
             "code": prompt_block(request),
-            "issue": _issue_block(issue),
-            "retrieved_specs": _retrieved_block(retrieved, library),
+            "issue": issue_block(issue),
+            "retrieved_specs": rules_block(library, retrieved.spec_ids(), scores),
         },
     )
     # Verifiers judge rather than explore: seed-diversified but greedy.

@@ -4,15 +4,18 @@ Diff-origin requests carry the post-image restricted to hunk neighborhoods:
 one review unit per merged context window, with line numbers kept in
 new-file coordinates (each unit records the absolute line its content
 starts at). Whole-file requests are a single unit per file covering
-everything.
+everything. A unit ends at its last non-empty line, the last line its
+content keeps, and its changed ranges end there too.
 
 The diff grammar accepted is the standard unified format (``--- a/...``,
 ``+++ b/...``, ``@@ -a,b +c,d @@`` headers, markers ' ', '+', '-');
 surrounding metadata lines such as ``diff --git`` or ``index ...`` are
-tolerated, hunk arithmetic is not negotiable.
+tolerated, hunk arithmetic is not negotiable. A path git C-quoted
+(``core.quotePath``) is unquoted.
 
-A ReviewRequest renders its code block, the numbered text every prompt
-shows, once when it is built, so no later reader renders or waits for it.
+A ReviewRequest renders its code block (prompts.code_block), the numbered
+text every prompt shows, once when it is built, so no later reader renders
+or waits for it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from pathlib import Path
 from typing import Literal, Optional, Sequence
 
 from .errors import DiffSyntaxError, HunkCountMismatch, InvalidReviewRequest, PatchDoesNotApply
+from .prompts import code_block
 from .types import Value, value_class
 
 logger = logging.getLogger(__name__)
@@ -32,6 +36,11 @@ DEFAULT_CONTEXT_LINES = 10
 Marker = Literal["context", "added", "removed"]
 
 _HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
+# A path as git C-quotes it, and its escapes: one of \\ \" \a \b \t \n \v \f \r,
+# or a byte as three octal digits.
+_QUOTED_PATH = re.compile(r'"((?:[^"\\]|\\(?:[\\"abtnvfr]|[0-3][0-7]{2}))*)"')
+_C_ESCAPE = re.compile(rb'\\([\\"abtnvfr]|[0-3][0-7]{2})')
+_C_ESCAPED = dict(zip(b'\\"abtnvfr', b'\\"\a\b\t\n\v\f\r'))
 
 
 @value_class
@@ -82,22 +91,7 @@ class ReviewRequest(Value):
         # The units as numbered text (see prompt_block()), rendered once with
         # the request and kept in the instance dict, out of eq, hash and
         # repr; dataclasses.replace builds a fresh instance, rendered anew.
-        vars(self)["prompt_block"] = _numbered_text(self.units)
-
-
-def _numbered_text(units: Sequence[ReviewUnit]) -> str:
-    parts: list[str] = []
-    for unit in units:
-        header = f"FILE {unit.path} (lines {unit.start_line}..{unit.end_line()})"
-        if unit.changed_ranges:
-            spans = ", ".join(f"{start}-{end}" for start, end in unit.changed_ranges)
-            header += f"\nChanged lines: {spans}"
-        numbered = "\n".join(
-            f"{unit.start_line + offset:5d} | {text}"
-            for offset, text in enumerate(unit.content.splitlines())
-        )
-        parts.append(f"{header}\n{numbered}")
-    return "\n\n".join(parts)
+        vars(self)["prompt_block"] = code_block(self.units)
 
 
 def decode_utf8(data: bytes, source: object) -> str:
@@ -114,8 +108,27 @@ def decode_utf8(data: bytes, source: object) -> str:
         raise InvalidReviewRequest(f"{source} is not UTF-8 text: {exc.reason}") from exc
 
 
-def _strip_diff_path(raw: str) -> str:
+def _unescape(escape: re.Match) -> bytes:
+    code = escape.group(1)
+    return bytes([int(code, 8) if len(code) == 3 else _C_ESCAPED[code[0]]])
+
+
+def _strip_diff_path(raw: str, line_number: int) -> str:
+    """The path a file header names, unquoted, without its a/ or b/ prefix.
+
+    A quoted path's escapes are undone and its bytes decoded as UTF-8; a
+    malformed one raises DiffSyntaxError naming the header's line.
+    """
     path = raw.split("\t", 1)[0].strip()
+    if path.startswith('"'):
+        quoted = _QUOTED_PATH.fullmatch(path)
+        if quoted is None:
+            raise DiffSyntaxError(f"malformed quoted path {path}", line_number)
+        try:
+            path = _C_ESCAPE.sub(_unescape, quoted.group(1).encode("utf-8")).decode("utf-8")
+        except UnicodeError as exc:
+            message = f"quoted path {path} is not UTF-8: {exc.reason}"
+            raise DiffSyntaxError(message, line_number) from exc
     if path.startswith(("a/", "b/")):
         path = path[2:]
     return path
@@ -138,17 +151,17 @@ def parse_unified_diff(text: str) -> list[FileDiff]:
             i += 1  # metadata (diff --git, index, mode lines) or blank
             continue
 
-        old_raw = line[4:]
         if i + 1 >= total or not lines[i + 1].startswith("+++ "):
             raise DiffSyntaxError("'---' header not followed by '+++' header", i + 1)
-        new_raw = lines[i + 1][4:]
+        old_path = _strip_diff_path(line[4:], i + 1)
+        new_path = _strip_diff_path(lines[i + 1][4:], i + 2)
         i += 2
 
-        is_new = _strip_diff_path(old_raw) == "/dev/null"
-        is_deleted = _strip_diff_path(new_raw) == "/dev/null"
+        is_new = old_path == "/dev/null"
+        is_deleted = new_path == "/dev/null"
         if is_new and is_deleted:
             raise DiffSyntaxError("both sides of the file header are /dev/null", i - 1)
-        path = _strip_diff_path(old_raw) if is_deleted else _strip_diff_path(new_raw)
+        path = old_path if is_deleted else new_path
         if not path:
             raise DiffSyntaxError("empty file path in header", i - 1)
 
@@ -273,6 +286,13 @@ def _added_ranges(hunk: Hunk) -> list[tuple[int, int]]:
     return ranges
 
 
+def _last_line(lines: Sequence[str], first: int, last: int) -> int:
+    """The last non-empty line of first..last (1-based), or first - 1 if none is."""
+    while last >= first and not lines[last - 1]:
+        last -= 1
+    return last
+
+
 def _merge_windows(windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     merged: list[tuple[int, int]] = []
     for start, end in sorted(windows):
@@ -295,10 +315,10 @@ def _units_from_diff(
         if not post_path.is_file():
             raise FileNotFoundError(f"post-image file not found: {post_path}")
         post_lines = decode_utf8(post_path.read_bytes(), post_path).splitlines()
-        if not post_lines:
+        file_len = _last_line(post_lines, 1, len(post_lines))
+        if not file_len:
             logger.warning("skipping empty post-image file %s", diff.path)
             continue
-        file_len = len(post_lines)
 
         windows: list[tuple[int, int]] = []
         changed: list[tuple[int, int]] = []
@@ -312,6 +332,9 @@ def _units_from_diff(
             changed.extend(_added_ranges(hunk))
 
         for window_start, window_end in _merge_windows(windows):
+            window_end = _last_line(post_lines, window_start, window_end)
+            if window_end < window_start:
+                continue  # only empty lines, as in an empty file
             in_window = tuple(
                 (max(start, window_start), min(end, window_end))
                 for start, end in changed
@@ -352,15 +375,16 @@ def build_review_request(
             if not path.is_file():
                 raise FileNotFoundError(f"input file not found: {path}")
             content_lines = decode_utf8(path.read_bytes(), path).splitlines()
-            if not content_lines:
+            last = _last_line(content_lines, 1, len(content_lines))
+            if not last:
                 logger.warning("skipping empty file %s", path)
                 continue
             units.append(
                 ReviewUnit(
                     path=path.as_posix(),
-                    content="\n".join(content_lines),
+                    content="\n".join(content_lines[:last]),
                     start_line=1,
-                    changed_ranges=((1, len(content_lines)),),
+                    changed_ranges=((1, last),),
                 )
             )
     else:
@@ -374,15 +398,9 @@ def build_review_request(
 
 
 def prompt_block(request: ReviewRequest) -> str:
-    """Render units as numbered text for model prompts.
-
-    Every prompt of a run shows the same code, so the text is rendered
-    once, when the request is built (ReviewRequest.__post_init__), and
-    each call returns that same string.
-
-    The ``FILE path (lines a..b)`` header shape is load-bearing: the mock
-    backend parses it to aim synthetic findings at real locations.
-    """
+    """The units as numbered text (prompts.code_block). Every prompt of a run
+    shows the same code, so the text is rendered once, when the request is
+    built (ReviewRequest.__post_init__), and each call returns that string."""
     return request.prompt_block
 
 

@@ -1,15 +1,40 @@
-"""Prompt templates for every model role.
+r"""Every text a model reads: role templates, their blocks, and a header reader.
 
 Each template instructs the model to answer with exactly one JSON document
 matching its role's response schema (see parsing). Rendering is a pure
 string substitution: identical inputs yield identical prompts, which the
-request fingerprinting in the gateway relies on.
+request fingerprinting in the gateway relies on. The blocks (code, rules,
+issue, finding, candidates) are written here alone, and the module imports
+nothing of sgcr at run time, so any module may import it.
+
+prompt_headers reads back, for the mock backend, what code_block and
+rule_text write. A ``FILE`` header's path is everything between ``FILE ``
+and the `` (lines a..b)`` that ends its line. A header counts only at the
+start of the prompt or right after ``"\n"`` (not after a lone ``"\r"``,
+nor indented or mid-line). The first ``FILE`` header wins; ``RULE`` ids
+come back in prompt order, duplicates kept. Each header shape is matched
+once at position 0, and searched for past it by a pattern that starts with
+the literal ``"\n"``: the regex engine then jumps between candidate lines
+with its literal-prefix search. A pattern starting with ``^`` under
+``re.MULTILINE`` is tried at every character of a prompt that may hold 48k
+of them, and an alternation in front (``(?:^|\n)``) loses the literal
+prefix too and is slower still. Scanning ``"\n" + prompt`` instead of the
+position-0 match costs as little time, but copies every prompt, and
+verifier prompts each hold the whole code block.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from enum import Enum
 from string import Template
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:  # annotations only, as ingestion imports this module
+    from .ingestion import ReviewUnit
+    from .specs import SpecChunk, SpecLibrary, Specification
+    from .types import Finding, HypotheticalIssue
 
 
 class Role(str, Enum):
@@ -90,3 +115,78 @@ _TEMPLATES: dict[Role, Template] = {
 def render_prompt(role: Role, slots: dict[str, str]) -> str:
     """Fill the role's template; a missing slot raises KeyError naming it."""
     return _TEMPLATES[role].substitute(slots)
+
+
+def code_block(units: Sequence[ReviewUnit]) -> str:
+    """The units as numbered text, each under its FILE header and changed lines."""
+    parts: list[str] = []
+    for unit in units:
+        header = f"FILE {unit.path} (lines {unit.start_line}..{unit.end_line()})"
+        if unit.changed_ranges:
+            spans = ", ".join(f"{start}-{end}" for start, end in unit.changed_ranges)
+            header += f"\nChanged lines: {spans}"
+        lines = enumerate(unit.content.splitlines(), unit.start_line)
+        numbered = "\n".join(f"{number:5d} | {text}" for number, text in lines)
+        parts.append(f"{header}\n{numbered}")
+    return "\n\n".join(parts)
+
+
+def rule_text(spec: Specification) -> str:
+    """The rule as reviewer, verifier and patch prompts show it."""
+    header = f"RULE {spec.id} [{spec.severity.value}/{spec.category.value}] {spec.title}"
+    return f"{header}\n{spec.body}"
+
+
+def rules_block(library: SpecLibrary, ids: Sequence[str], scores: Optional[list] = None) -> str:
+    """The rules' texts in order, each looked up through library.get (KeyError
+    if it holds no such id). With scores, the retrieval's, each rule sits under
+    its score, and an empty retrieval reads as a sentence saying so."""
+    if scores is not None and not ids:
+        return "(no rules retrieved for this issue)"
+    parts = []
+    for position, spec_id in enumerate(ids):
+        spec = library.get(spec_id)
+        if spec is None:
+            raise KeyError(f"rules block references unknown spec id {spec_id!r}")
+        text = rule_text(spec)
+        parts.append(text if scores is None else f"score={scores[position]:.4f}\n{text}")
+    return "\n\n".join(parts)
+
+
+def chunk_prompt_text(library: SpecLibrary, chunk: SpecChunk) -> str:
+    """The rules block of one rule chunk (specs.segment_library)."""
+    return rules_block(library, chunk.spec_ids)
+
+
+def issue_block(issue: HypotheticalIssue) -> str:
+    """A proposed issue as its verifiers read it."""
+    return f"{issue.file} lines {issue.start_line}..{issue.end_line}: {issue.description}"
+
+
+def finding_block(finding: Finding, snippet_first_line: int) -> str:
+    """The finding a patch fixes, as JSON, with the line its snippet starts at."""
+    fields = ("file", "start_line", "end_line", "description")
+    payload = {name: getattr(finding, name) for name in fields}
+    return json.dumps({**payload, "snippet_first_line": snippet_first_line}, sort_keys=True)
+
+
+def candidates_block(candidates: list) -> str:
+    """Candidate findings as the aggregator and synthesizer read them."""
+    return json.dumps(candidates, sort_keys=True, indent=2)
+
+
+_FILE_HEADER = r"FILE (.+) \(lines (\d+)\.\.(\d+)\)(?=\n|\Z)"
+_RULE_HEADER = r"RULE (\S+) "
+_FILE_AT_START, _FILE_AFTER_NEWLINE = re.compile(_FILE_HEADER), re.compile("\n" + _FILE_HEADER)
+_RULE_AT_START, _RULE_AFTER_NEWLINE = re.compile(_RULE_HEADER), re.compile("\n" + _RULE_HEADER)
+
+
+def prompt_headers(prompt: str) -> tuple[tuple[str, int, int], list[str]]:
+    """The first FILE header's (path, first line, last line), or ("unknown", 1,
+    40) without one, and the RULE ids in prompt order (see the module doc)."""
+    header = _FILE_AT_START.match(prompt) or _FILE_AFTER_NEWLINE.search(prompt)
+    location = ("unknown", 1, 40)
+    if header:
+        location = (header.group(1), int(header.group(2)), int(header.group(3)))
+    first = _RULE_AT_START.match(prompt)
+    return location, ([first.group(1)] if first else []) + _RULE_AFTER_NEWLINE.findall(prompt)

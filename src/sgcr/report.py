@@ -7,7 +7,7 @@ between pathways never weakens a finding. Ranking is a total order
 (severity, category, confidence, location) so rendered output is
 byte-stable. Patch suggestions are generated per cluster against the exact
 code snippet under review and discarded unless the diff parses and applies
-cleanly.
+cleanly; the patch prompt's finding and rules blocks are written in prompts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .gateway import ModelBackend, ModelRequest, RunScope, call_model
 from .ingestion import ReviewRequest, apply_file_diff, parse_unified_diff, unit_for_location
 from .matching import TokenTable, cluster_findings, merge_to_maxima
 from .parsing import parse_patch_response
-from .prompts import Role, render_prompt
+from .prompts import Role, finding_block, render_prompt, rules_block
 from .specs import SpecLibrary
 from .types import (
     CATEGORY_RANK,
@@ -210,10 +210,9 @@ def generate_patch(
     applied once, and a diff that does not apply is not resent. The model
     sees the raw snippet (no line numbering) and must return a unified diff
     against that snippet alone: exactly one file section, at least one
-    hunk, applying cleanly. Anything
-    else is discarded, as is a call that fails or a reply that breaks the
-    wire protocol; a bad patch is worse than no patch. Only a replay fixture
-    miss is raised.
+    hunk, applying cleanly. Anything else is discarded, as is a call that
+    fails or a reply that breaks the wire protocol; a bad patch is worse
+    than no patch. Only a replay fixture miss is raised.
     """
     finding = cluster.representative
     unit = unit_for_location(request, finding.file, finding.start_line)
@@ -230,20 +229,10 @@ def generate_patch(
             "finding %s cites no known rules; skipping patch", finding.finding_id
         )
         return None
-    specs_text = "\n\n".join(library.get(spec_id).prompt_text() for spec_id in cited)
-    finding_text = json.dumps(
-        {
-            "file": finding.file,
-            "start_line": finding.start_line,
-            "end_line": finding.end_line,
-            "description": finding.description,
-            "snippet_first_line": unit.start_line,
-        },
-        sort_keys=True,
-    )
+    finding_text = finding_block(finding, unit.start_line)
     prompt = render_prompt(
         Role.PATCH_GENERATOR,
-        {"code": unit.content, "finding": finding_text, "specs": specs_text},
+        {"code": unit.content, "finding": finding_text, "specs": rules_block(library, cited)},
     )
     patch_request = ModelRequest(
         role=Role.PATCH_GENERATOR.value, prompt=prompt, temperature=0.0, seed=seed

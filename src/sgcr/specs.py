@@ -18,7 +18,7 @@ A file is read once as bytes and decoded as UTF-8, then split with
 str.splitlines, which gives the lines and errors a text-mode read did
 (see parse_spec_file). Its front matter is parsed in one loop that strips
 each line once, and category and severity are looked up in tables keyed
-by their values.
+by their values. A rule's prompt text is written in prompts (rule_text).
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ class Specification(Value):
     language: str
     source_path: str
     token_estimate: int
-
-    def prompt_text(self) -> str:
-        """The rule as injected into reviewer and verifier prompts."""
-        header = f"RULE {self.id} [{self.severity.value}/{self.category.value}] {self.title}"
-        return f"{header}\n{self.body}"
 
 
 @value_class
@@ -296,14 +291,3 @@ def segment_library(library: SpecLibrary, budget: int = DEFAULT_CHUNK_BUDGET) ->
             SpecChunk(ordinal=len(chunks), spec_ids=tuple(current_ids), token_total=current_total)
         )
     return chunks
-
-
-def chunk_prompt_text(library: SpecLibrary, chunk: SpecChunk) -> str:
-    """Concatenated prompt text for every spec in the chunk."""
-    parts = []
-    for spec_id in chunk.spec_ids:
-        spec = library.get(spec_id)
-        if spec is None:
-            raise KeyError(f"chunk references unknown spec id {spec_id!r}")
-        parts.append(spec.prompt_text())
-    return "\n\n".join(parts)

@@ -168,6 +168,23 @@ def test_review_reads_a_diff_from_stdin(capsys, monkeypatch, rules_dir, tmp_path
     assert json.loads(out)["stats"]["counts"]["total"] >= 0
 
 
+def test_review_of_a_diff_whose_paths_git_quotes(capsys, rules_dir, tmp_path):
+    """git C-quotes a path holding non-ASCII bytes, a quote or a backslash. The
+    mock aims every finding at the first unit's path, which holds a space."""
+    names = {'naïve file.py': r"na\303\257ve file.py", 'q"uote\\.py': r"q\"uote\\.py"}
+    diff = ""
+    for name, quoted in names.items():
+        (tmp_path / name).write_text("first\nsecond\n", encoding="utf-8")
+        diff += f'--- "a/{quoted}"\t\n+++ "b/{quoted}"\t\n@@ -1,1 +1,2 @@\n first\n+second\n'
+    diff_path = tmp_path / "change.diff"
+    diff_path.write_text(diff, encoding="utf-8")
+    argv = ["review", "--diff", str(diff_path), "--specs-dir", str(rules_dir)]
+    assert main(argv + ["--repo-root", str(tmp_path)]) == 0
+    out, _ = capsys.readouterr()
+    reviewed = {cluster["finding"]["file"] for cluster in json.loads(out)["clusters"]}
+    assert reviewed == {"naïve file.py"}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

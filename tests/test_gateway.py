@@ -50,7 +50,7 @@ from conftest import (
     verdict_json,
     write_spec_file,
 )
-from sgcr.backends import MockBackend, RecordingBackend, ReplayBackend, prompt_headers
+from sgcr.backends import MockBackend, RecordingBackend, ReplayBackend
 from sgcr.errors import (
     BackendTimeout,
     ConfigError,
@@ -105,7 +105,7 @@ from sgcr.ingestion import build_review_request
 from sgcr.pipeline import render_report, run_review
 from sgcr.report import FindingCluster, generate_patch
 from sgcr.retrieval import MockEmbeddingProvider, build_index, embed_text, save_index
-from sgcr.prompts import Role
+from sgcr.prompts import Role, prompt_headers
 from sgcr.specs import SpecChunk, load_library, segment_library
 from sgcr.types import Verdict
 from sgcr.wire import HttpBackend, HttpEmbeddingProvider
@@ -173,10 +173,11 @@ def test_mock_backend_is_a_pure_function_of_the_request():
 
 
 # The header rule in its plainest form, as the reference: a header counts at
-# the start of the prompt or right after "\n". The mock matches position 0 on
+# the start of the prompt or right after "\n", and a FILE header's path runs
+# to the " (lines a..b)" that ends its line. The mock matches position 0 on
 # its own and starts its other patterns with a literal "\n" for speed, and
 # must find exactly what these find.
-_REFERENCE_FILE_HEADER = re.compile(r"^FILE (\S+) \(lines (\d+)\.\.(\d+)\)", re.MULTILINE)
+_REFERENCE_FILE_HEADER = re.compile(r"^FILE (.+) \(lines (\d+)\.\.(\d+)\)$", re.MULTILINE)
 _REFERENCE_RULE_HEADER = re.compile(r"^RULE (\S+) ", re.MULTILINE)
 
 _LINE_STARTS = ("", "\n", "\r\n", "\r", " ", "    ", "\t", "x ", "1 | ")

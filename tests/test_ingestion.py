@@ -134,6 +134,11 @@ def test_parse_defaults_omitted_counts_to_one():
         ("--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n+a\n+b\n x\n", "more added lines"),
         ("--- a/f\n+++ b/f\n@@ -1,1 +1,2 @@\n x\n y\n", "more context lines"),
         ("--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n-a\n-b\n+x\n", "more removed lines"),
+        ('--- "a/f\\q"\n+++ b/f\n@@ -1,1 +1,1 @@\n x\n', "line 1: malformed quoted path"),
+        ('--- a/f\n+++ "b/f\n@@ -1,1 +1,1 @@\n x\n', "line 2: malformed quoted path"),
+        ('--- a/f\n+++ "b/f\\30o"\n@@ -1,1 +1,1 @@\n x\n', "line 2: malformed quoted path"),
+        ('--- a/f\n+++ "b/f" x\n@@ -1,1 +1,1 @@\n x\n', "line 2: malformed quoted path"),
+        ('--- a/f\n+++ "b/f\\303"\n@@ -1,1 +1,1 @@\n x\n', 'line 2: quoted path "b/f\\303" is not'),
     ],
 )
 def test_parse_rejects_malformed_diffs(text, fragment):
@@ -365,6 +370,98 @@ def test_build_request_from_diff_skips_an_empty_post_image(tmp_path, caplog):
 def test_build_request_from_diff_requires_post_image(tmp_path):
     with pytest.raises(FileNotFoundError):
         build_review_request(diff_text=SIX_LINE_DIFF, repo_root=tmp_path)
+
+
+def _assert_unit_agrees_with_its_block(request, unit):
+    """Header, numbered lines, end_line, changed ranges and unit_for_location
+    all describe the same lines."""
+    block = prompt_block(request)
+    assert f"FILE {unit.path} (lines {unit.start_line}..{unit.end_line()})\n" in block
+    numbered = [line for line in block.splitlines() if line[5:8] == " | "]
+    assert [int(line[:5]) for line in numbered] == list(range(unit.start_line, unit.end_line() + 1))
+    assert unit.content.splitlines() == unit.content.split("\n")
+    for start, end in unit.changed_ranges:
+        assert unit.start_line <= start <= end <= unit.end_line()
+        for line in range(start, end + 1):
+            assert unit_for_location(request, unit.path, line) is unit
+
+
+@pytest.mark.parametrize("empty_lines", [1, 2])
+def test_a_file_that_ends_in_empty_lines_ends_at_its_last_text_line(tmp_path, empty_lines):
+    path = tmp_path / "A.java"
+    path.write_text("class A {\n}\n" + "\n" * empty_lines, encoding="utf-8")
+    request = build_review_request(paths=[path])
+    (unit,) = request.units
+    assert (unit.content, unit.end_line(), unit.changed_ranges) == ("class A {\n}", 2, ((1, 2),))
+    assert prompt_block(request).startswith(f"FILE {unit.path} (lines 1..2)\nChanged lines: 1-2\n")
+    _assert_unit_agrees_with_its_block(request, unit)
+
+
+@pytest.mark.parametrize("empty_lines", [1, 2])
+def test_a_diff_window_that_ends_in_empty_lines_ends_at_its_last_text_line(tmp_path, empty_lines):
+    (tmp_path / "run.py").write_text(
+        "line 1\nline 2\nline 3\n" + "\n" * empty_lines + "line 9\n", encoding="utf-8"
+    )
+    diff = "\n".join(
+        ["--- a/run.py", "+++ b/run.py", f"@@ -2,1 +2,{2 + empty_lines} @@", " line 2", "+line 3"]
+        + ["+"] * empty_lines
+        + [""]
+    )
+    request = build_review_request(diff_text=diff, repo_root=tmp_path, context_lines=0)
+    (unit,) = request.units
+    assert (unit.start_line, unit.end_line()) == (2, 3)
+    assert unit.content == "line 2\nline 3"
+    assert unit.changed_ranges == ((3, 3),)
+    _assert_unit_agrees_with_its_block(request, unit)
+
+
+def test_units_of_only_empty_lines_are_skipped(tmp_path, caplog):
+    (tmp_path / "blank.py").write_text("\n\n", encoding="utf-8")
+    (tmp_path / "gap.py").write_text("a\n" + "\n" * 5 + "b\n", encoding="utf-8")
+    with caplog.at_level("WARNING", logger="sgcr.ingestion"):
+        with pytest.raises(InvalidReviewRequest):
+            build_review_request(paths=[tmp_path / "blank.py"])
+    assert [record.message for record in caplog.records] == [
+        f"skipping empty file {tmp_path / 'blank.py'}"
+    ]
+    caplog.clear()
+    diff = (
+        "--- a/blank.py\n+++ b/blank.py\n@@ -1,0 +1,2 @@\n+\n+\n"
+        "--- a/gap.py\n+++ b/gap.py\n@@ -3,0 +4,1 @@\n+\n@@ -7,0 +7,1 @@\n+b\n"
+    )
+    with caplog.at_level("WARNING", logger="sgcr.ingestion"):
+        request = build_review_request(diff_text=diff, repo_root=tmp_path, context_lines=0)
+    assert [(unit.path, unit.start_line, unit.content) for unit in request.units] == [
+        ("gap.py", 7, "b")
+    ]
+    assert [record.message for record in caplog.records] == [
+        "skipping empty post-image file blank.py"
+    ]
+
+
+# Headers as git writes them for paths it quotes (core.quotePath): the name
+# in C quotes, and a tab after a name that holds a space.
+QUOTED_NAMES = {
+    'naïve file.py': r'"b/na\303\257ve file.py"' + "\t",
+    'say "hi".py': r'"b/say \"hi\".py"' + "\t",
+    "back\\slash.py": r'"b/back\\slash.py"',
+    "tab\tand\nnewline.py": r'"b/tab\tand\nnewline.py"',
+}
+
+
+def test_diff_paths_that_git_quotes_are_unquoted(tmp_path):
+    sections = []
+    for name, quoted in QUOTED_NAMES.items():
+        (tmp_path / name).write_text("one\ntwo\n", encoding="utf-8")
+        sections.append(
+            f"diff --git {quoted.replace('b/', 'a/', 1).rstrip()} {quoted.rstrip()}\n"
+            f"--- {quoted.replace('b/', 'a/', 1)}\n+++ {quoted}\n@@ -1,1 +1,2 @@\n one\n+two\n"
+        )
+    diff = "".join(sections)
+    assert [file_diff.path for file_diff in parse_unified_diff(diff)] == list(QUOTED_NAMES)
+    request = build_review_request(diff_text=diff, repo_root=tmp_path)
+    assert [unit.path for unit in request.units] == sorted(QUOTED_NAMES)
+    assert all(unit.content == "one\ntwo" for unit in request.units)
 
 
 def test_prompt_block_exact_layout():

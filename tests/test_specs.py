@@ -14,12 +14,12 @@ import pytest
 from conftest import make_library, make_spec, write_spec_file
 import sgcr.specs
 from sgcr.errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
+from sgcr.prompts import chunk_prompt_text, rule_text
 from sgcr.specs import (
     REQUIRED_KEYS,
     SPEC_ID_PATTERN,
     SpecChunk,
     Specification,
-    chunk_prompt_text,
     estimate_tokens,
     load_library,
     parse_spec_file,
@@ -61,7 +61,7 @@ def test_prompt_text_shape():
         title="Check for null",
         body="Dereference only after a null check.",
     )
-    assert spec.prompt_text() == (
+    assert rule_text(spec) == (
         "RULE corr.null-check [high/correctness] Check for null\n"
         "Dereference only after a null check."
     )
