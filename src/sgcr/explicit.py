@@ -27,7 +27,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .errors import InvalidReviewRequest, NoCandidates, NoPartials
 from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
-    CountedBackend,
     EnsembleConfig,
     ModelBackend,
     ModelRequest,
@@ -266,12 +265,9 @@ def synthesize_partials(
 
 
 class ChunkReviews(NamedTuple):
-    """A library's chunks, each one's candidate reviews in chunk order, and
-    the backend every call of the pathway goes through (calls, whose count
-    is model_calls)."""
+    """A library's chunks, and each one's candidate reviews in chunk order."""
 
     chunks: list[SpecChunk]
-    calls: CountedBackend
     candidates: Iterator[list[CandidateReview]]
 
 
@@ -286,7 +282,8 @@ def review_chunks(
 ) -> ChunkReviews:
     """Segment the rule library and put the first window of chunk ensembles on the pool.
 
-    Chunk ensembles go on the run's call pool through the one ensemble
+    Every reviewer call goes through backend. Chunk ensembles go on the
+    run's call pool through the one ensemble
     window, gateway.collect_in_order, as the verifier ensembles do: the
     first window, at least min(chunks, MAX_INFLIGHT // n) ensembles, is on
     the pool when this returns, and each later one is submitted while its
@@ -296,7 +293,6 @@ def review_chunks(
     if not request.units:
         raise InvalidReviewRequest("explicit review needs at least one unit")
     chunks = segment_library(library, chunk_budget)
-    calls = CountedBackend(backend)
     table = FindingTable()
 
     def parse(text: str) -> list[Finding]:
@@ -304,23 +300,23 @@ def review_chunks(
 
     def submit(position: int) -> PendingEnsemble:
         reviewer = _reviewer_request(request, chunks[position], library, ensemble)
-        return submit_ensemble(pool, calls, reviewer, ensemble, parse)
+        return submit_ensemble(pool, backend, reviewer, ensemble, parse)
 
     def collect(position: int, slots: Optional[PendingEnsemble]) -> list[CandidateReview]:
         return review_chunk_ensemble(chunks[position], slots)
 
     return ChunkReviews(
-        chunks, calls, collect_in_order(submit, collect, len(chunks), ensemble.n, pool=pool)
+        chunks, collect_in_order(submit, collect, len(chunks), ensemble.n, pool=pool)
     )
 
 
 def run_explicit(
     reviews: ChunkReviews,
     library: SpecLibrary,
+    backend: ModelBackend,
     ensemble: EnsembleConfig,
     aggregation_mode: str = "deterministic",
     model_summary: bool = False,
-    run_id: str = "",
     *,
     pool: RunScope,
     tokens: Optional[TokenTable] = None,
@@ -329,17 +325,16 @@ def run_explicit(
 
     Reviews are collected and aggregated in chunk order, so the report is
     identical whatever the completion order. Model-mode aggregation and
-    the model summary call from this thread, each attempt on the pool so
-    it counts against its cap, and parse each reply inside the call's
-    retries (gateway.call_model), as the slots do. Every call goes through
-    reviews.calls, whose count is the model_calls stat, retries included.
-    Aggregation and synthesis tokenize descriptions through tokens, the
-    run's TokenTable (a fresh one when none is given). Raises EnsembleError
-    when any chunk exceeds its failure budget.
+    the model summary call backend from this thread, each attempt on the
+    pool so it counts against its cap, and parse each reply inside the
+    call's retries (gateway.call_model), as the slots do. Aggregation and
+    synthesis tokenize descriptions through tokens, the run's TokenTable (a
+    fresh one when none is given). Raises EnsembleError when any chunk
+    exceeds its failure budget.
     """
     if tokens is None:
         tokens = TokenTable()
-    pooled = SimpleNamespace(complete=partial(pool.call, reviews.calls.complete))
+    pooled = SimpleNamespace(complete=partial(pool.call, backend.complete))
     partials = []
     absent_total = 0
     for chunk, candidates in zip(reviews.chunks, reviews.candidates):
@@ -358,12 +353,9 @@ def run_explicit(
     report = synthesize_partials(partials, pooled, model_summary, tokens=tokens)
     stats = freeze_stats(
         {
-            "pathway": Pathway.EXPLICIT.value,
             "chunks": len(reviews.chunks),
-            "model_calls": reviews.calls.calls,
             "absent_slots": absent_total,
             "findings": len(report.findings),
-            "run_id": run_id,
         }
     )
     return replace(report, stats=stats)

@@ -26,8 +26,9 @@ one attempt per call; attempt_call holds the only retry loop, so each call
 is sent at most 1 + SLOT_RETRIES times. A model call goes through
 call_model, which sends each attempt through generate and parses the reply
 with the caller's parser inside the loop, so a reply that does not parse
-is retried, whatever the role. Each pathway counts the calls it sends with
-one CountedBackend; no function returns a count of attempts. The HTTP
+is retried, whatever the role. The pipeline hands each pathway one
+CountedBackend, which counts the calls it sends; no function returns a
+count of attempts. The HTTP
 wire protocol, whose failures attempt_call retries, lives in wire.
 """
 
@@ -310,9 +311,10 @@ def call_pool() -> RunScope:
 class CountedBackend:
     """A backend that counts every call sent through it, from any thread.
 
-    Each pathway wraps its backend in one, so its model_calls stat counts
-    what was sent: retries, failed slots and ensembles that exhausted their
-    failure budget included.
+    The pipeline wraps each pathway's backend in one and makes its count
+    the pathway's model_calls stat, so that stat counts what was sent:
+    retries, failed slots and ensembles that exhausted their failure budget
+    included.
     """
 
     def __init__(self, backend: ModelBackend) -> None:

@@ -17,11 +17,10 @@ from __future__ import annotations
 import logging
 from concurrent.futures import Future
 from dataclasses import replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
 from .gateway import (
-    CountedBackend,
     EnsembleConfig,
     ModelBackend,
     ModelRequest,
@@ -232,14 +231,6 @@ def _finding_from_issue(
     )
 
 
-class Proposal(NamedTuple):
-    """The proposer call on the pool (issues), and the backend every call of
-    the pathway goes through (calls, whose count is model_calls)."""
-
-    calls: CountedBackend
-    issues: Future
-
-
 def propose(
     request: ReviewRequest,
     backend: ModelBackend,
@@ -247,24 +238,24 @@ def propose(
     max_proposals: int = MAX_PROPOSALS,
     *,
     pool: RunScope,
-) -> Proposal:
-    """Put the proposer call on the pool, at the ensemble's temperature and base seed."""
-    calls = CountedBackend(backend)
-    issues = pool.submit(
+) -> Future:
+    """Put the proposer call on the pool, at the ensemble's temperature and
+    base seed: the Future of propose_issues's list."""
+    return pool.submit(
         propose_issues,
         request,
-        calls,
+        backend,
         temperature=ensemble.temperature,
         seed=ensemble.base_seed,
         max_proposals=max_proposals,
     )
-    return Proposal(calls, issues)
 
 
 def run_implicit(
     request: ReviewRequest,
     library: SpecLibrary,
-    proposal: Proposal,
+    backend: ModelBackend,
+    proposal: Future,
     provider: EmbeddingProvider,
     index: VectorIndex,
     ensemble: EnsembleConfig,
@@ -272,27 +263,25 @@ def run_implicit(
     threshold: float = DEFAULT_SCORE_THRESHOLD,
     allow_ungrounded: bool = False,
     soft_fail: bool = True,
-    run_id: str = "",
     *,
     pool: RunScope,
 ) -> PathwayReport:
     """Ground and verify the proposed issues, and assemble the discovery report.
 
-    Every model and embedding call goes on the run's call pool. Once the
-    proposal is in, every issue is grounded on the pool against index, and
-    in proposal order each grounded issue's verifier slots are submitted
-    while they fit under MAX_INFLIGHT beside the unfinished ones
+    Every model and embedding call goes on the run's call pool, and every
+    verifier call through backend. Once the proposal (propose's Future) is
+    in, every issue is grounded on the pool against index, and in proposal
+    order each grounded issue's verifier slots are submitted while they
+    fit under MAX_INFLIGHT beside the unfinished ones
     (gateway.collect_in_order); outcomes are collected in proposal order.
     An issue that retrieves nothing is skipped unless ungrounded
     verification is allowed. A verification ensemble that exhausts its
-    failure budget rejects that one issue rather than the pathway. Every
-    call goes through proposal.calls, whose count is the model_calls stat,
-    so that ensemble's calls still count. With soft_fail (the default) any
-    other error inside the pathway degrades it to an empty report carrying
-    the error in its stats.
+    failure budget rejects that one issue rather than the pathway. With
+    soft_fail (the default) any other error inside the pathway degrades it
+    to an empty report carrying the error in its stats.
     """
     try:
-        issues = pool.wait(proposal.issues)
+        issues = pool.wait(proposal)
         groundings = [
             pool.submit(ground_issue, issue, provider, index, k=k, threshold=threshold)
             for issue in issues
@@ -305,7 +294,7 @@ def run_implicit(
             if not (retrieved.scored or allow_ungrounded):
                 return None
             verifier = _verifier_request(request, issues[position], retrieved, library)
-            return submit_ensemble(pool, proposal.calls, verifier, ensemble, parse_verdict_response)
+            return submit_ensemble(pool, backend, verifier, ensemble, parse_verdict_response)
 
         def collect(position: int, slots: Optional[PendingEnsemble]):
             """The issue's outcome, or None if its verification failed."""
@@ -336,14 +325,11 @@ def run_implicit(
         )
         stats = freeze_stats(
             {
-                "pathway": Pathway.IMPLICIT.value,
                 "proposals": len(issues),
                 "accepted": sum(1 for o in outcomes if o.accepted),
                 "rejected": sum(1 for o in outcomes if not o.accepted and o.verdicts),
                 "ungrounded_skipped": sum(1 for o in outcomes if not o.verdicts),
                 "verification_failures": len(verified) - len(outcomes),
-                "model_calls": proposal.calls.calls,
-                "run_id": run_id,
             }
         )
         summary = f"{len(findings)} verified finding(s) from {len(issues)} proposed issue(s)"
@@ -354,17 +340,9 @@ def run_implicit(
         if not soft_fail:
             raise
         logger.error("implicit pathway degraded: %s", exc)
-        stats = freeze_stats(
-            {
-                "pathway": Pathway.IMPLICIT.value,
-                "degraded": True,
-                "error": str(exc),
-                "run_id": run_id,
-            }
-        )
         return PathwayReport(
             pathway=Pathway.IMPLICIT,
             findings=(),
             summary="discovery pathway unavailable for this run",
-            stats=stats,
+            stats=freeze_stats({"degraded": True, "error": str(exc)}),
         )

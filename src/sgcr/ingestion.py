@@ -11,7 +11,7 @@ The diff grammar accepted is the standard unified format (``--- a/...``,
 ``+++ b/...``, ``@@ -a,b +c,d @@`` headers, markers ' ', '+', '-');
 surrounding metadata lines such as ``diff --git`` or ``index ...`` are
 tolerated, hunk arithmetic is not negotiable. A path git C-quoted
-(``core.quotePath``) is unquoted.
+(``core.quotePath``) is unquoted (prompts.unquote_path).
 
 A ReviewRequest renders its code block (prompts.code_block), the numbered
 text every prompt shows, once when it is built, so no later reader renders
@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Literal, Optional, Sequence
 
 from .errors import DiffSyntaxError, HunkCountMismatch, InvalidReviewRequest, PatchDoesNotApply
-from .prompts import code_block
+from .prompts import code_block, unquote_path
 from .types import Value, value_class
 
 logger = logging.getLogger(__name__)
@@ -36,11 +36,6 @@ DEFAULT_CONTEXT_LINES = 10
 Marker = Literal["context", "added", "removed"]
 
 _HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
-# A path as git C-quotes it, and its escapes: one of \\ \" \a \b \t \n \v \f \r,
-# or a byte as three octal digits.
-_QUOTED_PATH = re.compile(r'"((?:[^"\\]|\\(?:[\\"abtnvfr]|[0-3][0-7]{2}))*)"')
-_C_ESCAPE = re.compile(rb'\\([\\"abtnvfr]|[0-3][0-7]{2})')
-_C_ESCAPED = dict(zip(b'\\"abtnvfr', b'\\"\a\b\t\n\v\f\r'))
 
 
 @value_class
@@ -108,11 +103,6 @@ def decode_utf8(data: bytes, source: object) -> str:
         raise InvalidReviewRequest(f"{source} is not UTF-8 text: {exc.reason}") from exc
 
 
-def _unescape(escape: re.Match) -> bytes:
-    code = escape.group(1)
-    return bytes([int(code, 8) if len(code) == 3 else _C_ESCAPED[code[0]]])
-
-
 def _strip_diff_path(raw: str, line_number: int) -> str:
     """The path a file header names, unquoted, without its a/ or b/ prefix.
 
@@ -121,14 +111,13 @@ def _strip_diff_path(raw: str, line_number: int) -> str:
     """
     path = raw.split("\t", 1)[0].strip()
     if path.startswith('"'):
-        quoted = _QUOTED_PATH.fullmatch(path)
-        if quoted is None:
-            raise DiffSyntaxError(f"malformed quoted path {path}", line_number)
         try:
-            path = _C_ESCAPE.sub(_unescape, quoted.group(1).encode("utf-8")).decode("utf-8")
+            path = unquote_path(path)
         except UnicodeError as exc:
             message = f"quoted path {path} is not UTF-8: {exc.reason}"
             raise DiffSyntaxError(message, line_number) from exc
+        except ValueError as exc:
+            raise DiffSyntaxError(str(exc), line_number) from exc
     if path.startswith(("a/", "b/")):
         path = path[2:]
     return path

@@ -4,8 +4,11 @@ This is the layer the command line (and tests that want end-to-end runs
 without a subprocess) calls: build the backend and embedding provider,
 load rules and index, run the requested pathway combination, consolidate,
 and optionally attach patches. A run's calls, waits and threads live in
-one run scope (gateway.call_pool). Rules load, and fail, before any model
-call. _review then starts, from one thread and in this order, the
+one run scope (gateway.call_pool). The run's accounting is done here
+alone: each pathway sends its calls through the one CountedBackend it is
+handed, and _accounted adds the pathway's name, that count (model_calls)
+and the run id to its stats once it returns. Rules load, and fail, before
+any model call. _review then starts, from one thread and in this order, the
 proposer call, the explicit pathway's first window of reviewer calls, and
 the implicit pathway on the scope's side thread, which first builds a
 fresh index. Started earlier, a build with mock embeddings, which holds
@@ -16,9 +19,10 @@ from __future__ import annotations
 
 import logging
 from contextlib import closing, nullcontext
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import report as report_mod
 from .backends import BaseBackend, MockBackend, RecordingBackend, ReplayBackend
@@ -29,6 +33,7 @@ from .gateway import (
     DEFAULT_MAX_OUTPUT_TOKENS,
     CountedBackend,
     EnsembleConfig,
+    ModelBackend,
     ModelRequest,
     RunScope,
     call_model,
@@ -108,19 +113,14 @@ def load_rules(config: RunConfig) -> SpecLibrary:
 
 
 def _run_baseline(
-    request: ReviewRequest,
-    backend: BaseBackend,
-    config: RunConfig,
-    run_id: str,
-    pool: RunScope,
+    request: ReviewRequest, backend: ModelBackend, config: RunConfig, pool: RunScope
 ) -> PathwayReport:
-    """Single ungrounded review call: the comparison floor.
+    """Single ungrounded review call through backend: the comparison floor.
 
     Reuses the reviewer prompt with an empty rules block and no quorum
     machinery, so the only difference from the explicit pathway is the
     grounding. The call is made on the pool, so it counts against its cap,
-    and parses inside its retries (gateway.call_model). Its model_calls
-    stat is its CountedBackend's count.
+    and parses inside its retries (gateway.call_model).
     """
     prompt = render_prompt(
         Role.EXPLICIT_REVIEWER, {"code": prompt_block(request), "specs": ""}
@@ -132,10 +132,9 @@ def _run_baseline(
         seed=config.seed,
         max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
     )
-    counted = CountedBackend(backend)
     findings = pool.call(
         call_model,
-        counted,
+        backend,
         single,
         lambda text: parse_findings_response(text, Pathway.EXPLICIT),
     )
@@ -143,15 +142,25 @@ def _run_baseline(
         pathway=Pathway.EXPLICIT,
         findings=tuple(findings),
         summary=f"{len(findings)} finding(s) from a single ungrounded pass",
-        stats=freeze_stats(
-            {
-                "pathway": Pathway.EXPLICIT.value,
-                "baseline": True,
-                "model_calls": counted.calls,
-                "run_id": run_id,
-            }
-        ),
+        stats=freeze_stats({"baseline": True}),
     )
+
+
+def _accounted(
+    calls: CountedBackend, run_id: str, pathway: Callable[[], PathwayReport]
+) -> PathwayReport:
+    """pathway's report, its stats joined by the pathway's name, the calls it
+    sent through calls (model_calls: retries, absent slots and verifier
+    ensembles that gave up included) and the run id. A degraded implicit
+    pathway accounts for its calls too."""
+    report = pathway()
+    stats = {
+        **report.stats_dict(),
+        "pathway": report.pathway.value,
+        "model_calls": calls.calls,
+        "run_id": run_id,
+    }
+    return replace(report, stats=freeze_stats(stats))
 
 
 def run_review(
@@ -206,30 +215,36 @@ def _review(config: RunConfig, request: ReviewRequest, backend: BaseBackend) -> 
     )
     opened = closing(build_provider(config)) if implicit else nullcontext()
     with opened as provider, call_pool() as scope:
+        # Each pathway sends every call through its own CountedBackend.
         pathways = []
         if config.mode == "baseline":
-            pathways.append(partial(_run_baseline, request, backend, config, run_id, scope))
+            calls = CountedBackend(backend)
+            baseline = partial(_run_baseline, request, calls, config, scope)
+            pathways.append(partial(_accounted, calls, run_id, baseline))
         # Started in order: the proposer, the first window of reviewer calls,
         # then the implicit pathway, which builds a fresh index first.
         if implicit:
-            proposal = propose(request, backend, ensemble, config.max_proposals, pool=scope)
+            implicit_calls = CountedBackend(backend)
+            proposal = propose(
+                request, implicit_calls, ensemble, config.max_proposals, pool=scope
+            )
         if explicit:
+            explicit_calls = CountedBackend(backend)
             reviews = review_chunks(
-                request, library, backend, ensemble, config.chunk_budget, pool=scope
+                request, library, explicit_calls, ensemble, config.chunk_budget, pool=scope
             )
-            pathways.append(
-                partial(
-                    run_explicit,
-                    reviews,
-                    library,
-                    ensemble,
-                    config.aggregation,
-                    config.model_summary,
-                    run_id,
-                    pool=scope,
-                    tokens=tokens,
-                )
+            explicit_pathway = partial(
+                run_explicit,
+                reviews,
+                library,
+                explicit_calls,
+                ensemble,
+                config.aggregation,
+                config.model_summary,
+                pool=scope,
+                tokens=tokens,
             )
+            pathways.append(partial(_accounted, explicit_calls, run_id, explicit_pathway))
         if implicit:
 
             def implicit_pathway() -> PathwayReport:
@@ -237,6 +252,7 @@ def _review(config: RunConfig, request: ReviewRequest, backend: BaseBackend) -> 
                 return run_implicit(
                     request,
                     library,
+                    implicit_calls,
                     proposal,
                     provider,
                     index,
@@ -245,11 +261,10 @@ def _review(config: RunConfig, request: ReviewRequest, backend: BaseBackend) -> 
                     threshold=config.score_threshold,
                     allow_ungrounded=config.allow_ungrounded,
                     soft_fail=config.implicit_soft_fail,
-                    run_id=run_id,
                     pool=scope,
                 )
 
-            pathways.append(implicit_pathway)
+            pathways.append(partial(_accounted, implicit_calls, run_id, implicit_pathway))
         # The first pathway runs on this thread, the other beside it.
         first, *rest = pathways
         beside = [scope.beside(pathway) for pathway in rest]

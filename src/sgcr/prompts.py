@@ -9,7 +9,11 @@ nothing of sgcr at run time, so any module may import it.
 
 prompt_headers reads back, for the mock backend, what code_block and
 rule_text write. A ``FILE`` header's path is everything between ``FILE ``
-and the `` (lines a..b)`` that ends its line. A header counts only at the
+and the `` (lines a..b)`` that ends its line. code_block writes a path
+that holds a control character, ``"`` or ``\`` in git's C-quoted form
+(quote_path), so a newline cannot split its header, and prompt_headers
+undoes the quoting (unquote_path, which also reads the paths git quotes
+in a diff's file headers). A header counts only at the
 start of the prompt or right after ``"\n"`` (not after a lone ``"\r"``,
 nor indented or mid-line). The first ``FILE`` header wins; ``RULE`` ids
 come back in prompt order, duplicates kept. Each header shape is matched
@@ -117,11 +121,44 @@ def render_prompt(role: Role, slots: dict[str, str]) -> str:
     return _TEMPLATES[role].substitute(slots)
 
 
+# git's C quoting (core.quotePath): the letter escapes and the bytes they
+# stand for; any other escape is a byte as three octal digits. quote_path
+# escapes the control characters, " and \.
+_C_LETTERS, _C_BYTES = '\\"abtnvfr', b'\\"\a\b\t\n\v\f\r'
+_C_ESCAPED = dict(zip(_C_LETTERS.encode(), _C_BYTES))
+_C_QUOTES = {code: f"\\{code:03o}" for code in (*range(0x20), 0x7F)}
+_C_QUOTES.update((byte, "\\" + letter) for letter, byte in zip(_C_LETTERS, _C_BYTES))
+_QUOTED_PATH = re.compile(r'"((?:[^"\\]|\\(?:[\\"abtnvfr]|[0-3][0-7]{2}))*)"')
+_C_ESCAPE = re.compile(rb'\\([\\"abtnvfr]|[0-3][0-7]{2})')
+
+
+def _unescape(escape: re.Match) -> bytes:
+    code = escape.group(1)
+    return bytes([int(code, 8) if len(code) == 3 else _C_ESCAPED[code[0]]])
+
+
+def quote_path(path: str) -> str:
+    """path as a FILE header writes it: as it is, or C-quoted as git quotes it
+    if it holds a control character, " or \\ (other characters kept)."""
+    quoted = path.translate(_C_QUOTES)
+    return path if quoted == path else f'"{quoted}"'
+
+
+def unquote_path(quoted: str) -> str:
+    """The path a C-quoted path (quotes included) names: its escapes undone
+    and its bytes decoded as UTF-8. Raises ValueError if quoted is not one,
+    and UnicodeError (a ValueError) if its bytes are not UTF-8."""
+    match = _QUOTED_PATH.fullmatch(quoted)
+    if match is None:
+        raise ValueError(f"malformed quoted path {quoted}")
+    return _C_ESCAPE.sub(_unescape, match.group(1).encode("utf-8")).decode("utf-8")
+
+
 def code_block(units: Sequence[ReviewUnit]) -> str:
     """The units as numbered text, each under its FILE header and changed lines."""
     parts: list[str] = []
     for unit in units:
-        header = f"FILE {unit.path} (lines {unit.start_line}..{unit.end_line()})"
+        header = f"FILE {quote_path(unit.path)} (lines {unit.start_line}..{unit.end_line()})"
         if unit.changed_ranges:
             spans = ", ".join(f"{start}-{end}" for start, end in unit.changed_ranges)
             header += f"\nChanged lines: {spans}"
@@ -187,6 +224,12 @@ def prompt_headers(prompt: str) -> tuple[tuple[str, int, int], list[str]]:
     header = _FILE_AT_START.match(prompt) or _FILE_AFTER_NEWLINE.search(prompt)
     location = ("unknown", 1, 40)
     if header:
-        location = (header.group(1), int(header.group(2)), int(header.group(3)))
+        path = header.group(1)
+        if path.startswith('"'):
+            try:
+                path = unquote_path(path)
+            except ValueError:  # not quote_path's, or it holds a lone surrogate
+                pass
+        location = (path, int(header.group(2)), int(header.group(3)))
     first = _RULE_AT_START.match(prompt)
     return location, ([first.group(1)] if first else []) + _RULE_AFTER_NEWLINE.findall(prompt)

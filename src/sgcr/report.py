@@ -171,18 +171,12 @@ def consolidate(
     *,
     tokens: Optional[TokenTable] = None,
 ) -> FinalReport:
-    """Merge pathway reports into the final prioritized report.
+    """Merge pathway reports into the final prioritized report of run run_id.
 
-    Pathway reports that carry a run id must agree with the given one;
-    mixing outputs of different runs is a caller bug worth failing loudly.
-    tokens is the run's TokenTable, passed on to dedupe.
+    The reports are kept as given, stats included (the pipeline has added
+    each one's accounting). tokens is the run's TokenTable, passed on to
+    dedupe.
     """
-    for report in reports:
-        stated = report.stats_dict().get("run_id", "")
-        if stated and run_id and stated != run_id:
-            raise ValueError(
-                f"pathway report run id {stated!r} does not match {run_id!r}"
-            )
     findings = [finding for report in reports for finding in report.findings]
     clusters = prioritize(dedupe(findings, tokens=tokens))
     echo = tuple(sorted((config_echo or {}).items()))

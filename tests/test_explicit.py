@@ -35,7 +35,14 @@ from sgcr.explicit import (
     run_explicit,
     synthesize_partials,
 )
-from sgcr.gateway import MAX_INFLIGHT, EnsembleConfig, ModelRequest, call_pool, submit_ensemble
+from sgcr.gateway import (
+    MAX_INFLIGHT,
+    CountedBackend,
+    EnsembleConfig,
+    ModelRequest,
+    call_pool,
+    submit_ensemble,
+)
 from sgcr.ingestion import build_review_request
 from sgcr.parsing import parse_findings_response
 from sgcr.pipeline import render_report, run_review
@@ -369,7 +376,7 @@ def test_synthesize_requires_partials_and_backend_for_model_summary():
 def _run_explicit(request, library, backend, chunk_budget, *, pool, **options):
     """review_chunks then run_explicit: the explicit pathway from end to end."""
     reviews = review_chunks(request, library, backend, ENSEMBLE, chunk_budget, pool=pool)
-    return run_explicit(reviews, library, ENSEMBLE, pool=pool, **options)
+    return run_explicit(reviews, library, backend, ENSEMBLE, pool=pool, **options)
 
 
 def _two_chunk_library():
@@ -389,20 +396,14 @@ def test_run_explicit_reports_stats_and_dedupes_across_chunks():
             )
         }
     )
+    calls = CountedBackend(backend)
     with call_pool() as pool:
-        report = _run_explicit(
-            make_review_request(), library, backend, 100, run_id="run-one", pool=pool
-        )
+        report = _run_explicit(make_review_request(), library, calls, 100, pool=pool)
     assert len(report.findings) == 1
-    stats = report.stats_dict()
-    assert stats == {
-        "pathway": "explicit",
-        "chunks": 2,
-        "model_calls": 6,
-        "absent_slots": 0,
-        "findings": 1,
-        "run_id": "run-one",
-    }
+    assert report.pathway is Pathway.EXPLICIT
+    assert report.stats_dict() == {"chunks": 2, "absent_slots": 0, "findings": 1}
+    # Both chunks' ensembles of three, through the backend the pathway was handed.
+    assert calls.calls == 6
     assert all(request.temperature == 0.7 for request in backend.call_log)
 
 
@@ -553,13 +554,11 @@ def test_each_distinct_reviewer_location_is_hashed_once_and_members_share_findin
             collected.append(chunk_candidates)
             yield chunk_candidates
 
+    backend = CannedBackend({"explicit_reviewer": reviewer})
     with call_pool() as pool:
-        reviews = review_chunks(
-            make_review_request(), library, CannedBackend({"explicit_reviewer": reviewer}),
-            ENSEMBLE, 100, pool=pool,
-        )
+        reviews = review_chunks(make_review_request(), library, backend, ENSEMBLE, 100, pool=pool)
         reviews = reviews._replace(candidates=keep(reviews.candidates))
-        report = run_explicit(reviews, library, ENSEMBLE, pool=pool)
+        report = run_explicit(reviews, library, backend, ENSEMBLE, pool=pool)
 
     assert [len(candidates) for candidates in collected] == [3, 3]
     assert len(sent) == 3 * 4 + 3 * 5

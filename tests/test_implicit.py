@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+import sgcr.pipeline
 from conftest import (
     GOLDEN_DIR,
     REPO_ROOT,
@@ -30,6 +31,7 @@ from sgcr.errors import FixtureMiss, QueryDimensionMismatch, WireError
 from sgcr.gateway import (
     MAX_INFLIGHT,
     SLOT_RETRIES,
+    CountedBackend,
     EnsembleConfig,
     ModelRequest,
     call_pool,
@@ -46,7 +48,8 @@ from sgcr.implicit import (
 from sgcr.ingestion import build_review_request, prompt_block
 from sgcr.parsing import parse_verdict_response
 from sgcr.pipeline import run_review
-from sgcr.retrieval import MockEmbeddingProvider, build_index
+from sgcr.retrieval import MockEmbeddingProvider, build_index, save_index
+from sgcr.specs import load_library
 from sgcr.types import (
     Category,
     HypotheticalIssue,
@@ -213,13 +216,14 @@ def test_decide_quorum_counts_only_valid_verdicts(verdicts, quorum, expected):
 
 
 def _run(backend, *, library=LIBRARY, index=INDEX, provider=PROVIDER, **kwargs):
-    defaults = dict(threshold=-1.0, k=1, soft_fail=False, run_id="run-x")
+    """propose then run_implicit, every call through backend."""
+    defaults = dict(threshold=-1.0, k=1, soft_fail=False)
     defaults.update(kwargs)
     request = make_review_request()
     with call_pool() as pool:
         proposal = propose(request, backend, ENSEMBLE, pool=pool)
         return run_implicit(
-            request, library, proposal, provider, index, ENSEMBLE, pool=pool, **defaults
+            request, library, backend, proposal, provider, index, ENSEMBLE, pool=pool, **defaults
         )
 
 
@@ -237,7 +241,8 @@ def test_run_implicit_accepts_on_quorum_and_grades_severity_by_cited_rule():
             ("verifier", 2): verdict_json(verdict="invalid", justification="cannot confirm"),
         }
     )
-    report = _run(backend)
+    calls = CountedBackend(backend)
+    report = _run(calls)
     (finding,) = report.findings
     assert finding.pathway == Pathway.IMPLICIT
     assert finding.severity == Severity.CRITICAL  # taken from the cited rule
@@ -245,17 +250,15 @@ def test_run_implicit_accepts_on_quorum_and_grades_severity_by_cited_rule():
     assert finding.spec_ids == ("sec.sql",)
     assert finding.confidence == pytest.approx(2 / 3)
     assert finding.rationale == "tainted value reaches execute"  # lowest valid instance
-    stats = report.stats_dict()
-    assert stats == {
-        "pathway": "implicit",
+    assert report.pathway is Pathway.IMPLICIT
+    assert report.stats_dict() == {
         "proposals": 1,
         "accepted": 1,
         "rejected": 0,
         "ungrounded_skipped": 0,
         "verification_failures": 0,
-        "model_calls": 4,
-        "run_id": "run-x",
     }
+    assert calls.calls == 4  # the proposer and three verifiers
     assert report.summary == "1 verified finding(s) from 1 proposed issue(s)"
 
 
@@ -312,14 +315,13 @@ def test_run_implicit_rejects_without_quorum():
 
 
 def test_run_implicit_skips_ungrounded_issues_by_default():
-    backend = CannedBackend(
-        {"proposer": issues_json({"start_line": 2, "description": "qqq zzz xxx"})}
+    calls = CountedBackend(
+        CannedBackend({"proposer": issues_json({"start_line": 2, "description": "qqq zzz xxx"})})
     )
-    report = _run(backend, threshold=0.99)
+    report = _run(calls, threshold=0.99)
     assert report.findings == ()
-    stats = report.stats_dict()
-    assert stats["ungrounded_skipped"] == 1
-    assert stats["model_calls"] == 1  # proposer only; no verifier calls
+    assert report.stats_dict()["ungrounded_skipped"] == 1
+    assert calls.calls == 1  # proposer only; no verifier calls
 
     permissive = CannedBackend(
         {
@@ -380,16 +382,14 @@ def test_run_implicit_soft_fail_degrades_instead_of_raising():
     stats = report.stats_dict()
     assert stats["degraded"] is True
     assert "dimension" in stats["error"]
-    assert stats["run_id"] == "run-x"
 
 
 def test_run_implicit_handles_zero_proposals():
-    backend = CannedBackend({"proposer": json.dumps({"issues": []})})
-    report = _run(backend)
+    calls = CountedBackend(CannedBackend({"proposer": json.dumps({"issues": []})}))
+    report = _run(calls)
     assert report.findings == ()
-    stats = report.stats_dict()
-    assert stats["proposals"] == 0
-    assert stats["model_calls"] == 1
+    assert report.stats_dict()["proposals"] == 0
+    assert calls.calls == 1
 
 
 class _SlowProvider(LoggedMockEmbeddingProvider):
@@ -421,11 +421,12 @@ def test_run_implicit_grounds_issues_concurrently_on_the_pool():
     ]
     backend = CannedBackend({"proposer": issues_json(*entries), "verifier": verdict_json()})
     slow = _SlowProvider(delay_s=0.05)
-    report = _run(backend, provider=slow)
+    calls = CountedBackend(backend)
+    report = _run(calls, provider=slow)
     assert len(slow.call_log) == 6
     assert slow.peak_inflight > 1
     assert [finding.start_line for finding in report.findings] == list(range(1, 7))
-    assert report.stats_dict()["model_calls"] == 1 + 6 * ENSEMBLE.n
+    assert calls.calls == 1 + 6 * ENSEMBLE.n
 
 
 class _VerifiersFailBackend(LoggedMockBackend):
@@ -455,6 +456,50 @@ def test_model_calls_count_a_verification_ensemble_that_exhausted_its_budget():
         stats["proposals"] * config.ensemble_size * (1 + SLOT_RETRIES)
     )
     assert stats["model_calls"] == len(backend.call_log)
+
+
+class _EmbeddingsFail(MockEmbeddingProvider):
+    """Mock embeddings whose every attempt fails on the wire."""
+
+    def embed(self, text):
+        raise WireError("embedding endpoint down")
+
+
+def test_a_degraded_implicit_pathway_accounts_for_the_calls_it_sent(tmp_path, monkeypatch):
+    # The index is prebuilt, so only the proposals' queries reach the provider.
+    config = RunConfig(
+        mode="full",
+        specs_dir=str(REPO_ROOT / "sample_specs"),
+        index_path=str(tmp_path / "index.json"),
+        patches=True,
+    )
+    library = load_library(REPO_ROOT / "sample_specs")
+    save_index(
+        build_index(library, MockEmbeddingProvider(dimension=config.embedding_dimension)),
+        tmp_path / "index.json",
+    )
+    monkeypatch.setattr(
+        sgcr.pipeline,
+        "build_provider",
+        lambda config: _EmbeddingsFail(dimension=config.embedding_dimension),
+    )
+    request = build_review_request(paths=[GOLDEN_DIR / "input" / "Example.java"])
+    backend = LoggedMockBackend()
+    final = run_review(config, request, backend=backend)
+
+    explicit, implicit = final.pathway_reports
+    stats = implicit.stats_dict()
+    assert stats["degraded"] is True
+    assert "embedding endpoint down" in stats["error"]
+    # The proposer call was sent before grounding failed, and is counted.
+    assert stats["model_calls"] == backend.calls_for_role("proposer") == 1
+    for report in final.pathway_reports:
+        assert report.stats_dict()["pathway"] == report.pathway.value
+        assert report.stats_dict()["run_id"] == final.run_id
+    # The benchmark's reconciliation: the pathways' calls plus the patches
+    # attempted are every call the backend received.
+    pathway_calls = sum(report.stats_dict()["model_calls"] for report in final.pathway_reports)
+    assert pathway_calls + dict(final.patch_stats)["attempted"] == len(backend.call_log)
 
 
 class _SlowTwentyProposals(MockBackend):

@@ -1,9 +1,12 @@
-"""Structural guard: a run waits, cancels and starts threads in one place.
+"""Structural guards: a run waits, cancels and starts threads in one place,
+and does its accounting in one place.
 
 Every blocking wait of a run goes through gateway.RunScope, which is what
 lets a test scope force the order in which calls are seen to finish. These
 checks read the source of src/sgcr, so a wait added anywhere else fails
-here before it can make a run's schedule unforceable.
+here before it can make a run's schedule unforceable. Likewise the
+pipeline alone counts a pathway's calls and stamps the run id on its stats,
+so a pathway that counts for itself fails here.
 """
 
 from __future__ import annotations
@@ -88,3 +91,44 @@ def test_no_schedule_knob_or_pooled_backend_is_left_in_the_program():
         text = path.read_text(encoding="utf-8")
         for gone in ("SGCR_TEST_JITTER", "PooledBackend", "threading.Event("):
             assert gone not in text, f"{path.name} mentions {gone}"
+
+
+# The pipeline hands each pathway one CountedBackend and adds the count and
+# the run id to the pathway's stats; the pathways only review.
+ACCOUNTANT = "pipeline.py"
+PATHWAYS = ("explicit.py", "implicit.py")
+ACCOUNTING_NAMES = {"run_id", "CountedBackend"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module uses or binds (variables, attributes, parameters,
+    keywords, imports), and each string constant that is a whole word."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname or node.name))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def test_only_the_pipeline_counts_calls_and_the_pathways_never_see_the_run_id():
+    counters = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node)[1] == "CountedBackend":
+                counters.add(path.name)
+    assert counters == {ACCOUNTANT}
+    for name in PATHWAYS:
+        tree = ast.parse((SOURCE / name).read_text(encoding="utf-8"))
+        assert _names(tree) & ACCOUNTING_NAMES == set(), name

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import REPO_ROOT, make_library, make_spec
 from sgcr.ingestion import ReviewRequest, ReviewUnit, prompt_block
-from sgcr.prompts import Role, prompt_headers, render_prompt, rules_block
+from sgcr.prompts import Role, code_block, prompt_headers, render_prompt, rules_block
 from sgcr.types import Category, Severity
 
 
@@ -21,6 +21,11 @@ from sgcr.types import Category, Severity
         "ends with (lines 3..4)",
         "naïve file.py",
         "模块/файл two.go",
+        "tab\tand\nnewline.py",
+        'say "hi".py',
+        "back\\slash.py",
+        '"starts quoted".py',
+        "bell\a del\x7f unit\x1f.py",
     ],
 )
 def test_the_header_reader_reads_back_the_first_unit_of_a_code_block(path):
@@ -37,6 +42,20 @@ def test_the_header_reader_reads_back_the_first_unit_of_a_code_block(path):
         },
     )
     assert prompt_headers(prompt) == ((path, 7, 9), ["a.rule", "b.rule"])
+
+
+def test_a_path_git_would_quote_is_written_quoted_on_one_header_line():
+    units = (
+        ReviewUnit(path="a\tb\nc\\d\"e\x7f.py", content="x", start_line=1, changed_ranges=()),
+        ReviewUnit(path="naïve file.py", content="y", start_line=1, changed_ranges=()),
+    )
+    assert code_block(units).splitlines() == [
+        'FILE "a\\tb\\nc\\\\d\\"e\\177.py" (lines 1..1)',
+        "    1 | x",
+        "",
+        "FILE naïve file.py (lines 1..1)",
+        "    1 | y",
+    ]
 
 
 def test_rules_block_layouts():

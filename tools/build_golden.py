@@ -24,11 +24,13 @@ from sgcr.backends import BaseBackend, RecordingBackend
 from sgcr.cli import main as cli_main
 from sgcr.config import RunConfig
 from sgcr.gateway import ModelRequest
+from sgcr.implicit import ground_issue
 from sgcr.ingestion import build_review_request
 from sgcr.pipeline import run_review
 from sgcr.report import render_json
-from sgcr.retrieval import MockEmbeddingProvider, build_index, embed_text, retrieve
+from sgcr.retrieval import MockEmbeddingProvider, build_index
 from sgcr.specs import load_library
+from sgcr.types import HypotheticalIssue
 
 GOLDEN_DIR = Path("tests/data/golden")
 INPUT_FILE = GOLDEN_DIR / "input" / "Example.java"
@@ -201,22 +203,24 @@ def golden_argv() -> list[str]:
 
 
 def check_retrieval() -> None:
-    """The scripted citations must be inside what retrieval returns."""
+    """The scripted citations must be inside what the implicit pathway's
+    grounding (implicit.ground_issue) retrieves for each scripted issue."""
+    config = golden_config()
     library = load_library(Path("sample_specs"))
-    provider = MockEmbeddingProvider()
+    provider = MockEmbeddingProvider(dimension=config.embedding_dimension)
     index = build_index(library, provider)
     expectations = {
         ISSUES[0]["description"]: "sec.sql-injection",
         ISSUES[1]["description"]: "sec.secrets-logging",
     }
-    for issue in ISSUES:
-        query = embed_text(provider, f"{issue['description']} {issue['file']}")
-        got = retrieve(index, query)
-        assert got.scored, f"issue retrieved nothing: {issue['description']}"
-        wanted = expectations.get(issue["description"])
+    for fields in ISSUES:
+        issue = HypotheticalIssue(**fields)
+        got = ground_issue(issue, provider, index, config.top_k, config.score_threshold)
+        assert got.scored, f"issue retrieved nothing: {issue.description}"
+        wanted = expectations.get(issue.description)
         if wanted is not None:
             assert wanted in got.spec_ids(), (
-                f"{wanted} not retrieved for {issue['description']!r}: {got.spec_ids()}"
+                f"{wanted} not retrieved for {issue.description!r}: {got.spec_ids()}"
             )
 
 
