@@ -32,7 +32,7 @@ from .retrieval import (
     MAX_MOCK_DIMENSION,
 )
 from .specs import DEFAULT_CHUNK_BUDGET
-from .types import Value, value_class
+from .types import Value
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +43,6 @@ ENV_API_KEY = "SGCR_API_KEY"
 _PRIVATE_KEYS = ("api_key", "base_url", "output")
 
 
-@value_class
 class RunConfig(Value):
     """Every run setting, with its built-in default."""
 

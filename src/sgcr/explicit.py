@@ -49,7 +49,6 @@ from .types import (
     finding_payload,
     freeze_stats,
     sort_findings,
-    value_class,
 )
 
 logger = logging.getLogger(__name__)
@@ -57,7 +56,6 @@ logger = logging.getLogger(__name__)
 AGGREGATION_MODES = ("deterministic", "model")
 
 
-@value_class
 class CandidateReview(Value):
     """Findings from one ensemble member for one rule chunk."""
 
@@ -66,7 +64,6 @@ class CandidateReview(Value):
     findings: tuple[Finding, ...]
 
 
-@value_class
 class AggregatedReview(Value):
     """Quorum-filtered findings for one rule chunk."""
 

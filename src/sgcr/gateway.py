@@ -45,7 +45,7 @@ from enum import Enum
 from typing import Callable, Generic, Iterator, Optional, Protocol, TypeVar
 
 from .errors import EnsembleError, RequestRejected, SgcrError, UnparsableResponse, WireError
-from .types import Value, value_class
+from .types import Value
 
 logger = logging.getLogger(__name__)
 
@@ -65,7 +65,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-@value_class
 class ModelRequest(Value):
     """One model invocation: role, rendered prompt, and sampling knobs."""
 
@@ -110,7 +109,6 @@ class ModelRequest(Value):
         return _shared_prompt(self).derived(derive, self.prompt)
 
 
-@value_class
 class EnsembleConfig(Value):
     """Size, acceptance quorum, and diversity source for an ensemble."""
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import Future
+from contextlib import suppress
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import EnsembleError, SgcrError, UnparsableResponse, WireError
 from .gateway import (
@@ -55,7 +56,6 @@ from .types import (
     VerifierVerdict,
     freeze_stats,
     sort_findings,
-    value_class,
 )
 
 logger = logging.getLogger(__name__)
@@ -63,7 +63,6 @@ logger = logging.getLogger(__name__)
 MAX_PROPOSALS = 20
 
 
-@value_class
 class VerificationOutcome(Value):
     """Everything the pipeline learned about one proposed issue."""
 
@@ -257,7 +256,7 @@ def run_implicit(
     backend: ModelBackend,
     proposal: Future,
     provider: EmbeddingProvider,
-    index: VectorIndex,
+    get_index: Callable[[], VectorIndex],
     ensemble: EnsembleConfig,
     k: int = DEFAULT_TOP_K,
     threshold: float = DEFAULT_SCORE_THRESHOLD,
@@ -269,18 +268,22 @@ def run_implicit(
     """Ground and verify the proposed issues, and assemble the discovery report.
 
     Every model and embedding call goes on the run's call pool, and every
-    verifier call through backend. Once the proposal (propose's Future) is
-    in, every issue is grounded on the pool against index, and in proposal
-    order each grounded issue's verifier slots are submitted while they
-    fit under MAX_INFLIGHT beside the unfinished ones
+    verifier call through backend. get_index() comes first, so a fresh
+    index is built inside the pathway. Once the proposal (propose's Future)
+    is in, every issue is grounded on the pool against that index, and in
+    proposal order each grounded issue's verifier slots are submitted while
+    they fit under MAX_INFLIGHT beside the unfinished ones
     (gateway.collect_in_order); outcomes are collected in proposal order.
     An issue that retrieves nothing is skipped unless ungrounded
     verification is allowed. A verification ensemble that exhausts its
     failure budget rejects that one issue rather than the pathway. With
-    soft_fail (the default) any other error inside the pathway degrades it
-    to an empty report carrying the error in its stats.
+    soft_fail (the default) any other error inside the pathway, a failed
+    index build included, degrades it to an empty report carrying the error
+    in its stats. The degraded report waits for the proposer call, so every
+    call of the pathway is made, and counted, when it returns.
     """
     try:
+        index = get_index()
         issues = pool.wait(proposal)
         groundings = [
             pool.submit(ground_issue, issue, provider, index, k=k, threshold=threshold)
@@ -340,6 +343,8 @@ def run_implicit(
         if not soft_fail:
             raise
         logger.error("implicit pathway degraded: %s", exc)
+        with suppress(SgcrError):
+            pool.wait(proposal)
         return PathwayReport(
             pathway=Pathway.IMPLICIT,
             findings=(),

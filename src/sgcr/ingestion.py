@@ -27,7 +27,7 @@ from typing import Literal, Optional, Sequence
 
 from .errors import DiffSyntaxError, HunkCountMismatch, InvalidReviewRequest, PatchDoesNotApply
 from .prompts import code_block, unquote_path
-from .types import Value, value_class
+from .types import Value
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +38,6 @@ Marker = Literal["context", "added", "removed"]
 _HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
 
-@value_class
 class Hunk(Value):
     """One @@ section of a file diff, with its marked lines."""
 
@@ -49,7 +48,6 @@ class Hunk(Value):
     lines: tuple[tuple[Marker, str], ...]
 
 
-@value_class
 class FileDiff(Value):
     """One file's section of a unified diff."""
 
@@ -59,7 +57,6 @@ class FileDiff(Value):
     is_deleted: bool = False
 
 
-@value_class
 class ReviewUnit(Value):
     """One reviewable slice of a file, in new-file line coordinates."""
 
@@ -75,7 +72,6 @@ class ReviewUnit(Value):
         return self.start_line + self.line_count() - 1
 
 
-@value_class
 class ReviewRequest(Value):
     """The units under review and whether they came from files or a diff."""
 
@@ -282,6 +278,21 @@ def _last_line(lines: Sequence[str], first: int, last: int) -> int:
     return last
 
 
+def _read_lines(path: Path, missing: str, empty: str) -> list[str]:
+    """The lines of the UTF-8 file at path, up to its last non-empty one.
+
+    A path that is not a file raises FileNotFoundError(missing); a file
+    without a non-empty line logs the warning empty and gives no lines.
+    """
+    if not path.is_file():
+        raise FileNotFoundError(missing)
+    lines = decode_utf8(path.read_bytes(), path).splitlines()
+    last = _last_line(lines, 1, len(lines))
+    if not last:
+        logger.warning(empty)
+    return lines[:last]
+
+
 def _merge_windows(windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     merged: list[tuple[int, int]] = []
     for start, end in sorted(windows):
@@ -296,17 +307,22 @@ def _units_from_diff(
     diffs: Sequence[FileDiff], repo_root: Path, context_lines: int
 ) -> list[ReviewUnit]:
     units: list[ReviewUnit] = []
+    root = repo_root.resolve()
     for diff in sorted(diffs, key=lambda d: d.path):
         if diff.is_deleted:
             logger.info("skipping deleted file %s", diff.path)
             continue
         post_path = repo_root / diff.path
-        if not post_path.is_file():
-            raise FileNotFoundError(f"post-image file not found: {post_path}")
-        post_lines = decode_utf8(post_path.read_bytes(), post_path).splitlines()
-        file_len = _last_line(post_lines, 1, len(post_lines))
-        if not file_len:
-            logger.warning("skipping empty post-image file %s", diff.path)
+        # As git apply does, refuse a "..", absolute or symlinked path out of the root.
+        if not post_path.resolve().is_relative_to(root):
+            message = f"diff path {diff.path} is outside the repo root {repo_root}"
+            raise InvalidReviewRequest(message)
+        post_lines = _read_lines(
+            post_path,
+            f"post-image file not found: {post_path}",
+            f"skipping empty post-image file {diff.path}",
+        )
+        if not post_lines:
             continue
 
         windows: list[tuple[int, int]] = []
@@ -315,7 +331,7 @@ def _units_from_diff(
             anchor_start = max(1, hunk.new_start)
             anchor_end = hunk.new_start + hunk.new_len - 1 if hunk.new_len > 0 else hunk.new_start
             start = max(1, anchor_start - context_lines)
-            end = min(file_len, max(anchor_start, anchor_end) + context_lines)
+            end = min(len(post_lines), max(anchor_start, anchor_end) + context_lines)
             if start <= end:
                 windows.append((start, end))
             changed.extend(_added_ranges(hunk))
@@ -352,7 +368,8 @@ def build_review_request(
     Exactly one of paths / diff_text must be given; a path named more than
     once (as Path sees it: "a" and "./a" are one) gives one unit. Diff
     origin reads the post-image files under repo_root (default: current
-    directory). A file that is not UTF-8 raises InvalidReviewRequest.
+    directory). A file that is not UTF-8, or a post-image whose resolved
+    path is outside the resolved repo_root, raises InvalidReviewRequest.
     """
     if (paths is None) == (diff_text is None):
         raise InvalidReviewRequest("provide either file paths or diff text, not both")
@@ -361,21 +378,18 @@ def build_review_request(
     if paths is not None:
         origin: Literal["files", "diff"] = "files"
         for path in sorted({Path(p) for p in paths}):
-            if not path.is_file():
-                raise FileNotFoundError(f"input file not found: {path}")
-            content_lines = decode_utf8(path.read_bytes(), path).splitlines()
-            last = _last_line(content_lines, 1, len(content_lines))
-            if not last:
-                logger.warning("skipping empty file %s", path)
-                continue
-            units.append(
-                ReviewUnit(
-                    path=path.as_posix(),
-                    content="\n".join(content_lines[:last]),
-                    start_line=1,
-                    changed_ranges=((1, last),),
-                )
+            lines = _read_lines(
+                path, f"input file not found: {path}", f"skipping empty file {path}"
             )
+            if lines:
+                units.append(
+                    ReviewUnit(
+                        path=path.as_posix(),
+                        content="\n".join(lines),
+                        start_line=1,
+                        changed_ranges=((1, len(lines)),),
+                    )
+                )
     else:
         origin = "diff"
         diffs = parse_unified_diff(diff_text or "")

@@ -11,8 +11,8 @@ and the run id to its stats once it returns. Rules load, and fail, before
 any model call. _review then starts, from one thread and in this order, the
 proposer call, the explicit pathway's first window of reviewer calls, and
 the implicit pathway on the scope's side thread, which first builds a
-fresh index. Started earlier, a build with mock embeddings, which holds
-the interpreter lock, would hold up those first calls.
+fresh index under its soft fail. Started earlier, a build with mock
+embeddings, which holds the interpreter lock, would hold up those calls.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def run_review(
     the implicit pathway runs on the scope's side thread, started after the
     explicit pathway's first window (see the module doc) with no signal
     between threads; reports stay in the order [explicit, implicit]. A
-    prebuilt index, read before any call, is never built. If a pathway
+    prebuilt index, read before any call, is never built; a fresh build
+    that fails degrades the implicit pathway alone. If a pathway
     raises, leaving the scope cancels the calls not yet started and joins
     the side thread before the error propagates; a run whose explicit
     pathway raises before its first window builds no index.
@@ -246,24 +247,25 @@ def _review(config: RunConfig, request: ReviewRequest, backend: BaseBackend) -> 
             )
             pathways.append(partial(_accounted, explicit_calls, run_id, explicit_pathway))
         if implicit:
-
-            def implicit_pathway() -> PathwayReport:
-                index = prebuilt if prebuilt is not None else build_index(library, provider)
-                return run_implicit(
-                    request,
-                    library,
-                    implicit_calls,
-                    proposal,
-                    provider,
-                    index,
-                    ensemble,
-                    k=config.top_k,
-                    threshold=config.score_threshold,
-                    allow_ungrounded=config.allow_ungrounded,
-                    soft_fail=config.implicit_soft_fail,
-                    pool=scope,
-                )
-
+            # The pathway builds a fresh index itself, inside its soft fail.
+            get_index = (
+                partial(build_index, library, provider) if prebuilt is None else lambda: prebuilt
+            )
+            implicit_pathway = partial(
+                run_implicit,
+                request,
+                library,
+                implicit_calls,
+                proposal,
+                provider,
+                get_index,
+                ensemble,
+                k=config.top_k,
+                threshold=config.score_threshold,
+                allow_ungrounded=config.allow_ungrounded,
+                soft_fail=config.implicit_soft_fail,
+                pool=scope,
+            )
             pathways.append(partial(_accounted, implicit_calls, run_id, implicit_pathway))
         # The first pathway runs on this thread, the other beside it.
         first, *rest = pathways

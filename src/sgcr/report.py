@@ -37,7 +37,6 @@ from .types import (
     Value,
     finding_payload,
     patch_payload,
-    value_class,
 )
 
 logger = logging.getLogger(__name__)
@@ -48,7 +47,6 @@ SCHEMA_VERSION = "1"
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-@value_class
 class FindingCluster(Value):
     """One de-duplicated finding plus the members that collapsed into it."""
 
@@ -61,7 +59,6 @@ class FindingCluster(Value):
         return len(self.members) - 1
 
 
-@value_class
 class FinalReport(Value):
     """The consolidated review: clusters, summary and run accounting."""
 

@@ -67,7 +67,7 @@ from .errors import DimensionMismatch, EmptyText, IndexLibraryMismatch, QueryDim
 from .files import write_text_atomic
 from .gateway import attempt_call
 from .specs import SpecLibrary, Specification
-from .types import Value, value_class
+from .types import Value
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +82,6 @@ DEFAULT_SCORE_THRESHOLD = 0.35
 REBUILD_HINT = "rebuild it with `sgcr specs index`"
 
 
-@value_class
 class EmbeddingVector(Value):
     """Unit-norm vector of fixed dimension."""
 
@@ -190,7 +189,6 @@ def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:
     return normalize(attempt_call(lambda: provider.embed(text)))
 
 
-@value_class
 class VectorIndex(Value):
     """Read-only (spec_id, vector) entries in library order.
 
@@ -203,7 +201,6 @@ class VectorIndex(Value):
     digests: tuple[str, ...] = ()
 
 
-@value_class
 class ScoredSpec(Value):
     """One retrieved rule id and its cosine score."""
 
@@ -211,7 +208,6 @@ class ScoredSpec(Value):
     score: float
 
 
-@value_class
 class RetrievedSpecSet(Value):
     """Scored spec ids ordered by score descending, ties by id ascending."""
 

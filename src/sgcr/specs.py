@@ -32,8 +32,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import DuplicateSpecId, EmptyLibrary, MalformedSpecFile
-from .types import CATEGORY_BY_VALUE, CATEGORY_RANK, SEVERITY_BY_VALUE, Category, Severity
-from .types import Value, value_class
+from .types import CATEGORY_BY_VALUE, CATEGORY_RANK, SEVERITY_BY_VALUE, Category, Severity, Value
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +48,6 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-@value_class
 class Specification(Value):
     """One human-authored review rule with triage metadata."""
 
@@ -63,7 +61,6 @@ class Specification(Value):
     token_estimate: int
 
 
-@value_class
 class SpecLibrary(Value):
     """Ordered, duplicate-free collection of specifications."""
 
@@ -101,7 +98,6 @@ def resolve_category(spec_ids: Sequence[str], library: SpecLibrary) -> Category:
     return Category.MAINTAINABILITY if best is None else best
 
 
-@value_class
 class SpecChunk(Value):
     """A contiguous run of library specs fitting one prompt budget."""
 

@@ -1,7 +1,8 @@
 """Shared domain types: findings, severities, verdicts, and identity hashing.
 
-Every value class derives from Value, whose methods replace the ones the
-dataclass decorator would generate for each class (see value_class).
+A value class is declared by subclassing Value, once: the base registers
+each subclass as a dataclass when the class is created, and its methods
+replace the ones the dataclass decorator would generate.
 
 A Finding is the atomic unit every pipeline stage produces or consumes;
 its identity is a content hash over (file, line range, description) so the
@@ -15,32 +16,52 @@ import dataclasses
 import hashlib
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Optional, Sequence, TypeVar
+from typing import Any, Optional, Sequence
 
 _MISSING = dataclasses.MISSING
-
-V = TypeVar("V", bound="Value")
 
 
 class Value:
     """Base of the frozen value classes: one set of methods shared by all.
 
-    A subclass declares its fields as a dataclass does and is decorated
-    with @value_class. Construction (positional or keyword arguments,
-    defaults, then __post_init__ when the class defines one), equality and
-    hashing over the declared fields in order, the dataclass repr and
-    immutability are the methods below, so no class needs generated code.
-    Anything a class caches in its instance dict under another name never
-    enters eq, hash or repr.
+    A subclass declares its fields as a dataclass does, and nothing more:
+    __init_subclass__ registers them. Construction (positional or keyword
+    arguments, defaults, then __post_init__ when the class defines one),
+    equality and hashing over the declared fields in order, the dataclass
+    repr and immutability are the methods below, so no class needs
+    generated code. Anything a class caches in its instance dict under
+    another name never enters eq, hash or repr.
     """
 
     __slots__ = ()
-    # Set on each class by value_class.
+    # Set on each class by __init_subclass__.
     _value_names: tuple[str, ...]
     # Every field in order, holding its default or MISSING.
     _value_template: dict[str, Any]
     _value_key: Any
     _value_post_init: bool
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Register the subclass's fields as dataclass fields.
+
+        dataclasses.fields, replace and asdict then work on it, and the
+        dataclass decorator, asked for no methods, generates no function.
+        """
+        super().__init_subclass__(**kwargs)
+        dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+        fields = dataclasses.fields(cls)
+        if any(f.default_factory is not _MISSING for f in fields):
+            raise TypeError(f"{cls.__qualname__}: a Value field takes a plain default")
+        names = tuple(f.name for f in fields)
+        cls._value_names = names
+        cls._value_template = {f.name: f.default for f in fields}
+        if len(names) == 1:
+            # attrgetter of one name returns the bare value; eq and hash use a tuple.
+            one = attrgetter(names[0])
+            cls._value_key = staticmethod(lambda instance: (one(instance),))
+        else:
+            cls._value_key = attrgetter(*names)
+        cls._value_post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         names = self._value_names
@@ -96,29 +117,6 @@ class Value:
         raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def value_class(cls: type[V]) -> type[V]:
-    """Register a Value subclass's fields as dataclass fields.
-
-    dataclasses.fields, replace and asdict then work on it, and the
-    dataclass decorator, asked for no methods, generates no function.
-    """
-    dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
-    fields = dataclasses.fields(cls)
-    if any(f.default_factory is not _MISSING for f in fields):
-        raise TypeError(f"{cls.__qualname__}: a Value field takes a plain default")
-    names = tuple(f.name for f in fields)
-    cls._value_names = names
-    cls._value_template = {f.name: f.default for f in fields}
-    if len(names) == 1:
-        # attrgetter of one name returns the bare value; eq and hash use a tuple.
-        one = attrgetter(names[0])
-        cls._value_key = staticmethod(lambda instance: (one(instance),))
-    else:
-        cls._value_key = attrgetter(*names)
-    cls._value_post_init = hasattr(cls, "__post_init__")
-    return cls
-
-
 class Severity(str, Enum):
     CRITICAL = "critical"
     HIGH = "high"
@@ -164,7 +162,6 @@ def content_id(file: str, start_line: int, end_line: int, description: str) -> s
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:12]
 
 
-@value_class
 class PatchSuggestion(Value):
     """A validated code change proposal attached to a finding or cluster."""
 
@@ -173,7 +170,6 @@ class PatchSuggestion(Value):
     constrained_by: tuple[str, ...]
 
 
-@value_class
 class Finding(Value):
     """One review comment with location, triage metadata, and provenance.
 
@@ -254,7 +250,6 @@ def sort_findings(findings: Sequence[Finding]) -> list[Finding]:
     return sorted(findings, key=_SORT_KEY)
 
 
-@value_class
 class HypotheticalIssue(Value):
     """An unverified issue proposed by the free-form analysis stage."""
 
@@ -279,7 +274,6 @@ class HypotheticalIssue(Value):
             )
 
 
-@value_class
 class VerifierVerdict(Value):
     """One verifier's judgment of a hypothetical issue."""
 
@@ -290,7 +284,6 @@ class VerifierVerdict(Value):
     instance_index: int = 0
 
 
-@value_class
 class PathwayReport(Value):
     """Output of one review pathway before cross-pathway consolidation."""
 

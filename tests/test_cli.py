@@ -339,6 +339,42 @@ def test_review_of_a_missing_diff_file_exits_2_before_any_model_call(
     assert sent == []
 
 
+def _escape_relative(repo):
+    return "../outside.txt"
+
+
+def _escape_absolute(repo):
+    return str(repo.parent / "outside.txt")
+
+
+def _escape_by_symlink(repo):
+    (repo / "link.txt").symlink_to(repo.parent / "outside.txt")
+    return "link.txt"
+
+
+@pytest.mark.parametrize("escape", [_escape_relative, _escape_absolute, _escape_by_symlink])
+def test_review_of_a_diff_path_outside_the_repo_root_exits_2_before_any_model_call(
+    capsys, monkeypatch, rules_dir, tmp_path, escape
+):
+    sent = record_generate(monkeypatch)
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (tmp_path / "outside.txt").write_text("secret\n", encoding="utf-8")
+    name = escape(repo)
+    prefix = "" if name.startswith("/") else "b/"
+    diff_path = tmp_path / "change.diff"
+    diff_path.write_text(
+        f"--- {prefix}{name}\n+++ {prefix}{name}\n@@ -1,1 +1,1 @@\n-public\n+secret\n",
+        encoding="utf-8",
+    )
+    argv = ["review", "--diff", str(diff_path), "--specs-dir", str(rules_dir)]
+    assert main(argv + ["--repo-root", str(repo)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"sgcr: diff path {name} is outside the repo root {repo}\n"
+    assert sent == []
+
+
 def test_review_into_a_directory_exits_2_before_any_model_call(
     capsys, monkeypatch, java_file, rules_dir, tmp_path
 ):

@@ -1415,9 +1415,13 @@ def test_a_full_run_with_a_prebuilt_index_never_waits_for_the_explicit_pathway(
     run_implicit = sgcr.pipeline.run_implicit
     run_explicit = sgcr.pipeline.run_explicit
 
-    def implicit(request, library, backend, proposal, provider, index, *args, **kwargs):
-        index_held.set()
-        return run_implicit(request, library, backend, proposal, provider, index, *args, **kwargs)
+    def implicit(request, library, backend, proposal, provider, get_index, *args, **kwargs):
+        def held():
+            index = get_index()
+            index_held.set()
+            return index
+
+        return run_implicit(request, library, backend, proposal, provider, held, *args, **kwargs)
 
     # The explicit pathway collects nothing until the implicit pathway holds
     # its index: had that index waited for the explicit pathway, the wait

@@ -8,6 +8,7 @@ import string
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -223,7 +224,15 @@ def _run(backend, *, library=LIBRARY, index=INDEX, provider=PROVIDER, **kwargs):
     with call_pool() as pool:
         proposal = propose(request, backend, ENSEMBLE, pool=pool)
         return run_implicit(
-            request, library, backend, proposal, provider, index, ENSEMBLE, pool=pool, **defaults
+            request,
+            library,
+            backend,
+            proposal,
+            provider,
+            lambda: index,
+            ENSEMBLE,
+            pool=pool,
+            **defaults,
         )
 
 
@@ -500,6 +509,47 @@ def test_a_degraded_implicit_pathway_accounts_for_the_calls_it_sent(tmp_path, mo
     # attempted are every call the backend received.
     pathway_calls = sum(report.stats_dict()["model_calls"] for report in final.pathway_reports)
     assert pathway_calls + dict(final.patch_stats)["attempted"] == len(backend.call_log)
+
+
+@pytest.mark.parametrize("mode", ["implicit_only", "full"])
+def test_a_failed_index_build_degrades_only_the_implicit_pathway(mode, monkeypatch):
+    # No prebuilt index, so the run builds one with a provider that always fails.
+    config = RunConfig(mode=mode, specs_dir=str(REPO_ROOT / "sample_specs"))
+    request = build_review_request(paths=[GOLDEN_DIR / "input" / "Example.java"])
+    healthy = run_review(config, request, backend=LoggedMockBackend())
+    build_failed = threading.Event()
+
+    class Provider(_EmbeddingsFail):
+        def embed(self, text):
+            build_failed.set()
+            return super().embed(text)
+
+    # The proposer call starts only once the build is failing, so its count
+    # shows that the degraded pathway waited for it.
+    propose_issues = sgcr.implicit.propose_issues
+
+    def late_propose_issues(*args, **kwargs):
+        build_failed.wait(5.0)
+        return propose_issues(*args, **kwargs)
+
+    monkeypatch.setattr(sgcr.implicit, "propose_issues", late_propose_issues)
+    monkeypatch.setattr(
+        sgcr.pipeline, "build_provider", lambda config: Provider(config.embedding_dimension)
+    )
+    backend = LoggedMockBackend()
+    final = run_review(config, request, backend=backend)
+
+    *explicit, implicit = final.pathway_reports
+    stats = implicit.stats_dict()
+    assert stats["degraded"] is True
+    assert "embedding endpoint down" in stats["error"]
+    assert explicit == list(healthy.pathway_reports[:-1])
+    assert stats["model_calls"] == backend.calls_for_role("proposer") == 1
+    pathway_calls = sum(report.stats_dict()["model_calls"] for report in final.pathway_reports)
+    assert pathway_calls == len(backend.call_log)
+
+    with pytest.raises(WireError, match="embedding endpoint down"):
+        run_review(replace(config, implicit_soft_fail=False), request, backend=LoggedMockBackend())
 
 
 class _SlowTwentyProposals(MockBackend):

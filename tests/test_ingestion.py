@@ -372,6 +372,24 @@ def test_build_request_from_diff_requires_post_image(tmp_path):
         build_review_request(diff_text=SIX_LINE_DIFF, repo_root=tmp_path)
 
 
+def test_a_repo_root_reached_through_a_symlink_reads_its_post_images(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "app.py").write_text("first\nsecond\n", encoding="utf-8")
+    # A symlink that stays inside the repository is read like any file.
+    (repo / "alias.py").symlink_to(repo / "src" / "app.py")
+    (tmp_path / "checkout").symlink_to(repo)
+    diff = "".join(
+        f"--- a/{name}\n+++ b/{name}\n@@ -1,1 +1,2 @@\n first\n+second\n"
+        for name in ("alias.py", "src/app.py")
+    )
+    request = build_review_request(diff_text=diff, repo_root=tmp_path / "checkout")
+    assert [(unit.path, unit.content) for unit in request.units] == [
+        ("alias.py", "first\nsecond"),
+        ("src/app.py", "first\nsecond"),
+    ]
+
+
 def _assert_unit_agrees_with_its_block(request, unit):
     """Header, numbered lines, end_line, changed ranges and unit_for_location
     all describe the same lines."""

@@ -1,5 +1,6 @@
 """Structural guards: a run waits, cancels and starts threads in one place,
-and does its accounting in one place.
+and does its accounting in one place; a fresh index is built inside the
+implicit pathway.
 
 Every blocking wait of a run goes through gateway.RunScope, which is what
 lets a test scope force the order in which calls are seen to finish. These
@@ -132,3 +133,19 @@ def test_only_the_pipeline_counts_calls_and_the_pathways_never_see_the_run_id():
     for name in PATHWAYS:
         tree = ast.parse((SOURCE / name).read_text(encoding="utf-8"))
         assert _names(tree) & ACCOUNTING_NAMES == set(), name
+
+
+# A fresh index is built inside the implicit pathway, under its soft fail:
+# the pipeline passes build_index on as an argument and never calls it, so
+# a failed build cannot fail the run again.
+def test_the_pipeline_hands_build_index_to_the_implicit_pathway_and_never_calls_it():
+    tree = ast.parse((SOURCE / ACCOUNTANT).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    called = [node.lineno for node in calls if _called_name(node)[1] == "build_index"]
+    assert called == []
+    handed = [
+        node.lineno
+        for node in calls
+        if any(isinstance(arg, ast.Name) and arg.id == "build_index" for arg in node.args)
+    ]
+    assert handed

@@ -34,7 +34,6 @@ from sgcr.types import (
     Value,
     content_id,
     sort_findings,
-    value_class,
 )
 
 
@@ -365,7 +364,6 @@ def test_post_init_checks_still_raise(build, message):
 def test_a_value_field_with_a_default_factory_is_refused():
     with pytest.raises(TypeError, match="Listed: a Value field takes a plain default"):
 
-        @value_class
         class Listed(Value):
             items: list = field(default_factory=list)
 
