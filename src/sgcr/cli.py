@@ -17,11 +17,11 @@ import logging
 import sys
 from contextlib import closing
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .config import (
-    CHOICES,
     DEFAULTS,
+    SETTINGS,
     RunConfig,
     env_overrides,
     load_config_file,
@@ -37,57 +37,33 @@ from .retrieval import build_index, save_index
 logger = logging.getLogger(__name__)
 
 
-def _add_review_flags(parser: argparse.ArgumentParser) -> None:
-    # Every default here is None so unset flags never mask config file
-    # values; real defaults live on RunConfig.
-    parser.add_argument("inputs", nargs="*", help="files to review (post-change state)")
-    parser.add_argument("--diff", help="unified diff file to review ('-' for stdin)")
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--mode", choices=CHOICES["mode"])
-    parser.add_argument("--backend", choices=CHOICES["backend"])
-    parser.add_argument("--specs-dir", dest="specs_dir", help="rules directory")
-    parser.add_argument("--language", help="only use rules for this language")
-    parser.add_argument("--chunk-budget", dest="chunk_budget", type=int)
-    parser.add_argument("--ensemble-size", dest="ensemble_size", type=int)
-    parser.add_argument("--quorum", type=int)
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--top-k", dest="top_k", type=int)
-    parser.add_argument(
-        "--threshold", "--score-threshold", dest="score_threshold", type=float,
-        help="minimum retrieval score",
-    )
-    parser.add_argument("--context-lines", dest="context_lines", type=int)
-    parser.add_argument("--aggregation", choices=CHOICES["aggregation"])
-    parser.add_argument("--format", choices=CHOICES["format"])
-    parser.add_argument("--max-proposals", dest="max_proposals", type=int)
-    parser.add_argument(
-        "--no-implicit-soft-fail",
-        dest="implicit_soft_fail",
-        action="store_false",
-        default=None,
-        help="let discovery pathway errors fail the run",
-    )
-    parser.add_argument(
-        "--allow-ungrounded", action="store_true", default=None,
-        help="verify issues even when no rules were retrieved",
-    )
-    parser.add_argument(
-        "--patches", action="store_true", default=None,
-        help="attach validated patch suggestions",
-    )
-    parser.add_argument(
-        "--model-summary", dest="model_summary", action="store_true", default=None,
-        help="ask the model for the pathway summary text",
-    )
-    parser.add_argument("--fixtures", dest="fixtures_dir", help="fixtures directory")
-    parser.add_argument("--index", dest="index_path", help="prebuilt vector index file")
-    parser.add_argument("--embedding", choices=CHOICES["embedding"])
-    parser.add_argument("--embedding-dimension", dest="embedding_dimension", type=int)
-    parser.add_argument("--base-url", dest="base_url")
-    parser.add_argument("--model")
-    parser.add_argument("--repo-root", dest="repo_root", help="root for diff post-images")
-    parser.add_argument("--output", help="write the report here instead of stdout")
+def _add_settings(
+    parser: argparse.ArgumentParser,
+    keys: Iterable[str],
+    required: Container[str] = (),
+    helps: Mapping[str, str] = {},
+) -> None:
+    """One flag for each setting in keys, built from its RunConfig field.
+
+    The flag is --key with dashes, or --no-key for a boolean that defaults
+    to true, unless the field names its own; its dest is the key. Every
+    default is None, so an unset flag never masks a config-file value.
+    """
+    for key in keys:
+        meta, default = SETTINGS[key], DEFAULTS[key]
+        flags = meta["flags"]
+        if flags is None:
+            dashed = key.replace("_", "-")
+            flags = [f"--no-{dashed}" if default is True else f"--{dashed}"]
+        if type(default) is bool:
+            options = {"action": "store_false" if default else "store_true"}
+        else:
+            kind = type(default) if type(default) in (int, float) else None
+            options = {"type": kind, "choices": meta["choices"] or None}
+        text = helps.get(key, meta["help"])
+        parser.add_argument(
+            *flags, dest=key, default=None, required=key in required, help=text, **options
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,23 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     review = commands.add_parser("review", help="review files or a diff")
-    _add_review_flags(review)
+    review.add_argument("inputs", nargs="*", help="files to review (post-change state)")
+    review.add_argument("--diff", help="unified diff file to review ('-' for stdin)")
+    review.add_argument("--config", help="JSON config file")
+    _add_settings(review, [key for key, meta in SETTINGS.items() if meta["flags"] != ()])
 
     specs = commands.add_parser("specs", help="rules directory utilities")
     spec_commands = specs.add_subparsers(dest="specs_command", required=True)
 
     validate = spec_commands.add_parser("validate", help="check every rule file parses")
-    validate.add_argument("--specs-dir", dest="specs_dir", required=True)
-    validate.add_argument("--language")
+    _add_settings(validate, ["specs_dir", "language"], required={"specs_dir"})
 
     index = spec_commands.add_parser("index", help="embed rules and save the index")
-    index.add_argument("--specs-dir", dest="specs_dir", required=True)
-    index.add_argument("--output", required=True, help="where to write the index file")
-    index.add_argument("--language")
-    index.add_argument("--embedding", choices=CHOICES["embedding"])
-    index.add_argument("--embedding-dimension", dest="embedding_dimension", type=int)
-    index.add_argument("--base-url", dest="base_url")
-    index.add_argument("--model")
+    _add_settings(
+        index,
+        ["specs_dir", "output", "language", "embedding", "embedding_dimension", "base_url",
+         "model"],
+        required={"specs_dir", "output"},
+        helps={"output": "where to write the index file"},
+    )
     return parser
 
 

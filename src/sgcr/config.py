@@ -1,14 +1,16 @@
 """Run configuration: defaults, JSON config file, environment, CLI flags.
 
 Precedence, lowest to highest: built-in defaults, config file values,
-environment (SGCR_BASE_URL / SGCR_API_KEY), command-line flags. RunConfig
-is the one declaration of every setting: a config-file value must have
-its default's type (``null`` only where the default is None), a key with
-a fixed set of values lists them in CHOICES, and the CLI takes every
-parsed argument named after a key as a flag value. A new knob is a
-RunConfig field, plus its flag in ``cli``. validate_config checks a base
-URL and the proxy that reaches it with wire's rules (check_base_url,
-proxy_route), and loads wire only for a run that makes HTTP calls.
+environment (SGCR_BASE_URL / SGCR_API_KEY), command-line flags. A setting
+is declared once, as a RunConfig field made by setting(): its default, its
+allowed values or minimum, its flag, help and environment variable, and
+whether it is private. A config-file value must have its default's type
+(``null`` only where the default is None), and ``cli`` builds each flag
+from the field, so a new knob is one field. validate_values checks what
+the settings hold, for the CLI and library runs alike; validate_config
+adds what a run needs set up, and checks a base URL and the proxy that
+reaches it with wire's rules, loading wire only for a run that makes HTTP
+calls.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import json
 import logging
 import math
 import os
-from dataclasses import fields, replace
+from dataclasses import field, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ConfigError
 from .explicit import AGGREGATION_MODES
@@ -39,62 +41,74 @@ logger = logging.getLogger(__name__)
 ENV_BASE_URL = "SGCR_BASE_URL"
 ENV_API_KEY = "SGCR_API_KEY"
 
-# Config keys that never appear in report echoes or run identity.
-_PRIVATE_KEYS = ("api_key", "base_url", "output")
+
+def setting(
+    default: Any, *, choices: Sequence[str] = (), minimum: Optional[int] = None,
+    flags: Optional[Sequence[str]] = None, help: Optional[str] = None,
+    private: bool = False, env: Optional[str] = None,
+) -> Any:
+    """A RunConfig field that carries all the rest of its setting's declaration.
+
+    flags None means the one flag --key-with-dashes (--no-key for a boolean
+    that defaults to true), () no flag. A private setting stays out of
+    report echoes and run identity.
+    """
+    metadata = dict(
+        choices=tuple(choices), minimum=minimum, flags=flags, help=help, private=private, env=env
+    )
+    return field(default=default, metadata=metadata)
 
 
 class RunConfig(Value):
     """Every run setting, with its built-in default."""
 
-    mode: str = "full"
-    backend: str = "mock"
-    specs_dir: Optional[str] = None
-    language: Optional[str] = None
-    chunk_budget: int = DEFAULT_CHUNK_BUDGET
-    ensemble_size: int = 3
-    quorum: int = 2
-    temperature: float = 0.7
-    seed: int = 0
-    top_k: int = DEFAULT_TOP_K
-    score_threshold: float = DEFAULT_SCORE_THRESHOLD
-    context_lines: int = DEFAULT_CONTEXT_LINES
-    aggregation: str = "deterministic"
-    format: str = "json"
-    max_proposals: int = MAX_PROPOSALS
-    implicit_soft_fail: bool = True
-    allow_ungrounded: bool = False
-    patches: bool = False
-    model_summary: bool = False
-    fixtures_dir: Optional[str] = None
-    index_path: Optional[str] = None
-    embedding: str = "mock"
-    embedding_dimension: int = DEFAULT_MOCK_DIMENSION
-    base_url: Optional[str] = None
-    api_key: Optional[str] = None
-    model: str = "default"
-    repo_root: str = "."
-    output: Optional[str] = None
+    mode: str = setting("full", choices=("full", "explicit_only", "implicit_only", "baseline"))
+    backend: str = setting("mock", choices=("mock", "replay", "record", "http"))
+    specs_dir: Optional[str] = setting(None, help="rules directory")
+    language: Optional[str] = setting(None, help="only use rules for this language")
+    chunk_budget: int = setting(DEFAULT_CHUNK_BUDGET, minimum=1)
+    ensemble_size: int = setting(3, minimum=1)
+    quorum: int = setting(2)
+    temperature: float = setting(0.7, minimum=0)
+    seed: int = setting(0)
+    top_k: int = setting(DEFAULT_TOP_K, minimum=1)
+    score_threshold: float = setting(
+        DEFAULT_SCORE_THRESHOLD,
+        flags=("--threshold", "--score-threshold"),
+        help="minimum retrieval score",
+    )
+    context_lines: int = setting(DEFAULT_CONTEXT_LINES, minimum=0)
+    aggregation: str = setting("deterministic", choices=AGGREGATION_MODES)
+    format: str = setting("json", choices=("json", "markdown"))
+    max_proposals: int = setting(MAX_PROPOSALS, minimum=0)
+    implicit_soft_fail: bool = setting(True, help="let discovery pathway errors fail the run")
+    allow_ungrounded: bool = setting(False, help="verify issues even when no rules were retrieved")
+    patches: bool = setting(False, help="attach validated patch suggestions")
+    model_summary: bool = setting(False, help="ask the model for the pathway summary text")
+    fixtures_dir: Optional[str] = setting(None, flags=("--fixtures",), help="fixtures directory")
+    index_path: Optional[str] = setting(
+        None, flags=("--index",), help="prebuilt vector index file"
+    )
+    embedding: str = setting("mock", choices=("mock", "http"))
+    embedding_dimension: int = setting(DEFAULT_MOCK_DIMENSION, minimum=1)
+    base_url: Optional[str] = setting(None, private=True, env=ENV_BASE_URL)
+    api_key: Optional[str] = setting(None, flags=(), private=True, env=ENV_API_KEY)
+    model: str = setting("default")
+    repo_root: str = setting(".", help="root for diff post-images")
+    output: Optional[str] = setting(
+        None, private=True, help="write the report here instead of stdout"
+    )
 
     def echo(self) -> dict[str, object]:
         """Config as reported in output: everything except private keys."""
-        payload = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in _PRIVATE_KEYS
-        }
-        return payload
+        return {key: getattr(self, key) for key in DEFAULTS if key not in PRIVATE}
 
 
+SETTINGS = {f.name: f.metadata for f in fields(RunConfig)}
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(RunConfig)}
-
-# The allowed values of each key that has a fixed set; argparse reads the same.
-CHOICES: dict[str, tuple[str, ...]] = {
-    "mode": ("full", "explicit_only", "implicit_only", "baseline"),
-    "backend": ("mock", "replay", "record", "http"),
-    "embedding": ("mock", "http"),
-    "format": ("json", "markdown"),
-    "aggregation": AGGREGATION_MODES,
-}
+# The allowed values of each key that has a fixed set.
+CHOICES = {key: meta["choices"] for key, meta in SETTINGS.items() if meta["choices"]}
+PRIVATE = frozenset(key for key, meta in SETTINGS.items() if meta["private"])
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
@@ -143,12 +157,11 @@ def load_config_file(path: Path) -> dict[str, object]:
 
 def env_overrides(environ: Optional[Mapping[str, str]] = None) -> dict[str, object]:
     env = os.environ if environ is None else environ
-    overrides: dict[str, object] = {}
-    if env.get(ENV_BASE_URL):
-        overrides["base_url"] = env[ENV_BASE_URL]
-    if env.get(ENV_API_KEY):
-        overrides["api_key"] = env[ENV_API_KEY]
-    return overrides
+    return {
+        key: env[meta["env"]]
+        for key, meta in SETTINGS.items()
+        if meta["env"] and env.get(meta["env"])
+    }
 
 
 def merge_config(
@@ -171,41 +184,40 @@ def merge_config(
     return config
 
 
-def validate_config(config: RunConfig) -> None:
-    """Reject impossible or incomplete configurations up front."""
+def validate_values(config: RunConfig) -> None:
+    """Reject a setting that holds a value no run can use, a value of
+    another type than its default included, as in a config file."""
+    for key in DEFAULTS:
+        _coerce(key, getattr(config, key))
     for key, allowed in CHOICES.items():
         value = getattr(config, key)
         if value not in allowed:
             raise ConfigError(f"{key} must be one of {', '.join(allowed)}; got {value!r}")
-    if config.ensemble_size < 1:
-        raise ConfigError("ensemble_size must be at least 1")
+    if not math.isfinite(config.temperature):
+        raise ConfigError(f"temperature must be a finite number; got {config.temperature}")
+    for key, meta in SETTINGS.items():
+        least = meta["minimum"]
+        if least is not None and getattr(config, key) < least:
+            floor = "non-negative" if least == 0 else f"at least {least}"
+            raise ConfigError(f"{key} must be {floor}")
     if not 1 <= config.quorum <= config.ensemble_size:
         raise ConfigError(
             f"quorum must be between 1 and ensemble_size"
             f" ({config.ensemble_size}); got {config.quorum}"
         )
-    if config.chunk_budget < 1:
-        raise ConfigError("chunk_budget must be at least 1")
-    if not math.isfinite(config.temperature):
-        raise ConfigError(f"temperature must be a finite number; got {config.temperature}")
-    if config.temperature < 0:
-        raise ConfigError("temperature must be non-negative")
-    if config.context_lines < 0:
-        raise ConfigError("context_lines must be non-negative")
-    if config.max_proposals < 0:
-        raise ConfigError("max_proposals must be non-negative")
-    if config.embedding_dimension < 1:
-        raise ConfigError("embedding_dimension must be at least 1")
     if config.embedding == "mock" and config.embedding_dimension > MAX_MOCK_DIMENSION:
         raise ConfigError(
             f"embedding_dimension must be at most {MAX_MOCK_DIMENSION} for mock embeddings;"
             f" got {config.embedding_dimension}"
         )
-    if config.top_k < 1:
-        raise ConfigError("top_k must be at least 1")
     if not -1.0 <= config.score_threshold <= 1.0:
         raise ConfigError("score_threshold must be within [-1, 1]")
 
+
+def validate_config(config: RunConfig) -> None:
+    """Reject impossible or incomplete configurations up front: the values,
+    then the rules, fixtures and endpoint that the run needs."""
+    validate_values(config)
     if config.mode != "baseline" and not config.specs_dir:
         raise ConfigError(f"mode {config.mode!r} requires --specs-dir")
     if config.backend in ("replay", "record") and not config.fixtures_dir:

@@ -29,7 +29,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence, TypeVar
 
 from .specs import SpecLibrary, resolve_category
-from .types import CATEGORY_RANK, SEVERITY_RANK, Finding
+from .types import CATEGORY_RANK, SEVERITY_RANK, Finding, Memo
 
 JACCARD_THRESHOLD = 0.6
 
@@ -42,18 +42,12 @@ def tokenize(text: str) -> frozenset[str]:
     return frozenset(map(str.lower, _TOKEN.findall(text)))
 
 
-class TokenTable(dict):
-    """Description -> tokenize(description), filled on a miss.
+class TokenTable(Memo):
+    """Description -> tokenize(description): one token set per distinct
+    description, for one run."""
 
-    It lives for one run and holds one token set per distinct description.
-    Tokens are a pure function of the text, so a table shared between
-    threads at worst tokenizes a text twice, and a single dict read or
-    write is atomic.
-    """
-
-    def __missing__(self, text: str) -> frozenset[str]:
-        tokens = self[text] = tokenize(text)
-        return tokens
+    def fill(self, text: str) -> frozenset[str]:
+        return tokenize(text)
 
 
 def _jaccard(tokens_a: frozenset[str], tokens_b: frozenset[str]) -> float:

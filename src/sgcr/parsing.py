@@ -10,7 +10,7 @@ The findings parser, which reads most of a run's replies, checks each
 entry in one inline pass with exact-type tests and builds one Finding per
 distinct entry through a FindingTable. The explicit pathway's one table
 (explicit.review_chunks) dies with the pathway, and its pool workers share
-it without a lock, as they share matching.TokenTable: a race only builds an
+it without a lock, as they share any types.Memo: a race only builds an
 equal Finding twice. So an entry that agreeing members repeat is built, and
 its location hashed (content_id), once. A call given no table uses a fresh one.
 """
@@ -30,6 +30,7 @@ from .types import (
     Category,
     Finding,
     HypotheticalIssue,
+    Memo,
     Pathway,
     Severity,
     Verdict,
@@ -119,15 +120,14 @@ def _string_list(value) -> Optional[list[str]]:
     return value
 
 
-class FindingTable(dict):
+class FindingTable(Memo):
     """Location (file, start, end, description) -> content_id, hashed on a
     miss, and validated entry (location, severity, rationale, kept spec ids)
     -> the Finding built for it. Use a table with one pathway and library.
     """
 
-    def __missing__(self, location: tuple) -> str:
-        finding_id = self[location] = content_id(*location)
-        return finding_id
+    def fill(self, location: tuple) -> str:
+        return content_id(*location)
 
 
 def parse_findings_response(

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from . import report as report_mod
 from .backends import BaseBackend, MockBackend, RecordingBackend, ReplayBackend
-from .config import RunConfig
+from .config import RunConfig, validate_values
 from .errors import ConfigError, IndexLibraryMismatch
 from .explicit import review_chunks, run_explicit
 from .gateway import (
@@ -76,6 +76,8 @@ def build_backend(config: RunConfig) -> BaseBackend:
 def build_provider(config: RunConfig) -> EmbeddingProvider:
     if config.embedding == "mock":
         return MockEmbeddingProvider(dimension=config.embedding_dimension)
+    if config.embedding != "http":
+        raise ConfigError(f"unknown embedding {config.embedding!r}")
     from .wire import HttpEmbeddingProvider
 
     return HttpEmbeddingProvider(
@@ -189,7 +191,12 @@ def run_review(
     is left open; everything else, run identity included, still follows
     the config. The backend and the embedding provider a run builds itself
     are closed when it ends, however it ends.
+
+    The config's values are checked first (config.validate_values), so a
+    value the CLI refuses fails here before any model or embedding call;
+    credentials and paths are the caller's to set up.
     """
+    validate_values(config)
     if backend is not None:
         return _review(config, request, backend)
     with closing(build_backend(config)) as built:

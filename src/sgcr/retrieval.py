@@ -61,13 +61,13 @@ from array import array
 from collections import Counter
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Protocol
+from typing import Protocol
 
 from .errors import DimensionMismatch, EmptyText, IndexLibraryMismatch, QueryDimensionMismatch
 from .files import write_text_atomic
 from .gateway import attempt_call
 from .specs import SpecLibrary, Specification
-from .types import Value
+from .types import Memo, Value
 
 logger = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ class MockEmbeddingProvider:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        buckets = _Memo(lambda gram: trigram_bucket("".join(gram), dimension))
+        buckets = Memo(lambda gram: trigram_bucket("".join(gram), dimension))
 
         def word_buckets(word: str) -> bytes:
             padded = f" {word} "
@@ -130,8 +130,8 @@ class MockEmbeddingProvider:
             return array("I", map(buckets.__getitem__, grams)).tobytes()
 
         self._buckets = buckets
-        self._words = _Memo(word_buckets)
-        self._spaces = _Memo(lambda ends: buckets[(ends[0] or " ", " ", ends[1] or " ")])
+        self._words = Memo(word_buckets)
+        self._spaces = Memo(lambda ends: buckets[(ends[0] or " ", " ", ends[1] or " ")])
 
     def close(self) -> None:
         """Nothing to release."""
@@ -158,23 +158,6 @@ class MockEmbeddingProvider:
 # A word's last and first character, "" for an empty word.
 _LAST = operator.itemgetter(slice(-1, None))
 _FIRST = operator.itemgetter(slice(None, 1))
-
-
-class _Memo(dict):
-    """key -> fill(key), filled on a miss.
-
-    Pool threads share it without a lock: each value is a pure function of
-    its key, so two threads missing the same key at once only compute the
-    same value twice, and a single dict read or write is atomic.
-    """
-
-    def __init__(self, fill: Callable[[Any], Any]) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key: Any) -> Any:
-        value = self[key] = self.fill(key)
-        return value
 
 
 def trigram_bucket(gram: str, dimension: int) -> int:

@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 _MISSING = dataclasses.MISSING
 
@@ -115,6 +115,24 @@ class Value:
 
     def __delattr__(self, name: str) -> None:
         raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Memo(dict):
+    """key -> fill(key), filled on a miss; fill is given or a subclass's method.
+
+    Pool threads share a memo without a lock: each value is a pure function
+    of its key, so two threads missing the same key at once only compute
+    the same value twice, and a single dict read or write is atomic.
+    """
+
+    def __init__(self, fill: Optional[Callable[[Any], Any]] = None) -> None:
+        super().__init__()
+        if fill is not None:
+            self.fill = fill
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.fill(key)
+        return value
 
 
 class Severity(str, Enum):

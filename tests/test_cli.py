@@ -26,7 +26,7 @@ from conftest import (
 )
 from sgcr.backends import BaseBackend, MockBackend
 from sgcr.cli import build_parser, main
-from sgcr.config import DEFAULTS
+from sgcr.config import CHOICES, DEFAULTS
 
 
 @pytest.fixture()
@@ -275,6 +275,125 @@ def test_every_setting_has_one_review_flag_and_every_flag_is_a_setting():
     assert review - {"inputs", "diff", "config"} == set(DEFAULTS) - {"api_key"}
     for command in ("validate", "index"):
         assert _dests(_subparser(parser, "specs", command)) <= set(DEFAULTS)
+
+
+MODES = ("full", "explicit_only", "implicit_only", "baseline")
+BACKENDS = ("mock", "replay", "record", "http")
+EMBEDDINGS = ("mock", "http")
+# Every option of each subcommand, in order, as
+# (option strings, dest, action, type, choices, required).
+FLAG_SURFACE = {
+    ("review",): [
+        ((), "inputs", "store", None, None, True),
+        (("--diff",), "diff", "store", None, None, False),
+        (("--config",), "config", "store", None, None, False),
+        (("--mode",), "mode", "store", None, MODES, False),
+        (("--backend",), "backend", "store", None, BACKENDS, False),
+        (("--specs-dir",), "specs_dir", "store", None, None, False),
+        (("--language",), "language", "store", None, None, False),
+        (("--chunk-budget",), "chunk_budget", "store", int, None, False),
+        (("--ensemble-size",), "ensemble_size", "store", int, None, False),
+        (("--quorum",), "quorum", "store", int, None, False),
+        (("--temperature",), "temperature", "store", float, None, False),
+        (("--seed",), "seed", "store", int, None, False),
+        (("--top-k",), "top_k", "store", int, None, False),
+        (("--threshold", "--score-threshold"), "score_threshold", "store", float, None, False),
+        (("--context-lines",), "context_lines", "store", int, None, False),
+        (("--aggregation",), "aggregation", "store", None, ("deterministic", "model"), False),
+        (("--format",), "format", "store", None, ("json", "markdown"), False),
+        (("--max-proposals",), "max_proposals", "store", int, None, False),
+        (("--no-implicit-soft-fail",), "implicit_soft_fail", "store_false", None, None, False),
+        (("--allow-ungrounded",), "allow_ungrounded", "store_true", None, None, False),
+        (("--patches",), "patches", "store_true", None, None, False),
+        (("--model-summary",), "model_summary", "store_true", None, None, False),
+        (("--fixtures",), "fixtures_dir", "store", None, None, False),
+        (("--index",), "index_path", "store", None, None, False),
+        (("--embedding",), "embedding", "store", None, EMBEDDINGS, False),
+        (("--embedding-dimension",), "embedding_dimension", "store", int, None, False),
+        (("--base-url",), "base_url", "store", None, None, False),
+        (("--model",), "model", "store", None, None, False),
+        (("--repo-root",), "repo_root", "store", None, None, False),
+        (("--output",), "output", "store", None, None, False),
+    ],
+    ("specs", "validate"): [
+        (("--specs-dir",), "specs_dir", "store", None, None, True),
+        (("--language",), "language", "store", None, None, False),
+    ],
+    ("specs", "index"): [
+        (("--specs-dir",), "specs_dir", "store", None, None, True),
+        (("--output",), "output", "store", None, None, True),
+        (("--language",), "language", "store", None, None, False),
+        (("--embedding",), "embedding", "store", None, EMBEDDINGS, False),
+        (("--embedding-dimension",), "embedding_dimension", "store", int, None, False),
+        (("--base-url",), "base_url", "store", None, None, False),
+        (("--model",), "model", "store", None, None, False),
+    ],
+}
+ACTIONS = {
+    argparse._StoreAction: "store",
+    argparse._StoreTrueAction: "store_true",
+    argparse._StoreFalseAction: "store_false",
+}
+
+
+@pytest.mark.parametrize("command", list(FLAG_SURFACE), ids=" ".join)
+def test_the_flag_surface_of_each_subcommand_is_pinned(command):
+    """No option is renamed, retyped, reordered, added or dropped, and an
+    unset flag parses to None, so it never masks a config-file value."""
+    actions = [
+        action
+        for action in _subparser(build_parser(), *command)._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    surface = [
+        (
+            tuple(action.option_strings),
+            action.dest,
+            ACTIONS[type(action)],
+            action.type,
+            None if action.choices is None else tuple(action.choices),
+            action.required,
+        )
+        for action in actions
+    ]
+    assert surface == FLAG_SURFACE[command]
+    assert all(action.default is None for action in actions)
+
+
+def _other_value(key):
+    """A value of key's type that is not its default."""
+    default = DEFAULTS[key]
+    if key in CHOICES:
+        return CHOICES[key][-1] if CHOICES[key][-1] != default else CHOICES[key][0]
+    return {bool: not default, int: 7, float: 0.25}.get(type(default), "elsewhere")
+
+
+@pytest.mark.parametrize("key", [key for key in DEFAULTS if key != "api_key"])
+def test_a_flag_and_a_config_file_give_a_setting_the_same_typed_value(
+    monkeypatch, tmp_path, key
+):
+    """Only how the setting is read differs: the value and its type agree."""
+    for variable in ("SGCR_BASE_URL", "SGCR_API_KEY"):
+        monkeypatch.delenv(variable, raising=False)
+    # Values only: whether the run could start is not the question here.
+    monkeypatch.setattr(sgcr.cli, "validate_config", lambda config: None)
+    monkeypatch.setattr(sgcr.cli, "_check_paths", lambda config: None)
+    value = _other_value(key)
+    (action,) = [
+        action
+        for action in _subparser(build_parser(), "review")._actions
+        if action.dest == key
+    ]
+    flag = action.option_strings[0]
+    argv = ["review", flag] if type(value) is bool else ["review", flag, str(value)]
+    from_flag = sgcr.cli._resolve_config(build_parser().parse_args(argv))
+    path = _write_bytes(tmp_path / "run.json", json.dumps({key: value}).encode())
+    from_file = sgcr.cli._resolve_config(
+        build_parser().parse_args(["review", "--config", str(path)])
+    )
+    assert getattr(from_flag, key) == getattr(from_file, key) == value
+    assert type(getattr(from_flag, key)) is type(getattr(from_file, key)) is type(value)
+    assert from_flag == from_file
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+import sgcr.pipeline
+from conftest import GOLDEN_DIR, REPO_ROOT, LoggedMockBackend
 from sgcr.config import (
     DEFAULTS,
     RunConfig,
@@ -15,6 +18,8 @@ from sgcr.config import (
     validate_config,
 )
 from sgcr.errors import ConfigError
+from sgcr.ingestion import build_review_request
+from sgcr.pipeline import build_provider, run_review
 from sgcr.retrieval import MAX_MOCK_DIMENSION
 
 
@@ -265,3 +270,45 @@ def test_validate_config_accepts_complete_setups():
     )
     # Explicit-only review never embeds, so http embedding needs no URL.
     validate_config(RunConfig(mode="explicit_only", specs_dir="rules", embedding="http"))
+
+
+@pytest.mark.parametrize(
+    ("overrides", "fragment"),
+    [
+        ({"temperature": float("nan")}, "temperature must be a finite number"),
+        ({"temperature": float("inf")}, "temperature must be a finite number"),
+        ({"embedding": "mokc"}, "embedding must be one of mock, http; got 'mokc'"),
+        ({"top_k": 0}, "top_k must be at least 1"),
+        ({"score_threshold": 5.0}, "score_threshold must be within [-1, 1]"),
+        ({"max_proposals": -1}, "max_proposals must be non-negative"),
+        ({"top_k": "3"}, "config key 'top_k' must be an integer"),
+        ({"seed": 1.5}, "config key 'seed' must be an integer"),
+    ],
+    ids=["nan-temperature", "inf-temperature", "embedding-typo", "top-k-0", "threshold-5",
+         "max-proposals-minus-1", "string-top-k", "float-seed"],
+)
+def test_run_review_refuses_the_values_the_cli_refuses_before_any_call(
+    monkeypatch, overrides, fragment
+):
+    """A library caller's config is checked as the CLI's is: no NaN reaches
+    the report, no typo becomes http embedding, and no run silently keeps
+    nothing. Credentials are not asked for, since a caller may pass its own
+    backend."""
+    providers = []
+
+    def counted_provider(config):
+        providers.append(config)
+        return build_provider(config)
+
+    monkeypatch.setattr(sgcr.pipeline, "build_provider", counted_provider)
+    config = RunConfig(specs_dir=str(REPO_ROOT / "sample_specs"), **overrides)
+    request = build_review_request(paths=[GOLDEN_DIR / "input" / "Example.java"])
+    backend = LoggedMockBackend()
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        run_review(config, request, backend=backend)
+    assert backend.call_log == [] and providers == []
+
+
+def test_build_provider_refuses_an_unknown_embedding():
+    with pytest.raises(ConfigError, match="unknown embedding 'mokc'"):
+        build_provider(RunConfig(embedding="mokc"))

@@ -1,6 +1,6 @@
 """Structural guards: a run waits, cancels and starts threads in one place,
 and does its accounting in one place; a fresh index is built inside the
-implicit pathway.
+implicit pathway; the CLI declares no setting's flag by hand.
 
 Every blocking wait of a run goes through gateway.RunScope, which is what
 lets a test scope force the order in which calls are seen to finish. These
@@ -13,8 +13,10 @@ so a pathway that counts for itself fails here.
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 
 from conftest import REPO_ROOT
+from sgcr.config import RunConfig
 
 SOURCE = REPO_ROOT / "src" / "sgcr"
 SCOPE = ("gateway.py", "RunScope")
@@ -149,3 +151,50 @@ def test_the_pipeline_hands_build_index_to_the_implicit_pathway_and_never_calls_
         if any(isinstance(arg, ast.Name) and arg.id == "build_index" for arg in node.args)
     ]
     assert handed
+
+
+# A setting is declared once, as its RunConfig field: the CLI builds its
+# flag from that field in one helper and names no setting anywhere else.
+CLI = ("cli.py", "_add_settings")
+
+
+def _setting_spellings() -> set[str]:
+    """Each setting's name and every option string the CLI could give it."""
+    spellings = set()
+    for field in fields(RunConfig):
+        dashed = field.name.replace("_", "-")
+        spellings.update((field.name, f"--{dashed}", f"--no-{dashed}"))
+        spellings.update(field.metadata.get("flags") or ())
+    return spellings
+
+
+def _hand_declared_settings() -> list[str]:
+    """add_argument calls outside the helper that name a setting: as an
+    option string, a positional's name or a dest."""
+    module, name = CLI
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    helpers = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    inside = {line for node in helpers for line in range(node.lineno, node.end_lineno + 1)}
+    found = [] if helpers else [f"{module}: no {name}"]
+    spellings = _setting_spellings()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _called_name(node)[1] == "add_argument"):
+            continue
+        if node.lineno in inside:
+            continue
+        named = [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
+        named += [
+            keyword.value.value
+            for keyword in node.keywords
+            if keyword.arg == "dest" and isinstance(keyword.value, ast.Constant)
+        ]
+        for spelling in named:
+            if spelling in spellings:
+                found.append(f"{module}:{node.lineno}: {spelling}")
+    return found
+
+
+def test_the_cli_builds_every_setting_flag_from_its_field_in_one_helper():
+    assert _hand_declared_settings() == []
